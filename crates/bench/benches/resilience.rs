@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use patlabor::{Net, PatLabor, ResilienceConfig};
+use patlabor::{Engine, Net, ResilienceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +32,7 @@ fn bench_resilience(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(nets.len() as u64));
     for budgeted in [false, true] {
-        let router = PatLabor::with_table(table.clone()).with_resilience(ResilienceConfig {
+        let router = Engine::with_table(table.clone()).with_resilience(ResilienceConfig {
             deadline: budgeted.then(|| Duration::from_secs(3600)),
             ..ResilienceConfig::default()
         });

@@ -1,9 +1,9 @@
-//! End-to-end routing throughput: PatLabor vs SALT vs PD-II vs the
+//! End-to-end routing throughput of PatLabor vs SALT vs PD-II vs the
 //! weighted-sum YSD substitute, small and large degrees (the runtime bars
 //! of Fig. 7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_baselines::{pd, salt, weighted_sum};
 use patlabor_geom::Net;
 use rand::SeedableRng;
@@ -16,7 +16,7 @@ fn sample_nets(seed: u64, degree: usize, count: usize) -> Vec<Net> {
 }
 
 fn bench_degree(c: &mut Criterion, degree: usize, count: usize, sample_size: usize) {
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });
@@ -27,7 +27,13 @@ fn bench_degree(c: &mut Criterion, degree: usize, count: usize, sample_size: usi
     group.bench_function(BenchmarkId::from_parameter("patlabor"), |b| {
         b.iter(|| {
             for net in &nets {
-                std::hint::black_box(router.route_frontier(net).len());
+                std::hint::black_box(
+                    router
+                        .route(net)
+                        .expect("every armed rung failed")
+                        .frontier
+                        .len(),
+                );
             }
         })
     });

@@ -177,7 +177,7 @@ fn drive_active(addr: SocketAddr, nets: &[Net]) -> ActiveTally {
 }
 
 fn ledger_balances(summary: &ServeSummary) -> bool {
-    summary.served_by.iter().sum::<u64>() == summary.responses
+    summary.report.served_by.iter().sum::<u64>() == summary.report.served
 }
 
 fn main() {
@@ -283,7 +283,7 @@ fn main() {
     let _ = writeln!(json, "    \"answered\": {},", tally.answered);
     let _ = writeln!(json, "    \"retries\": {},", tally.retries);
     let _ = writeln!(json, "    \"reconnects\": {},", tally.reconnects);
-    let _ = writeln!(json, "    \"responses\": {},", summary.responses);
+    let _ = writeln!(json, "    \"responses\": {},", summary.report.served);
     let _ = writeln!(json, "    \"evicted\": {},", summary.evicted);
     let _ = writeln!(json, "    \"chaos_injected\": {},", summary.chaos_injected);
     let _ = writeln!(json, "    \"ledger_balanced\": true,");

@@ -7,7 +7,7 @@
 //! compare against single-solution flows and a SALT sweep evaluated the
 //! same way.
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_baselines::{rsma, rsmt, salt};
 use patlabor_bench::{paper_note, render_table, scaled};
 use patlabor_tree::{max_elmore, ElmoreModel};
@@ -15,7 +15,7 @@ use patlabor_tree::{max_elmore, ElmoreModel};
 fn main() {
     let net_count = scaled(80, 15);
     println!("Elmore re-ranking of PatLabor Pareto sets ({net_count} nets)\n");
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });
@@ -29,7 +29,7 @@ fn main() {
     let mut sums = [0.0f64; 4]; // pareto-best, rsmt, spt, salt-best
     let mut agree = 0usize;
     for net in &nets {
-        let frontier = router.route_frontier(net);
+        let frontier = router.route(net).expect("every armed rung failed").frontier;
         let best_pareto = frontier
             .iter()
             .map(|(_, t)| max_elmore(t, &model))

@@ -5,7 +5,7 @@
 //! statistic on the ICCAD-like synthetic suite (exact frontiers from the
 //! Pareto-DW / lookup tables).
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_bench::{exact_frontier, linear_fit, paper_note, render_table, scaled};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         .unwrap_or(8);
     println!("Fig 6 — max Pareto frontier size per degree ({nets_per_degree} nets/degree)\n");
 
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 6,
         ..RouterConfig::default()
     });

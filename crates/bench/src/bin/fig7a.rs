@@ -3,7 +3,7 @@
 //! Curves are normalized by `w(FLUTE)` and `d(CL)` and, following the
 //! paper, averaged only over nets where SALT or YSD is non-optimal.
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_bench::{
     average_curve, default_grid, paper_note, render_table, scaled, small_degree_comparison,
     Method,
@@ -21,7 +21,7 @@ fn main() {
          ({nets_per_degree} nets/degree, non-optimal subset)\n"
     );
 
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda,
         ..RouterConfig::default()
     });
@@ -78,8 +78,8 @@ fn main() {
         println!("PatLabor vs SALT speed: {:.2}x", totals[1] / totals[0].max(1e-9));
     }
     paper_note(
-        "paper Fig 7(a): PatLabor has the lowest (tightest) curve at every wirelength \
-         budget and is ~1.35x faster than SALT thanks to the lookup tables. Expect \
+        "paper Fig 7(a) shows PatLabor with the lowest (tightest) curve at every \
+         wirelength budget and ~1.35x faster than SALT thanks to the lookup tables. Expect \
          PatLabor's column to lower-bound the others at every grid point.",
     );
 }

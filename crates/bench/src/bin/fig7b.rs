@@ -1,7 +1,7 @@
 //! Figure 7(b): averaged Pareto curves and runtimes on large-degree nets
 //! (ICCAD-like degrees 10–50).
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_bench::{
     average_curve, default_grid, normalizers, paper_note, render_table, run_method, scaled,
     Method,
@@ -11,7 +11,7 @@ fn main() {
     let net_count = scaled(60, 10);
     println!("Fig 7(b) — averaged Pareto curves, large-degree nets ({net_count} nets)\n");
 
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });
@@ -75,8 +75,8 @@ fn main() {
         totals[0] / totals[1].max(1e-9)
     );
     paper_note(
-        "paper Fig 7(b): PatLabor again has the tightest curves on large-degree nets \
-         but is ~11.6% slower than SALT (Pareto-set combination overhead), while still \
+        "paper Fig 7(b) shows PatLabor again with the tightest curves on large-degree \
+         nets but ~11.6% slower than SALT (Pareto-set combination overhead), while still \
          much faster than YSD. Expect PatLabor at or below the baselines across the \
          grid and a PatLabor/SALT time ratio around or above 1.",
     );

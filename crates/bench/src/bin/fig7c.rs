@@ -4,7 +4,7 @@
 //! divide-and-conquer YSD substitute is expected to lose badly on
 //! wirelength here — the weakness the paper calls out.
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_bench::{
     average_curve, normalizers, paper_note, render_table, run_method, scaled, Method,
 };
@@ -15,7 +15,7 @@ fn main() {
     let degree = 100usize;
     println!("Fig 7(c) — {net_count} random degree-{degree} nets\n");
 
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });

@@ -14,11 +14,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use patlabor::{Net, PatLabor, ResilienceConfig};
+use patlabor::{Engine, Net, ResilienceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The BENCH_PR1 workload seed (`src/bin/throughput.rs`).
+/// The BENCH_PR1 workload seed (that ledger's throughput bench is retired;
+/// the workload lives on in `workload` below).
 const SEED: u64 = 0x7412_0be7;
 const REPS: usize = 5;
 const OVERHEAD_LIMIT_PCT: f64 = 2.0;
@@ -62,8 +63,8 @@ fn workload(count: usize) -> Vec<Net> {
         .collect()
 }
 
-fn router(table: &patlabor::LookupTable, budgeted: bool) -> PatLabor {
-    PatLabor::with_table(table.clone()).with_resilience(ResilienceConfig {
+fn router(table: &patlabor::LookupTable, budgeted: bool) -> Engine {
+    Engine::with_table(table.clone()).with_resilience(ResilienceConfig {
         deadline: budgeted.then(|| Duration::from_secs(3600)),
         ..ResilienceConfig::default()
     })

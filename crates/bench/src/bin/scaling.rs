@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::{BatchConfig, CacheConfig, Net, ParetoSet, PatLabor, RouterConfig, RoutingTree};
+use patlabor::{BatchConfig, CacheConfig, Engine, Net, ParetoSet, RouterConfig, RoutingTree};
 use patlabor_bench::scaling::ScalingRun;
 
 const SEED: u64 = 0x5ca1_ab1e;
@@ -41,12 +41,12 @@ struct Measured {
     frontiers: Vec<Option<ParetoSet<RoutingTree>>>,
 }
 
-fn router_for(table: &patlabor::LookupTable, cache: bool, chunk: Option<usize>) -> PatLabor {
+fn router_for(table: &patlabor::LookupTable, cache: bool, chunk: Option<usize>) -> Engine {
     let config = RouterConfig {
         batch: BatchConfig { chunk_size: chunk },
         ..RouterConfig::default()
     };
-    PatLabor::with_table_and_config(table.clone(), config).with_cache(if cache {
+    Engine::with_table_and_config(table.clone(), config).with_cache(if cache {
         CacheConfig::default()
     } else {
         CacheConfig::disabled()

@@ -4,7 +4,7 @@
 //! true Pareto frontier. PatLabor is 0% by construction (lookup tables);
 //! the parameterized baselines miss increasingly often as degree grows.
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_bench::{paper_note, render_table, scaled, small_degree_comparison, Method};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
          ({nets_per_degree} nets/degree)\n"
     );
 
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda,
         ..RouterConfig::default()
     });
@@ -52,7 +52,7 @@ fn main() {
         .collect();
     println!("{}", render_table(&headers, &rows));
     paper_note(
-        "paper Table III (904,915 ICCAD-15 nets): PatLabor 0.0% at every degree; \
+        "paper Table III (904,915 ICCAD-15 nets) has PatLabor at 0.0% for every degree; \
          YSD 0.0/0.3/7.8/23.3/36.0/49.5% and SALT 0.0/0.9/11.9/24.3/34.7/45.4% for \
          degrees 4..9. Expect PatLabor exactly 0%, baselines increasing with degree, \
          degree 4 near 0%.",

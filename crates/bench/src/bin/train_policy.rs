@@ -3,7 +3,7 @@
 //! against random and default selection on held-out nets.
 
 use patlabor::policy::{train::TrainConfig, Policy};
-use patlabor::{LutBuilder, PatLabor};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{paper_note, render_table, scaled};
 use patlabor_pareto::metrics::hypervolume;
 use patlabor_pareto::Cost;
@@ -51,8 +51,8 @@ fn main() {
         let (w0, d0) = seed.objectives();
         let reference = Cost::new(w0 * 2, d0 * 2);
         for (i, policy) in [learned.clone(), Policy::default()].into_iter().enumerate() {
-            let router = PatLabor::with_table(table.clone()).with_policy(policy);
-            let frontier = router.route_frontier(&net);
+            let router = Engine::with_table(table.clone()).with_policy(policy);
+            let frontier = router.route(&net).expect("every armed rung failed").frontier;
             hv[i] += hypervolume(&frontier, reference);
         }
     }

@@ -14,7 +14,7 @@ pub mod scaling;
 
 use std::time::{Duration, Instant};
 
-use patlabor::{Cost, Net, ParetoSet, PatLabor, RoutingTree};
+use patlabor::{Cost, Engine, Net, ParetoSet, RoutingTree};
 use patlabor_baselines::{pd, salt, weighted_sum};
 
 /// Experiment scale factor from `PATLABOR_SCALE` (default 1.0).
@@ -72,10 +72,10 @@ pub struct MethodRun {
 }
 
 /// Runs one method on one net.
-pub fn run_method(method: Method, net: &Net, router: &PatLabor) -> MethodRun {
+pub fn run_method(method: Method, net: &Net, router: &Engine) -> MethodRun {
     let start = Instant::now();
     let set = match method {
-        Method::PatLabor => router.route_frontier(net),
+        Method::PatLabor => router.route(net).expect("every armed rung failed").frontier,
         Method::Salt => salt::salt_pareto(net, &salt::DEFAULT_EPSILONS),
         Method::Ysd => weighted_sum::weighted_sum_pareto(net, &weighted_sum::DEFAULT_BETAS),
         Method::Pd => pd::pd_pareto(net, &pd::DEFAULT_ALPHAS),
@@ -216,9 +216,9 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 
 /// Exact frontier of a small net (degree ≤ λ of `router`'s table or ≤ 13
 /// via the DP).
-pub fn exact_frontier(net: &Net, router: &PatLabor) -> ParetoSet<RoutingTree> {
+pub fn exact_frontier(net: &Net, router: &Engine) -> ParetoSet<RoutingTree> {
     if router.is_exact_for(net.degree()) {
-        router.route_frontier(net)
+        router.route(net).expect("every armed rung failed").frontier
     } else {
         patlabor_dw::numeric::pareto_frontier(net, &patlabor_dw::DwConfig::default())
     }
@@ -309,8 +309,8 @@ mod tests {
     }
 }
 
-/// The mixed parallel-serving workload shared by the throughput bench
-/// (`BENCH_PR1.json`) and the scaling bench (`BENCH_PR7.json`).
+/// The mixed parallel-serving workload of the scaling bench
+/// (`BENCH_PR7.json`) and the eco bench's base nets (`BENCH_PR9.json`).
 ///
 /// Repeated cells and macros give real placements many congruent nets:
 /// identical relative pin geometry at different offsets and
@@ -381,7 +381,7 @@ pub struct SmallDegreeStats {
 /// nets where SALT or YSD was non-optimal — the Fig. 7(a) averaging rule.
 #[allow(clippy::type_complexity)]
 pub fn small_degree_comparison(
-    router: &PatLabor,
+    router: &Engine,
     degrees: std::ops::RangeInclusive<usize>,
     nets_per_degree: usize,
     seed: u64,

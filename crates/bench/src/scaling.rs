@@ -1,9 +1,9 @@
 //! Shared schema for the parallel-scaling benches.
 //!
-//! `BENCH_PR1.json` (`bin/throughput.rs`) and `BENCH_PR7.json`
-//! (`bin/scaling.rs`) report the same kind of measurement — the batch
-//! driver swept across thread counts — so they share one row type and
-//! one JSON layout. The schema's load-bearing rule: **oversubscribed
+//! `BENCH_PR7.json` (`bin/scaling.rs`) sweeps the batch driver across
+//! thread counts; `BENCH_PR8.json` (`bin/loadgen.rs`) and
+//! `BENCH_PR9.json` (`bin/eco.rs`) reuse the same report layout. The
+//! schema's load-bearing rule: **oversubscribed
 //! rows are structurally separated**. A run with more worker threads
 //! than hardware threads measures scheduler time-slicing, not scaling,
 //! so it lives in a distinct `oversubscribed_runs` array that no
@@ -14,11 +14,9 @@ use std::fmt::Write as _;
 
 /// One measured batch-routing run at a fixed thread count.
 ///
-/// The first five fields are the common core both benches fill; the
-/// `Option` telemetry (worker utilization, steal counts, lock
-/// contention) is recorded by `scaling.rs`, which routes through
-/// `route_batch_with_stats`, and omitted from rows produced by the
-/// plain throughput bench. `None` fields are absent from the JSON
+/// The first five fields are the common core; the `Option` telemetry
+/// (worker utilization, steal counts, lock contention) comes from
+/// `route_batch_with_stats`. `None` fields are absent from the JSON
 /// rather than zero-filled, so "not measured" and "measured zero"
 /// stay distinguishable.
 #[derive(Debug, Clone, Default, PartialEq)]

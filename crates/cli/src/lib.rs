@@ -43,7 +43,7 @@ use std::time::Duration;
 use patlabor::pipeline::RouteOutcome;
 use patlabor::{
     DeltaKind, Engine, Fault, FaultPlane, LutBuilder, Net, NetDelta, Point, ProvenanceSummary,
-    ResilienceConfig, RouteError, Session,
+    ResilienceConfig, ResilienceReport, RouteError, Session,
 };
 use patlabor_lut::{LookupTable, TableInfo};
 use patlabor_serve::{serve, ServeConfig};
@@ -370,6 +370,23 @@ fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
     }
 }
 
+/// Renders the `cache:` line: frontier-cache health straight from
+/// [`Engine::cache_stats`] (nothing when the cache is disabled). The
+/// `--threads` report, drill mode and the `serve` shutdown output all
+/// print it.
+fn render_cache_line(out: &mut String, engine: &Engine) {
+    if let Some(cache) = engine.cache_stats() {
+        out.push_str(&format!(
+            "cache: {} shards, hit rate {:.3}, contention {}r/{}w{}\n",
+            cache.shards,
+            cache.hit_rate(),
+            cache.contended_reads,
+            cache.contended_writes,
+            if cache.bypassed { ", bypassed" } else { "" },
+        ));
+    }
+}
+
 /// Runs the `route` command; returns the rendered output.
 ///
 /// Each net's header names the pipeline stage that answered it (`via
@@ -380,7 +397,7 @@ fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
 /// With `--faults` or `--deadline-ms` the command runs in drill mode:
 /// per-net failures (injected panics included) print inline instead of
 /// aborting the run, and the output ends with the aggregated
-/// [`patlabor::ResilienceReport`].
+/// [`ResilienceReport`] and the `cache:` line.
 ///
 /// # Errors
 ///
@@ -412,7 +429,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
         // the same module the serve daemon uses — the two outputs can
         // never drift. Per-net failures become `"error": "route"` lines
         // instead of aborting the run, exactly like the daemon.
-        let (results, _report) = engine.route_batch_with_report(nets, options.threads.max(1));
+        let results = engine.route_batch(nets, options.threads.max(1));
         let mut out = String::new();
         for (i, result) in results.iter().enumerate() {
             out.push_str(&patlabor_serve::result_to_json(i as u64, result).render());
@@ -426,7 +443,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
         // Drills route through the batch driver so an injected panic
         // downgrades to a per-net diagnostic instead of killing the
         // process, and the run ends with the aggregated report.
-        let (results, report) = engine.route_batch_with_report(nets, options.threads.max(1));
+        let results = engine.route_batch(nets, options.threads.max(1));
         for (i, (net, result)) in nets.iter().zip(&results).enumerate() {
             match result {
                 Ok(outcome) => {
@@ -439,7 +456,9 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
             }
         }
         out.push_str(&format!("provenance: {summary} ({} nets)\n", summary.total()));
+        let report = ResilienceReport::from_results(&results);
         out.push_str(&format!("resilience: {report}\n"));
+        render_cache_line(&mut out, &engine);
         return Ok(out);
     }
     if options.threads > 1 {
@@ -457,16 +476,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
             summary.total()
         ));
         render_batch_stats(&mut out, &stats);
-        if let Some(cache) = engine.cache_stats() {
-            out.push_str(&format!(
-                "cache: {} shards, hit rate {:.3}, contention {}r/{}w{}\n",
-                cache.shards,
-                cache.hit_rate(),
-                cache.contended_reads,
-                cache.contended_writes,
-                if cache.bypassed { ", bypassed" } else { "" },
-            ));
-        }
+        render_cache_line(&mut out, &engine);
         return Ok(out);
     }
     let mut outcomes = Vec::with_capacity(nets.len());
@@ -818,12 +828,13 @@ impl Default for ServeOptions {
 }
 
 /// What a finished `serve` run reports: the stdout summary line and
-/// the stderr resilience report.
+/// the stderr resilience report (plus the `cache:` line).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeExit {
     /// One line for stdout: requests served/rejected.
     pub summary: String,
-    /// The final aggregated [`patlabor::ResilienceReport`], for stderr.
+    /// The final aggregated [`ResilienceReport`] and the `cache:`
+    /// line, for stderr.
     pub report: String,
 }
 
@@ -896,13 +907,16 @@ pub fn serve_command_with(
     }
     // First signal: drain. In-flight windows and everything admitted
     // complete; new requests are rejected as "shutting-down".
+    let engine = server.engine().clone();
     let summary = server.shutdown();
+    let mut report = format!("resilience: {}\n", summary.report);
+    render_cache_line(&mut report, &engine);
     Ok(ServeExit {
         summary: format!(
             "serve: drained; {} nets routed, {} rejected, {} malformed\n",
             summary.report.nets, summary.rejected, summary.malformed
         ),
-        report: format!("resilience: {}\n", summary.report),
+        report,
     })
 }
 

@@ -4,8 +4,8 @@
 //! independently, so the paper evaluates all methods with multithreading
 //! (its footnote 4 chides YSD for comparing GPU batches against serial
 //! SALT). This module provides the high-throughput driver: a
-//! work-stealing chunked distributor over a shared [`PatLabor`] instance
-//! (the lookup tables are immutable after construction, so one router
+//! work-stealing chunked distributor over a shared [`Engine`] handle
+//! (the lookup tables are immutable after construction, so one engine
 //! serves every thread).
 //!
 //! # Design
@@ -34,7 +34,7 @@
 //! stealing, it no longer has to bound tail imbalance the way the old
 //! `nets.len() / (threads × 8)` heuristic did. The default is derived
 //! from measured steal rates (see [`BatchConfig::chunk_size`]) and can
-//! be overridden per router.
+//! be overridden per engine.
 //!
 //! Every batch also returns per-worker telemetry ([`BatchStats`]): busy
 //! nanoseconds, chunks and nets executed, successful and failed steals —
@@ -43,7 +43,6 @@
 
 use std::any::Any;
 use std::mem::MaybeUninit;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -53,8 +52,6 @@ use crate::eco::DeltaJob;
 use crate::engine::{Engine, Session};
 use crate::pad::CachePadded;
 use crate::pipeline::{RouteError, RouteResult};
-use crate::resilience::ResilienceReport;
-use crate::PatLabor;
 
 /// Hard ceiling on the auto-derived chunk size.
 ///
@@ -113,7 +110,7 @@ pub struct WorkerStats {
     pub failed_steals: u64,
 }
 
-/// Batch-level telemetry from [`PatLabor::route_batch_with_stats`]:
+/// Batch-level telemetry from [`Engine::route_batch_with_stats`]:
 /// what actually happened on each worker, so scaling claims can be
 /// checked against per-thread utilization instead of inferred from
 /// wall-clock alone.
@@ -589,96 +586,13 @@ impl Engine {
         };
         (results, stats)
     }
-
-    /// [`Engine::route_batch`] plus the batch-level
-    /// [`ResilienceReport`] aggregating every slot's ladder activity
-    /// (what served, what degraded, what panicked, what hit deadlines)
-    /// and the frontier cache's health (bypass state and lock
-    /// contention).
-    pub fn route_batch_with_report(
-        &self,
-        nets: &[Net],
-        threads: usize,
-    ) -> (Vec<RouteResult>, ResilienceReport) {
-        let results = self.route_batch(nets, threads);
-        let report = self.stamp_report_cache_health(ResilienceReport::from_results(&results));
-        (results, report)
-    }
-
-    /// Folds the frontier cache's health counters into a report built
-    /// from batch results (the serve layer calls this on its own
-    /// accumulated report at shutdown).
-    pub fn stamp_report_cache_health(&self, mut report: ResilienceReport) -> ResilienceReport {
-        if let Some(stats) = self.cache_stats() {
-            report.cache_bypassed = stats.bypassed;
-            report.cache_contended_reads = stats.contended_reads;
-            report.cache_contended_writes = stats.contended_writes;
-        }
-        report
-    }
-}
-
-impl PatLabor {
-    /// Routes every net, spreading work over `threads` OS threads.
-    ///
-    /// `threads` is clamped to at least 1 (a zero request degrades to
-    /// serial routing instead of panicking). Results are in input order
-    /// and bit-identical to calling [`PatLabor::route`] per net (routing
-    /// is deterministic, with or without the frontier cache, at every
-    /// thread count, steals included).
-    ///
-    /// Each slot is that net's own [`RouteResult`]: a net the tables
-    /// cannot serve yields `Err` in its slot without poisoning the rest
-    /// of the batch, and a panic that escapes the routing ladder is
-    /// caught per net ([`RouteError::Panicked`]) — one pathological net
-    /// never takes the batch down.
-    pub fn route_batch(&self, nets: &[Net], threads: usize) -> Vec<RouteResult> {
-        self.engine().route_batch(nets, threads)
-    }
-
-    /// [`PatLabor::route_batch`] plus the driver telemetry: per-worker
-    /// busy time, chunk/net tallies and steal counts ([`BatchStats`]).
-    /// The scaling bench and `route --threads` read utilization from
-    /// here instead of inferring it from wall clock.
-    pub fn route_batch_with_stats(
-        &self,
-        nets: &[Net],
-        threads: usize,
-    ) -> (Vec<RouteResult>, BatchStats) {
-        self.engine().route_batch_with_stats(nets, threads)
-    }
-
-    /// [`PatLabor::route_batch`] plus the batch-level
-    /// [`ResilienceReport`] aggregating every slot's ladder activity
-    /// (what served, what degraded, what panicked, what hit deadlines)
-    /// and the frontier cache's health (bypass state and lock
-    /// contention).
-    pub fn route_batch_with_report(
-        &self,
-        nets: &[Net],
-        threads: usize,
-    ) -> (Vec<RouteResult>, ResilienceReport) {
-        self.engine().route_batch_with_report(nets, threads)
-    }
-
-    /// [`PatLabor::route_batch`] with a caller-proven non-zero thread
-    /// count.
-    pub fn route_batch_threads(&self, nets: &[Net], threads: NonZeroUsize) -> Vec<RouteResult> {
-        self.route_batch(nets, threads.get())
-    }
-
-    /// Routes every net over all available hardware threads
-    /// (mirroring [`patlabor_lut::LutBuilder`]'s default parallelism).
-    pub fn route_batch_auto(&self, nets: &[Net]) -> Vec<RouteResult> {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        self.route_batch(nets, threads)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::RouteError;
+    use crate::resilience::ResilienceReport;
     use crate::RouterConfig;
     use patlabor_pareto::ParetoSet;
     use patlabor_tree::RoutingTree;
@@ -749,17 +663,17 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_and_is_order_stable() {
-        let router = PatLabor::with_config(RouterConfig {
+        let engine = Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xba7c4, 24, 12);
         let sequential: Vec<_> = nets
             .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
+            .map(|n| engine.route(n).expect("serial net failed").frontier)
             .collect();
         for threads in [1, 2, 4, 7] {
-            let batch = frontiers(router.route_batch(&nets, threads));
+            let batch = frontiers(engine.route_batch(&nets, threads));
             assert_eq!(batch, sequential, "threads = {threads}");
         }
     }
@@ -771,7 +685,7 @@ mod tests {
     #[test]
     fn determinism_matrix_across_thread_counts() {
         let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let router = PatLabor::with_config(RouterConfig {
+        let engine = Engine::with_config(RouterConfig {
             lambda: 4,
             batch: BatchConfig { chunk_size: Some(2) },
             ..RouterConfig::default()
@@ -779,10 +693,10 @@ mod tests {
         let nets = patlabor_netgen::iccad_like_suite(0xde7e2, 60, 10);
         let sequential: Vec<_> = nets
             .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
+            .map(|n| engine.route(n).expect("serial net failed").frontier)
             .collect();
         for threads in [1, 2, 4, hardware, hardware + 3] {
-            let (results, stats) = router.route_batch_with_stats(&nets, threads);
+            let (results, stats) = engine.route_batch_with_stats(&nets, threads);
             assert_eq!(frontiers(results), sequential, "threads = {threads}");
             assert_eq!(stats.workers, threads.min(nets.len()).max(1));
             let routed: u64 = stats.per_worker.iter().map(|w| w.nets).sum();
@@ -792,13 +706,13 @@ mod tests {
 
     #[test]
     fn explicit_chunk_size_is_honored() {
-        let router = PatLabor::with_config(RouterConfig {
+        let engine = Engine::with_config(RouterConfig {
             lambda: 4,
             batch: BatchConfig { chunk_size: Some(3) },
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xc4u64, 20, 8);
-        let (results, stats) = router.route_batch_with_stats(&nets, 2);
+        let (results, stats) = engine.route_batch_with_stats(&nets, 2);
         assert_eq!(stats.chunk_size, 3);
         assert_eq!(stats.chunks, nets.len().div_ceil(3));
         assert_eq!(results.len(), nets.len());
@@ -811,47 +725,31 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_serial() {
-        let router = PatLabor::with_config(RouterConfig {
+        let engine = Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x21, 5, 8);
         // Second route of the same nets hits the warm cache, so both
         // passes see identical provenance too — whole outcomes compare.
-        let _warmup = router.route_batch(&nets, 1);
-        let serial: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
-        assert_eq!(router.route_batch(&nets, 0), serial);
-        assert!(router.route_batch(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn auto_and_nonzero_variants_agree() {
-        let router = PatLabor::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
-        let nets = patlabor_netgen::iccad_like_suite(0x77, 10, 10);
-        let serial: Vec<_> = nets
-            .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
-            .collect();
-        assert_eq!(frontiers(router.route_batch_auto(&nets)), serial);
-        let nz = NonZeroUsize::new(3).expect("non-zero");
-        assert_eq!(frontiers(router.route_batch_threads(&nets, nz)), serial);
+        let _warmup = engine.route_batch(&nets, 1);
+        let serial: Vec<_> = nets.iter().map(|n| engine.route(n)).collect();
+        assert_eq!(engine.route_batch(&nets, 0), serial);
+        assert!(engine.route_batch(&[], 0).is_empty());
     }
 
     #[test]
     fn more_threads_than_nets_is_fine() {
-        let router = PatLabor::with_config(RouterConfig {
+        let engine = Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x5e5e, 3, 6);
         let serial: Vec<_> = nets
             .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
+            .map(|n| engine.route(n).expect("serial net failed").frontier)
             .collect();
-        assert_eq!(frontiers(router.route_batch(&nets, 64)), serial);
+        assert_eq!(frontiers(engine.route_batch(&nets, 64)), serial);
     }
 
     /// Regression for the mid-batch panic leak: every `RouteResult` slot
@@ -966,7 +864,7 @@ mod tests {
         let mut table = crate::LutBuilder::new(4).threads(1).build();
         // Simulate a truncated table: degree 3 is gone, degree 4 intact.
         table.remove_degree(3);
-        let router = PatLabor::with_table_and_config(
+        let engine = Engine::with_table_and_config(
             table,
             RouterConfig {
                 resilience: crate::ResilienceConfig::strict(),
@@ -987,7 +885,7 @@ mod tests {
         nets.insert(bad_index, bad);
 
         for threads in [1, 4] {
-            let results = router.route_batch(&nets, threads);
+            let results = engine.route_batch(&nets, threads);
             assert_eq!(results.len(), nets.len());
             for (i, result) in results.iter().enumerate() {
                 if i == bad_index {
@@ -1007,12 +905,12 @@ mod tests {
     /// Satellite regression for panic isolation: an `AllRungs` stage
     /// panic (nothing in the ladder can absorb it) must surface as
     /// `Err(RouteError::Panicked)` in exactly the faulted nets' slots
-    /// while every other slot matches a clean router bit-for-bit.
+    /// while every other slot matches a clean engine bit-for-bit.
     #[test]
     fn stage_panic_isolates_to_its_slot() {
         use crate::resilience::{net_key, Fault, FaultKind, FaultPlane, FaultScope, Rung};
 
-        let clean = PatLabor::with_config(RouterConfig {
+        let clean = Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         });
@@ -1052,16 +950,7 @@ mod tests {
             assert!(panicked < nets.len(), "not every net should be hit at p = 0.3");
 
             // The aggregate report sees the same picture.
-            let (reported, report) = faulty.route_batch_with_report(&nets, threads);
-            assert_eq!(
-                ResilienceReport {
-                    cache_bypassed: report.cache_bypassed,
-                    cache_contended_reads: report.cache_contended_reads,
-                    cache_contended_writes: report.cache_contended_writes,
-                    ..ResilienceReport::from_results(&reported)
-                },
-                report
-            );
+            let report = ResilienceReport::from_results(&results);
             assert_eq!(report.nets as usize, nets.len());
             assert_eq!(report.served + report.errors, report.nets);
             assert_eq!(report.errors, report.panicked);

@@ -180,7 +180,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss/contention counters and current occupancy, from
-/// [`crate::PatLabor::cache_stats`] (aggregated over shards; the
+/// [`crate::Engine::cache_stats`] (aggregated over shards; the
 /// per-shard view is [`ShardStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {

@@ -15,10 +15,10 @@
 //!   drills. A `Session` is a few machine words of `Copy` data; the
 //!   server mints one per wire request.
 //!
-//! [`crate::PatLabor`] survives as a thin wrapper over an `Engine` (its
-//! public API is unchanged), and `patlabor serve` drives the engine
-//! directly: one engine per process, one session per request, coalesced
-//! into [`Engine::route_batch_sessions`] windows.
+//! The engine is the crate's only router handle: library callers route
+//! with [`Engine::route`] or the batch driver, and `patlabor serve` runs
+//! one engine per process, one session per request, coalesced into
+//! [`Engine::route_batch_sessions`] windows.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -35,8 +35,9 @@ use patlabor_lut::{LookupTable, LutBuilder};
 use patlabor_pareto::{Cost, ParetoSet};
 use patlabor_tree::RoutingTree;
 
-use crate::cache::{CacheKey, CacheStats, FrontierCache, ShardStats};
-use crate::eco::{DeltaKind, NetDelta};
+use crate::batch::BatchConfig;
+use crate::cache::{CacheConfig, CacheKey, CacheStats, FrontierCache, ShardStats};
+use crate::eco::{DeltaKind, EcoConfig, NetDelta};
 use crate::local_search::{local_search_cancellable, LocalSearchConfig};
 use crate::pipeline::{
     RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource, StageCounters,
@@ -46,7 +47,6 @@ use crate::resilience::{
     net_key, Budget, Clock, DegradationTrace, FaultKind, FaultPlane, ResilienceConfig, Rung,
     RungOutcome, SystemClock,
 };
-use crate::router::RouterConfig;
 
 /// Cancellation checkpoints between clock reads. Checkpoints are counted
 /// on every poll, but the deadline clock — the expensive part of a poll —
@@ -55,6 +55,55 @@ use crate::router::RouterConfig;
 /// the clock unconditionally, so deadline granularity stays bounded by a
 /// rung even when an inner loop finishes in fewer polls than one stride.
 const BUDGET_POLL_STRIDE: u32 = 64;
+
+/// Engine-level configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouterConfig {
+    /// λ used when the engine builds its own lookup tables (degrees
+    /// `2..=λ` answered exactly). Tables for λ ≤ 6 build in seconds;
+    /// λ = 7+ should be generated offline and loaded.
+    pub lambda: u8,
+    /// Local-search settings for nets with degree `> λ`.
+    pub local_search: LocalSearchConfig,
+    /// Frontier-cache settings ([`crate::cache`]). The cache memoizes
+    /// winning topology ids per congruence class of nets, so repeated,
+    /// translated and mirrored pin patterns skip the evaluation of
+    /// dominated candidates. Routing results are bit-identical with the
+    /// cache enabled or disabled; set `cache.enabled = false` (or use
+    /// [`CacheConfig::disabled`]) to always evaluate from scratch.
+    pub cache: CacheConfig,
+    /// Which fallback rungs of the degradation ladder are armed, whether
+    /// served frontiers are validated against their witness trees, and
+    /// the optional per-net deadline. [`ResilienceConfig::strict`]
+    /// restores the pre-ladder fail-fast behavior (oracles and tests
+    /// that assert on `RouteError`s route that way).
+    pub resilience: ResilienceConfig,
+    /// Deterministic fault injection ([`FaultPlane`]), replacing ad-hoc
+    /// table doctoring in tests and drills. Empty by default: nothing
+    /// fires and the serving path skips all fault bookkeeping.
+    pub faults: FaultPlane,
+    /// Batch-driver tuning ([`BatchConfig`]): the work-stealing chunk
+    /// size, auto-derived by default.
+    pub batch: BatchConfig,
+    /// Incremental-rerouting policy ([`EcoConfig`]): how many
+    /// consecutive edits [`Engine::reroute`] may serve from replay
+    /// before forcing a fresh route.
+    pub eco: EcoConfig,
+}
+
+impl Default for RouterConfig {
+    fn default() -> Self {
+        RouterConfig {
+            lambda: 5,
+            local_search: LocalSearchConfig::default(),
+            cache: CacheConfig::default(),
+            resilience: ResilienceConfig::default(),
+            faults: FaultPlane::default(),
+            batch: BatchConfig::default(),
+            eco: EcoConfig::default(),
+        }
+    }
+}
 
 /// The per-request layer: deadline, identity, fault-seed override.
 ///
@@ -304,7 +353,7 @@ impl Engine {
     /// Replaces the frontier-cache configuration, dropping any cached
     /// entries (and the old counters) in the process.
     #[must_use]
-    pub fn with_cache(self, cache: crate::cache::CacheConfig) -> Self {
+    pub fn with_cache(self, cache: CacheConfig) -> Self {
         self.map_inner(|inner| {
             inner.config.cache = cache;
             inner.cache = Self::build_cache(&inner.config);
@@ -990,7 +1039,7 @@ mod tests {
                 ..RouterConfig::default()
             },
         )
-        .with_cache(crate::cache::CacheConfig::disabled())
+        .with_cache(CacheConfig::disabled())
         .with_clock(clock);
         let net = net3();
         let generous = engine.route(&net).unwrap();
@@ -1022,10 +1071,10 @@ mod tests {
             })
         };
         let base = engine4()
-            .with_cache(crate::cache::CacheConfig::disabled())
+            .with_cache(CacheConfig::disabled())
             .with_faults(faults(7));
         let other = engine4()
-            .with_cache(crate::cache::CacheConfig::disabled())
+            .with_cache(CacheConfig::disabled())
             .with_faults(faults(8));
         let nets = patlabor_netgen::iccad_like_suite(0x5e55, 24, 4);
         let mut flipped = 0;
@@ -1133,5 +1182,322 @@ mod tests {
         // The pre-existing clone still routes with the default ladder.
         assert_eq!(clone.config().resilience, ResilienceConfig::default());
         assert!(!Arc::ptr_eq(&rebuilt.inner, &clone.inner));
+    }
+
+    fn random_net(seed: &mut u64, degree: usize, span: u64) -> Net {
+        let mut rng = move || {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed
+        };
+        Net::new(
+            (0..degree)
+                .map(|_| Point::new((rng() % span) as i64, (rng() % span) as i64))
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn small_nets_are_exact() {
+        let engine = Engine::new();
+        let mut seed = 2u64;
+        for degree in 3..=5 {
+            let net = random_net(&mut seed, degree, 60);
+            let outcome = engine.route(&net).expect("tabulated degree");
+            let exact = numeric::pareto_frontier(&net, &DwConfig::default());
+            assert_eq!(outcome.frontier.cost_vec(), exact.cost_vec());
+            assert!(engine.is_exact_for(degree));
+            assert!(outcome.provenance.source.is_exact());
+            assert_eq!(outcome.provenance.degree, degree);
+            assert!(!outcome.provenance.trace.degraded());
+        }
+    }
+
+    #[test]
+    fn large_nets_use_local_search() {
+        let engine = Engine::new();
+        let mut seed = 4u64;
+        let net = random_net(&mut seed, 15, 150);
+        assert!(!engine.is_exact_for(15));
+        let outcome = engine.route(&net).expect("local search cannot fail");
+        assert_eq!(outcome.provenance.source, RouteSource::LocalSearch);
+        assert!(outcome.provenance.counters.local_search_rounds >= 1);
+        assert!(outcome.provenance.counters.local_search_candidates >= 1);
+        assert_eq!(outcome.provenance.trace.served_by(), Some(Rung::LocalSearch));
+        assert!(!outcome.frontier.is_empty());
+        for (c, t) in outcome.frontier.iter() {
+            t.validate(&net).unwrap();
+            assert_eq!((c.wirelength, c.delay), t.objectives());
+        }
+    }
+
+    #[test]
+    fn engine_from_loaded_table() {
+        let table = LutBuilder::new(4).threads(2).build();
+        let mut buf = Vec::new();
+        table.write_to(&mut buf).unwrap();
+        let loaded = LookupTable::read_from(buf.as_slice()).unwrap();
+        let engine = Engine::with_table(loaded);
+        let net = Net::new(vec![
+            Point::new(0, 0),
+            Point::new(7, 3),
+            Point::new(2, 9),
+            Point::new(8, 8),
+        ])
+        .unwrap();
+        let exact = numeric::pareto_frontier(&net, &DwConfig::default());
+        assert_eq!(engine.route(&net).unwrap().frontier.cost_vec(), exact.cost_vec());
+    }
+
+    #[test]
+    fn provenance_distinguishes_cache_hits_from_full_queries() {
+        let engine = Engine::new();
+        let mut seed = 9u64;
+        let net = random_net(&mut seed, 4, 50);
+        let first = engine.route(&net).unwrap();
+        assert_eq!(first.provenance.source, RouteSource::ExactLut);
+        assert_eq!(first.provenance.counters.cache_probes, 1);
+        assert_eq!(first.provenance.counters.cache_hits, 0);
+        assert!(first.provenance.counters.candidates_scored >= 1);
+        let second = engine.route(&net).unwrap();
+        assert_eq!(second.provenance.source, RouteSource::CacheHit);
+        assert_eq!(second.provenance.counters.cache_hits, 1);
+        // A cache hit scores nothing and materializes winners only.
+        assert_eq!(second.provenance.counters.candidates_scored, 0);
+        assert_eq!(
+            second.provenance.counters.trees_materialized as usize,
+            second.frontier.len()
+        );
+        // A cache miss is the normal path, not a degradation.
+        assert!(!first.provenance.trace.degraded());
+        assert_eq!(second.provenance.trace.served_by(), Some(Rung::Cache));
+        // The frontier itself is bit-identical either way.
+        assert_eq!(first.frontier, second.frontier);
+    }
+
+    #[test]
+    fn adaptive_bypass_stops_probing_a_useless_cache() {
+        // A 100% hit-rate floor no real workload can meet: the bypass
+        // must fire as soon as the 8-probe warmup window closes.
+        let engine = Engine::new().with_cache(CacheConfig {
+            bypass_warmup: 8,
+            bypass_threshold_permille: 1000,
+            ..CacheConfig::default()
+        });
+        let mut seed = 11u64;
+        let nets: Vec<Net> = (0..20).map(|_| random_net(&mut seed, 4, 5000)).collect();
+        let mut post_bypass = 0;
+        for net in &nets {
+            let was_bypassed = engine.cache_stats().unwrap().bypassed;
+            let outcome = engine.route(net).unwrap();
+            if was_bypassed {
+                post_bypass += 1;
+                assert_eq!(
+                    outcome.provenance.counters.cache_probes, 0,
+                    "a bypassed cache must not be probed"
+                );
+                assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
+            }
+        }
+        let stats = engine.cache_stats().unwrap();
+        assert!(stats.bypassed, "warmup elapsed below the floor");
+        assert!(post_bypass > 0, "some nets must have routed past the bypass");
+        assert_eq!(
+            stats.hits + stats.misses,
+            8,
+            "probing must stop exactly at the warmup boundary"
+        );
+    }
+
+    #[test]
+    fn degree_2_is_closed_form() {
+        let engine = Engine::new();
+        let net = Net::new(vec![Point::new(0, 0), Point::new(3, 4)]).unwrap();
+        let outcome = engine.route(&net).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::ClosedForm);
+        assert_eq!(outcome.provenance.counters.trees_materialized, 1);
+        assert_eq!(outcome.provenance.counters.cache_probes, 0);
+        assert_eq!(outcome.provenance.trace.served_by(), Some(Rung::ClosedForm));
+        assert_eq!(outcome.frontier.len(), 1);
+    }
+
+    #[test]
+    fn strict_gutted_table_reports_missing_degree_not_panic() {
+        let mut table = LutBuilder::new(4).threads(1).build();
+        table.remove_degree(3);
+        // Strict mode: no fallback rungs — the pre-ladder fail-fast
+        // contract that oracles assert on.
+        let engine = Engine::with_table_and_config(
+            table,
+            RouterConfig {
+                resilience: ResilienceConfig::strict(),
+                ..RouterConfig::default()
+            },
+        );
+        let net = Net::new(vec![Point::new(0, 0), Point::new(5, 2), Point::new(2, 7)]).unwrap();
+        match engine.route(&net) {
+            Err(RouteError::MissingDegree { degree: 3, lambda: 4 }) => {}
+            other => panic!("expected MissingDegree, got {other:?}"),
+        }
+        // Degree 4 still routes fine — the failure is per-degree.
+        let ok = Net::new(vec![
+            Point::new(0, 0),
+            Point::new(5, 2),
+            Point::new(2, 7),
+            Point::new(8, 4),
+        ])
+        .unwrap();
+        assert!(engine.route(&ok).is_ok());
+    }
+
+    #[test]
+    fn gutted_table_degrades_to_numeric_dw() {
+        let mut table = LutBuilder::new(4).threads(1).build();
+        table.remove_degree(3);
+        let engine = Engine::with_table(table);
+        let net = Net::new(vec![Point::new(0, 0), Point::new(5, 2), Point::new(2, 7)]).unwrap();
+        let outcome = engine.route(&net).expect("the DW rung absorbs the missing degree");
+        assert_eq!(outcome.provenance.source, RouteSource::NumericDw);
+        assert!(outcome.provenance.source.is_exact());
+        let exact = numeric::pareto_frontier(&net, &DwConfig::default());
+        assert_eq!(outcome.frontier.cost_vec(), exact.cost_vec());
+        let trace = outcome.provenance.trace;
+        assert!(trace.degraded());
+        assert_eq!(trace.to_string(), "lut:missing-degree -> numeric-dw:served");
+    }
+
+    #[test]
+    fn injected_corrupt_row_is_validated_away() {
+        let faults = FaultPlane::seeded(11).with_fault(Fault {
+            kind: FaultKind::CorruptedRow,
+            scope: FaultScope::Primary,
+            probability: 1.0,
+        });
+        let engine = engine4().with_faults(faults);
+        let mut seed = 5u64;
+        let net = random_net(&mut seed, 4, 60);
+        let outcome = engine.route(&net).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::NumericDw);
+        assert!(outcome
+            .provenance
+            .trace
+            .contains(Rung::Lut, RungOutcome::CorruptRow));
+        // The served frontier is the uncorrupted exact answer.
+        let exact = numeric::pareto_frontier(&net, &DwConfig::default());
+        assert_eq!(outcome.frontier.cost_vec(), exact.cost_vec());
+        assert!(frontier_consistent(&outcome.frontier));
+    }
+
+    #[test]
+    fn injected_stage_panic_is_absorbed_by_the_ladder() {
+        let faults = FaultPlane::seeded(2).with_fault(Fault {
+            kind: FaultKind::StagePanic,
+            scope: FaultScope::Primary,
+            probability: 1.0,
+        });
+        let engine = engine4().with_faults(faults);
+        let mut seed = 6u64;
+        // Small net: the LUT rung panics, numeric DW absorbs it exactly.
+        let small = random_net(&mut seed, 4, 50);
+        let outcome = engine.route(&small).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::NumericDw);
+        assert!(outcome
+            .provenance
+            .trace
+            .contains(Rung::Lut, RungOutcome::Panicked));
+        // Large net: local search panics, the baseline serves.
+        let large = random_net(&mut seed, 9, 90);
+        let outcome = engine.route(&large).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::Baseline);
+        assert!(!outcome.provenance.source.is_exact());
+        assert!(outcome
+            .provenance
+            .trace
+            .contains(Rung::LocalSearch, RungOutcome::Panicked));
+        for (c, t) in outcome.frontier.iter() {
+            t.validate(&large).unwrap();
+            assert_eq!((c.wirelength, c.delay), t.objectives());
+        }
+    }
+
+    #[test]
+    fn unabsorbed_panic_resumes_after_exhaustion() {
+        let faults = FaultPlane::seeded(4).with_fault(Fault {
+            kind: FaultKind::StagePanic,
+            scope: FaultScope::AllRungs,
+            probability: 1.0,
+        });
+        let engine = engine4().with_faults(faults);
+        let mut seed = 7u64;
+        let net = random_net(&mut seed, 4, 50);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| engine.route(&net)));
+        let payload = caught.expect_err("every rung panics; nothing can absorb it");
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("injected fault: stage panic"), "{msg}");
+    }
+
+    #[test]
+    fn stage_delay_with_deadline_walks_to_the_baseline() {
+        let faults = FaultPlane::seeded(0)
+            .with_fault(Fault {
+                kind: FaultKind::StageDelay,
+                scope: FaultScope::Primary,
+                probability: 1.0,
+            })
+            .with_delay(Duration::from_millis(10));
+        let config = RouterConfig {
+            resilience: ResilienceConfig {
+                deadline: Some(Duration::from_millis(5)),
+                ..ResilienceConfig::default()
+            },
+            faults,
+            ..RouterConfig::default()
+        };
+        let engine = Engine::with_table_and_config(
+            LutBuilder::new(4).threads(2).build(),
+            config,
+        )
+        .with_clock(Arc::new(VirtualClock::new()));
+        let mut seed = 8u64;
+        let net = random_net(&mut seed, 4, 60);
+        let outcome = engine.route(&net).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::Baseline);
+        assert_eq!(
+            outcome.provenance.trace.to_string(),
+            "lut:deadline -> numeric-dw:deadline -> baseline:served"
+        );
+        assert!(outcome.provenance.counters.budget_checks >= 2);
+        for (c, t) in outcome.frontier.iter() {
+            t.validate(&net).unwrap();
+            assert_eq!((c.wirelength, c.delay), t.objectives());
+        }
+    }
+
+    #[test]
+    fn a_generous_deadline_does_not_change_the_route() {
+        let config = RouterConfig {
+            resilience: ResilienceConfig {
+                deadline: Some(Duration::from_secs(3600)),
+                ..ResilienceConfig::default()
+            },
+            ..RouterConfig::default()
+        };
+        let plain = engine4();
+        let budgeted = Engine::with_table_and_config(
+            LutBuilder::new(4).threads(2).build(),
+            config,
+        );
+        let mut seed = 12u64;
+        for degree in [3, 4, 9] {
+            let net = random_net(&mut seed, degree, 70);
+            let a = plain.route(&net).unwrap();
+            let b = budgeted.route(&net).unwrap();
+            assert_eq!(a.frontier.cost_vec(), b.frontier.cost_vec());
+            assert_eq!(a.provenance.source, b.provenance.source);
+            assert!(!b.provenance.trace.degraded());
+            assert!(b.provenance.counters.budget_checks >= 1);
+        }
     }
 }

@@ -22,10 +22,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use patlabor::{PatLabor, Net, Point, RouteSource};
+//! use patlabor::{Engine, Net, Point, RouteSource};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let router = PatLabor::new(); // builds lookup tables for λ = 5
+//! let engine = Engine::new(); // builds lookup tables for λ = 5
 //! let net = Net::new(vec![
 //!     Point::new(0, 0),    // source
 //!     Point::new(19, 2),
@@ -33,7 +33,7 @@
 //!     Point::new(4, 3),
 //!     Point::new(13, 12),
 //! ])?;
-//! let outcome = router.route(&net)?;
+//! let outcome = engine.route(&net)?;
 //! assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
 //! for (cost, tree) in outcome.frontier.iter() {
 //!     assert_eq!((cost.wirelength, cost.delay), tree.objectives());
@@ -56,11 +56,10 @@ pub mod local_search;
 pub mod pipeline;
 pub mod policy;
 pub mod resilience;
-mod router;
 
 pub use batch::{BatchConfig, BatchStats, WorkerStats};
 pub use eco::{DeltaJob, DeltaKind, EcoConfig, NetDelta};
-pub use engine::{Engine, ReloadError, Session};
+pub use engine::{Engine, ReloadError, RouterConfig, Session};
 pub use cache::{CacheConfig, CacheStats, ShardStats};
 pub use pad::CachePadded;
 pub use pipeline::{
@@ -71,7 +70,6 @@ pub use resilience::{
     net_key, Budget, Clock, DegradationTrace, Fault, FaultKind, FaultPlane, FaultScope,
     ResilienceConfig, ResilienceReport, Rung, RungAttempt, RungOutcome, SystemClock, VirtualClock,
 };
-pub use router::{PatLabor, RouterConfig};
 
 // Re-export the vocabulary types so `patlabor` is usable on its own.
 pub use patlabor_geom::{Net, Point};

@@ -1,6 +1,6 @@
 //! Staged-pipeline vocabulary: stages, provenance, and structured errors.
 //!
-//! [`crate::PatLabor::route`] is organized as an explicit pipeline
+//! [`crate::Engine::route`] is organized as an explicit pipeline
 //!
 //! ```text
 //!            ┌───────────┐   degree > λ    ┌──────────────┐
@@ -184,8 +184,8 @@ pub enum RouteError {
         key: u64,
     },
     /// The net's worker panicked and the batch driver isolated it to this
-    /// slot ([`crate::PatLabor::route_batch`]'s per-net `catch_unwind`) —
-    /// or, inside [`crate::PatLabor::route`], every ladder rung that could
+    /// slot ([`crate::Engine::route_batch`]'s per-net `catch_unwind`) —
+    /// or, inside [`crate::Engine::route`], every ladder rung that could
     /// have absorbed the panic was disabled.
     Panicked {
         /// The panic payload, stringified (`&str`/`String` payloads

@@ -3,7 +3,7 @@
 //!
 //! Production serving cannot afford a hard failure because one degree is
 //! missing from a table file or one net's enumeration runs long. Instead
-//! of erroring, [`crate::PatLabor::route`] walks a **degradation ladder**
+//! of erroring, [`crate::Engine::route`] walks a **degradation ladder**
 //!
 //! ```text
 //! cache → LUT query → numeric DW → baseline      (degree ≤ λ)
@@ -19,13 +19,17 @@
 //! * [`FaultPlane`] — one seed-deterministic registry replacing the
 //!   scattered test hooks (`remove_degree`, `corrupt_cost_row`, ad-hoc
 //!   panic injection): missing-degree, missing-pattern, corrupted-row,
-//!   stage-panic and stage-delay faults, injected per net by hash;
+//!   stage-panic and stage-delay faults, injected per net by hash. Its
+//!   `kind[:probability]` spec grammar ([`parse_kind_spec`]) and hash
+//!   helpers ([`splitmix64`], [`unit_interval`]) are shared with the
+//!   serve layer's transport fault plane;
 //! * [`Rung`] / [`RungOutcome`] / [`DegradationTrace`] — what each rung
 //!   attempted and why it fell through, recorded per net in
 //!   [`crate::RouteProvenance`];
 //! * [`ResilienceConfig`] — which fallbacks are armed ([`strict`]
 //!   disables them all, restoring fail-fast semantics for oracles);
-//! * [`ResilienceReport`] — the batch-level aggregate the CLI surfaces.
+//! * [`ResilienceReport`] — the one fold of [`crate::RouteResult`]s that
+//!   the CLI, the serve daemon's `/metrics` and the verify harness read.
 //!
 //! [`strict`]: ResilienceConfig::strict
 
@@ -227,7 +231,8 @@ pub struct Fault {
 impl Fault {
     /// Parses the CLI spelling `kind[:probability][@rung|@all]`, e.g.
     /// `stage-panic`, `corrupted-row:0.3`, `stage-delay:1@local-search`.
-    /// Scope defaults to [`FaultScope::Primary`], probability to `1.0`.
+    /// Scope defaults to [`FaultScope::Primary`], probability to `1.0`;
+    /// the `kind[:probability]` head is [`parse_kind_spec`].
     pub fn parse(spec: &str) -> Result<Fault, String> {
         let (head, scope) = match spec.split_once('@') {
             None => (spec, FaultScope::Primary),
@@ -238,26 +243,54 @@ impl Fault {
                 (head, FaultScope::Rung(rung))
             }
         };
-        let (kind, probability) = match head.split_once(':') {
-            None => (head, 1.0),
-            Some((kind, prob)) => {
-                let p: f64 = prob
-                    .parse()
-                    .map_err(|_| format!("bad probability `{prob}` in fault `{spec}`"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability {p} out of [0, 1] in fault `{spec}`"));
-                }
-                (kind, p)
-            }
-        };
-        let kind = FaultKind::from_label(kind).ok_or_else(|| {
-            format!(
-                "unknown fault kind `{kind}`; expected one of {}",
-                FaultKind::ALL.map(|k| k.label()).join(", ")
-            )
-        })?;
+        let (kind, probability) = parse_kind_spec(head, &FaultKind::ALL, FaultKind::label)?;
         Ok(Fault { kind, scope, probability })
     }
+}
+
+/// Parses the `kind[:probability]` fault-spec grammar shared by the
+/// engine's [`Fault::parse`] and the serve layer's transport faults.
+///
+/// `kind` must be one of `kinds` (matched by `label`); a missing
+/// probability means `1.0`, and a present one must parse as a number in
+/// `[0, 1]` (NaN and infinities are rejected). Whitespace around either
+/// part is ignored. Every malformed spec is an `Err` naming the problem,
+/// never a panic.
+pub fn parse_kind_spec<K: Copy>(
+    spec: &str,
+    kinds: &[K],
+    label: fn(K) -> &'static str,
+) -> Result<(K, f64), String> {
+    let (name, probability) = match spec.split_once(':') {
+        None => (spec, None),
+        Some((name, prob)) => (name, Some(prob.trim())),
+    };
+    let name = name.trim();
+    let kind = kinds
+        .iter()
+        .copied()
+        .find(|&k| label(k) == name)
+        .ok_or_else(|| {
+            let known: Vec<&str> = kinds.iter().map(|&k| label(k)).collect();
+            format!(
+                "unknown fault kind `{name}` in `{spec}`; expected one of {}",
+                known.join(", ")
+            )
+        })?;
+    let probability = match probability {
+        None => 1.0,
+        Some(prob) => {
+            let p: f64 = prob
+                .parse()
+                .map_err(|_| format!("bad probability `{prob}` in fault `{spec}`"))?;
+            // `contains` is false for NaN, so NaN is rejected here too.
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("probability {p} out of [0, 1] in fault `{spec}`"));
+            }
+            p
+        }
+    };
+    Ok((kind, probability))
 }
 
 /// The unified fault-injection registry ([`crate::RouterConfig::faults`]).
@@ -348,7 +381,7 @@ impl FaultPlane {
         self.faults.iter().any(|f| {
             f.kind == kind
                 && f.scope.matches(rung)
-                && unit_hash(seed ^ kind_salt(kind) ^ net_key) < f.probability
+                && unit_interval(splitmix64(seed ^ kind_salt(kind) ^ net_key)) < f.probability
         })
     }
 }
@@ -373,16 +406,20 @@ fn kind_salt(kind: FaultKind) -> u64 {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: the hash behind every seed-deterministic
+/// decision in the workspace (engine faults, transport faults, client
+/// retry jitter).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
-/// Uniform in `[0, 1)` from a 64-bit hash (upper 53 bits).
-fn unit_hash(x: u64) -> f64 {
-    (splitmix64(x) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+/// Uniform in `[0, 1)` from a 64-bit hash (its upper 53 bits); a fault
+/// with probability `p` fires when this falls below `p`.
+pub fn unit_interval(hash: u64) -> f64 {
+    (hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 // ---------------------------------------------------------------------------
@@ -646,8 +683,12 @@ impl ResilienceConfig {
     }
 }
 
-/// Batch-level aggregate of the ladder's activity
-/// ([`crate::PatLabor::route_batch_with_report`]).
+/// The aggregate of a run's [`RouteResult`]s: what served, what
+/// degraded, what failed. Built with [`ResilienceReport::from_results`]
+/// (or [`ResilienceReport::record`] per result), it is the only tally of
+/// routing outcomes: the CLI's `resilience:` line, the serve daemon's
+/// `/metrics` families and its shutdown summary all read it. Cache
+/// health is not part of it; see [`crate::Engine::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilienceReport {
     /// Nets routed.
@@ -660,24 +701,10 @@ pub struct ResilienceReport {
     pub errors: u64,
     /// Errored nets whose failure was an isolated panic.
     pub panicked: u64,
-    /// Nets whose trace records a deadline expiry.
+    /// Nets whose trace records a deadline expiry, served or not.
     pub deadline_hits: u64,
     /// Served nets per rung, indexed by [`Rung::index`].
     pub served_by: [u64; Rung::COUNT],
-    /// Whether the frontier cache's adaptive bypass retired the cache
-    /// during this batch (hit rate below the configured floor through the
-    /// warmup window — see [`crate::cache::CacheConfig::bypass_warmup`]).
-    /// Stamped by [`crate::PatLabor::route_batch_with_report`];
-    /// [`ResilienceReport::from_results`] alone cannot know it.
-    pub cache_bypassed: bool,
-    /// Cache read-lock acquisitions that found the shard lock held
-    /// (failed `try_read` before blocking), summed across shards.
-    /// Stamped like [`cache_bypassed`](ResilienceReport::cache_bypassed).
-    pub cache_contended_reads: u64,
-    /// Cache write-lock acquisitions that found the shard lock held
-    /// (failed `try_write` before blocking), summed across shards.
-    /// Stamped like [`cache_bypassed`](ResilienceReport::cache_bypassed).
-    pub cache_contended_writes: u64,
 }
 
 impl ResilienceReport {
@@ -739,16 +766,6 @@ impl fmt::Display for ResilienceReport {
         )?;
         for rung in Rung::ALL {
             write!(f, " {} {}", rung.label(), self.served_by[rung.index()])?;
-        }
-        if self.cache_bypassed {
-            write!(f, "; cache bypassed (hit rate below floor)")?;
-        }
-        if self.cache_contended_reads + self.cache_contended_writes > 0 {
-            write!(
-                f,
-                "; cache lock contention: {} reads, {} writes",
-                self.cache_contended_reads, self.cache_contended_writes
-            )?;
         }
         Ok(())
     }

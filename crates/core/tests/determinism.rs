@@ -7,7 +7,7 @@
 //! on a warm one) — that difference is itself asserted below.
 
 use patlabor::{
-    CacheConfig, Net, ParetoSet, PatLabor, Point, RouteResult, RouteSource, RouterConfig,
+    CacheConfig, Engine, Net, ParetoSet, Point, RouteResult, RouteSource, RouterConfig,
     RoutingTree,
 };
 use patlabor_netgen::uniform_net;
@@ -40,11 +40,11 @@ fn frontiers(results: Vec<RouteResult>) -> Vec<ParetoSet<RoutingTree>> {
 
 #[test]
 fn batch_with_and_without_cache_matches_serial_route() {
-    let cached = PatLabor::with_config(RouterConfig {
+    let cached = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });
-    let uncached = PatLabor::with_config(RouterConfig {
+    let uncached = Engine::with_config(RouterConfig {
         lambda: 5,
         cache: CacheConfig::disabled(),
         ..RouterConfig::default()
@@ -81,7 +81,7 @@ fn batch_with_and_without_cache_matches_serial_route() {
 
 #[test]
 fn congruent_nets_share_one_cache_entry() {
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });

@@ -1,6 +1,6 @@
 //! Sequential global routing with Pareto-candidate selection.
 
-use patlabor::{Net, ParetoSet, PatLabor, RoutingTree};
+use patlabor::{Engine, Net, ParetoSet, RoutingTree};
 
 use crate::embed::{embed_tree, EmbeddedNet};
 use crate::grid::RoutingGrid;
@@ -37,29 +37,36 @@ pub struct RouteReport {
 
 /// A sequential global router with one rip-up-and-reroute pass.
 ///
-/// Per net, candidate trees come from the PatLabor Pareto set; the
+/// Per net, candidate trees come from the engine's Pareto set; the
 /// [`SelectionStrategy`] decides which candidate is committed. The rip-up
 /// pass revisits the nets in congestion order and lets them switch to a
 /// different Pareto candidate (the DGR-style candidate-set advantage the
 /// paper's introduction argues for).
 #[derive(Debug)]
 pub struct GlobalRouter<'a> {
-    router: &'a PatLabor,
+    engine: &'a Engine,
     strategy: SelectionStrategy,
 }
 
 impl<'a> GlobalRouter<'a> {
-    /// Creates a router over a shared PatLabor instance.
-    pub fn new(router: &'a PatLabor, strategy: SelectionStrategy) -> Self {
-        GlobalRouter { router, strategy }
+    /// Creates a router over a shared routing engine.
+    pub fn new(engine: &'a Engine, strategy: SelectionStrategy) -> Self {
+        GlobalRouter { engine, strategy }
     }
 
     /// Routes every net, then runs one rip-up-and-reroute pass, and
     /// reports the final congestion/wirelength/timing metrics.
     pub fn run(&self, grid: &mut RoutingGrid, nets: &[Net]) -> RouteReport {
         let mut chosen: Vec<(RoutingTree, EmbeddedNet)> = Vec::with_capacity(nets.len());
-        let frontiers: Vec<ParetoSet<RoutingTree>> =
-            nets.iter().map(|n| self.router.route_frontier(n)).collect();
+        let frontiers: Vec<ParetoSet<RoutingTree>> = nets
+            .iter()
+            .map(|n| {
+                self.engine
+                    .route(n)
+                    .expect("an engine with the baseline rung armed serves every net")
+                    .frontier
+            })
+            .collect();
 
         // First pass: greedy sequential.
         for (net, frontier) in nets.iter().zip(&frontiers) {
@@ -178,8 +185,8 @@ mod tests {
     use crate::grid::GridConfig;
     use patlabor::RouterConfig;
 
-    fn router() -> PatLabor {
-        PatLabor::with_config(RouterConfig {
+    fn router() -> Engine {
+        Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         })

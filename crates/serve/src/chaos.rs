@@ -6,17 +6,17 @@
 //! module is its transport twin: the failures a daemon actually meets
 //! in production are torn TCP writes, peers that stall mid-frame,
 //! slow reads, and connections that vanish mid-reply. Each is modeled
-//! as a [`TransportFault`] with the same `kind[:probability]` spec
-//! grammar the engine plane uses, so `--chaos torn-write:0.05` reads
-//! exactly like `--fault corrupted-row:0.05`.
+//! as a [`TransportFault`] parsed by the engine plane's own
+//! `kind[:probability]` grammar ([`parse_kind_spec`]), so
+//! `torn-write:0.05` reads exactly like `corrupted-row:0.05`.
 //!
 //! # Determinism
 //!
 //! Whether a fault fires is a pure function of `(plane seed, fault
-//! kind, connection id, frame sequence number)` — the same splitmix64
-//! construction as the engine plane. Two runs of the same soak with
-//! the same seed inject byte-identical fault schedules, which is what
-//! lets CI assert invariants instead of eyeballing flakes.
+//! kind, connection id, frame sequence number)`, hashed with the engine
+//! plane's [`splitmix64`]. Two runs of the same soak with the same seed
+//! inject byte-identical fault schedules, which is what lets CI assert
+//! invariants instead of eyeballing flakes.
 //!
 //! # Crash-only contract
 //!
@@ -30,6 +30,8 @@
 //! [`FaultPlane`]: patlabor::FaultPlane
 
 use std::time::Duration;
+
+use patlabor::resilience::{parse_kind_spec, splitmix64, unit_interval};
 
 /// Default injected stall/delay for [`TransportFaultKind::StallWrite`]
 /// and [`TransportFaultKind::DelayRead`]. Long enough to be visible to
@@ -92,10 +94,6 @@ impl TransportFaultKind {
             TransportFaultKind::CorruptWrite => "corrupt-write",
         }
     }
-
-    fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
-    }
 }
 
 /// One registered transport fault.
@@ -107,36 +105,14 @@ pub struct TransportFault {
 }
 
 impl TransportFault {
-    /// Parses the `kind[:probability]` spec grammar — the transport
-    /// half of the engine plane's fault grammar (no `@rung` scope:
-    /// transport faults have no ladder position).
+    /// Parses the `kind[:probability]` spec grammar shared with the
+    /// engine plane ([`parse_kind_spec`]; no `@rung` scope: transport
+    /// faults have no ladder position).
     ///
     /// `torn-write` ⇒ probability 1.0; `torn-write:0.05` ⇒ 5%.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (label, prob) = match spec.split_once(':') {
-            Some((label, prob)) => (label, Some(prob)),
-            None => (spec, None),
-        };
-        let kind = TransportFaultKind::parse(label.trim()).ok_or_else(|| {
-            let known: Vec<&str> = TransportFaultKind::ALL.iter().map(|k| k.label()).collect();
-            format!(
-                "unknown transport fault {label:?} (expected one of {})",
-                known.join(", ")
-            )
-        })?;
-        let probability = match prob {
-            None => 1.0,
-            Some(p) => {
-                let p: f64 = p
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad probability {p:?} in spec {spec:?}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability {p} out of [0, 1] in spec {spec:?}"));
-                }
-                p
-            }
-        };
+        let (kind, probability) =
+            parse_kind_spec(spec, &TransportFaultKind::ALL, TransportFaultKind::label)?;
         Ok(TransportFault { kind, probability })
     }
 }
@@ -216,7 +192,7 @@ impl TransportPlane {
                 let mut h = splitmix64(self.seed ^ (kind.index() as u64) << 32 ^ i as u64);
                 h = splitmix64(h ^ conn_id);
                 h = splitmix64(h ^ frame_seq);
-                unit_hash(h) < f.probability
+                unit_interval(h) < f.probability
             })
     }
 
@@ -236,21 +212,6 @@ impl TransportPlane {
         .into_iter()
         .find(|&k| self.fires(k, conn_id, frame_seq))
     }
-}
-
-/// splitmix64 — the same finalizer the engine plane and the cache's
-/// shard hash use (reimplemented here because `patlabor` keeps its
-/// copy private to `core::resilience`).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to a uniform f64 in [0, 1).
-fn unit_hash(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -278,6 +239,38 @@ mod tests {
         assert!(e.contains("nope"), "{e}");
         let e = TransportFault::parse("torn-write:1.5").unwrap_err();
         assert!(e.contains("1.5"), "{e}");
+    }
+
+    /// Both fault grammars are one parser: the same hostile specs are
+    /// structured errors (never panics) for the engine's `Fault::parse`
+    /// and the transport plane's `TransportFault::parse` alike.
+    #[test]
+    fn hostile_specs_are_errors_in_both_grammars() {
+        let engine_kind = patlabor::FaultKind::StagePanic.label();
+        let transport_kind = TransportFaultKind::TornWrite.label();
+        for kind in [engine_kind, transport_kind] {
+            let specs = [
+                String::new(),
+                ":".to_string(),
+                "x:".to_string(),
+                format!("{kind}:NaN"),
+                format!("{kind}:1e309"),
+                format!("{kind}:-0.1"),
+                format!("{kind}:0.5:0.5"),
+            ];
+            for spec in &specs {
+                let engine = std::panic::catch_unwind(|| patlabor::Fault::parse(spec));
+                let transport = std::panic::catch_unwind(|| TransportFault::parse(spec));
+                assert!(
+                    matches!(engine, Ok(Err(_))),
+                    "Fault::parse({spec:?}) = {engine:?}"
+                );
+                assert!(
+                    matches!(transport, Ok(Err(_))),
+                    "TransportFault::parse({spec:?}) = {transport:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use patlabor::resilience::splitmix64;
+
 use crate::json::{parse, Json};
 use crate::wire::{read_frame, write_frame, RerouteRequest, RouteRequest};
 
@@ -167,15 +169,6 @@ impl RetryPolicy {
             self.cap_ms.max(retry_after_ms.unwrap_or(0)),
         )
     }
-}
-
-/// SplitMix64 finalizer — the client-side twin of the chaos plane's
-/// hash, kept local so the client stays dependency-free.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One HTTP/1.1 request against the adapter; returns (status, body).

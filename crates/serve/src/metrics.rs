@@ -1,10 +1,15 @@
 //! The serving metrics plane: lock-free counters and a log₂ latency
 //! histogram, rendered as Prometheus-style text exposition.
 //!
+//! Routing outcomes (responses, route errors, deadline hits, served by
+//! rung) are not counted here: `/metrics` renders those families from
+//! the server's [`ResilienceReport`], the same tally the shutdown
+//! summary returns, so the two can never disagree. A scrape holds the
+//! report's lock while it renders the exposition.
+//!
 //! Every counter is a plain relaxed `AtomicU64` — the hot path (request
 //! accept, batch close, reply send) only ever increments, and the
-//! scrape path only ever reads, so there is no lock anywhere and a
-//! scrape can never stall serving. The histogram buckets latencies by
+//! scrape path only ever reads. The histogram buckets latencies by
 //! `floor(log₂(ns))`: 64 fixed buckets cover 1 ns to ~584 years with
 //! ~2× resolution, which is exactly the precision a percentile over a
 //! serving distribution needs (p99 at 2× resolution distinguishes
@@ -13,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use patlabor::{CacheStats, Rung};
+use patlabor::{CacheStats, ResilienceReport, Rung};
 
 use crate::chaos::TransportFaultKind;
 
@@ -101,32 +106,24 @@ impl LatencyHistogram {
     }
 }
 
-/// All serving counters. One instance per server, shared by every
-/// connection thread and the batcher.
+/// The transport and admission counters. One instance per server,
+/// shared by every connection thread and the batcher.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Requests admitted into the queue.
     pub requests: AtomicU64,
-    /// Successful route responses sent.
-    pub responses: AtomicU64,
-    /// Responses carrying `"error": "route"`.
-    pub route_errors: AtomicU64,
     /// Admission-control rejections (`"error": "overloaded"`).
     pub rejected: AtomicU64,
     /// Drain-mode rejections (`"error": "shutting-down"`).
     pub shed_shutdown: AtomicU64,
     /// Unparseable frames (`"error": "malformed"`).
     pub malformed: AtomicU64,
-    /// Served responses whose ladder trace recorded a deadline hit.
-    pub deadline_hits: AtomicU64,
     /// Coalescing windows closed into `route_batch_sessions`.
     pub batches: AtomicU64,
     /// Requests routed through those windows.
     pub batched_nets: AtomicU64,
     /// Current queue depth (gauge, not a counter).
     pub queue_depth: AtomicU64,
-    /// Served-by-rung histogram, indexed by [`Rung::index`].
-    pub served_by: [AtomicU64; Rung::COUNT],
     /// Enqueue-to-reply latency of successful responses.
     pub latency: LatencyHistogram,
     /// Connections killed by the mid-frame read watchdog (a peer sent
@@ -163,9 +160,10 @@ impl Metrics {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Renders the Prometheus text exposition. `cache` is the engine's
-    /// live cache counters (absent when the frontier cache is disabled).
-    pub fn render(&self, cache: Option<&CacheStats>) -> String {
+    /// Renders the Prometheus text exposition. `report` is the server's
+    /// tally of routed requests; `cache` is the engine's live cache
+    /// counters (absent when the frontier cache is disabled).
+    pub fn render(&self, report: &ResilienceReport, cache: Option<&CacheStats>) -> String {
         let mut out = String::new();
         let counter = |out: &mut String, name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -181,14 +179,14 @@ impl Metrics {
         counter(
             &mut out,
             "patlabor_responses_total",
-            "Successful route responses.",
-            Self::get(&self.responses),
+            "Requests answered with a frontier.",
+            report.served,
         );
         counter(
             &mut out,
             "patlabor_route_errors_total",
             "Responses carrying a structured routing error.",
-            Self::get(&self.route_errors),
+            report.errors,
         );
         let _ = writeln!(
             out,
@@ -213,8 +211,8 @@ impl Metrics {
         counter(
             &mut out,
             "patlabor_deadline_hits_total",
-            "Served responses whose degradation trace recorded an expired deadline.",
-            Self::get(&self.deadline_hits),
+            "Routed requests whose degradation trace recorded an expired deadline.",
+            report.deadline_hits,
         );
         counter(
             &mut out,
@@ -241,7 +239,7 @@ impl Metrics {
                 out,
                 "patlabor_served_by_rung_total{{rung=\"{}\"}} {}",
                 rung.label(),
-                Self::get(&self.served_by[rung.index()])
+                report.served_by[rung.index()]
             );
         }
         let _ = writeln!(
@@ -421,12 +419,21 @@ mod tests {
             misses: 1,
             ..CacheStats::default()
         };
-        let text = m.render(Some(&cache));
+        let mut report = ResilienceReport {
+            nets: 2,
+            served: 2,
+            ..ResilienceReport::default()
+        };
+        report.served_by[Rung::Lut.index()] = 2;
+        let text = m.render(&report, Some(&cache));
         for family in [
             "patlabor_requests_total 3",
             "patlabor_rejected_total{reason=\"overloaded\"} 1",
             "patlabor_rejected_total{reason=\"malformed\"} 0",
-            "patlabor_served_by_rung_total{rung=\"lut\"} 0",
+            "patlabor_responses_total 2",
+            "patlabor_route_errors_total 0",
+            "patlabor_deadline_hits_total 0",
+            "patlabor_served_by_rung_total{rung=\"lut\"} 2",
             "patlabor_latency_seconds{quantile=\"0.5\"}",
             "patlabor_latency_seconds_count 1",
             "patlabor_queue_depth 0",
@@ -444,6 +451,6 @@ mod tests {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
         // Cache families vanish when the cache is disabled.
-        assert!(!m.render(None).contains("patlabor_cache"));
+        assert!(!m.render(&report, None).contains("patlabor_cache"));
     }
 }

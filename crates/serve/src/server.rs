@@ -6,7 +6,7 @@
 //! conn reader ──┐                      ┌── conn writer (mpsc drain)
 //! conn reader ──┼─► bounded queue ─► batcher ─► route_batch_sessions
 //! conn reader ──┘   (admission)        │            (work stealing)
-//!                                      └─► metrics + report fold
+//!                                      └─► report fold (+ latency)
 //! ```
 //!
 //! One reader thread per connection parses frames and **admits** them
@@ -49,9 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use patlabor::{
-    DeltaJob, Engine, Net, NetDelta, ResilienceReport, RouteResult, Rung, RungOutcome, Session,
-};
+use patlabor::{DeltaJob, Engine, Net, NetDelta, ResilienceReport, RouteResult, Session};
 
 use crate::chaos::{TransportFaultKind, TransportPlane};
 use crate::http;
@@ -189,6 +187,8 @@ pub(crate) struct Shared {
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     pub(crate) metrics: Metrics,
+    /// The one tally of routed requests: `/metrics` renders its
+    /// families from it and [`Server::shutdown`] returns it.
     report: Mutex<ResilienceReport>,
     /// Live connections by id, for shutdown unblocking. Entries are
     /// removed when the connection finishes — keeping a clone of the
@@ -251,7 +251,7 @@ impl Shared {
     }
 
     /// The batcher body: accumulate windows, close them into the batch
-    /// driver, reply, fold metrics. Returns when draining and empty.
+    /// driver, reply, fold the report. Returns when draining and empty.
     fn run_batcher(&self) {
         let clock = Arc::clone(self.engine.clock());
         let threads = if self.config.threads == 0 {
@@ -365,7 +365,12 @@ impl Shared {
         for (pending, result) in batch.iter().zip(&results) {
             let Some(result) = result else { continue };
             report.record(result);
-            self.fold_result_metrics(pending, result);
+            if result.is_ok() {
+                let ns = pending.enqueued.elapsed().as_nanos();
+                self.metrics
+                    .latency
+                    .record(u64::try_from(ns).unwrap_or(u64::MAX));
+            }
             let payload = result_to_json(pending.session.id, result).render();
             match pending.reply.try_send(payload.into_bytes()) {
                 Ok(()) => {}
@@ -384,30 +389,6 @@ impl Shared {
                 // error; the route still counted.
                 Err(mpsc::TrySendError::Disconnected(_)) => {}
             }
-        }
-    }
-
-    fn fold_result_metrics(&self, pending: &Pending, result: &RouteResult) {
-        match result {
-            Ok(outcome) => {
-                Metrics::add(&self.metrics.responses, 1);
-                let trace = &outcome.provenance.trace;
-                if let Some(rung) = trace.served_by() {
-                    Metrics::add(&self.metrics.served_by[rung.index()], 1);
-                }
-                if trace
-                    .attempts()
-                    .iter()
-                    .any(|a| a.outcome == RungOutcome::DeadlineExceeded)
-                {
-                    Metrics::add(&self.metrics.deadline_hits, 1);
-                }
-                let ns = pending.enqueued.elapsed().as_nanos();
-                self.metrics
-                    .latency
-                    .record(u64::try_from(ns).unwrap_or(u64::MAX));
-            }
-            Err(_) => Metrics::add(&self.metrics.route_errors, 1),
         }
     }
 
@@ -683,9 +664,12 @@ fn submit_and_await(
 }
 
 pub(crate) fn render_metrics(shared: &Shared) -> String {
-    shared
-        .metrics
-        .render(shared.engine.cache_stats().as_ref())
+    let cache = shared.engine.cache_stats();
+    // Rendered under the report lock: the batcher records a reply's
+    // latency in the same critical section as its report entry, so the
+    // latency count always equals the served count in one scrape.
+    let report = lock(&shared.report);
+    shared.metrics.render(&report, cache.as_ref())
 }
 
 /// Whether shutdown draining has begun (checked by the acceptors).
@@ -737,18 +721,14 @@ pub struct Server {
 /// [`Server::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
-    /// The ladder/fault aggregate over every routed request, cache
-    /// health stamped.
+    /// The ladder/fault aggregate over every routed request — the same
+    /// tally `/metrics` renders its response, error, deadline and
+    /// served-by-rung families from.
     pub report: ResilienceReport,
     /// Requests rejected by admission control.
     pub rejected: u64,
     /// Frames rejected as malformed.
     pub malformed: u64,
-    /// Successful route responses sent.
-    pub responses: u64,
-    /// Responses by degradation-ladder rung; the chaos soak asserts
-    /// the sum equals `responses` (no rung double-counts or leaks).
-    pub served_by: [u64; Rung::COUNT],
     /// Connections evicted for a full reply buffer or a stalled read.
     pub evicted: u64,
     /// Mid-frame read watchdog firings.
@@ -1033,21 +1013,11 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        let report = self
-            .shared
-            .engine
-            .stamp_report_cache_health(*lock(&self.shared.report));
         let metrics = &self.shared.metrics;
-        let mut served_by = [0u64; Rung::COUNT];
-        for (slot, counter) in served_by.iter_mut().zip(metrics.served_by.iter()) {
-            *slot = Metrics::get(counter);
-        }
         ServeSummary {
-            report,
+            report: *lock(&self.shared.report),
             rejected: Metrics::get(&metrics.rejected),
             malformed: Metrics::get(&metrics.malformed),
-            responses: Metrics::get(&metrics.responses),
-            served_by,
             evicted: Metrics::get(&metrics.evicted),
             read_timeouts: Metrics::get(&metrics.read_timeouts),
             write_timeouts: Metrics::get(&metrics.write_timeouts),

@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use patlabor::{DeltaKind, Engine, LutBuilder, Net, NetDelta, VirtualClock};
+use patlabor::resilience::splitmix64;
+use patlabor::{DeltaKind, Engine, LutBuilder, Net, NetDelta, ResilienceConfig, VirtualClock};
 use patlabor_serve::{
     http_post_reroute, http_post_route, scrape_metrics, serve, Json, RerouteRequest, RouteClient,
     RouteRequest, ServeConfig,
@@ -226,7 +227,7 @@ fn shutdown_drains_inflight_windows_on_a_virtual_clock() {
         "requests never reached the queue"
     );
     // Nothing can have been answered: the window cannot close.
-    assert_eq!(patlabor_serve::Metrics::get(&metrics.responses), 0);
+    assert_eq!(patlabor_serve::Metrics::get(&metrics.batches), 0);
 
     server.begin_shutdown();
     for (i, net) in nets.iter().enumerate() {
@@ -579,15 +580,6 @@ fn mid_frame_stall_evicts_without_blocking_drain() {
     assert_eq!(summary.report.nets, 1);
 }
 
-/// Deterministic splitmix64 for the garbage corpus — the tests' own
-/// copy so the corpus is stable across runs and platforms.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Seeded torn/truncated-frame corpus against both transports: random
 /// garbage, oversized prefixes, and frames cut mid-payload must never
 /// wedge the server — a fresh client always routes afterwards.
@@ -610,8 +602,8 @@ fn torn_frame_corpus_never_wedges_either_transport() {
     for seed in 0..8u64 {
         // Socket protocol: garbage bytes, length-prefix lies, torn tails.
         let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-        let len = (mix(seed) % 64 + 1) as usize;
-        let bytes: Vec<u8> = (0..len).map(|i| (mix(seed ^ i as u64) & 0xFF) as u8).collect();
+        let len = (splitmix64(seed) % 64 + 1) as usize;
+        let bytes: Vec<u8> = (0..len).map(|i| (splitmix64(seed ^ i as u64) & 0xFF) as u8).collect();
         match seed % 3 {
             // Raw garbage (whatever prefix it implies).
             0 => stream.write_all(&bytes).expect("garbage"),
@@ -846,6 +838,73 @@ fn drain_under_chaos_keeps_the_ledger_balanced() {
     assert!(summary.chaos_injected > 0, "the schedule never fired");
     // The crash-only ledger: every counted response sits in exactly
     // one rung, and clients never saw more answers than were sent.
-    assert_eq!(summary.served_by.iter().sum::<u64>(), summary.responses);
-    assert!(answered <= summary.responses);
+    let report = summary.report;
+    assert_eq!(report.served_by.iter().sum::<u64>(), report.served);
+    assert!(answered <= report.served);
+}
+
+/// The sum of every sample of one `/metrics` family (all label sets).
+fn metric_sum(exposition: &str, family: &str) -> u64 {
+    exposition
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let (name, value) = line.rsplit_once(' ')?;
+            let name = name.split('{').next()?;
+            (name == family).then(|| value.parse::<u64>().ok()).flatten()
+        })
+        .sum()
+}
+
+/// `/metrics` and the shutdown summary are one tally: the routing
+/// families render from the server's `ResilienceReport`, so they agree
+/// even on a request that exhausts the ladder on its deadline (a
+/// deadline hit on an error, not on a served reply).
+#[test]
+fn metrics_and_shutdown_report_are_one_tally() {
+    let engine = test_engine().with_resilience(ResilienceConfig {
+        dw_fallback: false,
+        baseline_fallback: false,
+        ..ResilienceConfig::default()
+    });
+    let server = serve(
+        engine,
+        ServeConfig {
+            window: Duration::ZERO,
+            http_addr: Some("127.0.0.1:0".to_string()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let http = server.http_addr().expect("http enabled");
+    let mut client = RouteClient::connect(server.addr()).expect("connect");
+
+    // Sent first, so no cache entry can answer it: with no fallback
+    // armed, a zero deadline on a tabulated degree ≥ 3 net exhausts
+    // the ladder.
+    let doomed = suite(0x7A11, 16)
+        .into_iter()
+        .find(|n| n.degree() >= 3)
+        .expect("degree-3 net");
+    let reply = client
+        .route(&RouteRequest { id: 0, net: doomed, deadline_ms: Some(0) })
+        .expect("route");
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("route"), "{}", reply.render());
+    for (i, net) in suite(0x7A12, 8).into_iter().enumerate() {
+        let reply = client
+            .route(&RouteRequest { id: 1 + i as u64, net, deadline_ms: None })
+            .expect("route");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{}", reply.render());
+    }
+
+    let text = scrape_metrics(http).expect("scrape");
+    let report = server.shutdown().report;
+    assert_eq!((report.nets, report.errors, report.deadline_hits), (9, 1, 1));
+    assert_eq!(metric_sum(&text, "patlabor_responses_total"), report.served);
+    assert_eq!(metric_sum(&text, "patlabor_route_errors_total"), report.errors);
+    assert_eq!(metric_sum(&text, "patlabor_deadline_hits_total"), report.deadline_hits);
+    assert_eq!(
+        metric_sum(&text, "patlabor_served_by_rung_total"),
+        report.served_by.iter().sum::<u64>()
+    );
 }

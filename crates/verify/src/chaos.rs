@@ -75,9 +75,10 @@ pub struct ChaosSoakReport {
     pub retries: u64,
     /// Connections clients lost to injected faults (and re-opened).
     pub reconnects: u64,
-    /// Responses the server counted (accepted, routed, reply sent).
+    /// Requests the server answered with a frontier (its report's
+    /// `served`).
     pub responses: u64,
-    /// Σ over the degradation ladder's per-rung counters.
+    /// Σ over the report's per-rung `served_by` counters.
     pub served_by_sum: u64,
     /// Admission-control rejections.
     pub rejected: u64,
@@ -190,19 +191,18 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
     let summary = server.shutdown();
     let drain_ms = drain_started.elapsed().as_millis() as u64;
 
-    let served_by_sum: u64 = summary.served_by.iter().sum();
-    if served_by_sum != summary.responses {
+    let responses = summary.report.served;
+    let served_by_sum: u64 = summary.report.served_by.iter().sum();
+    if served_by_sum != responses {
         violations.push(format!(
             "rung ledger does not balance: Σ served-by-rung = {served_by_sum}, \
-             responses = {}",
-            summary.responses
+             responses = {responses}"
         ));
     }
-    if answered > summary.responses {
+    if answered > responses {
         violations.push(format!(
             "clients saw {answered} well-formed answers but the server only \
-             counted {} responses",
-            summary.responses
+             counted {responses} responses"
         ));
     }
     if drain_ms > config.drain_bound.as_millis() as u64 {
@@ -220,7 +220,7 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
         answered,
         retries,
         reconnects,
-        responses: summary.responses,
+        responses,
         served_by_sum,
         rejected: summary.rejected,
         evicted: summary.evicted,

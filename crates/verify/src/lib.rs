@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use patlabor::{
-    DeltaJob, DeltaKind, Engine, Fault, FaultKind, FaultPlane, FaultScope, Net, NetDelta,
-    PatLabor, Point, ResilienceConfig, ResilienceReport, RouterConfig, Session, VirtualClock,
+    DeltaJob, DeltaKind, Engine, Fault, FaultKind, FaultPlane, FaultScope, Net, NetDelta, Point,
+    ResilienceConfig, ResilienceReport, RouterConfig, Session, VirtualClock,
 };
 use patlabor_serve::{result_to_json, RouteClient, RouteRequest, ServeConfig, Server};
 use patlabor_dw::{numeric, DwConfig};
@@ -236,9 +236,8 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
             job_origin.push((index, name));
         }
     }
-    let engine = harness.cached.engine();
-    let (serial_deltas, _) = engine.route_batch_deltas(&jobs, 1);
-    let (threaded_deltas, _) = engine.route_batch_deltas(&jobs, configured.max(2));
+    let (serial_deltas, _) = harness.cached.route_batch_deltas(&jobs, 1);
+    let (threaded_deltas, _) = harness.cached.route_batch_deltas(&jobs, configured.max(2));
     for (slot, (one, many)) in serial_deltas.iter().zip(&threaded_deltas).enumerate() {
         counts[delta_slot] += 1;
         if let Some((fast, reference, why)) = result_mismatch(many, one) {
@@ -364,13 +363,13 @@ struct Harness {
     /// enabled, local search above λ, strict resilience so table damage
     /// surfaces as route errors instead of being absorbed by a fallback
     /// rung (a differential oracle must see the damage, not mask it).
-    cached: PatLabor,
+    cached: Engine,
     /// The cache-disabled reference router (also strict).
-    uncached: PatLabor,
+    uncached: Engine,
     /// The ladder under test: full resilience with the primary rung
     /// forced off by an injected missing-degree fault, so in-table nets
     /// serve via numeric DW and out-of-table nets via the baseline.
-    fallback: PatLabor,
+    fallback: Engine,
     /// The in-process side of the served-vs-direct pair: a
     /// cache-disabled engine over the same table the daemon serves, so
     /// both sides are pure functions of the net and the wire reply can
@@ -498,10 +497,10 @@ impl Harness {
         let wire = RouteClient::connect(server.addr())
             .map_err(|e| serve_failure(format!("connecting to the serve daemon failed: {e}")))?;
         Ok(Harness {
-            cached: PatLabor::with_table_and_config(table.clone(), strict.clone()),
-            uncached: PatLabor::with_table_and_config(table.clone(), strict)
+            cached: Engine::with_table_and_config(table.clone(), strict.clone()),
+            uncached: Engine::with_table_and_config(table.clone(), strict)
                 .with_cache(CacheConfig::disabled()),
-            fallback: PatLabor::with_table(table.clone())
+            fallback: Engine::with_table(table.clone())
                 .with_cache(CacheConfig::disabled())
                 .with_faults(lut_off),
             serve_engine,
@@ -793,7 +792,7 @@ impl Harness {
     /// class-breaking ones fall through the ordinary ladder; the oracle
     /// cannot tell and demands the same answer either way.
     fn delta_vs_fresh(&self, net: &Net) -> Option<Divergence> {
-        let engine = self.cached.engine();
+        let engine = &self.cached;
         let prev = match engine.route(net) {
             Ok(outcome) => outcome,
             // A base-net error is the cache pair's divergence, not ours.
@@ -829,7 +828,7 @@ impl Harness {
         nets: &[Net],
         config: &VerifyConfig,
     ) -> Result<ResilienceReport, Box<Counterexample>> {
-        let router = PatLabor::with_table_and_config(
+        let engine = Engine::with_table_and_config(
             self.table.clone(),
             RouterConfig {
                 resilience: ResilienceConfig {
@@ -841,7 +840,8 @@ impl Harness {
             },
         )
         .with_clock(Arc::new(VirtualClock::new()));
-        let (results, report) = router.route_batch_with_report(nets, config.threads.max(1));
+        let results = engine.route_batch(nets, config.threads.max(1));
+        let report = ResilienceReport::from_results(&results);
         for (index, (net, result)) in nets.iter().zip(&results).enumerate() {
             // Structured errors are legitimate sweep outcomes (e.g. an
             // all-rungs stage panic nothing can absorb); the batch

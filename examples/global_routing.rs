@@ -13,7 +13,7 @@
 //! cargo run --release --example global_routing
 //! ```
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_groute::{GlobalRouter, GridConfig, RoutingGrid, SelectionStrategy};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         .into_iter()
         .map(|n| n.dedup_pins())
         .collect();
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });

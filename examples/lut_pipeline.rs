@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use patlabor::{LookupTable, LutBuilder, Net, PatLabor, Point};
+use patlabor::{Engine, LookupTable, LutBuilder, Net, Point};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lambda = 5u8;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("reloaded in {:?} (identical: {})", start.elapsed(), loaded == table);
 
     // Query throughput: the whole point of the tables.
-    let router = PatLabor::with_table(loaded);
+    let router = Engine::with_table(loaded);
     let net = Net::new(vec![
         Point::new(0, 0),
         Point::new(40, 15),
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut points = 0usize;
     let rounds = 2_000;
     for _ in 0..rounds {
-        points += router.route_frontier(&net).len();
+        points += router.route(&net).expect("every armed rung failed").frontier.len();
     }
     let per_net = start.elapsed() / rounds;
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use patlabor::{Net, PatLabor, Point, RouteSource};
+use patlabor::{Engine, Net, Point, RouteSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A degree-5 net with a genuine wirelength/delay tradeoff.
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Building the router generates lookup tables for degrees 2..=5;
     // do this once and route millions of nets.
-    let router = PatLabor::new();
+    let router = Engine::new();
     let outcome = router.route(&net)?;
     assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
     let frontier = outcome.frontier;

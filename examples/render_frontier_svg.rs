@@ -7,7 +7,7 @@
 //! # → writes target/patlabor_frontier.svg
 //! ```
 
-use patlabor::{Net, PatLabor, Point};
+use patlabor::{Engine, Net, Point};
 use patlabor_tree::{render_trees_svg, SvgOptions};
 
 const PALETTE: [&str; 6] = [
@@ -22,8 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Point::new(5, 4),
         Point::new(13, 12),
     ])?;
-    let router = PatLabor::new();
-    let frontier = router.route_frontier(&net);
+    let router = Engine::new();
+    let frontier = router
+        .route(&net)
+        .expect("every armed rung failed")
+        .frontier;
 
     let trees: Vec<_> = frontier
         .iter()

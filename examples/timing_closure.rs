@@ -10,12 +10,12 @@
 //! cargo run --release --example timing_closure
 //! ```
 
-use patlabor::{PatLabor, RouterConfig};
+use patlabor::{Engine, RouterConfig};
 use patlabor_baselines::{rsma, rsmt};
 
 fn main() {
     let nets = patlabor_netgen::iccad_like_suite(2025, 120, 30);
-    let router = PatLabor::with_config(RouterConfig {
+    let router = Engine::with_config(RouterConfig {
         lambda: 5,
         ..RouterConfig::default()
     });
@@ -31,7 +31,7 @@ fn main() {
         // Per-net delay budget: 10% slack over the physical lower bound.
         let budget = net.delay_lower_bound() + net.delay_lower_bound() / 10;
 
-        let frontier = router.route_frontier(net);
+        let frontier = router.route(net).expect("every armed rung failed").frontier;
         // Lightest tree meeting the budget, else the fastest available.
         let choice = frontier
             .iter()

@@ -3,12 +3,17 @@
 
 use std::sync::OnceLock;
 
-use patlabor::{LutBuilder, Net, PatLabor, Point};
+use patlabor::{Engine, LutBuilder, Net, ParetoSet, Point, RoutingTree};
 use patlabor_dw::{numeric, oracle, DwConfig};
 
-fn router() -> &'static PatLabor {
-    static ROUTER: OnceLock<PatLabor> = OnceLock::new();
-    ROUTER.get_or_init(PatLabor::new)
+fn router() -> &'static Engine {
+    static ROUTER: OnceLock<Engine> = OnceLock::new();
+    ROUTER.get_or_init(Engine::new)
+}
+
+/// `net`'s frontier from the shared engine.
+fn frontier_of(net: &Net) -> ParetoSet<RoutingTree> {
+    router().route(net).expect("every armed rung failed").frontier
 }
 
 fn random_net(seed: &mut u64, degree: usize, span: u64) -> Net {
@@ -33,7 +38,7 @@ fn oracle_dw_lut_router_agree_on_degree_4() {
         let net = random_net(&mut seed, 4, 24);
         let reference = oracle::exhaustive_frontier(&net);
         let dw = numeric::pareto_frontier(&net, &DwConfig::default());
-        let routed = router().route_frontier(&net);
+        let routed = frontier_of(&net);
         assert_eq!(dw.cost_vec(), reference.cost_vec(), "DW vs oracle on {net:?}");
         assert_eq!(routed.cost_vec(), reference.cost_vec(), "router vs oracle");
     }
@@ -45,7 +50,7 @@ fn dw_lut_router_agree_on_degree_5() {
     for _ in 0..12 {
         let net = random_net(&mut seed, 5, 64);
         let dw = numeric::pareto_frontier(&net, &DwConfig::default());
-        let routed = router().route_frontier(&net);
+        let routed = frontier_of(&net);
         assert_eq!(routed.cost_vec(), dw.cost_vec(), "router vs DW on {net:?}");
     }
 }
@@ -69,7 +74,7 @@ fn frontier_extremes_match_dedicated_algorithms() {
     let mut seed = 0xd00d;
     for _ in 0..8 {
         let net = random_net(&mut seed, 5, 60);
-        let frontier = router().route_frontier(&net);
+        let frontier = frontier_of(&net);
         let rsmt = patlabor_baselines::rsmt::exact_rsmt(&net);
         assert_eq!(
             frontier.min_wirelength().unwrap().0.wirelength,
@@ -95,7 +100,7 @@ fn every_baseline_solution_is_dominated_by_the_exact_frontier() {
     let mut seed = 0xe88;
     for _ in 0..6 {
         let net = random_net(&mut seed, 5, 80);
-        let frontier = router().route_frontier(&net);
+        let frontier = frontier_of(&net);
         let mut produced = Vec::new();
         produced.extend(salt::salt_pareto(&net, &salt::DEFAULT_EPSILONS).costs());
         produced.extend(pd::pd_pareto(&net, &pd::DEFAULT_ALPHAS).costs());

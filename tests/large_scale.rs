@@ -3,23 +3,31 @@
 
 use std::sync::OnceLock;
 
-use patlabor::{Cost, PatLabor, RouterConfig};
+use patlabor::{Cost, Engine, Net, ParetoSet, RouterConfig, RoutingTree};
 
-fn router() -> &'static PatLabor {
-    static ROUTER: OnceLock<PatLabor> = OnceLock::new();
+fn router() -> &'static Engine {
+    static ROUTER: OnceLock<Engine> = OnceLock::new();
     ROUTER.get_or_init(|| {
-        PatLabor::with_config(RouterConfig {
+        Engine::with_config(RouterConfig {
             lambda: 4,
             ..RouterConfig::default()
         })
     })
 }
 
+/// `net`'s frontier from the shared engine.
+fn frontier_of(net: &Net) -> ParetoSet<RoutingTree> {
+    router()
+        .route(net)
+        .expect("every armed rung failed")
+        .frontier
+}
+
 #[test]
 fn iccad_like_suite_routes_cleanly() {
     let nets = patlabor_netgen::iccad_like_suite(0x5ca1e, 40, 25);
     for net in &nets {
-        let frontier = router().route_frontier(net);
+        let frontier = frontier_of(net);
         assert!(!frontier.is_empty(), "empty frontier on {net:?}");
         // Frontier invariants: sorted, strictly tradeoff-shaped, exact
         // witness costs, valid trees, physical lower bounds respected.
@@ -41,8 +49,8 @@ fn iccad_like_suite_routes_cleanly() {
 fn routing_is_deterministic() {
     let nets = patlabor_netgen::iccad_like_suite(0xdead, 10, 20);
     for net in &nets {
-        let a = router().route_frontier(net).cost_vec();
-        let b = router().route_frontier(net).cost_vec();
+        let a = frontier_of(net).cost_vec();
+        let b = frontier_of(net).cost_vec();
         assert_eq!(a, b, "non-deterministic routing on {net:?}");
     }
 }
@@ -54,7 +62,7 @@ fn budget_driven_selection_workflow() {
     // least the physical lower bound times the frontier's fast end.
     let nets = patlabor_netgen::iccad_like_suite(0xbead, 20, 20);
     for net in &nets {
-        let frontier = router().route_frontier(net);
+        let frontier = frontier_of(net);
         let budget = frontier.min_delay().expect("non-empty").0.delay;
         let pick = frontier
             .iter()
@@ -81,7 +89,7 @@ fn local_search_beats_single_solution_baselines_somewhere() {
         .collect();
     assert!(!nets.is_empty());
     for net in &nets {
-        let frontier = router().route_frontier(net);
+        let frontier = frontier_of(net);
         let rsmt = patlabor_baselines::rsmt::rsmt_tree(net);
         let (w_end, _) = frontier.min_wirelength().unwrap();
         assert!(
@@ -103,7 +111,7 @@ fn pareto_ks_and_local_search_are_both_usable() {
         .into_iter()
         .find(|n| n.degree() >= 12)
         .expect("suite contains a large net");
-    let ls = router().route_frontier(&net);
+    let ls = frontier_of(&net);
     let ks = patlabor::ks::pareto_ks(&net, &router().table());
     assert!(!ls.is_empty() && !ks.is_empty());
     // Both are valid candidate sets; their union is still a frontier of
@@ -133,13 +141,13 @@ fn degenerate_nets_route() {
         .unwrap(),
     ];
     for net in &cases {
-        let frontier = router().route_frontier(net);
+        let frontier = frontier_of(net);
         assert!(!frontier.is_empty(), "degenerate net failed: {net:?}");
         for (c, t) in frontier.iter() {
             assert_eq!((c.wirelength, c.delay), t.objectives());
         }
     }
     // A fully degenerate net costs nothing.
-    let zero = router().route_frontier(&cases[1]);
+    let zero = frontier_of(&cases[1]);
     assert_eq!(zero.cost_vec(), vec![Cost::new(0, 0)]);
 }

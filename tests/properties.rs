@@ -3,15 +3,23 @@
 use std::sync::OnceLock;
 
 use patlabor::cache::CacheKey;
-use patlabor::{Net, PatLabor, Point};
+use patlabor::{Engine, Net, ParetoSet, Point, RoutingTree};
 use patlabor_dw::{numeric, DwConfig};
 use patlabor_geom::{NetClass, Pattern};
 use patlabor_tree::{reconnect_pass, remove_redundant_steiner, RefineObjective};
 use proptest::prelude::*;
 
-fn router() -> &'static PatLabor {
-    static ROUTER: OnceLock<PatLabor> = OnceLock::new();
-    ROUTER.get_or_init(PatLabor::new)
+fn router() -> &'static Engine {
+    static ROUTER: OnceLock<Engine> = OnceLock::new();
+    ROUTER.get_or_init(Engine::new)
+}
+
+/// `net`'s frontier from the shared engine.
+fn frontier_of(net: &Net) -> ParetoSet<RoutingTree> {
+    router()
+        .route(net)
+        .expect("every armed rung failed")
+        .frontier
 }
 
 fn arb_net(degree: usize, span: i64) -> impl Strategy<Value = Net> {
@@ -45,7 +53,7 @@ proptest! {
     #[test]
     fn router_is_exact_up_to_lambda(net in arb_net(5, 40)) {
         let exact = numeric::pareto_frontier(&net, &DwConfig::default());
-        let routed = router().route_frontier(&net);
+        let routed = frontier_of(&net);
         prop_assert_eq!(routed.cost_vec(), exact.cost_vec());
     }
 
@@ -96,8 +104,8 @@ proptest! {
     fn objectives_are_translation_invariant(net in arb_net(5, 40),
                                             dx in -500i64..500, dy in -500i64..500) {
         let moved = net.map_points(|p| Point::new(p.x + dx, p.y + dy));
-        let a = router().route_frontier(&net).cost_vec();
-        let b = router().route_frontier(&moved).cost_vec();
+        let a = frontier_of(&net).cost_vec();
+        let b = frontier_of(&moved).cost_vec();
         prop_assert_eq!(a, b);
     }
 
@@ -107,9 +115,9 @@ proptest! {
     fn objectives_are_symmetry_invariant(net in arb_net(5, 40)) {
         let flipped = net.map_points(|p| Point::new(-p.x, p.y));
         let transposed = net.map_points(Point::transposed);
-        let a = router().route_frontier(&net).cost_vec();
-        prop_assert_eq!(&router().route_frontier(&flipped).cost_vec(), &a);
-        prop_assert_eq!(&router().route_frontier(&transposed).cost_vec(), &a);
+        let a = frontier_of(&net).cost_vec();
+        prop_assert_eq!(&frontier_of(&flipped).cost_vec(), &a);
+        prop_assert_eq!(&frontier_of(&transposed).cost_vec(), &a);
     }
 
     /// The standalone canonicalizer and the LUT's classification stage
@@ -177,8 +185,8 @@ proptest! {
     #[test]
     fn objectives_scale_linearly(net in arb_net(5, 40), k in 1i64..8) {
         let scaled = net.map_points(|p| Point::new(p.x * k, p.y * k));
-        let a = router().route_frontier(&net).cost_vec();
-        let b = router().route_frontier(&scaled).cost_vec();
+        let a = frontier_of(&net).cost_vec();
+        let b = frontier_of(&scaled).cost_vec();
         prop_assert_eq!(a.len(), b.len());
         for (ca, cb) in a.iter().zip(&b) {
             prop_assert_eq!(ca.wirelength * k, cb.wirelength);

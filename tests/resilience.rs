@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use patlabor::{
-    Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net, PatLabor, ResilienceConfig,
+    Engine, Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net, ResilienceConfig,
     ResilienceReport, RouteError, RouterConfig, VirtualClock,
 };
 
@@ -29,7 +29,7 @@ fn corpus(seed: u64, count: usize) -> Vec<Net> {
 
 fn drill(nets: &[Net], fault: Fault, deadline: Option<Duration>) -> (Vec<patlabor::pipeline::RouteResult>, ResilienceReport) {
     let table = LutBuilder::new(4).build();
-    let router = PatLabor::with_table_and_config(
+    let router = Engine::with_table_and_config(
         table,
         RouterConfig {
             resilience: ResilienceConfig { deadline, ..ResilienceConfig::default() },
@@ -38,7 +38,9 @@ fn drill(nets: &[Net], fault: Fault, deadline: Option<Duration>) -> (Vec<patlabo
         },
     )
     .with_clock(Arc::new(VirtualClock::new()));
-    router.route_batch_with_report(nets, 4)
+    let results = router.route_batch(nets, 4);
+    let report = ResilienceReport::from_results(&results);
+    (results, report)
 }
 
 /// Shared invariant check: a served net's frontier is non-empty, every
