@@ -21,9 +21,10 @@
 //!   the documented reply vocabulary, then scrapes `/metrics` and
 //!   asserts the counters are present and mutually consistent
 //!   (Σ served-by-rung == responses, latency count == responses,
-//!   malformed rejections counted). When `PATLABOR_SERVE_LAMBDA` is
-//!   set, replies are additionally checked bit-identical against a
-//!   local engine at that λ (the CI daemon serves a λ = 4 fixture).
+//!   queue-wait count == batched nets, malformed rejections counted).
+//!   When `PATLABOR_SERVE_LAMBDA` is set, replies are additionally
+//!   checked bit-identical against a local engine at that λ (the CI
+//!   daemon serves a λ = 4 fixture).
 //!   Exits nonzero on any violation.
 //!
 //! Both modes write `BENCH_PR8.json` at the repository root.
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use patlabor::{Engine, Net};
 use patlabor_bench::scaling::{render_report, serve_rows_json, ReportHeader, ServeRun};
-use patlabor_serve::{scrape_metrics, RetryPolicy, RouteClient, RouteRequest};
+use patlabor_serve::{scrape_metrics, RetryPolicy, RouteClient, RouteRequest, ServeConfig};
 
 const SEED: u64 = 0x10ad_6e4e;
 /// Valid route requests per run (the "~500 requests" of the CI job).
@@ -323,10 +324,10 @@ fn self_host() {
 
     let mut rows = Vec::new();
     for window_us in WINDOWS_US {
-        let config = patlabor_serve::ServeConfig {
+        let config = ServeConfig {
             http_addr: Some("127.0.0.1:0".to_string()),
             window: Duration::from_micros(window_us),
-            ..patlabor_serve::ServeConfig::default()
+            ..ServeConfig::default()
         };
         let server = patlabor_serve::serve(engine.clone(), config)
             .unwrap_or_else(|e| fail(&format!("serve failed to start: {e}")));
@@ -384,7 +385,9 @@ fn external(addr: SocketAddr) {
     let window_us: u64 = std::env::var("PATLABOR_SERVE_WINDOW_US")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+        .unwrap_or_else(|| {
+            u64::try_from(ServeConfig::default().window.as_micros()).unwrap_or(u64::MAX)
+        });
     eprintln!(
         "external: daemon {addr}, http {http:?}, {REQUESTS} valid + \
          {DEADLINE_PROBES} deadline + {MALFORMED_PROBES} malformed requests"
@@ -486,6 +489,7 @@ fn external(addr: SocketAddr) {
             "patlabor_deadline_hits_total",
             "patlabor_cache_hit_rate",
             "patlabor_latency_seconds_count",
+            "patlabor_queue_wait_seconds_count",
         ] {
             check(
                 metric_value(&exposition, family).is_some(),
@@ -520,15 +524,21 @@ fn external(addr: SocketAddr) {
             metric_value(&exposition, "patlabor_latency_seconds_count") == Some(responses),
             "latency histogram count does not match responses_total",
         );
-        for quantile in ["0.5", "0.99", "0.999"] {
-            check(
-                metric_labeled(
-                    &exposition,
-                    &format!("patlabor_latency_seconds{{quantile=\"{quantile}\"}}"),
-                )
-                .is_some(),
-                "latency quantile missing from /metrics",
-            );
+        // Every request routed through a window waited in the queue
+        // exactly once.
+        check(
+            metric_value(&exposition, "patlabor_queue_wait_seconds_count")
+                == metric_value(&exposition, "patlabor_batched_nets_total"),
+            "queue-wait histogram count does not match batched_nets_total",
+        );
+        for family in ["patlabor_latency_seconds", "patlabor_queue_wait_seconds"] {
+            for quantile in ["0.5", "0.99", "0.999"] {
+                check(
+                    metric_labeled(&exposition, &format!("{family}{{quantile=\"{quantile}\"}}"))
+                        .is_some(),
+                    &format!("{family} quantile {quantile} missing from /metrics"),
+                );
+            }
         }
         eprintln!("metrics plane: all families present and consistent");
         metric_value(&exposition, "patlabor_batches_total")

@@ -800,7 +800,9 @@ pub struct ServeOptions {
     pub http_addr: Option<String>,
     /// Worker threads per coalescing window (0 ⇒ hardware threads).
     pub threads: usize,
-    /// Coalescing window, microseconds (0 disables coalescing).
+    /// Coalescing window, microseconds: how long the batcher waits for
+    /// more requests after the first. At 0 (the default) it does not
+    /// wait and routes whatever is queued, up to `max_batch`.
     pub window_us: u64,
     /// Requests per window cap.
     pub max_batch: usize,
@@ -819,7 +821,7 @@ impl Default for ServeOptions {
             addr: defaults.addr,
             http_addr: Some("127.0.0.1:0".to_string()),
             threads: defaults.threads,
-            window_us: 200,
+            window_us: u64::try_from(defaults.window.as_micros()).unwrap_or(u64::MAX),
             max_batch: defaults.max_batch,
             queue_depth: defaults.queue_depth,
             deadline_ms: None,

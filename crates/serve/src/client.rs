@@ -26,9 +26,12 @@ pub struct RouteClient {
 }
 
 impl RouteClient {
-    /// Connects to a serve daemon's socket address.
+    /// Connects to a serve daemon's socket address. Nagle's algorithm
+    /// is off: every send flushes one whole frame, and with Nagle on a
+    /// pipelined frame would wait for the daemon's ACK of the last one.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         Ok(RouteClient {
             reader: BufReader::new(read_half),
@@ -172,6 +175,9 @@ impl RetryPolicy {
 }
 
 /// One HTTP/1.1 request against the adapter; returns (status, body).
+/// The request line, headers and body go out in one write on a socket
+/// with Nagle off, so no part of the request waits on the ACK of an
+/// earlier part.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -179,14 +185,15 @@ pub fn http_request(
     body: &[u8],
 ) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
+    stream.set_nodelay(true)?;
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nHost: patlabor\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     let status: u16 = raw

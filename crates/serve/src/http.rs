@@ -58,15 +58,12 @@ pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        let conn_id = server::next_conn_id(shared);
-        // Same watchdog deadlines as the socket protocol. For HTTP the
+        // Same socket options as the socket protocol. For HTTP the
         // read deadline doubles as a keep-alive idle cap: a connection
         // that sends nothing for a full stall budget is closed (HTTP
         // clients reconnect; framed-protocol clients are the ones with
         // legitimate long-lived idle connections).
-        let _ = stream.set_read_timeout(Some(shared.config.read_stall));
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-        server::register_conn(shared, conn_id, &stream);
+        let conn_id = server::register_conn(shared, &stream);
         let worker = {
             let shared = Arc::clone(shared);
             std::thread::Builder::new()

@@ -14,8 +14,8 @@
 //! - [`wire`] — u32-length-prefixed frames carrying request/response
 //!   JSON, plus the error vocabulary (`overloaded`, `shutting-down`,
 //!   `malformed`, `route`).
-//! - [`metrics`] — lock-free counters and a log₂ latency histogram,
-//!   rendered as Prometheus text for `/metrics`.
+//! - [`metrics`] — lock-free counters and log₂ latency and queue-wait
+//!   histograms, rendered as Prometheus text for `/metrics`.
 //! - [`chaos`] — the seed-deterministic transport fault plane: torn
 //!   and corrupted frames, stalled writes, delayed reads, mid-reply
 //!   disconnects, injectable into both transports for soak testing.
@@ -32,8 +32,13 @@
 //! `core::pad` discipline): no async runtime, no serde, no HTTP
 //! framework. A routing request is microseconds of work — the server
 //! is a thread-per-connection front over the work-stealing batch
-//! driver, and the interesting engineering lives in admission control
-//! and window coalescing, not in transport plumbing.
+//! driver. At that scale the transport decides the round trip: with
+//! Nagle's algorithm on the reply sockets, transport was about 80% of
+//! a request's median latency under open-loop load, and routing about
+//! 4 µs of it. So every accepted socket runs with `TCP_NODELAY`, each
+//! connection's writer flushes once per burst of waiting replies, and
+//! the batcher routes whatever is queued as soon as it is free (the
+//! default coalescing window is zero).
 //!
 //! [`Engine`]: patlabor::Engine
 //! [`Engine::route_batch_sessions`]: patlabor::Engine::route_batch_sessions

@@ -126,6 +126,10 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// Enqueue-to-reply latency of successful responses.
     pub latency: LatencyHistogram,
+    /// Enqueue-to-window-close wait of every request routed through a
+    /// window: the part of a request's latency spent queued before
+    /// routing.
+    pub queue_wait: LatencyHistogram,
     /// Connections killed by the mid-frame read watchdog (a peer sent
     /// part of a frame and stalled past the stall budget).
     pub read_timeouts: AtomicU64,
@@ -297,27 +301,18 @@ impl Metrics {
                 Self::get(&self.chaos_injected[kind.index()])
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP patlabor_latency_seconds Enqueue-to-reply latency quantiles \
-             (log2-bucket geometric midpoints, true value within sqrt(2))."
+        summary(
+            &mut out,
+            "patlabor_latency_seconds",
+            "Enqueue-to-reply latency quantiles",
+            &self.latency,
         );
-        let _ = writeln!(out, "# TYPE patlabor_latency_seconds summary");
-        for (label, q) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
-            if let Some(ns) = self.latency.quantile_ns(q) {
-                let _ = writeln!(
-                    out,
-                    "patlabor_latency_seconds{{quantile=\"{label}\"}} {:.9}",
-                    ns as f64 / 1e9
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "patlabor_latency_seconds_sum {:.9}",
-            self.latency.sum_ns() as f64 / 1e9
+        summary(
+            &mut out,
+            "patlabor_queue_wait_seconds",
+            "Enqueue-to-window-close wait quantiles",
+            &self.queue_wait,
         );
-        let _ = writeln!(out, "patlabor_latency_seconds_count {}", self.latency.count());
         if let Some(stats) = cache {
             counter(
                 &mut out,
@@ -364,6 +359,23 @@ impl Metrics {
         }
         out
     }
+}
+
+/// Renders one histogram as a Prometheus summary: p50/p99/p999 (when
+/// there are samples), `_sum` and `_count`, in seconds.
+fn summary(out: &mut String, name: &str, help: &str, histogram: &LatencyHistogram) {
+    let _ = writeln!(
+        out,
+        "# HELP {name} {help} (log2-bucket geometric midpoints, true value within sqrt(2))."
+    );
+    let _ = writeln!(out, "# TYPE {name} summary");
+    for (label, q) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
+        if let Some(ns) = histogram.quantile_ns(q) {
+            let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {:.9}", ns as f64 / 1e9);
+        }
+    }
+    let _ = writeln!(out, "{name}_sum {:.9}", histogram.sum_ns() as f64 / 1e9);
+    let _ = writeln!(out, "{name}_count {}", histogram.count());
 }
 
 #[cfg(test)]
@@ -414,6 +426,8 @@ mod tests {
         Metrics::add(&m.requests, 3);
         Metrics::add(&m.rejected, 1);
         m.latency.record(5_000);
+        m.queue_wait.record(2_000);
+        m.queue_wait.record(3_000);
         let cache = CacheStats {
             hits: 3,
             misses: 1,
@@ -436,6 +450,11 @@ mod tests {
             "patlabor_served_by_rung_total{rung=\"lut\"} 2",
             "patlabor_latency_seconds{quantile=\"0.5\"}",
             "patlabor_latency_seconds_count 1",
+            "# TYPE patlabor_queue_wait_seconds summary",
+            "patlabor_queue_wait_seconds{quantile=\"0.5\"}",
+            "patlabor_queue_wait_seconds{quantile=\"0.999\"}",
+            "patlabor_queue_wait_seconds_sum 0.000005000",
+            "patlabor_queue_wait_seconds_count 2",
             "patlabor_queue_depth 0",
             "patlabor_cache_hit_rate 0.75",
             "patlabor_batches_total 0",

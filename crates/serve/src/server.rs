@@ -23,11 +23,17 @@
 //! [`Engine::route_batch_sessions`] calls. When work arrives it opens a
 //! coalescing window and closes it at the first of: `max_batch`
 //! requests accumulated, the window duration elapsing **on the
-//! engine's clock**, or shutdown draining. Reading the window from the
-//! engine clock is what makes the whole pipeline testable: under a
-//! [`VirtualClock`] time never passes, so a window only closes by
-//! count or by drain, and tests can stage any arrival interleaving
-//! they want without a single sleep-based race.
+//! engine's clock**, or shutdown draining. The default window is zero,
+//! so the batcher routes whatever is queued as soon as it is free.
+//! Reading the window from the engine clock is what makes the whole
+//! pipeline testable: under a [`VirtualClock`] time never passes, so a
+//! nonzero window only closes by count or by drain, and tests can
+//! stage any arrival interleaving they want without a single
+//! sleep-based race.
+//!
+//! Every accepted socket has Nagle's algorithm off, and each writer
+//! flushes once its channel is empty: a lone reply leaves at once and
+//! a burst of replies leaves together.
 //!
 //! [`VirtualClock`]: patlabor::VirtualClock
 //!
@@ -73,8 +79,9 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Coalescing window: how long the batcher waits for more requests
     /// after the first one arrives, measured on the engine's clock.
-    /// `Duration::ZERO` disables coalescing (every request routes in
-    /// its own batch).
+    /// At `Duration::ZERO` (the default) the batcher does not wait: it
+    /// routes whatever is already queued, up to `max_batch`, as soon as
+    /// it is free, so batches still form under load.
     pub window: Duration,
     /// Hard cap on requests per window (closes the window early).
     pub max_batch: usize,
@@ -139,7 +146,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             http_addr: None,
             threads: 0,
-            window: Duration::from_micros(200),
+            window: Duration::ZERO,
             max_batch: 64,
             queue_depth: 1024,
             retry_after_ms: 5,
@@ -309,8 +316,6 @@ impl Shared {
         if batch.is_empty() {
             return;
         }
-        Metrics::add(&self.metrics.batches, 1);
-        Metrics::add(&self.metrics.batched_nets, batch.len() as u64);
         let started = Instant::now();
         let mut fresh = Vec::new();
         let mut fresh_slots = Vec::new();
@@ -361,7 +366,18 @@ impl Shared {
             old - old / 4 + per_net_ns / 4
         };
         self.drain_ns_per_net.store(blended.max(1), ordering);
+        // Window counters and queue waits are recorded under the report
+        // lock that `/metrics` renders under, so one scrape always sees
+        // as many queue-wait samples as batched nets.
         let mut report = lock(&self.report);
+        Metrics::add(&self.metrics.batches, 1);
+        Metrics::add(&self.metrics.batched_nets, batch.len() as u64);
+        for pending in &batch {
+            let waited = started.saturating_duration_since(pending.enqueued);
+            self.metrics
+                .queue_wait
+                .record(u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX));
+        }
         for (pending, result) in batch.iter().zip(&results) {
             let Some(result) = result else { continue };
             report.record(result);
@@ -485,6 +501,50 @@ impl Shared {
                 }
             }
         }
+    }
+
+    /// One connection's write loop, the sole owner of the socket's
+    /// write half. It writes every reply already waiting in the
+    /// channel and flushes once the channel is empty: a lone reply
+    /// leaves at once (the socket has Nagle off), and a burst leaves in
+    /// as few syscalls and segments as the buffer allows. Returns when
+    /// every sender (the reader and its queued requests) has dropped or
+    /// a write fails, then closes the socket so the peer sees FIN after
+    /// the final reply. `frame_seq` keys the chaos plane's write-side
+    /// decisions, one per frame in order.
+    fn run_writer(&self, conn_id: u64, stream: TcpStream, replies: &mpsc::Receiver<Vec<u8>>) {
+        let chaos = &self.config.chaos;
+        let mut out = io::BufWriter::new(stream);
+        let mut frame_seq = 0u64;
+        let mut next = replies.recv().ok();
+        while let Some(payload) = next {
+            if let Some(kind) = chaos.write_fault(conn_id, frame_seq) {
+                Metrics::add(&self.metrics.chaos_injected[kind.index()], 1);
+                inject_write_fault(kind, &mut out, &payload, chaos.delay());
+                // Every write-side fault is crash-only: the peer only
+                // ever observes a damaged frame on a connection that is
+                // closing.
+                break;
+            }
+            frame_seq += 1;
+            if let Err(e) = write_frame(&mut out, &payload) {
+                note_write_error(self, &e);
+                break;
+            }
+            next = match replies.try_recv() {
+                Ok(payload) => Some(payload),
+                Err(mpsc::TryRecvError::Disconnected) => None,
+                Err(mpsc::TryRecvError::Empty) => {
+                    if let Err(e) = out.flush() {
+                        note_write_error(self, &e);
+                        break;
+                    }
+                    replies.recv().ok()
+                }
+            };
+        }
+        let _ = out.flush();
+        let _ = out.get_ref().shutdown(Shutdown::Both);
     }
 
     /// The guarded hot-reload path shared by the wire verb and
@@ -677,12 +737,28 @@ pub(crate) fn is_draining(shared: &Shared) -> bool {
     lock(&shared.queue).draining
 }
 
-/// Registers a connection for shutdown unblocking. Must be paired
-/// with [`deregister_conn`] when the connection finishes.
-pub(crate) fn register_conn(shared: &Shared, id: u64, stream: &TcpStream) {
+/// Readies an accepted socket and registers it for shutdown
+/// unblocking; returns the connection's id. Must be paired with
+/// [`deregister_conn`] when the connection finishes.
+///
+/// Every accepted socket, framed or HTTP, gets the watchdog deadlines
+/// and has Nagle's algorithm off. The read timeout is the mid-frame
+/// stall budget (idle at a frame boundary waits forever, see
+/// `read_frame_watchdog`); the write timeout bounds a peer that stops
+/// reading while replies are owed. With Nagle on, a reply written
+/// while an earlier one is unacknowledged waits for the peer's next
+/// request or its delayed ACK (tens of milliseconds). The writers
+/// flush once per burst of replies, so with Nagle off a busy
+/// connection still does not send one segment per reply.
+pub(crate) fn register_conn(shared: &Shared, stream: &TcpStream) -> u64 {
+    let _ = stream.set_read_timeout(Some(shared.config.read_stall));
+    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_nodelay(true);
+    let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
         lock(&shared.conns).insert(id, clone);
     }
+    id
 }
 
 /// Drops the registry's handle on a finished connection, releasing
@@ -698,13 +774,6 @@ pub(crate) fn register_thread(shared: &Shared, handle: JoinHandle<()>) {
     let mut threads = lock(&shared.conn_threads);
     threads.retain(|h| !h.is_finished());
     threads.push(handle);
-}
-
-/// Hands out a fresh connection id (thread naming only).
-pub(crate) fn next_conn_id(shared: &Shared) -> u64 {
-    shared
-        .next_conn
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// A running server. Dropping it shuts it down (draining the queue).
@@ -816,64 +885,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        let conn_id = next_conn_id(shared);
-        // Watchdog deadlines on every accepted socket: the read timeout
-        // is the mid-frame stall budget (idle at a frame boundary waits
-        // forever, see `read_frame_watchdog`); the write timeout bounds
-        // a peer that stops reading while replies are owed.
-        let _ = stream.set_read_timeout(Some(shared.config.read_stall));
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-        register_conn(shared, conn_id, &stream);
+        let conn_id = register_conn(shared, &stream);
         let (reply_tx, reply_rx) =
             mpsc::sync_channel::<Vec<u8>>(shared.config.reply_buffer.max(1));
         let write_half = stream.try_clone();
-        // Writer: sole owner of the socket's write half; drains the
-        // reply channel until every sender (reader + queued requests)
-        // has dropped, then closes the socket so the peer sees FIN
-        // after the final reply.
         let writer = {
             let shared = Arc::clone(shared);
             std::thread::Builder::new()
                 .name(format!("patlabor-conn-{conn_id}-w"))
                 .spawn(move || {
                     if let Ok(write_half) = write_half {
-                        let mut out = io::BufWriter::new(write_half);
-                        let mut frame_seq = 0u64;
-                        while let Ok(payload) = reply_rx.recv() {
-                            let verdict =
-                                shared.config.chaos.write_fault(conn_id, frame_seq);
-                            frame_seq += 1;
-                            if let Some(kind) = verdict {
-                                Metrics::add(
-                                    &shared.metrics.chaos_injected[kind.index()],
-                                    1,
-                                );
-                                inject_write_fault(
-                                    kind,
-                                    &mut out,
-                                    &payload,
-                                    shared.config.chaos.delay(),
-                                );
-                                // Every write-side fault is crash-only:
-                                // the peer only ever observes a damaged
-                                // frame on a connection that is closing.
-                                break;
-                            }
-                            if let Err(e) = write_frame(&mut out, &payload) {
-                                note_write_error(&shared, &e);
-                                break;
-                            }
-                            // Flush per reply: replies are
-                            // latency-sensitive and pipelining gains come
-                            // from the coalescer, not from batching
-                            // socket writes.
-                            if let Err(e) = out.flush() {
-                                note_write_error(&shared, &e);
-                                break;
-                            }
-                        }
-                        let _ = out.flush();
-                        let _ = out.get_ref().shutdown(Shutdown::Both);
+                        shared.run_writer(conn_id, write_half, &reply_rx);
                     }
                     deregister_conn(&shared, conn_id);
                 })
@@ -886,12 +908,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     shared.run_reader(conn_id, stream, reply_tx);
                 })
         };
-        let mut threads = lock(&shared.conn_threads);
-        if let Ok(h) = writer {
-            threads.push(h);
-        }
-        if let Ok(h) = reader {
-            threads.push(h);
+        for handle in [writer, reader].into_iter().flatten() {
+            register_thread(shared, handle);
         }
     }
 }
@@ -1049,6 +1067,93 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::RouteClient;
+    use crate::json::Json;
+    use crate::wire::RouteRequest;
+    use patlabor::LutBuilder;
+
+    fn test_server(http: bool) -> Server {
+        let engine = Engine::with_table(LutBuilder::new(4).threads(2).build());
+        let config = ServeConfig {
+            http_addr: http.then(|| "127.0.0.1:0".to_string()),
+            ..ServeConfig::default()
+        };
+        serve(engine, config).expect("bind")
+    }
+
+    fn wait_for(mut cond: impl FnMut() -> bool) -> bool {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(10) {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        cond()
+    }
+
+    /// Regression: a finished framed connection's writer and reader
+    /// handles are pruned when the next connection registers,
+    /// so the registry tracks live connections, not every connection
+    /// ever served.
+    #[test]
+    fn finished_framed_connections_release_their_thread_handles() {
+        let server = test_server(false);
+        let nets = patlabor_netgen::iccad_like_suite(0x7ead, 16, 4);
+        for (id, net) in (0u64..).zip(&nets) {
+            let mut client = RouteClient::connect(server.addr()).expect("connect");
+            let request = RouteRequest {
+                id,
+                net: net.clone(),
+                deadline_ms: None,
+            };
+            let reply = client.route(&request).expect("route");
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+            client.finish_writes().expect("half-close");
+            assert!(
+                client.recv().expect("eof").is_none(),
+                "connection {id} kept replying"
+            );
+            // Connection ids count from 0 here (no HTTP adapter), and
+            // thread names carry them: wait until this connection's two
+            // handles are registered and every handle has exited.
+            let prefix = format!("patlabor-conn-{id}-");
+            assert!(
+                wait_for(|| {
+                    let threads = lock(&server.shared.conn_threads);
+                    let mine = threads
+                        .iter()
+                        .filter(|h| h.thread().name().is_some_and(|n| n.starts_with(&prefix)))
+                        .count();
+                    mine == 2 && threads.iter().all(JoinHandle::is_finished)
+                }),
+                "connection {id}'s threads never exited"
+            );
+        }
+        let kept = lock(&server.shared.conn_threads).len();
+        assert!(kept <= 2, "{kept} thread handles kept after 16 finished connections");
+        server.shutdown();
+    }
+
+    /// Every accepted socket, framed or HTTP, has Nagle's algorithm
+    /// off. The registry's clone shares the socket, so it reads the
+    /// option the connection threads write with.
+    #[test]
+    fn every_accepted_socket_has_nagle_off() {
+        let server = test_server(true);
+        let _framed = TcpStream::connect(server.addr()).expect("framed connect");
+        let http_addr = server.http_addr().expect("http adapter");
+        let _http = TcpStream::connect(http_addr).expect("http connect");
+        assert!(wait_for(|| lock(&server.shared.conns).len() == 2));
+        for (id, stream) in lock(&server.shared.conns).iter() {
+            assert!(
+                matches!(stream.nodelay(), Ok(true)),
+                "connection {id}: nodelay() = {:?}",
+                stream.nodelay()
+            );
+        }
+        server.shutdown();
+    }
 
     /// Satellite regression: the overload hint must track how long the
     /// queue actually takes to drain, not a constant.
