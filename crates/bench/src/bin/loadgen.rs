@@ -1,33 +1,23 @@
-//! The serving-path loadgen: drives a `patlabor serve` daemon with a
-//! fixed-seed workload and writes `BENCH_PR8.json` in the shared
-//! `scaling-v1` schema ([`patlabor_bench::scaling`]).
+//! The serving-path checker: drives an already-running `patlabor serve`
+//! daemon with a fixed-seed workload, asserts what it answers, and
+//! writes a single-row `BENCH_PR8.json` in the shared `scaling-v1`
+//! schema ([`patlabor_bench::scaling`]). It is the CI serve job's
+//! client; measure serving with `benchmark --workload serve_openloop`.
 //!
-//! Two modes:
+//! Set `PATLABOR_SERVE_ADDR` to the daemon's socket address, optionally
+//! `PATLABOR_SERVE_HTTP` to its HTTP adapter and `PATLABOR_SERVE_LAMBDA`
+//! to the λ of the table it serves. Without `PATLABOR_SERVE_ADDR` it
+//! prints one usage line and exits 2.
 //!
-//! * **Self-host** (default): builds a λ = 4 engine in-process, starts
-//!   the daemon on a loopback port, and sweeps the coalescing window
-//!   (0 µs, 200 µs, 1 ms). Per window it measures connect-to-first-reply
-//!   on a fresh connection, closed-loop request latency percentiles
-//!   (p50 / p99 / p999) across 4 pipeline-free connections, saturation
-//!   throughput, and the mean coalesced batch size scraped from
-//!   `/metrics`. Every reply's frontier is checked bit-identical to the
-//!   in-process `Engine::route` answer — the daemon must add transport,
-//!   never semantics.
-//!
-//! * **External** (`PATLABOR_SERVE_ADDR` set, optionally
-//!   `PATLABOR_SERVE_HTTP`): the CI serve job's client. Fires the same
-//!   fixed-seed workload — plus deadline-exceeded (`deadline_ms: 0`)
-//!   and malformed-frame cases — at an already-running daemon, asserts
-//!   the documented reply vocabulary, then scrapes `/metrics` and
-//!   asserts the counters are present and mutually consistent
-//!   (Σ served-by-rung == responses, latency count == responses,
-//!   queue-wait count == batched nets, malformed rejections counted).
-//!   When `PATLABOR_SERVE_LAMBDA` is set, replies are additionally
-//!   checked bit-identical against a local engine at that λ (the CI
-//!   daemon serves a λ = 4 fixture).
-//!   Exits nonzero on any violation.
-//!
-//! Both modes write `BENCH_PR8.json` at the repository root.
+//! It fires the fixed-seed workload over 4 closed-loop connections —
+//! plus deadline-exceeded (`deadline_ms: 0`) and malformed-frame
+//! cases — asserts the documented reply vocabulary, then scrapes
+//! `/metrics` and asserts the counters are present and mutually
+//! consistent (Σ served-by-rung == responses, latency count ==
+//! responses, queue-wait count == batched nets, malformed rejections
+//! counted). When `PATLABOR_SERVE_LAMBDA` is set, replies are
+//! additionally checked bit-identical against a local engine at that λ
+//! (the CI daemon serves a λ = 4 fixture). Exits 1 on any violation.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -36,19 +26,18 @@ use std::time::{Duration, Instant};
 
 use patlabor::{Engine, Net};
 use patlabor_bench::scaling::{render_report, serve_rows_json, ReportHeader, ServeRun};
-use patlabor_serve::{scrape_metrics, RetryPolicy, RouteClient, RouteRequest, ServeConfig};
+use patlabor_serve::{scrape_metrics, RetryPolicy, RouteClient, RouteRequest};
 
 const SEED: u64 = 0x10ad_6e4e;
 /// Valid route requests per run (the "~500 requests" of the CI job).
 const REQUESTS: usize = 500;
 /// Closed-loop connections driving the daemon concurrently.
 const CONNECTIONS: usize = 4;
-/// Deadline-exceeded probes in external mode (`deadline_ms: 0`).
+/// Deadline-exceeded probes (`deadline_ms: 0`).
 const DEADLINE_PROBES: usize = 25;
-/// Malformed frames in external mode.
+/// Malformed frames.
 const MALFORMED_PROBES: usize = 10;
-/// The coalescing windows the self-host sweep visits, µs.
-const WINDOWS_US: [u64; 3] = [0, 200, 1000];
+/// λ of the local engine when `PATLABOR_SERVE_LAMBDA` is not set.
 const LAMBDA: u8 = 4;
 
 fn fail(message: &str) -> ! {
@@ -81,20 +70,37 @@ fn frontier_key(json: &patlabor_serve::Json) -> String {
         .join(";")
 }
 
-/// The same rendering computed from an in-process route, for the
-/// expected side of the comparison.
-fn expected_keys(engine: &Engine, nets: &[Net]) -> Vec<String> {
-    nets.iter()
-        .map(|net| match engine.route(net) {
-            Ok(outcome) => outcome
+/// Routes every net in-process, one at a time, on a fresh λ engine:
+/// the same rendering for the expected side of the comparison, and the
+/// serial rate in nets/s that gives the report its speed context.
+fn route_locally(lambda: u8, nets: &[Net]) -> (Vec<String>, f64) {
+    let engine = Engine::with_table(
+        patlabor_lut::LutBuilder::new(lambda)
+            .threads(hardware_threads())
+            .build(),
+    );
+    let started = Instant::now();
+    let outcomes: Vec<_> = nets
+        .iter()
+        .map(|net| {
+            engine
+                .route(net)
+                .unwrap_or_else(|e| fail(&format!("in-process route failed: {e}")))
+        })
+        .collect();
+    let nets_per_sec = nets.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
+    let keys = outcomes
+        .iter()
+        .map(|outcome| {
+            outcome
                 .frontier
                 .iter()
                 .map(|(c, _)| format!("{}:{}", c.wirelength, c.delay))
                 .collect::<Vec<_>>()
-                .join(";"),
-            Err(e) => fail(&format!("in-process route failed: {e}")),
+                .join(";")
         })
-        .collect()
+        .collect();
+    (keys, nets_per_sec)
 }
 
 struct LoadOutcome {
@@ -220,14 +226,14 @@ fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
     sorted_ns[rank - 1] as f64 / 1e3
 }
 
-fn run_row(window_us: u64, outcome: &LoadOutcome, rejected: u64, mean_batch: Option<f64>) -> ServeRun {
+fn run_row(outcome: &LoadOutcome, mean_batch: Option<f64>) -> ServeRun {
     ServeRun {
-        window_us,
         connections: CONNECTIONS,
         requests: outcome.latencies_ns.len(),
         ok: outcome.ok,
         degraded: outcome.degraded,
-        rejected,
+        // Every `overloaded` reply is retried; `retries` counts them.
+        rejected: 0,
         throughput_rps: outcome.latencies_ns.len() as f64 / outcome.wall.as_secs_f64().max(1e-9),
         open_to_first_response_us: outcome.open_to_first_us,
         p50_us: quantile_us(&outcome.latencies_ns, 0.5),
@@ -270,13 +276,6 @@ fn metric_labeled(exposition: &str, sample: &str) -> Option<f64> {
     metric_value(exposition, sample)
 }
 
-fn mean_batch_from(http: Option<SocketAddr>) -> Option<f64> {
-    let exposition = scrape_metrics(http?).ok()?;
-    let batches = metric_value(&exposition, "patlabor_batches_total")?;
-    let nets = metric_value(&exposition, "patlabor_batched_nets_total")?;
-    (batches > 0.0).then(|| nets / batches)
-}
-
 fn write_report(header: &ReportHeader<'_>, rows: &[ServeRun], headline: &str, notes: &str) {
     let extra = format!(
         "  \"serve_runs\": {},\n  \"headline\": {headline},\n",
@@ -297,84 +296,6 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// Serial in-process baseline: the direct-call throughput that served
-/// latency and throughput are judged against.
-fn serial_baseline(engine: &Engine, nets: &[Net]) -> f64 {
-    let started = Instant::now();
-    for net in nets {
-        if engine.route(net).is_err() {
-            fail("serial baseline route failed");
-        }
-    }
-    nets.len() as f64 / started.elapsed().as_secs_f64().max(1e-9)
-}
-
-// ---------------------------------------------------------------- modes
-
-fn self_host() {
-    let hardware = hardware_threads();
-    eprintln!(
-        "self-host: {REQUESTS} nets (seed {SEED:#x}), λ = {LAMBDA}, \
-         {CONNECTIONS} connections, hardware threads = {hardware}"
-    );
-    let engine = Engine::with_table(patlabor_lut::LutBuilder::new(LAMBDA).threads(hardware).build());
-    let nets = workload();
-    let expected = expected_keys(&engine, &nets);
-    let serial = serial_baseline(&engine, &nets);
-
-    let mut rows = Vec::new();
-    for window_us in WINDOWS_US {
-        let config = ServeConfig {
-            http_addr: Some("127.0.0.1:0".to_string()),
-            window: Duration::from_micros(window_us),
-            ..ServeConfig::default()
-        };
-        let server = patlabor_serve::serve(engine.clone(), config)
-            .unwrap_or_else(|e| fail(&format!("serve failed to start: {e}")));
-        let outcome = drive(server.addr(), &nets, Some(&expected));
-        let mean_batch = mean_batch_from(server.http_addr());
-        let summary = server.shutdown();
-        check(summary.rejected == 0, "self-host run saw admission rejections");
-        check(summary.malformed == 0, "self-host run saw malformed frames");
-        let row = run_row(window_us, &outcome, summary.rejected, mean_batch);
-        eprintln!(
-            "window {:>4} µs: {:.0} req/s, p50 {:.0} µs, p99 {:.0} µs, \
-             mean batch {:.2}",
-            window_us,
-            row.throughput_rps,
-            row.p50_us,
-            row.p99_us,
-            mean_batch.unwrap_or(0.0),
-        );
-        rows.push(row);
-    }
-
-    let best = rows
-        .iter()
-        .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
-        .expect("at least one window");
-    let headline = format!(
-        "{{\"best_window_us\": {}, \"saturation_rps\": {:.2}, \
-         \"served_vs_direct_identical\": true}}",
-        best.window_us, best.throughput_rps
-    );
-    let header = ReportHeader {
-        bench: "loadgen",
-        nets: REQUESTS,
-        seed: SEED,
-        hardware_threads: hardware,
-        serial_nets_per_sec: serial,
-    };
-    write_report(
-        &header,
-        &rows,
-        &headline,
-        "self-host coalescing-window sweep; every served frontier checked \
-         bit-identical to the in-process route; latencies are closed-loop \
-         round trips including the accumulation window",
-    );
-}
-
 fn external(addr: SocketAddr) {
     let http: Option<SocketAddr> = std::env::var("PATLABOR_SERVE_HTTP")
         .ok()
@@ -382,22 +303,15 @@ fn external(addr: SocketAddr) {
     let lambda: Option<u8> = std::env::var("PATLABOR_SERVE_LAMBDA")
         .ok()
         .map(|s| s.parse().unwrap_or_else(|_| fail("bad PATLABOR_SERVE_LAMBDA")));
-    let window_us: u64 = std::env::var("PATLABOR_SERVE_WINDOW_US")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            u64::try_from(ServeConfig::default().window.as_micros()).unwrap_or(u64::MAX)
-        });
     eprintln!(
         "external: daemon {addr}, http {http:?}, {REQUESTS} valid + \
          {DEADLINE_PROBES} deadline + {MALFORMED_PROBES} malformed requests"
     );
     let nets = workload();
-    let expected = lambda.map(|lambda| {
-        let engine =
-            Engine::with_table(patlabor_lut::LutBuilder::new(lambda).threads(hardware_threads()).build());
-        expected_keys(&engine, &nets)
-    });
+    // The local engine runs at the daemon's λ when given (its answers
+    // are then the expected ones), at λ = 4 otherwise.
+    let (keys, serial) = route_locally(lambda.unwrap_or(LAMBDA), &nets);
+    let expected = lambda.is_some().then_some(keys);
 
     // The main closed-loop load.
     let outcome = drive(addr, &nets, expected.as_deref());
@@ -524,7 +438,7 @@ fn external(addr: SocketAddr) {
             metric_value(&exposition, "patlabor_latency_seconds_count") == Some(responses),
             "latency histogram count does not match responses_total",
         );
-        // Every request routed through a window waited in the queue
+        // Every request routed in a batch waited in the queue
         // exactly once.
         check(
             metric_value(&exposition, "patlabor_queue_wait_seconds_count")
@@ -549,15 +463,7 @@ fn external(addr: SocketAddr) {
         None
     };
 
-    // The serial baseline comes from a local λ = 4 engine (or the
-    // daemon's λ when given) so the report's speed context is real.
-    let baseline_engine = Engine::with_table(
-        patlabor_lut::LutBuilder::new(lambda.unwrap_or(LAMBDA))
-            .threads(hardware_threads())
-            .build(),
-    );
-    let serial = serial_baseline(&baseline_engine, &nets);
-    let row = run_row(window_us, &outcome, 0, mean_batch);
+    let row = run_row(&outcome, mean_batch);
     let headline = format!(
         "{{\"mode\": \"external\", \"deadline_probes\": {DEADLINE_PROBES}, \
          \"malformed_probes\": {MALFORMED_PROBES}, \
@@ -583,13 +489,16 @@ fn external(addr: SocketAddr) {
 }
 
 fn main() {
-    match std::env::var("PATLABOR_SERVE_ADDR") {
-        Ok(addr) => {
-            let addr = addr
-                .parse()
-                .unwrap_or_else(|_| fail("PATLABOR_SERVE_ADDR is not a socket address"));
-            external(addr);
-        }
-        Err(_) => self_host(),
-    }
+    let Ok(addr) = std::env::var("PATLABOR_SERVE_ADDR") else {
+        eprintln!(
+            "usage: PATLABOR_SERVE_ADDR=HOST:PORT [PATLABOR_SERVE_HTTP=HOST:PORT] \
+             [PATLABOR_SERVE_LAMBDA=L] loadgen  (checks a running `patlabor serve`; \
+             to measure serving, run `benchmark --workload serve_openloop`)"
+        );
+        exit(2);
+    };
+    let addr = addr
+        .parse()
+        .unwrap_or_else(|_| fail("PATLABOR_SERVE_ADDR is not a socket address"));
+    external(addr);
 }

@@ -16,10 +16,8 @@
 //! JSON array and are never part of the scaling curve (on a single-core
 //! container the whole curve is one point — that is the honest answer).
 //!
-//! A chunk-size sweep at max parallelism records how the steal rate and
-//! throughput respond to chunk granularity; the auto heuristic's default
-//! is judged against that sweep. Every parallel run is also checked
-//! bit-identical to the serial ordering before its numbers are reported.
+//! Every parallel run is also checked bit-identical to the serial
+//! ordering before its numbers are reported.
 //!
 //! CI gate: set `PATLABOR_MIN_SPEEDUP` (e.g. `3.0`) to make the bench
 //! exit nonzero when the cache-off speedup at `PATLABOR_SPEEDUP_THREADS`
@@ -31,7 +29,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::{BatchConfig, CacheConfig, Engine, Net, ParetoSet, RouterConfig, RoutingTree};
+use patlabor::{CacheConfig, Engine, Net, ParetoSet, RoutingTree};
 use patlabor_bench::scaling::ScalingRun;
 
 const SEED: u64 = 0x5ca1_ab1e;
@@ -41,12 +39,8 @@ struct Measured {
     frontiers: Vec<Option<ParetoSet<RoutingTree>>>,
 }
 
-fn router_for(table: &patlabor::LookupTable, cache: bool, chunk: Option<usize>) -> Engine {
-    let config = RouterConfig {
-        batch: BatchConfig { chunk_size: chunk },
-        ..RouterConfig::default()
-    };
-    Engine::with_table_and_config(table.clone(), config).with_cache(if cache {
+fn router_for(table: &patlabor::LookupTable, cache: bool) -> Engine {
+    Engine::with_table(table.clone()).with_cache(if cache {
         CacheConfig::default()
     } else {
         CacheConfig::disabled()
@@ -66,10 +60,9 @@ fn measure(
     nets: &[Net],
     threads: usize,
     cache: bool,
-    chunk: Option<usize>,
     serial_nps: f64,
 ) -> Measured {
-    let router = router_for(table, cache, chunk);
+    let router = router_for(table, cache);
     let start = Instant::now();
     let (results, stats) = router.route_batch_with_stats(nets, threads);
     let secs = start.elapsed().as_secs_f64();
@@ -106,10 +99,10 @@ fn main() {
     // Untimed warmup, then the serial cache-off baseline every speedup
     // is measured against.
     eprintln!("warmup ...");
-    let serial = measure(&table, &nets, 1, false, None, 0.0);
+    let serial = measure(&table, &nets, 1, false, 0.0);
     eprintln!("serial baseline ...");
     let serial = {
-        let m = measure(&table, &nets, 1, false, None, 0.0);
+        let m = measure(&table, &nets, 1, false, 0.0);
         // Keep the faster of the two serial passes as reference
         // frontiers are identical either way.
         Measured {
@@ -140,29 +133,13 @@ fn main() {
     for cache in [false, true] {
         for &threads in &sweep {
             eprintln!("threads = {threads}, cache = {cache} ...");
-            let m = measure(&table, &nets, threads, cache, None, serial_nps);
+            let m = measure(&table, &nets, threads, cache, serial_nps);
             if m.frontiers != serial.frontiers {
                 deterministic = false;
                 eprintln!("ERROR: threads = {threads}, cache = {cache} diverged from serial");
             }
             runs.push(m.run);
         }
-    }
-
-    // Chunk-granularity sweep at max parallelism, cache off: how the
-    // steal rate and throughput respond to chunk size, and where the
-    // auto heuristic lands. Grounds BatchConfig's measured default.
-    let auto = BatchConfig::default().auto_chunk(nets.len(), hardware);
-    eprintln!("chunk sweep at {hardware} thread(s) (auto = {auto}) ...");
-    let mut chunk_rows = Vec::new();
-    for chunk in [1usize, 4, 16, 64, 256] {
-        let m = measure(&table, &nets, hardware, false, Some(chunk), serial_nps);
-        if m.frontiers != serial.frontiers {
-            deterministic = false;
-            eprintln!("ERROR: chunk = {chunk} diverged from serial");
-        }
-        let steal_rate = m.run.steals.unwrap_or(0) as f64 / (nets.len() / chunk).max(1) as f64;
-        chunk_rows.push((chunk, m.run.nets_per_sec, steal_rate, chunk == auto));
     }
 
     // The parallel cache verdict, judged at the widest honest thread
@@ -226,16 +203,6 @@ fn main() {
         off.speedup_vs_serial, cache_ratio, on.cache_hit_rate
     );
     let _ = writeln!(extra, "  \"deterministic_vs_serial\": {deterministic},");
-    let _ = writeln!(extra, "  \"chunk_sweep\": [");
-    for (i, (chunk, nps, steal_rate, is_auto)) in chunk_rows.iter().enumerate() {
-        let comma = if i + 1 < chunk_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            extra,
-            "    {{\"chunk\": {chunk}, \"nets_per_sec\": {nps:.2}, \
-             \"steals_per_chunk\": {steal_rate:.4}, \"auto_default\": {is_auto}}}{comma}"
-        );
-    }
-    let _ = writeln!(extra, "  ],");
 
     let json = patlabor_bench::scaling::render_report(
         &patlabor_bench::scaling::ReportHeader {
@@ -250,7 +217,7 @@ fn main() {
         "scaling_runs is the curve (threads <= hardware_threads); oversubscribed_runs \
          measure scheduler time-slicing and are never scaling data. The cache verdict \
          compares cache-on vs cache-off at the widest honest thread count on this \
-         machine. chunk_sweep grounds BatchConfig's auto chunk heuristic.",
+         machine.",
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR7.json");
     std::fs::write(&path, &json).expect("write BENCH_PR7.json");

@@ -98,16 +98,14 @@ fn rows_json(rows: &[&ScalingRun], indent: &str) -> String {
     s
 }
 
-/// One measured serving run at a fixed coalescing window — the serve
-/// bench's (`bin/loadgen.rs`, `BENCH_PR8.json`) row type. It rides the
+/// One measured serving run — the serve bench's (`bin/loadgen.rs`,
+/// `BENCH_PR8.json`) row type. It rides the
 /// same `scaling-v1` report as [`ScalingRun`]: loadgen reports its
 /// serve rows through [`render_report`]'s `extra` splice (rendered by
 /// [`serve_rows_json`]) so the preamble, schema tag, and notes field
 /// stay byte-compatible with the batch benches.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeRun {
-    /// The coalescing window the daemon accumulated under, µs.
-    pub window_us: u64,
     /// Closed-loop client connections driving the daemon.
     pub connections: usize,
     /// Requests sent (valid route requests only).
@@ -143,11 +141,10 @@ impl ServeRun {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"window_us\": {}, \"connections\": {}, \"requests\": {}, \
+            "{{\"connections\": {}, \"requests\": {}, \
              \"ok\": {}, \"degraded\": {}, \"rejected\": {}, \
              \"throughput_rps\": {:.2}, \"open_to_first_response_us\": {:.1}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}",
-            self.window_us,
             self.connections,
             self.requests,
             self.ok,
@@ -304,7 +301,6 @@ mod tests {
     fn serve_rows_splice_into_the_shared_report() {
         let rows = vec![
             ServeRun {
-                window_us: 200,
                 connections: 4,
                 requests: 500,
                 ok: 500,
@@ -323,7 +319,7 @@ mod tests {
         let json = render_report(&header(4), &[], &extra, "n");
         assert!(json.contains("\"schema\": \"scaling-v1\""));
         assert!(json.contains("\"serve_runs\": ["));
-        assert!(json.contains("\"window_us\": 200"));
+        assert!(json.contains("\"throughput_rps\": 1234.50"));
         assert!(json.contains("\"mean_batch\": 3.20"));
         assert!(json.contains("\"retries\": 7"));
         // The unscraped row omits mean_batch instead of zero-filling

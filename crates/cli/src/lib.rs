@@ -196,7 +196,7 @@ pub struct RouteOptions {
     /// Per-net routing deadline in milliseconds (wall clock).
     pub deadline_ms: Option<u64>,
     /// Worker threads for the batch driver. With more than one, routing
-    /// goes through the work-stealing batch path (results identical to
+    /// goes through the work-stealing batch path (frontiers identical to
     /// serial) and the output ends with the per-worker scaling report:
     /// utilization, steals and cache lock contention.
     pub threads: usize,
@@ -462,9 +462,11 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
         return Ok(out);
     }
     if options.threads > 1 {
-        // The parallel path: same results as the serial loop below (the
-        // batch driver publishes in order, bit-identical), plus the
-        // per-worker scaling report.
+        // The parallel path: frontiers identical to the serial loop below
+        // (the batch driver publishes in order, bit-identical), plus the
+        // per-worker scaling report. Which of two congruent nets the
+        // frontier cache answers can differ with worker timing, so a
+        // net's `via` label may swap between exact-lut and cache-hit.
         let (results, stats) = engine.route_batch_with_stats(nets, options.threads);
         for (i, (net, result)) in nets.iter().zip(results).enumerate() {
             let outcome = result.map_err(|source| CliError::Route { net: i, source })?;
@@ -798,13 +800,9 @@ pub struct ServeOptions {
     pub addr: String,
     /// HTTP adapter bind address; `None` disables `/metrics`.
     pub http_addr: Option<String>,
-    /// Worker threads per coalescing window (0 ⇒ hardware threads).
+    /// Worker threads per batch (0 ⇒ hardware threads).
     pub threads: usize,
-    /// Coalescing window, microseconds: how long the batcher waits for
-    /// more requests after the first. At 0 (the default) it does not
-    /// wait and routes whatever is queued, up to `max_batch`.
-    pub window_us: u64,
-    /// Requests per window cap.
+    /// Most requests routed in one batch.
     pub max_batch: usize,
     /// Admission bound: queued requests beyond this are rejected.
     pub queue_depth: usize,
@@ -821,7 +819,6 @@ impl Default for ServeOptions {
             addr: defaults.addr,
             http_addr: Some("127.0.0.1:0".to_string()),
             threads: defaults.threads,
-            window_us: u64::try_from(defaults.window.as_micros()).unwrap_or(u64::MAX),
             max_batch: defaults.max_batch,
             queue_depth: defaults.queue_depth,
             deadline_ms: None,
@@ -867,7 +864,6 @@ pub fn serve_command_with(
         addr: options.addr.clone(),
         http_addr: options.http_addr.clone(),
         threads: options.threads,
-        window: Duration::from_micros(options.window_us),
         max_batch: options.max_batch,
         queue_depth: options.queue_depth,
         ..ServeConfig::default()
@@ -907,7 +903,7 @@ pub fn serve_command_with(
             }
         }
     }
-    // First signal: drain. In-flight windows and everything admitted
+    // First signal: drain. The batch in flight and everything admitted
     // complete; new requests are rejected as "shutting-down".
     let engine = server.engine().clone();
     let summary = server.shutdown();
@@ -984,8 +980,7 @@ USAGE:
   patlabor route [...] --bookshelf DESIGN.aux
   patlabor serve [--lambda L] [--tables FILE] [--addr HOST:PORT]
                  [--http-addr HOST:PORT | --no-http] [--threads T]
-                 [--window-us US] [--max-batch N] [--queue-depth N]
-                 [--deadline-ms MS]
+                 [--max-batch N] [--queue-depth N] [--deadline-ms MS]
   patlabor lut build --lambda L [--format v4] -o FILE
   patlabor lut info FILE
   patlabor verify [--seed N] [--nets N] [--lambda L] [--tables FILE]
@@ -999,7 +994,7 @@ Net list: one net per line, `x,y` pins separated by spaces, source first;
 `#` comments.
 
 `route --threads T` routes through the work-stealing batch driver
-(results identical to serial) and appends a scaling report: per-worker
+(frontiers identical to serial) and appends a scaling report: per-worker
 utilization, steal counts and cache lock contention. `route --json`
 emits one wire-protocol reply object per net (NDJSON), byte-compatible
 with the `serve` daemon's responses.
@@ -1013,14 +1008,14 @@ cached winners (provenance `reused`), class-breaking edits fall back
 to the full ladder.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
-with request coalescing and admission control, plus an HTTP adapter
+with request batching and admission control, plus an HTTP adapter
 (GET /metrics Prometheus exposition, GET /healthz, POST /route,
 POST /reroute). First
-SIGINT/SIGTERM drains in-flight windows and exits 0 with the final
+SIGINT/SIGTERM drains what was admitted and exits 0 with the final
 resilience report on stderr; a second signal aborts immediately. SIGHUP
 hot-reloads the table from the --tables file: the candidate is validated
 off the hot path and atomically swapped in under a new epoch — in-flight
-windows finish on the old table, and a rejected candidate leaves the old
+routes finish on the old table, and a rejected candidate leaves the old
 table serving.
 
 `verify` cross-checks every fast path against its slow oracle on a seeded
@@ -1157,11 +1152,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             .parse()
                             .map_err(|_| usage_error("--threads expects an integer"))?;
                     }
-                    "--window-us" => {
-                        options.window_us = next_value(&mut it, "--window-us")?
-                            .parse()
-                            .map_err(|_| usage_error("--window-us expects an integer"))?;
-                    }
                     "--max-batch" => {
                         options.max_batch = next_value(&mut it, "--max-batch")?
                             .parse::<usize>()
@@ -1274,32 +1264,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 });
             verify_command(&options)
         }
-        Some("gen-tables") => {
-            let mut lambda = None;
-            let mut output = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--lambda" => {
-                        lambda = Some(
-                            next_value(&mut it, "--lambda")?
-                                .parse::<u8>()
-                                .map_err(|_| usage_error("--lambda expects an integer"))?,
-                        );
-                    }
-                    "-o" | "--output" => output = Some(next_value(&mut it, "-o")?),
-                    other => return Err(usage_error(format!("unknown flag {other}"))),
-                }
-            }
-            let lambda = lambda.ok_or_else(|| usage_error("gen-tables needs --lambda"))?;
-            let output = output.ok_or_else(|| usage_error("gen-tables needs -o FILE"))?;
-            gen_tables_command(lambda, &output)
-        }
-        Some("stats") => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| usage_error("stats needs a file"))?;
-            stats_command(path)
+        Some(alias @ ("gen-tables" | "stats")) => {
+            let subcommand = if alias == "stats" { "info" } else { "build" };
+            lut_command(&[&[subcommand.to_string()], &args[1..]].concat())
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
         Some(other) => Err(usage_error(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -1514,8 +1481,29 @@ mod tests {
             },
         )
         .unwrap();
-        // Identical per-net output, then the scaling report on top.
-        assert!(parallel.starts_with(&serial[..serial.find("provenance").unwrap()]));
+        // Nets 0 and 1 are translated copies: worker timing decides which
+        // one the frontier cache answers, or whether both miss. So a
+        // per-net `via` label may swap between exact-lut and cache-hit;
+        // every other line, frontiers included, is identical.
+        let per_net = |out: &str| -> Vec<String> {
+            out[..out.find("provenance").unwrap()]
+                .lines()
+                .map(|line| line.replace("via cache-hit", "via exact-lut"))
+                .collect()
+        };
+        assert_eq!(per_net(&parallel), per_net(&serial));
+        let table_served = |out: &str| -> u64 {
+            let line = out.lines().find(|l| l.starts_with("provenance: ")).unwrap();
+            ["cache-hit ", "exact-lut "]
+                .iter()
+                .map(|key| {
+                    let count = &line[line.find(key).unwrap() + key.len()..];
+                    count[..count.find(',').unwrap()].parse::<u64>().unwrap()
+                })
+                .sum()
+        };
+        assert_eq!(table_served(&parallel), table_served(&serial));
+        // Then the scaling report on top.
         assert!(parallel.contains("batch: "));
         assert!(parallel.contains("worker 0:"));
         assert!(parallel.contains("cache: "));
@@ -1577,6 +1565,35 @@ mod tests {
         let stats = stats_command(&path).unwrap();
         assert!(stats.contains("lambda = 4"));
         assert!(stats.contains("16")); // degree-4 #Index
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `gen-tables` and `stats` are `lut build` and `lut info` under
+    /// other names: same flags, same file, same report.
+    #[test]
+    fn gen_tables_and_stats_aliases_print_what_lut_prints() {
+        let dir = std::env::temp_dir().join("patlabor_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("alias3.plut").to_string_lossy().into_owned();
+        let args = |words: &[&str]| -> Vec<String> {
+            words
+                .iter()
+                .map(|w| w.to_string())
+                .chain([path.clone()])
+                .collect()
+        };
+        // The build line reports its own duration; compare around it.
+        let without_duration = |out: String| -> String {
+            let (head, tail) = out.split_once(" in ").unwrap();
+            format!("{head} in _ {}", tail.split_once(' ').unwrap().1)
+        };
+        let built = run(&args(&["lut", "build", "--lambda", "3", "-o"])).unwrap();
+        let lut_bytes = std::fs::read(&path).unwrap();
+        let info = run(&args(&["lut", "info"])).unwrap();
+        let generated = run(&args(&["gen-tables", "--lambda", "3", "-o"])).unwrap();
+        assert_eq!(without_duration(generated), without_duration(built));
+        assert_eq!(std::fs::read(&path).unwrap(), lut_bytes);
+        assert_eq!(run(&args(&["stats"])).unwrap(), info);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1897,7 +1914,6 @@ mod tests {
         let reloads = AtomicU32::new(0);
         let options = ServeOptions {
             lambda: 4,
-            window_us: 0,
             http_addr: None,
             ..ServeOptions::default()
         };
@@ -1950,7 +1966,6 @@ mod tests {
         let reloads = AtomicU32::new(0);
         let options = ServeOptions {
             tables: Some(path.to_string_lossy().into_owned()),
-            window_us: 0,
             http_addr: None,
             ..ServeOptions::default()
         };

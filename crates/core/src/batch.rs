@@ -32,9 +32,9 @@
 //!
 //! Chunk size trades deque traffic against steal granularity; with
 //! stealing, it no longer has to bound tail imbalance the way the old
-//! `nets.len() / (threads × 8)` heuristic did. The default is derived
-//! from measured steal rates (see [`BatchConfig::chunk_size`]) and can
-//! be overridden per engine.
+//! `nets.len() / (threads × 8)` heuristic did. It is derived from the
+//! batch by one rule, grounded in measured steal rates (see
+//! [`auto_chunk`]).
 //!
 //! Every batch also returns per-worker telemetry ([`BatchStats`]): busy
 //! nanoseconds, chunks and nets executed, successful and failed steals —
@@ -53,44 +53,30 @@ use crate::engine::{Engine, Session};
 use crate::pad::CachePadded;
 use crate::pipeline::{RouteError, RouteResult};
 
-/// Hard ceiling on the auto-derived chunk size.
+/// Hard ceiling on the chunk size.
 ///
 /// Measured on the BENCH_PR7 workload: above ~64 nets per chunk the
 /// steal granularity gets coarse enough that one late steal of a chunk
 /// of expensive nets re-creates the tail imbalance stealing exists to
 /// fix, while deque CAS traffic is already unmeasurable at 64 (one CAS
-/// per chunk ≈ one per 64 routed nets). See `BatchConfig::chunk_size`.
-const MAX_AUTO_CHUNK: usize = 64;
+/// per chunk ≈ one per 64 routed nets).
+const MAX_CHUNK: usize = 64;
 
-/// Batch-driver tuning, part of [`crate::RouterConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchConfig {
-    /// Nets per work-stealing chunk; `None` derives it from the batch.
-    ///
-    /// The auto heuristic is `nets / (workers × 4)`, clamped to
-    /// `[1, 64]`. Rationale, re-derived from measured steal rates on the
-    /// BENCH_PR7 mixed-degree workload: with work stealing the chunk
-    /// size no longer bounds tail imbalance (steals rebalance any
-    /// leftover work), so the old ~8-chunks-per-worker rule only bought
-    /// extra cursor traffic. Four chunks per worker keeps the initial
-    /// partition coarse — on a balanced workload the steady state is
-    /// *zero* steals and every worker walks its own span — while the 64-
-    /// net cap keeps what a steal transfers fine-grained enough that
-    /// measured steal counts stay in the single digits per worker on
-    /// skewed workloads instead of one worker dragging a mega-chunk.
-    pub chunk_size: Option<usize>,
-}
-
-impl BatchConfig {
-    /// The chunk size for a batch of `len` nets over `workers` workers:
-    /// the explicit override if set, the auto heuristic otherwise. Public
-    /// so benches can report where the auto default lands in their sweeps.
-    pub fn auto_chunk(&self, len: usize, workers: usize) -> usize {
-        match self.chunk_size {
-            Some(size) => size.max(1),
-            None => (len / (workers.max(1) * 4)).clamp(1, MAX_AUTO_CHUNK),
-        }
-    }
+/// Nets per work-stealing chunk for a batch of `len` nets over
+/// `workers` workers: `len / (workers × 4)`, clamped to `[1, 64]`.
+///
+/// Rationale, re-derived from measured steal rates on the BENCH_PR7
+/// mixed-degree workload: with work stealing the chunk size no longer
+/// bounds tail imbalance (steals rebalance any leftover work), so the
+/// old ~8-chunks-per-worker rule only bought extra cursor traffic. Four
+/// chunks per worker keeps the initial partition coarse — on a balanced
+/// workload the steady state is *zero* steals and every worker walks
+/// its own span — while the 64-net cap keeps what a steal transfers
+/// fine-grained enough that measured steal counts stay in the single
+/// digits per worker on skewed workloads instead of one worker dragging
+/// a mega-chunk.
+fn auto_chunk(len: usize, workers: usize) -> usize {
+    (len / (workers.max(1) * 4)).clamp(1, MAX_CHUNK)
 }
 
 /// One worker's telemetry for a batch run.
@@ -118,7 +104,8 @@ pub struct WorkerStats {
 pub struct BatchStats {
     /// Workers actually spawned (`min(threads, nets)`; 1 = serial path).
     pub workers: usize,
-    /// Chunk size used (see [`BatchConfig`]).
+    /// Chunk size used: `nets / (workers × 4)` clamped to `[1, 64]`
+    /// (the whole batch on the serial path).
     pub chunk_size: usize,
     /// Total chunks the batch was cut into.
     pub chunks: usize,
@@ -500,13 +487,12 @@ impl Engine {
         self.drive_batch(nets.len(), threads, |i| self.route_caught(&nets[i], &default))
     }
 
-    /// Routes a coalesced window of requests, each under its own
-    /// [`Session`], over the same work-stealing driver. Results are in
-    /// input order, one slot per request, and each request's frontier is
-    /// bit-identical to routing it alone via
-    /// [`Engine::route_session`] — coalescing changes latency, never
-    /// answers. The serve layer closes its accumulation windows into
-    /// this call.
+    /// Routes a batch of requests, each under its own [`Session`], over
+    /// the same work-stealing driver. Results are in input order, one
+    /// slot per request, and each request's frontier is bit-identical to
+    /// routing it alone via [`Engine::route_session`] — batching changes
+    /// latency, never answers. The serve layer routes each batch of
+    /// queued requests through this call.
     pub fn route_batch_sessions(
         &self,
         requests: &[(Net, Session)],
@@ -535,9 +521,9 @@ impl Engine {
     /// [`Engine::route_batch_sessions`]. Results are in input order, one
     /// slot per job; class-preserving edits replay from the frontier
     /// cache (provenance [`crate::RouteSource::Reused`]) and everything
-    /// else falls through the ordinary ladder. The serve layer coalesces
-    /// `reroute` wire requests into the same accumulation windows as
-    /// fresh routes and closes mixed windows into this call.
+    /// else falls through the ordinary ladder. The serve layer batches
+    /// `reroute` wire requests with fresh routes and routes the reroutes
+    /// of a mixed batch through this call.
     pub fn route_batch_deltas(
         &self,
         jobs: &[DeltaJob],
@@ -575,7 +561,7 @@ impl Engine {
             return (results, stats);
         }
         let workers = threads.min(len);
-        let chunk = self.config().batch.auto_chunk(len, workers);
+        let chunk = auto_chunk(len, workers);
         let (results, per_worker) = fill_slots_parallel(len, workers, chunk, fill);
         let stats = BatchStats {
             workers,
@@ -679,15 +665,14 @@ mod tests {
     }
 
     /// Satellite: the determinism matrix. Bit-identical frontiers at
-    /// thread counts {1, 2, 4, N, N+3} (N = hardware threads) under work
-    /// stealing, with a chunk size small enough that steals actually
-    /// happen when the counts exceed the initial partition's balance.
+    /// thread counts {1, 2, 4, 16, N, N+3} (N = hardware threads) under
+    /// work stealing. At 16 workers the chunk rule gives single-net
+    /// chunks on these 60 nets, the finest steal granularity there is.
     #[test]
     fn determinism_matrix_across_thread_counts() {
         let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
         let engine = Engine::with_config(RouterConfig {
             lambda: 4,
-            batch: BatchConfig { chunk_size: Some(2) },
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xde7e2, 60, 10);
@@ -695,32 +680,34 @@ mod tests {
             .iter()
             .map(|n| engine.route(n).expect("serial net failed").frontier)
             .collect();
-        for threads in [1, 2, 4, hardware, hardware + 3] {
+        for threads in [1, 2, 4, 16, hardware, hardware + 3] {
             let (results, stats) = engine.route_batch_with_stats(&nets, threads);
             assert_eq!(frontiers(results), sequential, "threads = {threads}");
             assert_eq!(stats.workers, threads.min(nets.len()).max(1));
+            if threads == 16 {
+                assert_eq!(stats.chunk_size, 1, "60 nets over 16 workers");
+            }
             let routed: u64 = stats.per_worker.iter().map(|w| w.nets).sum();
             assert_eq!(routed as usize, nets.len(), "threads = {threads}");
         }
     }
 
     #[test]
-    fn explicit_chunk_size_is_honored() {
+    fn chunk_size_follows_the_auto_rule() {
         let engine = Engine::with_config(RouterConfig {
             lambda: 4,
-            batch: BatchConfig { chunk_size: Some(3) },
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xc4u64, 20, 8);
         let (results, stats) = engine.route_batch_with_stats(&nets, 2);
-        assert_eq!(stats.chunk_size, 3);
-        assert_eq!(stats.chunks, nets.len().div_ceil(3));
+        assert_eq!(stats.chunk_size, auto_chunk(nets.len(), 2));
+        assert_eq!(stats.chunks, nets.len().div_ceil(stats.chunk_size));
         assert_eq!(results.len(), nets.len());
-        // The auto heuristic: nets/(workers·4) clamped to [1, 64].
-        assert_eq!(BatchConfig::default().auto_chunk(1000, 4), 62);
-        assert_eq!(BatchConfig::default().auto_chunk(10, 8), 1);
-        assert_eq!(BatchConfig::default().auto_chunk(1_000_000, 2), 64);
-        assert_eq!(BatchConfig { chunk_size: Some(0) }.auto_chunk(10, 2), 1);
+        // The rule: nets/(workers·4) clamped to [1, 64].
+        assert_eq!(auto_chunk(1000, 4), 62);
+        assert_eq!(auto_chunk(10, 8), 1);
+        assert_eq!(auto_chunk(1_000_000, 2), 64);
+        assert_eq!(auto_chunk(10, 0), 2);
     }
 
     #[test]

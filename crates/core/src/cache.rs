@@ -27,7 +27,7 @@
 //!   so the probability of two concurrent threads colliding on one
 //!   shard's lock stays low no matter the core count; an explicit value
 //!   is honored verbatim (tests pin 1/2/64).
-//! * **Every shard is cache-line-padded** ([`crate::pad::CachePadded`])
+//! * **Every shard is cache-line-padded** (`pad::CachePadded`)
 //!   and carries its *own* hit/miss/contention counters, so one shard's
 //!   counter traffic never invalidates another shard's line — the
 //!   global-counter ping-pong the old layout paid on every probe from

@@ -17,8 +17,8 @@
 //!
 //! The engine is the crate's only router handle: library callers route
 //! with [`Engine::route`] or the batch driver, and `patlabor serve` runs
-//! one engine per process, one session per request, coalesced into
-//! [`Engine::route_batch_sessions`] windows.
+//! one engine per process, one session per request, batched through
+//! [`Engine::route_batch_sessions`].
 
 use std::any::Any;
 use std::cell::Cell;
@@ -35,8 +35,7 @@ use patlabor_lut::{LookupTable, LutBuilder};
 use patlabor_pareto::{Cost, ParetoSet};
 use patlabor_tree::RoutingTree;
 
-use crate::batch::BatchConfig;
-use crate::cache::{CacheConfig, CacheKey, CacheStats, FrontierCache, ShardStats};
+use crate::cache::{CacheConfig, CacheKey, CacheStats, FrontierCache};
 use crate::eco::{DeltaKind, EcoConfig, NetDelta};
 use crate::local_search::{local_search_cancellable, LocalSearchConfig};
 use crate::pipeline::{
@@ -82,9 +81,6 @@ pub struct RouterConfig {
     /// table doctoring in tests and drills. Empty by default: nothing
     /// fires and the serving path skips all fault bookkeeping.
     pub faults: FaultPlane,
-    /// Batch-driver tuning ([`BatchConfig`]): the work-stealing chunk
-    /// size, auto-derived by default.
-    pub batch: BatchConfig,
     /// Incremental-rerouting policy ([`EcoConfig`]): how many
     /// consecutive edits [`Engine::reroute`] may serve from replay
     /// before forcing a fresh route.
@@ -99,7 +95,6 @@ impl Default for RouterConfig {
             cache: CacheConfig::default(),
             resilience: ResilienceConfig::default(),
             faults: FaultPlane::default(),
-            batch: BatchConfig::default(),
             eco: EcoConfig::default(),
         }
     }
@@ -430,27 +425,14 @@ impl Engine {
         &self.inner.policy
     }
 
-    /// The engine's configuration (the batch driver reads its chunk
-    /// tuning from here).
+    /// The engine's configuration.
     pub fn config(&self) -> &RouterConfig {
         &self.inner.config
-    }
-
-    /// The clock deadlines are read against (the serve layer shares it
-    /// for coalescing-window timing so tests stay wall-time-free).
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.inner.clock
     }
 
     /// Frontier-cache counters, or `None` when the cache is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.inner.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Per-shard frontier-cache counters, or `None` when the cache is
-    /// disabled.
-    pub fn cache_shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.inner.cache.as_ref().map(|c| c.shard_stats())
     }
 
     /// Whether routing is exact for this degree (against the currently

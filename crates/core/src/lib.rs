@@ -50,21 +50,20 @@ mod batch;
 pub mod cache;
 pub mod eco;
 mod engine;
-pub mod pad;
+mod pad;
 pub mod ks;
 pub mod local_search;
 pub mod pipeline;
 pub mod policy;
 pub mod resilience;
 
-pub use batch::{BatchConfig, BatchStats, WorkerStats};
+pub use batch::{BatchStats, WorkerStats};
 pub use eco::{DeltaJob, DeltaKind, EcoConfig, NetDelta};
 pub use engine::{Engine, ReloadError, RouterConfig, Session};
 pub use cache::{CacheConfig, CacheStats, ShardStats};
-pub use pad::CachePadded;
 pub use pipeline::{
     ProvenanceSummary, RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource,
-    RouteStage, StageCounters,
+    StageCounters,
 };
 pub use resilience::{
     net_key, Budget, Clock, DegradationTrace, Fault, FaultKind, FaultPlane, FaultScope,

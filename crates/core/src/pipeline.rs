@@ -1,4 +1,4 @@
-//! Staged-pipeline vocabulary: stages, provenance, and structured errors.
+//! Staged-pipeline vocabulary: provenance and structured errors.
 //!
 //! [`crate::Engine::route`] is organized as an explicit pipeline
 //!
@@ -29,26 +29,6 @@ use patlabor_pareto::ParetoSet;
 use patlabor_tree::RoutingTree;
 
 use crate::resilience::DegradationTrace;
-
-/// The stages of the routing pipeline, in execution order.
-///
-/// `Classify` gates every net; exactly one of `CacheLookup`+`LutQuery`
-/// (tabulated degrees) or `LocalSearch` (above λ) produces topologies; and
-/// `Materialize` turns them into witness [`RoutingTree`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouteStage {
-    /// Canonicalize the net into a [`patlabor_geom::NetClass`] and pick
-    /// its serving path.
-    Classify,
-    /// Probe the frontier cache for the class's winning topology ids.
-    CacheLookup,
-    /// Score the stored candidate topologies by dot product and prune.
-    LutQuery,
-    /// Policy-guided local search for degrees above λ.
-    LocalSearch,
-    /// Instantiate surviving topologies as witness trees.
-    Materialize,
-}
 
 /// Which stage produced the answer — the headline provenance fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -21,24 +21,23 @@
 //!   disconnects, injectable into both transports for soak testing.
 //! - [`server`] — the daemon: per-connection reader/writer threads
 //!   with read/write watchdog deadlines and bounded reply buffers,
-//!   bounded admission queue, a coalescing batcher that closes
-//!   accumulation windows into [`Engine::route_batch_sessions`],
-//!   epoch-guarded hot table reload, and drain-then-exit shutdown.
+//!   bounded admission queue, a batcher that routes whatever is queued
+//!   through [`Engine::route_batch_sessions`], epoch-guarded hot table
+//!   reload, and drain-then-exit shutdown.
 //! - [`client`] — a pipelining client for benches, tests, and the
 //!   differential verifier, with a seeded retry budget for
 //!   `overloaded` rejections.
 //!
-//! Everything here is std-only by design (mirroring `patlabor`'s
-//! `core::pad` discipline): no async runtime, no serde, no HTTP
-//! framework. A routing request is microseconds of work — the server
-//! is a thread-per-connection front over the work-stealing batch
+//! Everything here is std-only by design: no async runtime, no serde,
+//! no HTTP framework. A routing request is microseconds of work — the
+//! server is a thread-per-connection front over the work-stealing batch
 //! driver. At that scale the transport decides the round trip: with
 //! Nagle's algorithm on the reply sockets, transport was about 80% of
 //! a request's median latency under open-loop load, and routing about
 //! 4 µs of it. So every accepted socket runs with `TCP_NODELAY`, each
 //! connection's writer flushes once per burst of waiting replies, and
-//! the batcher routes whatever is queued as soon as it is free (the
-//! default coalescing window is zero).
+//! the batcher routes whatever is queued as soon as it is free: it
+//! never waits for a batch to fill.
 //!
 //! [`Engine`]: patlabor::Engine
 //! [`Engine::route_batch_sessions`]: patlabor::Engine::route_batch_sessions

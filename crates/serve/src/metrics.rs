@@ -118,17 +118,16 @@ pub struct Metrics {
     pub shed_shutdown: AtomicU64,
     /// Unparseable frames (`"error": "malformed"`).
     pub malformed: AtomicU64,
-    /// Coalescing windows closed into `route_batch_sessions`.
+    /// Batches the batcher routed through the batch driver.
     pub batches: AtomicU64,
-    /// Requests routed through those windows.
+    /// Requests routed in those batches.
     pub batched_nets: AtomicU64,
     /// Current queue depth (gauge, not a counter).
     pub queue_depth: AtomicU64,
     /// Enqueue-to-reply latency of successful responses.
     pub latency: LatencyHistogram,
-    /// Enqueue-to-window-close wait of every request routed through a
-    /// window: the part of a request's latency spent queued before
-    /// routing.
+    /// Enqueue-to-batch-start wait of every request routed in a batch:
+    /// the part of a request's latency spent queued before routing.
     pub queue_wait: LatencyHistogram,
     /// Connections killed by the mid-frame read watchdog (a peer sent
     /// part of a frame and stalled past the stall budget).
@@ -221,13 +220,13 @@ impl Metrics {
         counter(
             &mut out,
             "patlabor_batches_total",
-            "Coalescing windows closed into the batch driver.",
+            "Batches routed through the batch driver.",
             Self::get(&self.batches),
         );
         counter(
             &mut out,
             "patlabor_batched_nets_total",
-            "Requests routed through coalescing windows.",
+            "Requests routed in those batches.",
             Self::get(&self.batched_nets),
         );
         let _ = writeln!(out, "# HELP patlabor_queue_depth Requests currently queued.");
@@ -310,7 +309,7 @@ impl Metrics {
         summary(
             &mut out,
             "patlabor_queue_wait_seconds",
-            "Enqueue-to-window-close wait quantiles",
+            "Enqueue-to-batch-start wait quantiles",
             &self.queue_wait,
         );
         if let Some(stats) = cache {

@@ -20,22 +20,16 @@
 //! the socket's write half and frames are never interleaved.
 //!
 //! The single **batcher** thread turns the queue into
-//! [`Engine::route_batch_sessions`] calls. When work arrives it opens a
-//! coalescing window and closes it at the first of: `max_batch`
-//! requests accumulated, the window duration elapsing **on the
-//! engine's clock**, or shutdown draining. The default window is zero,
-//! so the batcher routes whatever is queued as soon as it is free.
-//! Reading the window from the engine clock is what makes the whole
-//! pipeline testable: under a [`VirtualClock`] time never passes, so a
-//! nonzero window only closes by count or by drain, and tests can
-//! stage any arrival interleaving they want without a single
-//! sleep-based race.
+//! [`Engine::route_batch_sessions`] calls. It waits for work, takes
+//! whatever is queued, up to `max_batch` requests, and routes it as one
+//! batch; requests that arrive meanwhile form the next batch. A lone
+//! request is routed at once, and batches grow only under load. Every
+//! net is answered on its own, so batching moves latency, never an
+//! answer.
 //!
 //! Every accepted socket has Nagle's algorithm off, and each writer
 //! flushes once its channel is empty: a lone reply leaves at once and
 //! a burst of replies leaves together.
-//!
-//! [`VirtualClock`]: patlabor::VirtualClock
 //!
 //! # Shutdown
 //!
@@ -43,7 +37,7 @@
 //! (so no admission can race past it), pokes the acceptor awake with a
 //! loopback connect, and half-closes every registered connection's
 //! read side. The batcher then drains what was already admitted —
-//! in-flight windows complete, nothing queued is dropped — and
+//! the batch in flight completes, nothing queued is dropped — and
 //! [`Server::shutdown`] joins everything and returns the final
 //! [`ResilienceReport`].
 use std::collections::{HashMap, VecDeque};
@@ -75,27 +69,14 @@ pub struct ServeConfig {
     /// HTTP adapter bind address (`/metrics`, `/healthz`, `POST
     /// /route`); `None` disables the adapter.
     pub http_addr: Option<String>,
-    /// Worker threads per coalescing window (0 ⇒ all hardware threads).
+    /// Worker threads per batch (0 ⇒ all hardware threads).
     pub threads: usize,
-    /// Coalescing window: how long the batcher waits for more requests
-    /// after the first one arrives, measured on the engine's clock.
-    /// At `Duration::ZERO` (the default) the batcher does not wait: it
-    /// routes whatever is already queued, up to `max_batch`, as soon as
-    /// it is free, so batches still form under load.
-    pub window: Duration,
-    /// Hard cap on requests per window (closes the window early).
+    /// Most requests routed in one batch.
     pub max_batch: usize,
     /// Admission bound: requests queued beyond this are rejected with
     /// `"overloaded"`. This is the server's entire buffering — there is
     /// no hidden unbounded buffer behind it.
     pub queue_depth: usize,
-    /// The `retry_after_ms` hint sent with `"overloaded"` rejections
-    /// before any window has closed (cold start). Once the batcher has
-    /// drained at least one window, the hint is computed instead: queue
-    /// occupancy × the recent per-net drain time, clamped to
-    /// `[1, RETRY_AFTER_CAP_MS]` — so a client backing off by the hint
-    /// retries roughly when the queue has actually drained.
-    pub retry_after_ms: u64,
     /// Mid-frame read stall budget (the watchdog): a peer that has
     /// sent part of a frame and then stalls longer than this is
     /// evicted with a `read` timeout metric and a closed connection.
@@ -109,7 +90,7 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// Bounded per-connection reply buffer, in frames. When a client
     /// falls this far behind its replies, the batcher drops the reply
-    /// and evicts the connection instead of blocking the window —
+    /// and evicts the connection instead of blocking the batcher —
     /// per-connection memory is bounded by construction.
     pub reply_buffer: usize,
     /// The transport fault plane (chaos injection). Empty — the
@@ -123,17 +104,25 @@ pub struct ServeConfig {
 /// clients on a transient spike.
 pub const RETRY_AFTER_CAP_MS: u64 = 1_000;
 
+/// The `retry_after_ms` hint sent with `"overloaded"` rejections before
+/// the first batch has been routed (cold start), when there is no drain
+/// rate to price the backlog with yet.
+const COLD_START_RETRY_AFTER_MS: u64 = 5;
+
 /// The backoff hint for an `"overloaded"` rejection: how long the
-/// current occupancy takes to drain at the recently observed rate.
+/// current occupancy takes to drain at the recently observed rate, so a
+/// client backing off by the hint retries roughly when the queue has
+/// actually drained.
 ///
-/// `drain_ns_per_net == 0` means no window has closed yet — fall back
-/// to the configured hint. Otherwise `ceil(occupancy × per-net ns)` in
-/// milliseconds, clamped to `[1, RETRY_AFTER_CAP_MS]`. Monotone in
-/// both occupancy and drain time by construction (a fuller queue or a
-/// slower engine can only raise the hint until the cap).
-fn computed_retry_after_ms(occupancy: usize, drain_ns_per_net: u64, fallback_ms: u64) -> u64 {
+/// `drain_ns_per_net == 0` means no batch has been routed yet — fall
+/// back to [`COLD_START_RETRY_AFTER_MS`]. Otherwise
+/// `ceil(occupancy × per-net ns)` in milliseconds, clamped to
+/// `[1, RETRY_AFTER_CAP_MS]`. Monotone in both occupancy and drain time
+/// by construction (a fuller queue or a slower engine can only raise
+/// the hint until the cap).
+fn computed_retry_after_ms(occupancy: usize, drain_ns_per_net: u64) -> u64 {
     if drain_ns_per_net == 0 {
-        return fallback_ms.max(1);
+        return COLD_START_RETRY_AFTER_MS;
     }
     let drain_ns = occupancy as u128 * drain_ns_per_net as u128;
     let ms = u64::try_from(drain_ns.div_ceil(1_000_000)).unwrap_or(u64::MAX);
@@ -146,10 +135,8 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             http_addr: None,
             threads: 0,
-            window: Duration::ZERO,
             max_batch: 64,
             queue_depth: 1024,
-            retry_after_ms: 5,
             read_stall: Duration::from_secs(2),
             write_timeout: Duration::from_secs(5),
             reply_buffer: 128,
@@ -165,7 +152,7 @@ enum Job {
     Reroute { delta: NetDelta, prior_edits: u32 },
 }
 
-/// One admitted request waiting for a window.
+/// One admitted request waiting for a batch.
 struct Pending {
     job: Job,
     session: Session,
@@ -207,9 +194,9 @@ pub(crate) struct Shared {
     /// connections, not lifetime connection count.
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
-    /// Recent per-net window drain time, nanoseconds (EWMA, α = ¼).
-    /// Zero until the first window closes; read by admission control to
-    /// compute `retry_after_ms`.
+    /// Recent per-net batch drain time, nanoseconds (EWMA, α = ¼).
+    /// Zero until the first batch is routed; read by admission control
+    /// to compute `retry_after_ms`.
     drain_ns_per_net: AtomicU64,
     /// Guards against concurrent hot reloads: a second reload verb
     /// while one validates answers `"reloading"` instead of racing.
@@ -243,7 +230,6 @@ impl Shared {
             let retry_after_ms = computed_retry_after_ms(
                 q.pending.len(),
                 self.drain_ns_per_net.load(std::sync::atomic::Ordering::Relaxed),
-                self.config.retry_after_ms,
             );
             return Err(Rejection::Overloaded { retry_after_ms });
         }
@@ -257,10 +243,10 @@ impl Shared {
         Ok(())
     }
 
-    /// The batcher body: accumulate windows, close them into the batch
-    /// driver, reply, fold the report. Returns when draining and empty.
+    /// The batcher body: wait for work, take up to `max_batch` queued
+    /// requests, route them, reply, fold the report. Returns when
+    /// draining and empty.
     fn run_batcher(&self) {
-        let clock = Arc::clone(self.engine.clock());
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
@@ -274,29 +260,9 @@ impl Shared {
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            if q.pending.is_empty() && q.draining {
+            // Woken with nothing queued: the server is draining.
+            if q.pending.is_empty() {
                 return;
-            }
-            // Window accumulation, timed on the engine clock. Under a
-            // VirtualClock `elapsed` never grows, so the window closes
-            // only by max_batch or drain — the mechanism the
-            // determinism and shutdown tests drive.
-            let opened = clock.now();
-            while q.pending.len() < self.config.max_batch && !q.draining {
-                let elapsed = clock.now().saturating_sub(opened);
-                if elapsed >= self.config.window {
-                    break;
-                }
-                let remaining = self.config.window - elapsed;
-                // Cap the OS wait so a virtual clock (whose `remaining`
-                // never shrinks) still re-checks drain/max_batch
-                // promptly.
-                let wait = remaining.min(Duration::from_millis(5));
-                let (guard, _) = self
-                    .queue_cv
-                    .wait_timeout(q, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
             }
             let take = q.pending.len().min(self.config.max_batch);
             let batch: Vec<Pending> = q.pending.drain(..take).collect();
@@ -304,15 +270,15 @@ impl Shared {
                 .queue_depth
                 .store(q.pending.len() as u64, std::sync::atomic::Ordering::Relaxed);
             drop(q);
-            self.close_window(batch, threads);
+            self.route_batch(batch, threads);
         }
     }
 
-    /// Routes one closed window and replies per request. A window may
-    /// mix fresh routes and ECO reroutes: each kind goes through its
-    /// own batch-driver call and the replies are reassembled in the
-    /// window's arrival order.
-    fn close_window(&self, batch: Vec<Pending>, threads: usize) {
+    /// Routes one batch and replies per request. A batch may mix fresh
+    /// routes and ECO reroutes: each kind goes through its own
+    /// batch-driver call and the replies are reassembled in the batch's
+    /// arrival order.
+    fn route_batch(&self, batch: Vec<Pending>, threads: usize) {
         if batch.is_empty() {
             return;
         }
@@ -351,7 +317,7 @@ impl Shared {
                 results[slot] = Some(result);
             }
         }
-        // Fold the window's wall time into the drain-rate EWMA that
+        // Fold the batch's wall time into the drain-rate EWMA that
         // admission control prices rejections with.
         let per_net_ns = u64::try_from(
             started.elapsed().as_nanos() / batch.len() as u128,
@@ -366,7 +332,7 @@ impl Shared {
             old - old / 4 + per_net_ns / 4
         };
         self.drain_ns_per_net.store(blended.max(1), ordering);
-        // Window counters and queue waits are recorded under the report
+        // Batch counters and queue waits are recorded under the report
         // lock that `/metrics` renders under, so one scrape always sees
         // as many queue-wait samples as batched nets.
         let mut report = lock(&self.report);
@@ -392,7 +358,7 @@ impl Shared {
                 Ok(()) => {}
                 // The client stopped draining replies: drop the reply
                 // and close its connection rather than park the batcher
-                // (every other window would pay for one slow peer). The
+                // (every other batch would pay for one slow peer). The
                 // crash-only contract holds — the request is not
                 // answered, but its connection is visibly closed.
                 Err(mpsc::TrySendError::Full(_)) => {
@@ -666,7 +632,7 @@ pub(crate) fn http_route(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> Vec
 }
 
 /// The HTTP adapter's ECO verb (`POST /reroute`): same admission, same
-/// coalescing windows as the socket protocol's reroute frames.
+/// batches as the socket protocol's reroute frames.
 pub(crate) fn http_reroute(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> Vec<u8> {
     let request = match parse_reroute_request(body) {
         Ok(r) => r,
@@ -986,7 +952,7 @@ impl Server {
         &self.shared.engine
     }
 
-    /// Starts draining: no new admissions, in-flight windows and
+    /// Starts draining: no new admissions, the batch in flight and
     /// everything already queued still complete. Idempotent.
     pub fn begin_shutdown(&self) {
         {
@@ -1159,31 +1125,31 @@ mod tests {
     /// queue actually takes to drain, not a constant.
     #[test]
     fn retry_after_is_monotone_in_occupancy_and_drain_time() {
-        // Cold start (no window closed yet) falls back to the config
-        // hint, floored at 1 ms so "retry immediately" is never sent.
-        assert_eq!(computed_retry_after_ms(1024, 0, 5), 5);
-        assert_eq!(computed_retry_after_ms(0, 0, 0), 1);
+        // Cold start (no batch routed yet) sends the fixed hint.
+        assert_eq!(computed_retry_after_ms(1024, 0), COLD_START_RETRY_AFTER_MS);
         // 100 queued × 1 ms/net = 100 ms.
-        assert_eq!(computed_retry_after_ms(100, 1_000_000, 5), 100);
-        // Sub-millisecond drains round up, never to zero.
-        assert_eq!(computed_retry_after_ms(1, 10_000, 5), 1);
+        assert_eq!(computed_retry_after_ms(100, 1_000_000), 100);
+        // Sub-millisecond drains round up, never to zero, so "retry
+        // immediately" is never sent.
+        assert_eq!(computed_retry_after_ms(1, 10_000), 1);
+        assert_eq!(computed_retry_after_ms(0, 10_000), 1);
         // Monotone in occupancy at a fixed drain rate…
         let mut last = 0;
         for occupancy in [1, 4, 64, 512, 4096] {
-            let hint = computed_retry_after_ms(occupancy, 250_000, 5);
+            let hint = computed_retry_after_ms(occupancy, 250_000);
             assert!(hint >= last, "occupancy {occupancy}: {hint} < {last}");
             last = hint;
         }
         // …and in drain time at a fixed occupancy.
         let mut last = 0;
         for drain_ns in [1_000, 50_000, 1_000_000, 20_000_000] {
-            let hint = computed_retry_after_ms(64, drain_ns, 5);
+            let hint = computed_retry_after_ms(64, drain_ns);
             assert!(hint >= last, "drain {drain_ns}: {hint} < {last}");
             last = hint;
         }
         // The documented cap bounds even pathological backlogs.
         assert_eq!(
-            computed_retry_after_ms(1_000_000, u64::MAX, 5),
+            computed_retry_after_ms(1_000_000, u64::MAX),
             RETRY_AFTER_CAP_MS
         );
     }

@@ -1,18 +1,19 @@
-//! End-to-end tests for the serve daemon: coalescing determinism,
-//! admission-control backpressure, virtual-clock drain semantics, and
-//! the HTTP adapter. Every test that needs to control time runs the
-//! engine on a [`VirtualClock`], under which a coalescing window can
-//! only close by `max_batch` or by drain — so the tests stage exact
+//! End-to-end tests for the serve daemon: batching determinism,
+//! admission-control backpressure, drain semantics, and the HTTP
+//! adapter. A test that needs requests to wait in the queue parks the
+//! batcher on a [`GateClock`] and stages the queue behind it — exact
 //! interleavings with zero sleeps and zero race-prone timing.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use patlabor::resilience::splitmix64;
-use patlabor::{DeltaKind, Engine, LutBuilder, Net, NetDelta, ResilienceConfig, VirtualClock};
+use patlabor::{
+    Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, ResilienceConfig, VirtualClock,
+};
 use patlabor_serve::{
     http_post_reroute, http_post_route, scrape_metrics, serve, Json, RerouteRequest, RouteClient,
-    RouteRequest, ServeConfig,
+    RouteRequest, ServeConfig, Server,
 };
 
 fn test_engine() -> Engine {
@@ -52,7 +53,83 @@ fn wait_for(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// Any interleaving of concurrent clients through the coalescer must
+/// A clock whose `now()` counts its calls and blocks every caller until
+/// the test opens it; time never passes. On the serving path the engine
+/// clock is read only when a request with a deadline starts its budget,
+/// so one such request parks the batcher inside its route, and requests
+/// without a deadline never block.
+#[derive(Debug, Default)]
+struct GateClock {
+    /// `(reads, open)`.
+    state: Mutex<(u64, bool)>,
+    opened: Condvar,
+}
+
+impl GateClock {
+    fn reads(&self) -> u64 {
+        self.state.lock().unwrap().0
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Clock for GateClock {
+    fn now(&self) -> Duration {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        while !state.1 {
+            state = self.opened.wait(state).unwrap();
+        }
+        Duration::ZERO
+    }
+
+    fn advance(&self, _by: Duration) {}
+}
+
+/// Opens the gate when dropped, so a failing assertion unwinds into a
+/// server that can still drain instead of hanging on a parked batcher.
+/// Declare it after the server: locals drop in reverse order.
+struct OpenOnDrop(Arc<GateClock>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// Sends the plug, a tabulated-degree request with an hour-long
+/// deadline, and waits until the batcher is parked inside its route on
+/// the gate. Requests sent after this queue behind it.
+fn send_plug(client: &mut RouteClient, gate: &GateClock, id: u64) {
+    let net = suite(0x9106, 16)
+        .into_iter()
+        .find(|n| n.degree() >= 3)
+        .expect("degree-3 net");
+    client
+        .send(&RouteRequest {
+            id,
+            net,
+            deadline_ms: Some(3_600_000),
+        })
+        .expect("send plug");
+    assert!(
+        wait_for(Duration::from_secs(10), || gate.reads() >= 1),
+        "the plug never reached the engine clock"
+    );
+}
+
+/// A server over `test_engine()` on a fresh gate clock.
+fn gated_server(config: ServeConfig) -> (Engine, Arc<GateClock>, Server) {
+    let gate = Arc::new(GateClock::default());
+    let engine = test_engine().with_clock(Arc::clone(&gate) as Arc<dyn Clock>);
+    let server = serve(engine.clone(), config).expect("bind");
+    (engine, gate, server)
+}
+
+/// Any interleaving of concurrent clients through the batcher must
 /// produce exactly the frontiers the in-process router produces.
 #[test]
 fn coalesced_replies_match_direct_route_under_concurrency() {
@@ -60,9 +137,7 @@ fn coalesced_replies_match_direct_route_under_concurrency() {
     let server = serve(
         engine.clone(),
         ServeConfig {
-            // A real coalescing window on the system clock: batches
-            // form from whatever several threads land together.
-            window: Duration::from_millis(2),
+            // Batches form from whatever several threads have queued.
             max_batch: 8,
             ..ServeConfig::default()
         },
@@ -121,24 +196,18 @@ fn coalesced_replies_match_direct_route_under_concurrency() {
 /// and `retry_after_ms`; what was admitted still completes at drain.
 #[test]
 fn backpressure_rejects_beyond_queue_depth() {
-    let clock = Arc::new(VirtualClock::new());
-    let engine = test_engine().with_clock(clock);
-    let server = serve(
-        engine.clone(),
-        ServeConfig {
-            // The window is an hour of *virtual* time: it never closes
-            // on its own, so the queue must absorb or reject every
-            // request we pipeline.
-            window: Duration::from_secs(3600),
-            max_batch: 64,
-            queue_depth: 2,
-            retry_after_ms: 7,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+    const PLUG: u64 = 10;
+    let (_engine, gate, server) = gated_server(ServeConfig {
+        max_batch: 64,
+        queue_depth: 2,
+        ..ServeConfig::default()
+    });
+    let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
 
+    // With the batcher parked on the plug, the queue must absorb or
+    // reject every request we pipeline.
     let mut client = RouteClient::connect(server.addr()).expect("connect");
+    send_plug(&mut client, &gate, PLUG);
     let nets = suite(0xBAC4, 10);
     for (i, net) in nets.iter().enumerate() {
         client
@@ -158,22 +227,24 @@ fn backpressure_rejects_beyond_queue_depth() {
         "expected 8 overload rejections, saw {}",
         patlabor_serve::Metrics::get(&metrics.rejected)
     );
-    assert_eq!(patlabor_serve::Metrics::get(&metrics.requests), 2);
+    assert_eq!(patlabor_serve::Metrics::get(&metrics.requests), 3);
 
-    // Rejections arrive immediately; the 2 admitted replies only
-    // arrive once shutdown drains the never-closing window.
+    // Rejections arrive immediately; the admitted replies only arrive
+    // once the plug's route is released.
     server.begin_shutdown();
+    gate.open();
     let mut ok = Vec::new();
     let mut overloaded = Vec::new();
-    for _ in 0..nets.len() {
+    for _ in 0..=nets.len() {
         let reply = client.recv().expect("recv").expect("reply");
         let id = reply.get("id").and_then(Json::as_u64).expect("id");
         match reply.get("error").and_then(Json::as_str) {
             None => ok.push(id),
             Some("overloaded") => {
+                // No batch had been routed yet: the cold-start hint.
                 assert_eq!(
                     reply.get("retry_after_ms").and_then(Json::as_u64),
-                    Some(7),
+                    Some(5),
                     "overload rejections must carry the retry hint"
                 );
                 overloaded.push(id);
@@ -183,32 +254,32 @@ fn backpressure_rejects_beyond_queue_depth() {
     }
     ok.sort_unstable();
     overloaded.sort_unstable();
-    assert_eq!(ok, vec![0, 1], "the first two requests fill the queue");
+    assert_eq!(
+        ok,
+        vec![0, 1, PLUG],
+        "the first two requests fill the queue"
+    );
     assert_eq!(overloaded, (2..10).collect::<Vec<u64>>());
 
     let summary = server.shutdown();
-    assert_eq!(summary.report.nets, 2);
+    assert_eq!(summary.report.nets, 3);
     assert_eq!(summary.rejected, 8);
 }
 
-/// Graceful shutdown drains in-flight coalescing windows: requests
-/// parked in a window that virtual time can never close are still
-/// answered, bit-identical to direct routing, before the server exits.
+/// Graceful shutdown drains the queue: requests parked behind a
+/// batcher that cannot finish its batch are still answered,
+/// bit-identical to direct routing, before the server exits.
 #[test]
-fn shutdown_drains_inflight_windows_on_a_virtual_clock() {
-    let clock = Arc::new(VirtualClock::new());
-    let engine = test_engine().with_clock(clock);
-    let server = serve(
-        engine.clone(),
-        ServeConfig {
-            window: Duration::from_secs(3600),
-            max_batch: 64,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+fn shutdown_drains_queued_requests_on_a_gated_clock() {
+    const PLUG: u64 = 1_000;
+    let (engine, gate, server) = gated_server(ServeConfig {
+        max_batch: 64,
+        ..ServeConfig::default()
+    });
+    let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
+    send_plug(&mut client, &gate, PLUG);
     let nets = suite(0xD4A1, 12);
     for (i, net) in nets.iter().enumerate() {
         client
@@ -222,14 +293,18 @@ fn shutdown_drains_inflight_windows_on_a_virtual_clock() {
     let metrics = server.metrics();
     assert!(
         wait_for(Duration::from_secs(10), || {
-            patlabor_serve::Metrics::get(&metrics.requests) == 12
+            patlabor_serve::Metrics::get(&metrics.requests) == 13
         }),
         "requests never reached the queue"
     );
-    // Nothing can have been answered: the window cannot close.
+    // Nothing can have been answered: the plug's batch cannot finish.
     assert_eq!(patlabor_serve::Metrics::get(&metrics.batches), 0);
 
     server.begin_shutdown();
+    gate.open();
+    let plug = client.recv().expect("recv").expect("plug reply");
+    assert_eq!(plug.get("id").and_then(Json::as_u64), Some(PLUG));
+    assert_eq!(plug.get("ok").and_then(Json::as_bool), Some(true));
     for (i, net) in nets.iter().enumerate() {
         let reply = client.recv().expect("recv").expect("reply");
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i as u64));
@@ -242,10 +317,10 @@ fn shutdown_drains_inflight_windows_on_a_virtual_clock() {
     // After the drain the server hangs up cleanly.
     assert!(client.recv().expect("recv after drain").is_none());
 
-    // Exactly one window carried everything.
-    assert_eq!(patlabor_serve::Metrics::get(&metrics.batches), 1);
+    // The plug's batch, then one batch carrying everything queued.
+    assert_eq!(patlabor_serve::Metrics::get(&metrics.batches), 2);
     let summary = server.shutdown();
-    assert_eq!(summary.report.nets, 12);
+    assert_eq!(summary.report.nets, 13);
     assert_eq!(summary.report.errors, 0);
     assert_eq!(summary.rejected, 0);
 }
@@ -254,14 +329,7 @@ fn shutdown_drains_inflight_windows_on_a_virtual_clock() {
 /// connection: the next valid request on the same socket still routes.
 #[test]
 fn malformed_frames_do_not_poison_the_connection() {
-    let server = serve(
-        test_engine(),
-        ServeConfig {
-            window: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = serve(test_engine(), ServeConfig::default()).expect("bind");
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
     client.send_raw(b"this is not json").expect("send raw");
@@ -297,8 +365,7 @@ fn impossible_deadline_degrades_but_answers() {
     let server = serve(
         engine,
         ServeConfig {
-            window: Duration::from_secs(3600),
-            max_batch: 1, // close each window immediately by count
+            max_batch: 1, // one request per batch
             ..ServeConfig::default()
         },
     )
@@ -331,28 +398,23 @@ fn impossible_deadline_degrades_but_answers() {
     assert_eq!(summary.report.deadline_hits, 1);
 }
 
-/// ECO reroute frames share the coalescing windows with fresh routes:
-/// a mixed window answers both, and a class-preserving edit whose base
-/// was routed in the same window replays (`"source": "reused"`) —
-/// fresh sub-batches close before delta sub-batches, so the winners
-/// are already resident.
+/// ECO reroute frames share batches with fresh routes: a mixed batch
+/// answers both, and a class-preserving edit whose base was routed in
+/// the same batch replays (`"source": "reused"`) — fresh sub-batches
+/// route before delta sub-batches, so the winners are already resident.
 #[test]
-fn reroute_frames_replay_in_mixed_windows() {
-    let clock = Arc::new(VirtualClock::new());
-    let engine = test_engine().with_clock(clock);
-    let server = serve(
-        engine.clone(),
-        ServeConfig {
-            // Virtual time never closes the window; the 4th request
-            // does, making the mixed window deterministic.
-            window: Duration::from_secs(3600),
-            max_batch: 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+fn reroute_frames_replay_in_mixed_batches() {
+    const PLUG: u64 = 100;
+    let (engine, gate, server) = gated_server(ServeConfig {
+        // All four staged requests fit one batch, making the mixed
+        // batch deterministic.
+        max_batch: 4,
+        ..ServeConfig::default()
+    });
+    let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
+    send_plug(&mut client, &gate, PLUG);
     let nets: Vec<Net> = suite(0x44, 24)
         .into_iter()
         .filter(|n| (3..=4).contains(&n.degree()))
@@ -372,7 +434,17 @@ fn reroute_frames_replay_in_mixed_windows() {
             deadline_ms: None,
         })
         .expect("send reroute");
+    let metrics = server.metrics();
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            patlabor_serve::Metrics::get(&metrics.requests) == 5
+        }),
+        "requests never reached the queue"
+    );
+    gate.open();
 
+    let plug = client.recv().expect("recv").expect("plug reply");
+    assert_eq!(plug.get("id").and_then(Json::as_u64), Some(PLUG));
     let mut replies = Vec::new();
     for _ in 0..4 {
         replies.push(client.recv().expect("recv").expect("reply"));
@@ -397,12 +469,15 @@ fn reroute_frames_replay_in_mixed_windows() {
     );
 
     assert_eq!(
-        patlabor_serve::Metrics::get(&server.metrics().batches),
-        1,
-        "one mixed window carried all four requests"
+        (
+            patlabor_serve::Metrics::get(&metrics.batches),
+            patlabor_serve::Metrics::get(&metrics.batched_nets),
+        ),
+        (2, 5),
+        "the plug's batch, then one mixed batch carrying all four requests"
     );
     let summary = server.shutdown();
-    assert_eq!(summary.report.nets, 4);
+    assert_eq!(summary.report.nets, 5);
     assert_eq!(summary.report.errors, 0);
 }
 
@@ -415,7 +490,6 @@ fn http_reroute_replays_after_a_route() {
         engine.clone(),
         ServeConfig {
             http_addr: Some("127.0.0.1:0".to_string()),
-            window: Duration::ZERO,
             ..ServeConfig::default()
         },
     )
@@ -467,7 +541,6 @@ fn http_adapter_serves_metrics_and_routes() {
         engine.clone(),
         ServeConfig {
             http_addr: Some("127.0.0.1:0".to_string()),
-            window: Duration::ZERO,
             ..ServeConfig::default()
         },
     )
@@ -530,7 +603,6 @@ fn mid_frame_stall_evicts_without_blocking_drain() {
     let server = serve(
         test_engine(),
         ServeConfig {
-            window: Duration::ZERO,
             read_stall: Duration::from_millis(100),
             ..ServeConfig::default()
         },
@@ -591,7 +663,6 @@ fn torn_frame_corpus_never_wedges_either_transport() {
         test_engine(),
         ServeConfig {
             http_addr: Some("127.0.0.1:0".to_string()),
-            window: Duration::ZERO,
             read_stall: Duration::from_millis(100),
             ..ServeConfig::default()
         },
@@ -662,7 +733,7 @@ fn hot_reload_over_the_wire_swaps_and_rejects() {
     engine.table().save(&path).expect("save table");
     let server = serve(
         engine.clone(),
-        ServeConfig { window: Duration::ZERO, ..ServeConfig::default() },
+        ServeConfig::default(),
     )
     .expect("bind");
 
@@ -728,7 +799,6 @@ fn full_reply_buffer_evicts_instead_of_blocking() {
     let server = serve(
         test_engine(),
         ServeConfig {
-            window: Duration::ZERO,
             reply_buffer: 1,
             chaos,
             ..ServeConfig::default()
@@ -739,9 +809,12 @@ fn full_reply_buffer_evicts_instead_of_blocking() {
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
     for (i, net) in suite(0x99, 6).iter().enumerate() {
-        client
-            .send(&RouteRequest { id: i as u64, net: net.clone(), deadline_ms: None })
-            .expect("send");
+        // The eviction closes the socket, and it can land before the
+        // last frames are sent; a failed send is that close.
+        let request = RouteRequest { id: i as u64, net: net.clone(), deadline_ms: None };
+        if client.send(&request).is_err() {
+            break;
+        }
     }
     // Reply 1 parks the writer in the injected stall, reply 2 fills
     // the buffer, some later reply must find it full and evict.
@@ -772,7 +845,6 @@ fn drain_under_chaos_keeps_the_ledger_balanced() {
     let server = serve(
         test_engine(),
         ServeConfig {
-            window: Duration::from_millis(1),
             read_stall: Duration::from_millis(500),
             write_timeout: Duration::from_millis(500),
             chaos,
@@ -870,7 +942,6 @@ fn metrics_and_shutdown_report_are_one_tally() {
     let server = serve(
         engine,
         ServeConfig {
-            window: Duration::ZERO,
             http_addr: Some("127.0.0.1:0".to_string()),
             ..ServeConfig::default()
         },

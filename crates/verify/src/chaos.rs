@@ -150,7 +150,6 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
     let server = serve(
         engine,
         ServeConfig {
-            window: Duration::from_millis(1),
             read_stall: Duration::from_millis(500),
             write_timeout: Duration::from_millis(500),
             chaos,

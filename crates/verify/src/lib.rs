@@ -476,8 +476,7 @@ impl Harness {
         // The served-vs-direct pair: one daemon for the whole run,
         // serving the table under test with the cache disabled on both
         // sides (so wire and direct replies are pure functions of the
-        // net and can be demanded byte-identical). Zero coalescing
-        // window — transport is under test here, not batching.
+        // net and can be demanded byte-identical).
         let serve_failure = |detail: String| Counterexample {
             pair: PathPair::ServedVsDirect,
             ..roundtrip_failure(detail)
@@ -488,7 +487,6 @@ impl Harness {
             serve_engine.clone(),
             ServeConfig {
                 threads: 1,
-                window: Duration::ZERO,
                 http_addr: None,
                 ..ServeConfig::default()
             },
