@@ -36,20 +36,5 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_serialization(c: &mut Criterion) {
-    let table = LutBuilder::new(5).build();
-    let mut bytes = Vec::new();
-    table.write_to(&mut bytes).expect("in-memory write");
-    c.bench_function("lut_roundtrip_lambda5", |b| {
-        b.iter(|| {
-            let mut buf = Vec::new();
-            table.write_to(&mut buf).expect("write");
-            std::hint::black_box(
-                patlabor_lut::LookupTable::read_from(buf.as_slice()).expect("read"),
-            )
-        })
-    });
-}
-
-criterion_group!(benches, bench_generation, bench_query, bench_serialization);
+criterion_group!(benches, bench_generation, bench_query);
 criterion_main!(benches);

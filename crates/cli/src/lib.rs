@@ -6,9 +6,10 @@
 //!
 //! * `patlabor route <nets.txt>` — route a net list, print each net's
 //!   Pareto frontier (optionally picking one tree per delay budget);
-//! * `patlabor lut build --lambda L [--format v4] -o tables.plut` —
-//!   generate mmap-serveable v4 lookup tables offline (also the migration
-//!   path for pre-v4 table files);
+//! * `patlabor lut build --lambda L -o tables.plut` — generate
+//!   mmap-serveable v4 lookup tables offline (also the migration path for
+//!   pre-v4 table files). The file is written beside the target and
+//!   renamed over it, so a daemon serving the old file is undisturbed;
 //! * `patlabor lut info <tables.plut>` — format version, section layout
 //!   and checksum status, per-degree Table II statistics and arena sizes.
 //!
@@ -612,7 +613,7 @@ pub fn gen_tables_command(lambda: u8, output: &str) -> Result<String, CliError> 
 /// # Errors
 ///
 /// Propagates loading problems as [`CliError::Table`]; a v3 file errors
-/// with the `lut build --format v4` migration path.
+/// with the `lut build` migration path.
 pub fn stats_command(path: &str) -> Result<String, CliError> {
     let as_table_err = |e: patlabor_lut::ReadTableError| CliError::Table {
         path: path.to_string(),
@@ -757,16 +758,6 @@ pub fn lut_command(args: &[String]) -> Result<String, CliError> {
                         );
                     }
                     "-o" | "--output" => output = Some(next_value(&mut it, "-o")?),
-                    "--format" => {
-                        let format = next_value(&mut it, "--format")?;
-                        if format != "v4" && format != "4" {
-                            return Err(usage_error(format!(
-                                "--format {format} is not writable; this build emits \
-                                 the mmap-serveable v4 layout only (pre-v4 readers \
-                                 must upgrade, v4 files cannot be downgraded)"
-                            )));
-                        }
-                    }
                     other => return Err(usage_error(format!("unknown flag {other}"))),
                 }
             }
@@ -981,7 +972,7 @@ USAGE:
   patlabor serve [--lambda L] [--tables FILE] [--addr HOST:PORT]
                  [--http-addr HOST:PORT | --no-http] [--threads T]
                  [--max-batch N] [--queue-depth N] [--deadline-ms MS]
-  patlabor lut build --lambda L [--format v4] -o FILE
+  patlabor lut build --lambda L -o FILE
   patlabor lut info FILE
   patlabor verify [--seed N] [--nets N] [--lambda L] [--tables FILE]
                   [--max-degree D] [--threads T] [--span S]
@@ -1629,11 +1620,8 @@ mod tests {
     }
 
     #[test]
-    fn lut_build_format_flag() {
-        let dir = std::env::temp_dir().join("patlabor_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lut3v4.plut").to_string_lossy().into_owned();
-        let msg = run(&[
+    fn lut_build_has_no_format_flag() {
+        let err = run(&[
             "lut".into(),
             "build".into(),
             "--lambda".into(),
@@ -1641,23 +1629,13 @@ mod tests {
             "--format".into(),
             "v4".into(),
             "-o".into(),
-            path.clone(),
-        ])
-        .unwrap();
-        assert!(msg.contains("lambda=3"));
-        std::fs::remove_file(&path).ok();
-        let err = run(&[
-            "lut".into(),
-            "build".into(),
-            "--lambda".into(),
-            "3".into(),
-            "--format".into(),
-            "v3".into(),
-            "-o".into(),
-            path.clone(),
+            "/tmp/never-written.plut".into(),
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("v4"), "error was: {err}");
+        assert!(
+            err.to_string().contains("unknown flag --format"),
+            "error was: {err}"
+        );
     }
 
     #[test]
@@ -1673,7 +1651,10 @@ mod tests {
         let err = run(&["lut".into(), "info".into(), path.clone()]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unsupported table version 3"), "was: {msg}");
-        assert!(msg.contains("--format v4"), "was: {msg}");
+        assert!(
+            msg.contains("patlabor lut build --lambda <L> -o <FILE>"),
+            "was: {msg}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -943,11 +943,14 @@ fn run_rung<T>(
 }
 
 /// Every cost must equal its witness tree's recomputed objectives; a
-/// corrupted cost row breaks exactly this invariant.
+/// corrupted cost row breaks exactly this invariant. The frontier must
+/// also be non-empty: every net has at least one tree, so a table that
+/// yields no survivors is damaged, not exact.
 pub(crate) fn frontier_consistent(frontier: &ParetoSet<RoutingTree>) -> bool {
-    frontier
-        .iter()
-        .all(|(c, t)| (c.wirelength, c.delay) == t.objectives())
+    !frontier.is_empty()
+        && frontier
+            .iter()
+            .all(|(c, t)| (c.wirelength, c.delay) == t.objectives())
 }
 
 /// The corrupted-row injection: shift the first cost off its witness.
@@ -1217,10 +1220,12 @@ mod tests {
 
     #[test]
     fn engine_from_loaded_table() {
-        let table = LutBuilder::new(4).threads(2).build();
-        let mut buf = Vec::new();
-        table.write_to(&mut buf).unwrap();
-        let loaded = LookupTable::read_from(buf.as_slice()).unwrap();
+        let dir = std::env::temp_dir().join("patlabor_engine_reload_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("loaded.plut");
+        LutBuilder::new(4).threads(2).build().save(&path).unwrap();
+        let loaded = LookupTable::open_mmap(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let engine = Engine::with_table(loaded);
         let net = Net::new(vec![
             Point::new(0, 0),
@@ -1370,6 +1375,45 @@ mod tests {
         let exact = numeric::pareto_frontier(&net, &DwConfig::default());
         assert_eq!(outcome.frontier.cost_vec(), exact.cost_vec());
         assert!(frontier_consistent(&outcome.frontier));
+    }
+
+    #[test]
+    fn empty_frontier_is_not_consistent() {
+        assert!(!frontier_consistent(&ParetoSet::new()));
+    }
+
+    #[test]
+    fn table_rewritten_under_its_mapping_falls_through_to_numeric_dw() {
+        // A served file overwritten in place (not replaced by rename)
+        // keeps its mapping but reads zeros past the new end of file: the
+        // pattern index (built at open) still finds the key, the zeroed
+        // offsets yield no candidates, and the LUT rung's frontier is
+        // empty. The λ=4 table fits in one page, so the mapping never
+        // reaches past the file's last page.
+        let dir = std::env::temp_dir().join("patlabor_engine_reload_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rewritten.plut");
+        LutBuilder::new(4).threads(2).build().save(&path).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() <= 4096);
+        let engine = Engine::with_table(LookupTable::open_mmap(&path).unwrap());
+        std::fs::write(&path, b"not a lookup table").unwrap();
+
+        let net = Net::new(vec![
+            Point::new(0, 0),
+            Point::new(7, 3),
+            Point::new(2, 9),
+            Point::new(8, 8),
+        ])
+        .unwrap();
+        let outcome = engine.route(&net).unwrap();
+        assert_eq!(outcome.provenance.source, RouteSource::NumericDw);
+        assert!(outcome
+            .provenance
+            .trace
+            .contains(Rung::Lut, RungOutcome::CorruptRow));
+        let exact = numeric::pareto_frontier(&net, &DwConfig::default());
+        assert_eq!(outcome.frontier.cost_vec(), exact.cost_vec());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

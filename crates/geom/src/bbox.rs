@@ -20,7 +20,6 @@ use crate::Point;
 /// assert!(bb.contains(Point::new(2, 3)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundingBox {
     lo: Point,
     hi: Point,

@@ -10,7 +10,6 @@ use crate::{Net, Point};
 
 /// A node of a [`HananGrid`], addressed by column and row index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridNode {
     /// Column index into the sorted x coordinates.
     pub col: u16,
@@ -31,7 +30,6 @@ impl GridNode {
 /// realized as an L-shaped (or straight) rectilinear connection of length
 /// `‖a − b‖₁`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridEdge {
     /// One endpoint.
     pub a: GridNode,

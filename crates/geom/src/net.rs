@@ -24,7 +24,6 @@ use crate::{BoundingBox, Point};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Net {
     pins: Vec<Point>,
 }

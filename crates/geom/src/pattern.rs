@@ -16,7 +16,6 @@ use crate::{HananGrid, Net, Transform, ALL_TRANSFORMS};
 /// nodes live in pattern space (always `n` columns and rows, `u8` indices)
 /// while grid nodes live on a concrete net's Hanan grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RankNode {
     /// Column rank, `0 ≤ col < n`.
     pub col: u8,
@@ -36,7 +35,6 @@ impl RankNode {
 /// Encodes `(n, source column, Lehmer code of the y-permutation)` into a
 /// `u64`; patterns of the same degree are densely comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PatternKey(u64);
 
 impl PatternKey {
@@ -65,7 +63,6 @@ impl PatternKey {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pattern {
     n: u8,
     /// `yperm[c]` = row rank of the pin in column `c`.

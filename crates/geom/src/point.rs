@@ -18,7 +18,6 @@ use std::fmt;
 /// assert_eq!(a.l1(b), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: i64,

@@ -13,7 +13,6 @@ use crate::pattern::RankNode;
 /// flips*: `T(p) = flip(swap(p))`. All eight combinations of the three
 /// booleans enumerate the whole group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transform {
     /// Swap x and y first (reflection across the main diagonal).
     pub swap: bool,

@@ -36,9 +36,8 @@
 //! maps the file, verifies the checksum and every structural invariant
 //! once, and then borrows the CSR arenas straight out of the mapping —
 //! shared read-only across threads and processes from the page cache.
-//! [`LookupTable::read_from`] remains the owned path: a streaming parse
-//! that copies the arenas into `Vec`s (the v3-style full parse, and the
-//! open-latency baseline the `lut_serving` bench measures mmap against).
+//! It is the only reader: [`TableInfo::read`] shares its header and
+//! section-table parse.
 //!
 //! The checksum retains FNV-1a as its primitive but stripes it across 8
 //! interleaved lanes of 8-byte little-endian words ([`fnv1a64_striped`]):
@@ -54,7 +53,7 @@
 //! zero-padding injective.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use crate::arena::Arena;
@@ -86,80 +85,30 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// Incremental 8-lane word-striped FNV-1a (see the module docs for the
-/// exact scheme). The incremental form buffers up to one 64-byte block so
-/// arbitrarily-sized updates — the streaming parse hashes as few as two
-/// bytes at a time — produce the same digest as the one-shot
-/// [`fnv1a64_striped`].
-pub(crate) struct StripedHasher {
-    lanes: [u64; 8],
-    buf: [u8; 64],
-    buffered: usize,
-    len: u64,
+/// The lane step of the striped checksum: folds one 64-byte block into
+/// the eight lane states.
+#[inline]
+fn fold_block(lanes: &mut [u64; 8], block: &[u8]) {
+    for i in 0..8 {
+        let w = u64::from_le_bytes(block[8 * i..8 * (i + 1)].try_into().expect("8 bytes"));
+        lanes[i] = (lanes[i] ^ w).wrapping_mul(FNV_PRIME);
+    }
 }
 
-impl StripedHasher {
-    pub(crate) fn new() -> StripedHasher {
-        StripedHasher {
-            lanes: [FNV_OFFSET; 8],
-            buf: [0; 64],
-            buffered: 0,
-            len: 0,
-        }
+/// Folds the zero-padded trailing partial block, then the lane states and
+/// the payload length, into the final digest.
+fn finalize(mut lanes: [u64; 8], partial: &[u8], len: u64) -> u64 {
+    if !partial.is_empty() {
+        let mut block = [0u8; 64];
+        block[..partial.len()].copy_from_slice(partial);
+        fold_block(&mut lanes, &block);
     }
-
-    #[inline]
-    fn fold_block(lanes: &mut [u64; 8], block: &[u8]) {
-        for i in 0..8 {
-            let w = u64::from_le_bytes(block[8 * i..8 * (i + 1)].try_into().expect("8 bytes"));
-            lanes[i] = (lanes[i] ^ w).wrapping_mul(FNV_PRIME);
-        }
+    let mut tail = [0u8; 72];
+    for (i, lane) in lanes.iter().enumerate() {
+        tail[8 * i..8 * (i + 1)].copy_from_slice(&lane.to_le_bytes());
     }
-
-    fn finalize(mut lanes: [u64; 8], partial: &[u8], len: u64) -> u64 {
-        if !partial.is_empty() {
-            let mut block = [0u8; 64];
-            block[..partial.len()].copy_from_slice(partial);
-            Self::fold_block(&mut lanes, &block);
-        }
-        let mut tail = [0u8; 72];
-        for (i, lane) in lanes.iter().enumerate() {
-            tail[8 * i..8 * (i + 1)].copy_from_slice(&lane.to_le_bytes());
-        }
-        tail[64..72].copy_from_slice(&len.to_le_bytes());
-        fnv1a64(&tail)
-    }
-
-    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        if self.buffered > 0 {
-            let take = (64 - self.buffered).min(bytes.len());
-            self.buf[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
-            self.buffered += take;
-            bytes = &bytes[take..];
-            if self.buffered < 64 {
-                return;
-            }
-            let mut lanes = self.lanes;
-            Self::fold_block(&mut lanes, &{ self.buf });
-            self.lanes = lanes;
-            self.buffered = 0;
-        }
-        let chunks = bytes.chunks_exact(64);
-        let rem = chunks.remainder();
-        // Local copy keeps the lane states in registers through the loop.
-        let mut lanes = self.lanes;
-        for block in chunks {
-            Self::fold_block(&mut lanes, block);
-        }
-        self.lanes = lanes;
-        self.buf[..rem.len()].copy_from_slice(rem);
-        self.buffered = rem.len();
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        Self::finalize(self.lanes, &self.buf[..self.buffered], self.len)
-    }
+    tail[64..72].copy_from_slice(&len.to_le_bytes());
+    fnv1a64(&tail)
 }
 
 /// One-shot word-striped FNV-1a 64 (the v4 payload checksum). This is
@@ -170,24 +119,23 @@ pub fn fnv1a64_striped(bytes: &[u8]) -> u64 {
     let chunks = bytes.chunks_exact(64);
     let rem = chunks.remainder();
     for block in chunks {
-        StripedHasher::fold_block(&mut lanes, block);
+        fold_block(&mut lanes, block);
     }
-    StripedHasher::finalize(lanes, rem, bytes.len() as u64)
+    finalize(lanes, rem, bytes.len() as u64)
 }
 
-/// Error returned by [`LookupTable::read_from`] and
-/// [`LookupTable::open_mmap`].
+/// Error returned by [`LookupTable::open_mmap`] and [`TableInfo::read`].
 #[derive(Debug)]
 pub enum ReadTableError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream does not start with the `PLUT` magic.
+    /// The file does not start with the `PLUT` magic.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
     /// The payload checksum does not match its contents.
     BadChecksum {
-        /// Checksum stored in the stream.
+        /// Checksum stored in the header.
         stored: u64,
         /// Checksum computed over the payload actually read.
         computed: u64,
@@ -206,7 +154,7 @@ impl fmt::Display for ReadTableError {
                 f,
                 "unsupported table version {v} (this build reads v{VERSION}); \
                  regenerate the table with \
-                 `patlabor lut build --lambda <L> --format v4 -o <FILE>`"
+                 `patlabor lut build --lambda <L> -o <FILE>`"
             ),
             ReadTableError::BadChecksum { stored, computed } => write!(
                 f,
@@ -354,133 +302,43 @@ impl LookupTable {
         Ok(())
     }
 
-    /// Deserializes a table from any reader into **owned** arenas — the
-    /// full streaming parse (read, hash, copy, validate every element).
-    /// For zero-copy serving from a file, use [`LookupTable::open_mmap`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadTableError`] on I/O failure, version mismatch,
-    /// checksum mismatch or malformed content. Version ≤ 3 streams get a
-    /// [`ReadTableError::BadVersion`] pointing at the
-    /// `lut build --format v4` regeneration path — v3 arenas were written
-    /// unaligned and unpadded, so there is nothing to migrate in place.
-    pub fn read_from<R: Read>(mut r: R) -> Result<Self, ReadTableError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(ReadTableError::BadMagic);
-        }
-        let mut version = [0u8; 4];
-        r.read_exact(&mut version)?;
-        let version = u32::from_le_bytes(version);
-        if version != VERSION {
-            return Err(ReadTableError::BadVersion(version));
-        }
-        let mut rest = [0u8; HEADER_LEN - 8];
-        r.read_exact(&mut rest)?;
-        let mut header = [0u8; HEADER_LEN];
-        header[0..4].copy_from_slice(&magic);
-        header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        header[8..].copy_from_slice(&rest);
-        let (lambda, nsec, stored, file_len) = parse_header(&header)?;
-
-        let mut r = HashingReader::new(r);
-        let mut entry = [0u8; ENTRY_LEN];
-        let mut sections = Vec::with_capacity(nsec);
-        for _ in 0..nsec {
-            r.read_exact(&mut entry)?;
-            sections.push(parse_section_entry(&entry)?);
-        }
-        validate_section_table(lambda, &sections, file_len)?;
-
-        let mut tables: Vec<DegreeTable> =
-            (0..=lambda).map(|_| DegreeTable::default()).collect();
-        let mut consumed = HEADER_LEN + nsec * ENTRY_LEN;
-        for chunk in sections.chunks_exact(6) {
-            let d = chunk[0].degree;
-            let edge_off = read_u32_elems(&mut r, &chunk[0], &mut consumed)?;
-            let edges = read_u8_elems(&mut r, &chunk[1], &mut consumed)?;
-            let costs = read_u16_elems(&mut r, &chunk[2], &mut consumed)?;
-            let keys = read_u64_elems(&mut r, &chunk[3], &mut consumed)?;
-            let pat_off = read_u32_elems(&mut r, &chunk[4], &mut consumed)?;
-            let ids = read_u32_elems(&mut r, &chunk[5], &mut consumed)?;
-            validate_degree_arenas(d, &edge_off, &edges, &costs, &keys, &pat_off, &ids)?;
-            tables[d as usize] = DegreeTable::assemble(
-                d,
-                edge_off.into(),
-                edges.into(),
-                costs.into(),
-                keys.into(),
-                pat_off.into(),
-                ids.into(),
-            );
-        }
-        if consumed != file_len {
-            return Err(ReadTableError::Corrupt("file length mismatch"));
-        }
-        let computed = r.hasher.finish();
-        if stored != computed {
-            return Err(ReadTableError::BadChecksum { stored, computed });
-        }
-        Ok(LookupTable { lambda, tables })
-    }
-
     /// Opens a table **zero-copy**: the file is mapped read-only, the
     /// checksum and every structural invariant are verified once, and the
     /// CSR arenas then borrow the mapping directly — no parse, no copies,
     /// shared across threads (and across processes, via the page cache).
     ///
-    /// The returned table answers queries identically to one loaded with
-    /// [`LookupTable::load`]; only [`LookupTable::backing`] differs.
+    /// The returned table answers queries identically to the one it was
+    /// saved from; only [`LookupTable::backing`] differs.
     ///
     /// # Errors
     ///
     /// Returns [`ReadTableError`] on filesystem problems, version
     /// mismatch, checksum mismatch, or any malformed offset, count, index
     /// or alignment — all detected here, before any arena is served.
+    /// Version ≤ 3 files get a [`ReadTableError::BadVersion`] naming the
+    /// `lut build` regeneration command — v3 arenas were written
+    /// unaligned and unpadded, so there is nothing to migrate in place.
     pub fn open_mmap(path: impl AsRef<std::path::Path>) -> Result<Self, ReadTableError> {
         let map = Arc::new(Mapping::open(path.as_ref())?);
         let bytes = map.bytes();
-        if bytes.len() < 8 {
-            return Err(ReadTableError::Corrupt("file shorter than header"));
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(ReadTableError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ReadTableError::BadVersion(version));
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(ReadTableError::Corrupt("file shorter than header"));
-        }
-        let (lambda, nsec, stored, file_len) =
-            parse_header(bytes[..HEADER_LEN].try_into().expect("64 bytes"))?;
-        if file_len != bytes.len() {
+        let layout = Layout::parse(bytes)?;
+        if layout.file_len != bytes.len() {
             return Err(ReadTableError::Corrupt("file length mismatch"));
         }
         // Checksum before anything borrows: one striped scan of the body.
         let computed = fnv1a64_striped(&bytes[HEADER_LEN..]);
-        if stored != computed {
-            return Err(ReadTableError::BadChecksum { stored, computed });
+        if layout.checksum != computed {
+            return Err(ReadTableError::BadChecksum {
+                stored: layout.checksum,
+                computed,
+            });
         }
-        let table_end = HEADER_LEN + nsec * ENTRY_LEN;
-        if table_end > bytes.len() {
-            return Err(ReadTableError::Corrupt("section table escapes the file"));
-        }
-        let mut sections = Vec::with_capacity(nsec);
-        for i in 0..nsec {
-            let entry: &[u8; ENTRY_LEN] = bytes[HEADER_LEN + i * ENTRY_LEN..][..ENTRY_LEN]
-                .try_into()
-                .expect("32 bytes");
-            sections.push(parse_section_entry(entry)?);
-        }
-        validate_section_table(lambda, &sections, file_len)?;
+        validate_section_table(layout.lambda, &layout.sections, layout.file_len)?;
 
-        let mut tables: Vec<DegreeTable> =
-            (0..=lambda).map(|_| DegreeTable::default()).collect();
-        for chunk in sections.chunks_exact(6) {
+        let mut tables: Vec<DegreeTable> = (0..=layout.lambda)
+            .map(|_| DegreeTable::default())
+            .collect();
+        for chunk in layout.sections.chunks_exact(6) {
             let d = chunk[0].degree;
             let at = |i: usize| (chunk[i].offset as usize, chunk[i].count as usize);
             let (o0, c0) = at(0);
@@ -499,54 +357,106 @@ impl LookupTable {
             tables[d as usize] =
                 DegreeTable::assemble(d, edge_off, edges, costs, keys, pat_off, ids);
         }
-        Ok(LookupTable { lambda, tables })
+        Ok(LookupTable {
+            lambda: layout.lambda,
+            tables,
+        })
     }
 
-    /// Writes the table to a file path.
+    /// Writes the table to a file path, replacing any file already there.
+    ///
+    /// The bytes go to `<path>.<pid>.tmp` in the same directory, which is
+    /// then renamed over `path`. A process that has the old file mapped —
+    /// a daemon serving it — keeps reading the old inode; rewriting that
+    /// inode in place would cut the mapping's pages past the new end of
+    /// file out from under it (`SIGBUS` on the next query).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors; the temporary file is removed on
+    /// failure and `path` is left as it was.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.write_to(io::BufWriter::new(file))
-    }
-
-    /// Loads a table from a file path into owned arenas (full parse).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadTableError`] on filesystem or format problems.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, ReadTableError> {
-        let file = std::fs::File::open(path)?;
-        LookupTable::read_from(io::BufReader::new(file))
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".{}.tmp", std::process::id()));
+        // No fsync: after a crash the file holds the old table, the new
+        // one, or bytes the checksum rejects at open — never a table
+        // that serves wrong answers.
+        let written = std::fs::File::create(&tmp)
+            .and_then(|file| self.write_to(file))
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 }
 
-/// Validated header fields: `(lambda, section count, checksum, file len)`.
-fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, u64, usize), ReadTableError> {
-    let lambda = h[8];
-    if !(3..=9).contains(&lambda) {
-        return Err(ReadTableError::Corrupt("lambda out of range"));
+/// The header and section table of a v4 file — the one parse behind
+/// [`LookupTable::open_mmap`] and [`TableInfo::read`].
+struct Layout {
+    lambda: u8,
+    /// Payload checksum stored in the header.
+    checksum: u64,
+    /// File length stored in the header.
+    file_len: usize,
+    sections: Vec<RawSection>,
+}
+
+impl Layout {
+    /// Parses and checks the header, then reads the section entries. The
+    /// checksum, the stored length and the canonical section layout are
+    /// left to the caller, which may report them instead of failing.
+    fn parse(bytes: &[u8]) -> Result<Layout, ReadTableError> {
+        let short = ReadTableError::Corrupt("file shorter than header");
+        if bytes.len() < 8 {
+            return Err(short);
+        }
+        if &bytes[0..4] != MAGIC {
+            return Err(ReadTableError::BadMagic);
+        }
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version != VERSION {
+            return Err(ReadTableError::BadVersion(version));
+        }
+        let h = bytes.get(..HEADER_LEN).ok_or(short)?;
+        let lambda = h[8];
+        if !(3..=9).contains(&lambda) {
+            return Err(ReadTableError::Corrupt("lambda out of range"));
+        }
+        if h[9..16].iter().any(|&b| b != 0) || h[20..24].iter().any(|&b| b != 0) {
+            return Err(ReadTableError::Corrupt("reserved header bytes not zero"));
+        }
+        if h[40..64].iter().any(|&b| b != 0) {
+            return Err(ReadTableError::Corrupt("reserved header bytes not zero"));
+        }
+        let nsec = u32::from_le_bytes(h[16..20].try_into().expect("4 bytes")) as usize;
+        if nsec != section_count(lambda) {
+            return Err(ReadTableError::Corrupt(
+                "section count does not match lambda",
+            ));
+        }
+        let checksum = u64::from_le_bytes(h[24..32].try_into().expect("8 bytes"));
+        let file_len = u64::from_le_bytes(h[32..40].try_into().expect("8 bytes"));
+        let file_len = usize::try_from(file_len)
+            .map_err(|_| ReadTableError::Corrupt("file length out of range"))?;
+        if file_len > (1usize << 40) {
+            return Err(ReadTableError::Corrupt("implausible file length"));
+        }
+        let entries = bytes
+            .get(HEADER_LEN..HEADER_LEN + nsec * ENTRY_LEN)
+            .ok_or(ReadTableError::Corrupt("section table escapes the file"))?;
+        let sections = entries
+            .chunks_exact(ENTRY_LEN)
+            .map(|e| parse_section_entry(e.try_into().expect("32 bytes")))
+            .collect::<Result<_, _>>()?;
+        Ok(Layout {
+            lambda,
+            checksum,
+            file_len,
+            sections,
+        })
     }
-    if h[9..16].iter().any(|&b| b != 0) || h[20..24].iter().any(|&b| b != 0) {
-        return Err(ReadTableError::Corrupt("reserved header bytes not zero"));
-    }
-    if h[40..64].iter().any(|&b| b != 0) {
-        return Err(ReadTableError::Corrupt("reserved header bytes not zero"));
-    }
-    let nsec = u32::from_le_bytes(h[16..20].try_into().expect("4 bytes")) as usize;
-    if nsec != section_count(lambda) {
-        return Err(ReadTableError::Corrupt("section count does not match lambda"));
-    }
-    let checksum = u64::from_le_bytes(h[24..32].try_into().expect("8 bytes"));
-    let file_len = u64::from_le_bytes(h[32..40].try_into().expect("8 bytes"));
-    let file_len = usize::try_from(file_len)
-        .map_err(|_| ReadTableError::Corrupt("file length out of range"))?;
-    if file_len > (1usize << 40) {
-        return Err(ReadTableError::Corrupt("implausible file length"));
-    }
-    Ok((lambda, nsec, checksum, file_len))
 }
 
 fn parse_section_entry(e: &[u8; ENTRY_LEN]) -> Result<RawSection, ReadTableError> {
@@ -628,9 +538,8 @@ fn validate_section_table(
     Ok(())
 }
 
-/// Value-level validation of one degree's arenas — shared verbatim by the
-/// streaming parse and the mmap open, so both backings accept exactly the
-/// same set of files.
+/// Value-level validation of one degree's arenas, run at open before any
+/// arena is served.
 fn validate_degree_arenas(
     d: u8,
     edge_off: &[u32],
@@ -669,85 +578,6 @@ fn validate_degree_arenas(
         return Err(ReadTableError::Corrupt("pool index out of range"));
     }
     Ok(())
-}
-
-/// Consumes the alignment padding in front of `sec` and advances the
-/// running byte position past the section's payload.
-fn skip_padding<R: Read>(
-    r: &mut R,
-    sec: &RawSection,
-    consumed: &mut usize,
-) -> Result<(), ReadTableError> {
-    let mut skip = [0u8; MAP_ALIGN];
-    let pad = sec.offset as usize - *consumed;
-    r.read_exact(&mut skip[..pad])?;
-    *consumed = sec.offset as usize + sec.bytes as usize;
-    Ok(())
-}
-
-fn read_u8_elems<R: Read>(
-    r: &mut R,
-    sec: &RawSection,
-    consumed: &mut usize,
-) -> Result<Vec<u8>, ReadTableError> {
-    skip_padding(r, sec, consumed)?;
-    let mut v = vec![0u8; sec.count as usize];
-    r.read_exact(&mut v)?;
-    Ok(v)
-}
-
-// The owned path deliberately keeps the v3 parse structure: every element
-// is individually read from the stream, hashed and copied into a growing
-// arena. `open_mmap` exists precisely because this per-element loop is
-// what a full parse costs; keeping it element-wise keeps the two paths an
-// honest comparison and the owned path a structurally independent
-// cross-check of the mapped one.
-macro_rules! read_elems {
-    ($name:ident, $ty:ty) => {
-        fn $name<R: Read>(
-            r: &mut R,
-            sec: &RawSection,
-            consumed: &mut usize,
-        ) -> Result<Vec<$ty>, ReadTableError> {
-            skip_padding(r, sec, consumed)?;
-            let mut v = Vec::with_capacity(sec.count as usize);
-            let mut b = [0u8; std::mem::size_of::<$ty>()];
-            for _ in 0..sec.count {
-                r.read_exact(&mut b)?;
-                v.push(<$ty>::from_le_bytes(b));
-            }
-            Ok(v)
-        }
-    };
-}
-
-read_elems!(read_u16_elems, u16);
-read_elems!(read_u32_elems, u32);
-read_elems!(read_u64_elems, u64);
-
-/// Reader adapter that feeds every byte it passes through into the
-/// striped hasher, so the streaming parse verifies the checksum without
-/// buffering the payload twice.
-struct HashingReader<R> {
-    inner: R,
-    hasher: StripedHasher,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> Self {
-        HashingReader {
-            inner,
-            hasher: StripedHasher::new(),
-        }
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hasher.update(&buf[..n]);
-        Ok(n)
-    }
 }
 
 /// Description of one v4 section, as reported by [`TableInfo`].
@@ -801,55 +631,32 @@ impl TableInfo {
     /// *reported*, not errored, so tooling can describe damaged files.
     pub fn read(path: impl AsRef<std::path::Path>) -> Result<TableInfo, ReadTableError> {
         let bytes = std::fs::read(path)?;
-        if bytes.len() < 8 {
-            return Err(ReadTableError::Corrupt("file shorter than header"));
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(ReadTableError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ReadTableError::BadVersion(version));
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(ReadTableError::Corrupt("file shorter than header"));
-        }
-        let (lambda, nsec, stored, file_len) =
-            parse_header(bytes[..HEADER_LEN].try_into().expect("64 bytes"))?;
-        let table_end = HEADER_LEN + nsec * ENTRY_LEN;
-        if table_end > bytes.len() {
-            return Err(ReadTableError::Corrupt("section table escapes the file"));
-        }
-        let mut sections = Vec::with_capacity(nsec);
-        let mut raw = Vec::with_capacity(nsec);
-        for i in 0..nsec {
-            let entry: &[u8; ENTRY_LEN] = bytes[HEADER_LEN + i * ENTRY_LEN..][..ENTRY_LEN]
-                .try_into()
-                .expect("32 bytes");
-            let sec = parse_section_entry(entry)?;
-            raw.push(sec);
-            sections.push(SectionInfo {
-                degree: sec.degree,
-                kind: KINDS
-                    .get(sec.kind as usize)
-                    .map_or("unknown", |(name, _)| name),
-                offset: sec.offset,
-                bytes: sec.bytes,
-                count: sec.count,
-                aligned: (sec.offset as usize).is_multiple_of(MAP_ALIGN),
-            });
-        }
-        let checksum_ok = file_len == bytes.len()
-            && fnv1a64_striped(&bytes[HEADER_LEN..]) == stored;
-        let structural_ok = validate_section_table(lambda, &raw, file_len).is_ok();
+        let layout = Layout::parse(&bytes)?;
+        let checksum_ok = layout.file_len == bytes.len()
+            && fnv1a64_striped(&bytes[HEADER_LEN..]) == layout.checksum;
+        let structural_ok =
+            validate_section_table(layout.lambda, &layout.sections, layout.file_len).is_ok();
         Ok(TableInfo {
             version: VERSION,
-            lambda,
+            lambda: layout.lambda,
             file_len: bytes.len() as u64,
-            checksum: stored,
+            checksum: layout.checksum,
             checksum_ok,
             mappable: checksum_ok && structural_ok,
-            sections,
+            sections: layout
+                .sections
+                .iter()
+                .map(|sec| SectionInfo {
+                    degree: sec.degree,
+                    kind: KINDS
+                        .get(sec.kind as usize)
+                        .map_or("unknown", |(name, _)| name),
+                    offset: sec.offset,
+                    bytes: sec.bytes,
+                    count: sec.count,
+                    aligned: (sec.offset as usize).is_multiple_of(MAP_ALIGN),
+                })
+                .collect(),
         })
     }
 }
@@ -864,6 +671,15 @@ mod tests {
         let dir = std::env::temp_dir().join("patlabor_lut_v4_test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Writes `bytes` to a fresh file and opens it with the serving reader.
+    fn open_bytes(name: &str, bytes: &[u8]) -> Result<LookupTable, ReadTableError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let opened = LookupTable::open_mmap(&path);
+        std::fs::remove_file(&path).ok();
+        opened
     }
 
     /// Recomputes and rewrites the header checksum of a serialized table,
@@ -887,25 +703,18 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_table() {
-        let table = LutBuilder::new(4).threads(2).build();
-        let mut buf = Vec::new();
-        table.write_to(&mut buf).unwrap();
-        let back = LookupTable::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, table);
-    }
-
-    #[test]
     fn reserialization_is_byte_identical() {
-        // serialize → deserialize → serialize must reproduce the bytes:
-        // the in-memory CSR arenas are exactly what the sections store.
+        // save → open → serialize must reproduce the file's bytes: the
+        // in-memory CSR arenas are exactly what the sections store.
         let table = LutBuilder::new(5).threads(2).build();
-        let mut first = Vec::new();
-        table.write_to(&mut first).unwrap();
-        let back = LookupTable::read_from(first.as_slice()).unwrap();
-        let mut second = Vec::new();
-        back.write_to(&mut second).unwrap();
-        assert_eq!(first, second);
+        let path = tmp("v4_reserialize.plut");
+        table.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let mapped = LookupTable::open_mmap(&path).unwrap();
+        let mut again = Vec::new();
+        mapped.write_to(&mut again).unwrap();
+        assert_eq!(saved, again);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -942,6 +751,37 @@ mod tests {
     }
 
     #[test]
+    fn save_replaces_a_mapped_file_without_disturbing_its_readers() {
+        // A daemon maps the table, then `lut build -o` writes a new one
+        // over the same path. Rewriting the file in place would shrink
+        // the mapped inode (38,940 → 656 bytes) and fault the next query.
+        use patlabor_geom::{Net, Point};
+        let table = LutBuilder::new(5).threads(2).build();
+        let path = tmp("v4_replace.plut");
+        table.save(&path).unwrap();
+        let mapped = LookupTable::open_mmap(&path).unwrap();
+        let net = Net::new(vec![
+            Point::new(0, 0),
+            Point::new(40, 15),
+            Point::new(12, 33),
+            Point::new(28, 5),
+            Point::new(7, 21),
+        ])
+        .unwrap();
+        let before = mapped.query(&net).unwrap();
+
+        LutBuilder::new(3).threads(1).build().save(&path).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 656);
+        assert_eq!(mapped.query(&net).unwrap(), before);
+        assert_eq!(mapped, table);
+        assert_eq!(LookupTable::open_mmap(&path).unwrap().lambda(), 3);
+        // The temporary file was renamed away, not left behind.
+        let leftover = tmp(&format!("v4_replace.plut.{}.tmp", std::process::id()));
+        assert!(!leftover.exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn sections_are_aligned_and_described() {
         let table = LutBuilder::new(4).threads(1).build();
         let path = tmp("v4_info.plut");
@@ -960,30 +800,40 @@ mod tests {
             info.sections.iter().map(|s| s.kind).collect::<Vec<_>>()[..6],
             ["edge_off", "edges", "costs", "keys", "pat_off", "ids"]
         );
+        // A flipped payload byte is described, not errored: the layout
+        // still parses, the checksum and mappability say what is wrong.
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let damaged = TableInfo::read(&path).unwrap();
+        assert!(!damaged.checksum_ok);
+        assert!(!damaged.mappable);
+        assert_eq!(damaged.sections.len(), 12);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let err = LookupTable::read_from(&b"XXXXXXXX"[..]).unwrap_err();
+        let err = open_bytes("v4_magic.plut", b"XXXXXXXX").unwrap_err();
         assert!(matches!(err, ReadTableError::BadMagic));
         let mut buf = Vec::new();
         buf.extend_from_slice(b"PLUT");
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.resize(HEADER_LEN, 0);
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        let err = open_bytes("v4_version.plut", &buf).unwrap_err();
         assert!(matches!(err, ReadTableError::BadVersion(99)));
     }
 
     #[test]
-    fn v3_stream_reports_the_migration_path() {
+    fn v3_header_reports_the_migration_path() {
         // A v3 header (the pre-mmap unaligned layout) must point the user
         // at regeneration, not fail with a generic parse error.
         let mut buf = Vec::new();
         buf.extend_from_slice(b"PLUT");
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.push(4); // v3 lambda byte — never reached
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        buf.resize(HEADER_LEN, 0);
+        let err = open_bytes("v3_header.plut", &buf).unwrap_err();
         assert!(matches!(err, ReadTableError::BadVersion(3)));
         let msg = err.to_string();
         assert!(
@@ -991,58 +841,18 @@ mod tests {
             "message must name the offending version: {msg}"
         );
         assert!(
-            msg.contains("`patlabor lut build --lambda <L> --format v4 -o <FILE>`"),
+            msg.contains("`patlabor lut build --lambda <L> -o <FILE>`"),
             "message must name the migration path: {msg}"
         );
-        // The mmap open reports the same migration path.
-        let path = tmp("v3_header.plut");
-        buf.resize(HEADER_LEN, 0);
-        std::fs::write(&path, &buf).unwrap();
-        let err = LookupTable::open_mmap(&path).unwrap_err();
-        assert!(matches!(err, ReadTableError::BadVersion(3)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rejects_truncated_stream() {
-        let table = LutBuilder::new(3).threads(1).build();
-        let mut buf = Vec::new();
-        table.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(LookupTable::read_from(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn every_corrupted_byte_is_detected_by_the_stream_parse() {
-        // Flipping ANY byte must turn the load into an error: header flips
-        // break magic/version/reserved/section-count checks, body flips
-        // break the checksum or structural validation, checksum-field
-        // flips break the comparison. Truncations at every position must
-        // error as well.
-        let table = LutBuilder::new(3).threads(1).build();
-        let mut buf = Vec::new();
-        table.write_to(&mut buf).unwrap();
-        for pos in 0..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[pos] ^= 0xff;
-            assert!(
-                LookupTable::read_from(corrupted.as_slice()).is_err(),
-                "byte flip at {pos} must be detected"
-            );
-            let mut truncated = buf.clone();
-            truncated.truncate(pos);
-            assert!(
-                LookupTable::read_from(truncated.as_slice()).is_err(),
-                "truncation at {pos} must error"
-            );
-        }
     }
 
     #[test]
     fn every_corrupted_byte_is_detected_at_mmap_open() {
-        // The zero-copy path must validate — checksum first, then bounds
-        // and structure — before any borrow; no flip or truncation may
-        // produce a usable table.
+        // Flipping ANY byte must turn the open into an error: header flips
+        // break magic/version/reserved/section-count checks, body flips
+        // break the checksum or structural validation, checksum-field
+        // flips break the comparison — all before any borrow. Truncations
+        // at every position must error as well.
         let table = LutBuilder::new(3).threads(1).build();
         let path = tmp("v4_flip.plut");
         table.save(&path).unwrap();
@@ -1067,26 +877,18 @@ mod tests {
     #[test]
     fn out_of_range_pool_index_is_rejected_behind_a_valid_checksum() {
         // Corrupt one pattern id to an impossible pool index and reseal
-        // the checksum: the structural check must fire on both paths.
+        // the checksum: the structural check must fire.
         let table = LutBuilder::new(3).threads(1).build();
         let mut buf = Vec::new();
         table.write_to(&mut buf).unwrap();
         let ids_at = section_offset(&buf, 3, 5);
         buf[ids_at..ids_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         reseal(&mut buf);
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        let err = open_bytes("v4_badid.plut", &buf).unwrap_err();
         assert!(matches!(
             err,
             ReadTableError::Corrupt("pool index out of range")
         ));
-        let path = tmp("v4_badid.plut");
-        std::fs::write(&path, &buf).unwrap();
-        let err = LookupTable::open_mmap(&path).unwrap_err();
-        assert!(matches!(
-            err,
-            ReadTableError::Corrupt("pool index out of range")
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1097,7 +899,7 @@ mod tests {
         let edges_at = section_offset(&buf, 3, 1);
         buf[edges_at] = 200; // node 200 >= 9
         reseal(&mut buf);
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        let err = open_bytes("v4_badedge.plut", &buf).unwrap_err();
         assert!(matches!(
             err,
             ReadTableError::Corrupt("edge node out of range")
@@ -1114,7 +916,7 @@ mod tests {
         let first: [u8; 8] = buf[keys_at..keys_at + 8].try_into().unwrap();
         buf[keys_at + 8..keys_at + 16].copy_from_slice(&first);
         reseal(&mut buf);
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        let err = open_bytes("v4_badkeys.plut", &buf).unwrap_err();
         assert!(matches!(
             err,
             ReadTableError::Corrupt("pattern keys not ascending")
@@ -1130,13 +932,8 @@ mod tests {
         // the checksum can catch it.
         let edges_at = section_offset(&buf, 3, 1);
         buf[edges_at - 1] ^= 0x01; // padding before the edges section
-        let err = LookupTable::read_from(buf.as_slice()).unwrap_err();
+        let err = open_bytes("v4_pad.plut", &buf).unwrap_err();
         assert!(matches!(err, ReadTableError::BadChecksum { .. }), "{err}");
-        let path = tmp("v4_pad.plut");
-        std::fs::write(&path, &buf).unwrap();
-        let err = LookupTable::open_mmap(&path).unwrap_err();
-        assert!(matches!(err, ReadTableError::BadChecksum { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1158,13 +955,6 @@ mod tests {
         // The trailing partial block is zero-padded, so the folded length
         // must keep a message distinct from its explicitly-padded form.
         assert_ne!(fnv1a64_striped(&[1, 2, 3]), fnv1a64_striped(&[1, 2, 3, 0]));
-        // Incremental updates agree with the one-shot hash regardless of
-        // chunk boundaries (the streaming reader feeds odd-sized pieces).
-        let mut h = StripedHasher::new();
-        for chunk in a.chunks(7) {
-            h.update(chunk);
-        }
-        assert_eq!(h.finish(), fnv1a64_striped(&a));
     }
 
     #[test]
@@ -1184,16 +974,6 @@ mod tests {
         let a = table.query(&net).unwrap();
         let b = mapped.query(&net).unwrap();
         assert_eq!(a.cost_vec(), b.cost_vec());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let table = LutBuilder::new(3).threads(1).build();
-        let path = tmp("t3.plut");
-        table.save(&path).unwrap();
-        let back = LookupTable::load(&path).unwrap();
-        assert_eq!(back, table);
         std::fs::remove_file(&path).ok();
     }
 }

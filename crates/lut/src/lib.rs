@@ -15,8 +15,9 @@
 //! * [`LutBuilder`] — parallel table generation (one symbolic DP per
 //!   canonical pattern, Lemma 1 pruning via exact LP);
 //! * [`LookupTable`] — the query path and [`LutStats`] (Table II);
-//! * [`LookupTable::write_to`] / [`LookupTable::read_from`] — a compact
-//!   binary format so generated tables can be shipped and reloaded.
+//! * [`LookupTable::save`] / [`LookupTable::open_mmap`] — the v4 file
+//!   format: tables are built once offline, then served zero-copy from a
+//!   read-only mapping; [`TableInfo`] describes a file without serving it.
 //!
 //! # Example
 //!

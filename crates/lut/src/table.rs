@@ -491,9 +491,8 @@ std::thread_local! {
 
 /// Lookup tables for every degree `2 ..= λ`.
 ///
-/// Construct with [`crate::LutBuilder`], load a serialized table with
-/// [`LookupTable::read_from`] / [`LookupTable::load`] (owned arenas), or
-/// serve it zero-copy from disk with [`LookupTable::open_mmap`].
+/// Construct with [`crate::LutBuilder`] (owned arenas), or serve a saved
+/// table zero-copy from disk with [`LookupTable::open_mmap`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupTable {
     pub(crate) lambda: u8,

@@ -21,7 +21,6 @@ use std::ops::Add;
 /// assert!(!b.dominates(a));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cost {
     /// Total wirelength `w(T)`.
     pub wirelength: i64,

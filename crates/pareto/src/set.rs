@@ -27,7 +27,6 @@ use crate::Cost;
 /// assert!(shifted.costs().eq([Cost::new(14, 19), Cost::new(17, 13)]));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoSet<T = ()> {
     /// Sorted by `(wirelength ↑, delay ↓)`.
     entries: Vec<(Cost, T)>,

@@ -142,8 +142,6 @@ pub struct Metrics {
     pub reloads: AtomicU64,
     /// Rejected hot table reloads — the old table kept serving.
     pub reload_failed: AtomicU64,
-    /// The serving table generation (gauge; 0 = the boot table).
-    pub table_epoch: AtomicU64,
     /// Chaos-plane injections by [`TransportFaultKind::index`].
     pub chaos_injected: [AtomicU64; TransportFaultKind::COUNT],
 }
@@ -165,8 +163,14 @@ impl Metrics {
 
     /// Renders the Prometheus text exposition. `report` is the server's
     /// tally of routed requests; `cache` is the engine's live cache
-    /// counters (absent when the frontier cache is disabled).
-    pub fn render(&self, report: &ResilienceReport, cache: Option<&CacheStats>) -> String {
+    /// counters (absent when the frontier cache is disabled);
+    /// `table_epoch` is the engine's serving table generation.
+    pub fn render(
+        &self,
+        report: &ResilienceReport,
+        cache: Option<&CacheStats>,
+        table_epoch: u64,
+    ) -> String {
         let mut out = String::new();
         let counter = |out: &mut String, name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -286,7 +290,7 @@ impl Metrics {
             "# HELP patlabor_table_epoch The serving table generation (0 = boot table)."
         );
         let _ = writeln!(out, "# TYPE patlabor_table_epoch gauge");
-        let _ = writeln!(out, "patlabor_table_epoch {}", Self::get(&self.table_epoch));
+        let _ = writeln!(out, "patlabor_table_epoch {table_epoch}");
         let _ = writeln!(
             out,
             "# HELP patlabor_chaos_injected_total Transport faults injected by the chaos plane, by kind."
@@ -438,7 +442,7 @@ mod tests {
             ..ResilienceReport::default()
         };
         report.served_by[Rung::Lut.index()] = 2;
-        let text = m.render(&report, Some(&cache));
+        let text = m.render(&report, Some(&cache), 3);
         for family in [
             "patlabor_requests_total 3",
             "patlabor_rejected_total{reason=\"overloaded\"} 1",
@@ -462,13 +466,13 @@ mod tests {
             "patlabor_evicted_total 0",
             "patlabor_reloads_total{result=\"ok\"} 0",
             "patlabor_reloads_total{result=\"failed\"} 0",
-            "patlabor_table_epoch 0",
+            "patlabor_table_epoch 3",
             "patlabor_chaos_injected_total{kind=\"torn-write\"} 0",
             "patlabor_chaos_injected_total{kind=\"corrupt-write\"} 0",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
         // Cache families vanish when the cache is disabled.
-        assert!(!m.render(&report, None).contains("patlabor_cache"));
+        assert!(!m.render(&report, None, 0).contains("patlabor_cache"));
     }
 }

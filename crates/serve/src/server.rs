@@ -515,8 +515,7 @@ impl Shared {
 
     /// The guarded hot-reload path shared by the wire verb and
     /// [`Server::reload_table`] (the CLI's SIGHUP handler). Updates the
-    /// reload metrics and the table-epoch gauge; on any rejection the
-    /// old table keeps serving.
+    /// reload metrics; on any rejection the old table keeps serving.
     pub(crate) fn reload(&self, path: &str) -> ReloadOutcome {
         if self.reload_in_flight.swap(true, Ordering::AcqRel) {
             return ReloadOutcome::InFlight;
@@ -524,7 +523,6 @@ impl Shared {
         let outcome = match self.engine.reload_table(path) {
             Ok(epoch) => {
                 Metrics::add(&self.metrics.reloads, 1);
-                self.metrics.table_epoch.store(epoch, Ordering::Relaxed);
                 ReloadOutcome::Swapped(epoch)
             }
             Err(e) => {
@@ -695,7 +693,9 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
     // latency in the same critical section as its report entry, so the
     // latency count always equals the served count in one scrape.
     let report = lock(&shared.report);
-    shared.metrics.render(&report, cache.as_ref())
+    shared
+        .metrics
+        .render(&report, cache.as_ref(), shared.engine.table_epoch())
 }
 
 /// Whether shutdown draining has begun (checked by the acceptors).
@@ -804,11 +804,6 @@ pub fn serve(engine: Engine, config: ServeConfig) -> io::Result<Server> {
         drain_ns_per_net: AtomicU64::new(0),
         reload_in_flight: AtomicBool::new(false),
     });
-    shared
-        .metrics
-        .table_epoch
-        .store(shared.engine.table_epoch(), Ordering::Relaxed);
-
     let batcher = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()

@@ -719,8 +719,8 @@ fn torn_frame_corpus_never_wedges_either_transport() {
 
 /// The wire `reload` verb hot-swaps the table under an epoch: answers
 /// are identical across the swap, a corrupt candidate is rejected with
-/// `"reload-failed"` while the old table keeps serving, and the epoch
-/// gauge tracks installs.
+/// `"reload-failed"` while the old table keeps serving, and the engine's
+/// epoch tracks installs.
 #[test]
 fn hot_reload_over_the_wire_swaps_and_rejects() {
     use std::io::Write as _;
@@ -753,9 +753,9 @@ fn hot_reload_over_the_wire_swaps_and_rejects() {
     assert_eq!(reply.get("reloaded").and_then(Json::as_bool), Some(true), "{}", reply.render());
     assert_eq!(reply.get("epoch").and_then(Json::as_u64), Some(1));
     assert_eq!(
-        patlabor_serve::Metrics::get(&server.metrics().table_epoch),
+        server.engine().table_epoch(),
         1,
-        "the epoch gauge must track the install"
+        "the reload must install a new epoch"
     );
 
     // Same question, same answer, new table generation.
@@ -781,9 +781,37 @@ fn hot_reload_over_the_wire_swaps_and_rejects() {
         patlabor_serve::Metrics::get(&server.metrics().reload_failed),
         1
     );
-    assert_eq!(patlabor_serve::Metrics::get(&server.metrics().table_epoch), 1);
+    assert_eq!(server.engine().table_epoch(), 1);
 
     server.shutdown();
+}
+
+/// `/metrics` reads the table epoch from the engine, so a reload the
+/// server did not perform itself — here through `Server::engine` — shows
+/// on the next scrape.
+#[test]
+fn table_epoch_gauge_follows_the_engine() {
+    let dir = std::env::temp_dir().join("patlabor_serve_reload_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("epoch.lut");
+    let engine = test_engine();
+    engine.table().save(&path).expect("save table");
+    let server = serve(
+        engine,
+        ServeConfig {
+            http_addr: Some("127.0.0.1:0".to_string()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let http = server.http_addr().expect("http enabled");
+
+    assert_eq!(server.engine().reload_table(&path).expect("reload"), 1);
+    let text = scrape_metrics(http).expect("scrape");
+    assert!(text.contains("patlabor_table_epoch 1"), "{text}");
+
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 /// A client that stops draining its replies hits the bounded reply

@@ -15,7 +15,6 @@ use patlabor_geom::{Net, Point};
 /// through [`RoutingTree::from_edges`], [`RoutingTree::from_parents`], or
 /// the rewriting passes in [`crate::reconnect_pass_with`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoutingTree {
     points: Vec<Point>,
     /// `parent[v]` for `v > 0`; `parent[0]` is unused (stored as 0).

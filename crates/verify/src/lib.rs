@@ -4,11 +4,12 @@
 //! indistinguishable from a slower reference computation: the LUT
 //! dot-product query from a fresh numeric DW enumeration, the frontier
 //! cache from a cache-disabled query, the lock-free batch driver from a
-//! serial loop, a routed net from its D4/translated images, the reloaded
-//! v3 table from the in-memory original. Unit tests pin each claim on a
-//! handful of hand-written nets; this crate cross-validates all of them
-//! on a seeded corpus of hundreds of random nets and reports the *first
-//! divergence* as a minimized, replayable counterexample.
+//! serial loop, a routed net from its D4/translated images, a table
+//! mapped from its saved file from the in-memory original. Unit tests pin
+//! each claim on a handful of hand-written nets; this crate
+//! cross-validates all of them on a seeded corpus of hundreds of random
+//! nets and reports the *first divergence* as a minimized, replayable
+//! counterexample.
 //!
 //! The harness also verifies **itself**: [`mutation_smoke`] plants a
 //! single corrupted cost row in an otherwise healthy table (via
@@ -354,8 +355,6 @@ struct Divergence {
 struct Harness {
     /// The table under test (shared by both routers).
     table: LookupTable,
-    /// The same table after a `write_to`/`read_from` round trip.
-    loaded: LookupTable,
     /// The same table served zero-copy from a saved file via
     /// `open_mmap` — borrowed arenas, not owned copies.
     mapped: LookupTable,
@@ -396,13 +395,13 @@ struct Harness {
 
 impl Harness {
     /// Builds the routers and performs the construction-time half of the
-    /// save/load pair: serialize, reload, and demand the reloaded table
-    /// be structurally identical and re-serialize to identical bytes.
+    /// mmap pair: save, open zero-copy, and demand the mapped table be
+    /// structurally identical and re-serialize to the saved bytes.
     // Cold constructor, called once per run — the big Err is fine here.
     #[allow(clippy::result_large_err)]
     fn new(table: LookupTable, config: &VerifyConfig) -> Result<Harness, Counterexample> {
-        let roundtrip_failure = |detail: String| Counterexample {
-            pair: PathPair::SaveLoadRoundTrip,
+        let setup_failure = |pair: PathPair, detail: String| Counterexample {
+            pair,
             seed: config.seed,
             net_index: 0,
             original_degree: 2,
@@ -413,34 +412,13 @@ impl Harness {
             reference: Vec::new(),
             detail,
         };
+        let mmap_failure = |detail: String| setup_failure(PathPair::MmapVsOwned, detail);
         let mut bytes = Vec::new();
         table
             .write_to(&mut bytes)
-            .map_err(|e| roundtrip_failure(format!("serializing the table failed: {e}")))?;
-        let loaded = LookupTable::read_from(&bytes[..])
-            .map_err(|e| roundtrip_failure(format!("reloading the just-written table failed: {e}")))?;
-        if loaded != table {
-            return Err(roundtrip_failure(
-                "reloaded table differs structurally from the in-memory original".to_string(),
-            ));
-        }
-        let mut rewritten = Vec::new();
-        loaded
-            .write_to(&mut rewritten)
-            .map_err(|e| roundtrip_failure(format!("re-serializing the reloaded table failed: {e}")))?;
-        if rewritten != bytes {
-            return Err(roundtrip_failure(
-                "serialization is not byte-deterministic across a round trip".to_string(),
-            ));
-        }
-        // Construction-time half of the mmap pair: save to a file, open
-        // it zero-copy, and demand structural equality plus the mapped
-        // backing. The file is removed immediately — the mapping must
+            .map_err(|e| mmap_failure(format!("serializing the table failed: {e}")))?;
+        // The file is removed as soon as it is mapped — the mapping must
         // keep itself alive without it.
-        let mmap_failure = |detail: String| Counterexample {
-            pair: PathPair::MmapVsOwned,
-            ..roundtrip_failure(detail)
-        };
         let path = std::env::temp_dir().join(format!(
             "patlabor_verify_mmap_{:x}_{}.plut",
             config.seed,
@@ -464,6 +442,15 @@ impl Harness {
                 "mmap-backed table differs structurally from the in-memory original".to_string(),
             ));
         }
+        let mut rewritten = Vec::new();
+        mapped
+            .write_to(&mut rewritten)
+            .map_err(|e| mmap_failure(format!("re-serializing the mapped table failed: {e}")))?;
+        if rewritten != bytes {
+            return Err(mmap_failure(
+                "serialization is not byte-deterministic across a round trip".to_string(),
+            ));
+        }
         let strict = RouterConfig {
             resilience: ResilienceConfig::strict(),
             ..RouterConfig::default()
@@ -477,10 +464,7 @@ impl Harness {
         // serving the table under test with the cache disabled on both
         // sides (so wire and direct replies are pure functions of the
         // net and can be demanded byte-identical).
-        let serve_failure = |detail: String| Counterexample {
-            pair: PathPair::ServedVsDirect,
-            ..roundtrip_failure(detail)
-        };
+        let serve_failure = |detail: String| setup_failure(PathPair::ServedVsDirect, detail);
         let serve_engine =
             Engine::with_table(table.clone()).with_cache(CacheConfig::disabled());
         let server = patlabor_serve::serve(
@@ -507,7 +491,6 @@ impl Harness {
             _server: server,
             lambda: table.lambda() as usize,
             table,
-            loaded,
             mapped,
             seed: config.seed,
             dw_cap: config.dw_cap(),
@@ -527,9 +510,7 @@ impl Harness {
             PathPair::CachedVsUncached | PathPair::BatchVsSerial | PathPair::ServedVsDirect => true,
             // Exact-path-only invariants: local search (> λ) promises
             // neither D4 invariance nor table-backed answers.
-            PathPair::D4Translation | PathPair::SaveLoadRoundTrip | PathPair::MmapVsOwned => {
-                (3..=self.lambda).contains(&d)
-            }
+            PathPair::D4Translation | PathPair::MmapVsOwned => (3..=self.lambda).contains(&d),
             // In-table degrees need the DW oracle's cap; out-of-table
             // degrees exercise the baseline rung instead. Degrees in
             // between (dw_cap < d ≤ λ) have no affordable oracle.
@@ -550,7 +531,6 @@ impl Harness {
             PathPair::LutVsNumericDw => self.lut_vs_dw(net),
             PathPair::CachedVsUncached => self.cached_vs_uncached(net).1,
             PathPair::D4Translation => self.d4_translation(net),
-            PathPair::SaveLoadRoundTrip => self.save_load(net),
             PathPair::MmapVsOwned => self.mmap_vs_owned(net),
             PathPair::FallbackParity => self.fallback_parity(net),
             PathPair::ServedVsDirect => self.served_vs_direct(net),
@@ -627,37 +607,6 @@ impl Harness {
             }
         }
         None
-    }
-
-    /// Pair (e), per-net half: the reloaded table must look up the same
-    /// candidate pool and score it to the same frontier as the original.
-    /// (Structural equality is checked once at construction; this checks
-    /// the query *behavior* net by net.)
-    fn save_load(&self, net: &Net) -> Option<Divergence> {
-        let class = self.table.classify(net)?;
-        let original_ids = self.table.candidate_ids(&class);
-        let reloaded_ids = self.loaded.candidate_ids(&class);
-        match (original_ids, reloaded_ids) {
-            (None, None) => None, // a missing pattern is the cache pair's find
-            (Some(original_ids), Some(reloaded_ids)) => {
-                let original = self.table.score_candidates(&class, original_ids);
-                let reloaded = self.loaded.score_candidates(&class, reloaded_ids);
-                (original != reloaded).then(|| Divergence {
-                    fast: reloaded.iter().map(|&(c, _)| c).collect(),
-                    reference: original.iter().map(|&(c, _)| c).collect(),
-                    detail: "reloaded table scores a different frontier".to_string(),
-                })
-            }
-            (original, _) => Some(Divergence {
-                fast: Vec::new(),
-                reference: Vec::new(),
-                detail: format!(
-                    "canonical pattern {:#x} present only in the {} table",
-                    class.canonical_key(),
-                    if original.is_some() { "in-memory" } else { "reloaded" }
-                ),
-            }),
-        }
     }
 
     /// Mmap pair, per-net half: the zero-copy table must answer the full

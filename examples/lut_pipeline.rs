@@ -1,6 +1,6 @@
-//! The lookup-table production pipeline: generate → save → load → query,
-//! with Table II style statistics. This is how the λ = 7+ tables are
-//! prepared offline and shipped to the router.
+//! The lookup-table production pipeline: generate → save → open → query,
+//! with Table II style statistics. Tables are built once offline, saved,
+//! and opened zero-copy by every router and daemon that serves them.
 //!
 //! ```sh
 //! cargo run --release --example lut_pipeline
@@ -26,14 +26,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Save / load roundtrip — the deployment path.
+    // Save, then open the file the way `route` and `serve` do: mapped
+    // read-only, validated once, arenas borrowed in place.
     let path = std::env::temp_dir().join("patlabor_quickstart.plut");
     table.save(&path)?;
     let bytes = std::fs::metadata(&path)?.len();
     println!("\nserialized to {} ({bytes} bytes)", path.display());
     let start = Instant::now();
-    let loaded = LookupTable::load(&path)?;
-    println!("reloaded in {:?} (identical: {})", start.elapsed(), loaded == table);
+    let loaded = LookupTable::open_mmap(&path)?;
+    println!(
+        "opened in {:?} (identical: {})",
+        start.elapsed(),
+        loaded == table
+    );
 
     // Query throughput: the whole point of the tables.
     let router = Engine::with_table(loaded);

@@ -1,7 +1,8 @@
-//! Integration tests for the v3 lookup-table query kernel: dot-product
-//! scores must reproduce numeric Pareto-DW exactly, trees must only be
-//! built for frontier survivors, and tables must survive a save/load
-//! round trip bit-for-bit (the CI `lut-roundtrip` step runs the
+//! Integration tests for the lookup-table query kernel (dot-product
+//! scoring over symbolic cost rows, introduced with format v3): scores
+//! must reproduce numeric Pareto-DW exactly, trees must only be built for
+//! frontier survivors, and a table saved and opened with `open_mmap` must
+//! equal the one it was built as (the CI `lut-roundtrip` step runs the
 //! `lut_roundtrip_` tests against a freshly built λ=5 file).
 
 use std::sync::OnceLock;
@@ -137,7 +138,7 @@ fn lut_roundtrip_reload_preserves_table_and_answers() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip5.plut");
     table.save(&path).unwrap();
-    let reloaded = LookupTable::load(&path).unwrap();
+    let reloaded = LookupTable::open_mmap(&path).unwrap();
     assert_eq!(reloaded, table);
 
     // Reloaded tables answer queries identically to numeric DW — the
