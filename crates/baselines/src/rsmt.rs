@@ -5,15 +5,16 @@
 //! * [`prim_mst`] — the rectilinear MST (no Steiner points), the classic
 //!   3/2-approximation and the seed for everything else;
 //! * [`iterated_one_steiner`] — Kahng–Robins iterated 1-Steiner: greedily
-//!   insert the Hanan candidate with the best MST gain until dry;
-//! * [`rsmt_tree`] — dispatcher: exact (numeric Pareto-DW, wirelength end)
-//!   for small degrees, iterated 1-Steiner above.
+//!   insert the Hanan candidate with the best MST gain until dry.
+//!   [`rsmt_tree`], the FLUTE substitute, runs it at every degree;
+//! * [`exact_rsmt`] — the exact RSMT (numeric Pareto-DW, wirelength end),
+//!   for degrees up to [`EXACT_RSMT_MAX_DEGREE`].
 
 use patlabor_dw::{numeric, DwConfig};
 use patlabor_geom::{Net, Point};
 use patlabor_tree::{remove_redundant_steiner, RoutingTree};
 
-/// Largest degree routed exactly by [`rsmt_tree`].
+/// Largest degree [`exact_rsmt`] accepts.
 pub const EXACT_RSMT_MAX_DEGREE: usize = 7;
 
 /// Rectilinear minimum spanning tree over the pins, rooted at the source.

@@ -613,7 +613,9 @@ pub fn gen_tables_command(lambda: u8, output: &str) -> Result<String, CliError> 
 /// # Errors
 ///
 /// Propagates loading problems as [`CliError::Table`]; a v3 file errors
-/// with the `lut build` migration path.
+/// with the `lut build` migration path. A damaged file whose header and
+/// section table still parse fails with the loader's error followed by
+/// the file-level report, which shows what is wrong with it.
 pub fn stats_command(path: &str) -> Result<String, CliError> {
     let as_table_err = |e: patlabor_lut::ReadTableError| CliError::Table {
         path: path.to_string(),
@@ -644,7 +646,10 @@ pub fn stats_command(path: &str) -> Result<String, CliError> {
             if s.aligned { "64" } else { "MISALIGNED" },
         ));
     }
-    let table = LookupTable::open_mmap(path).map_err(as_table_err)?;
+    let table = LookupTable::open_mmap(path).map_err(|e| CliError::Table {
+        path: path.to_string(),
+        message: format!("{e}\n{}", out.trim_end()),
+    })?;
     out.push_str(&format!("lambda = {}\n", table.lambda()));
     out.push_str("degree  #Index  avg #Topo  total topologies  unique (pool)  arena bytes\n");
     let mut total_bytes = 0usize;
@@ -999,9 +1004,9 @@ cached winners (provenance `reused`), class-breaking edits fall back
 to the full ladder.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
-with request batching and admission control, plus an HTTP adapter
-(GET /metrics Prometheus exposition, GET /healthz, POST /route,
-POST /reroute). First
+(route, reroute and reload verbs) with request batching and admission
+control, plus an HTTP adapter that serves only GET /metrics (Prometheus
+exposition) and GET /healthz. First
 SIGINT/SIGTERM drains what was admitted and exits 0 with the final
 resilience report on stderr; a second signal aborts immediately. SIGHUP
 hot-reloads the table from the --tables file: the candidate is validated
@@ -1616,6 +1621,32 @@ mod tests {
         assert!(info.contains("zero-copy mappable"), "info was: {info}");
         assert!(info.contains("edge_off"), "info was: {info}");
         assert!(info.contains("checksum"), "info was: {info}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lut_info_explains_a_damaged_file_and_still_fails() {
+        let dir = std::env::temp_dir().join("patlabor_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flipped3.plut").to_string_lossy().into_owned();
+        let build = ["lut", "build", "--lambda", "3", "-o", &path].map(String::from);
+        run(&build).unwrap();
+        // Flip the last payload byte: the header and section table still
+        // parse, so only the checksum can tell.
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x5A;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = run(&["lut".into(), "info".into(), path.clone()]).unwrap_err();
+        let msg = err.to_string();
+        // The loader's error still comes first…
+        assert!(
+            msg.starts_with(&format!("{path}: payload checksum mismatch")),
+            "was: {msg}"
+        );
+        // …and the file-level report follows it.
+        assert!(msg.contains("format v4"), "was: {msg}");
+        assert!(msg.contains("(MISMATCH), NOT mappable"), "was: {msg}");
+        assert!(msg.contains("edge_off"), "was: {msg}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -501,7 +501,6 @@ impl Engine {
         let ctx = LadderCtx {
             faults: &inner.config.faults,
             fault_seed: session.fault_seed.unwrap_or_else(|| inner.config.faults.seed()),
-            clock: inner.clock.as_ref(),
             budget: budget.as_ref(),
             key: net_key(net),
         };
@@ -881,12 +880,11 @@ fn outcome(
 }
 
 /// The per-route context [`run_rung`] reads: the fault plane, the
-/// session-resolved decision seed, the clock it advances on injected
-/// delays, the deadline budget, and the net's fault-decision key.
+/// session-resolved decision seed, the deadline budget injected delays
+/// are charged to, and the net's fault-decision key.
 struct LadderCtx<'a> {
     faults: &'a FaultPlane,
     fault_seed: u64,
-    clock: &'a dyn Clock,
     budget: Option<&'a Budget>,
     key: u64,
 }
@@ -900,9 +898,9 @@ impl LadderCtx<'_> {
 
 /// Runs one rung inside the ladder's shared harness:
 ///
-/// 1. an injected stage delay advances the clock *before* the deadline
-///    gate, so a stalled stage burns the budget it is about to be judged
-///    against;
+/// 1. an injected stage delay is charged to the net's own budget
+///    *before* the deadline gate, so a stalled stage burns the budget it
+///    is about to be judged against — and no other net's;
 /// 2. compute rungs ([`Rung::deadline_gated`]) are skipped once the
 ///    budget is exceeded;
 /// 3. the body runs under `catch_unwind` (with an injected stage panic
@@ -916,8 +914,10 @@ fn run_rung<T>(
     panic_payload: &mut Option<Box<dyn Any + Send>>,
     body: impl FnOnce(&mut StageCounters) -> Result<T, RungOutcome>,
 ) -> Result<T, RungOutcome> {
-    if ctx.fires(FaultKind::StageDelay, rung) {
-        ctx.clock.advance(ctx.faults.delay());
+    if let Some(budget) = ctx.budget {
+        if ctx.fires(FaultKind::StageDelay, rung) {
+            budget.charge(ctx.faults.delay());
+        }
     }
     if rung.deadline_gated() {
         if let Some(budget) = ctx.budget {

@@ -33,6 +33,7 @@
 //!
 //! [`strict`]: ResilienceConfig::strict
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,15 +50,15 @@ use crate::pipeline::RouteResult;
 /// A monotonic clock the router reads deadlines against.
 ///
 /// Production routers use the [`SystemClock`]; tests inject a
-/// [`VirtualClock`] advanced only by explicit [`Clock::advance`] calls
-/// (the stage-delay fault), so deadline behavior is a pure function of
-/// the configuration — no sleeps, no flaky timing assertions.
+/// [`VirtualClock`], which moves only when a test advances it, so
+/// deadline behavior is a pure function of the configuration — no
+/// sleeps, no flaky timing assertions. The router itself never moves a
+/// clock: an injected stage delay is charged to the stalled request's
+/// own [`Budget`], so concurrent routes sharing one clock cannot spend
+/// each other's deadlines.
 pub trait Clock: fmt::Debug + Send + Sync {
     /// Monotonic time since the clock's origin.
     fn now(&self) -> Duration;
-    /// Advances the clock by `by` (the stage-delay fault's injection
-    /// point): a virtual clock jumps, the system clock actually sleeps.
-    fn advance(&self, by: Duration);
 }
 
 /// Wall-clock time relative to the clock's construction instant.
@@ -83,10 +84,6 @@ impl Clock for SystemClock {
     fn now(&self) -> Duration {
         self.origin.elapsed()
     }
-
-    fn advance(&self, by: Duration) {
-        std::thread::sleep(by);
-    }
 }
 
 /// A test clock that moves only when told to.
@@ -100,37 +97,48 @@ impl VirtualClock {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Moves the clock forward by `by` — how a test lets time pass.
+    pub fn advance(&self, by: Duration) {
+        let by = u64::try_from(by.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos.fetch_add(by, Ordering::AcqRel);
+    }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Duration {
         Duration::from_nanos(self.nanos.load(Ordering::Acquire))
     }
-
-    fn advance(&self, by: Duration) {
-        let by = u64::try_from(by.as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_add(by, Ordering::AcqRel);
-    }
 }
 
 /// A per-net deadline: fixed at route entry, checked cooperatively at
-/// rung boundaries and inside the DW / local-search inner loops.
+/// rung boundaries and inside the DW / local-search inner loops. It
+/// belongs to one route on one thread, so charging it is a plain cell
+/// write.
 #[derive(Debug, Clone)]
 pub struct Budget {
     clock: Arc<dyn Clock>,
-    deadline_at: Duration,
+    deadline_at: Cell<Duration>,
 }
 
 impl Budget {
     /// Starts a budget of `deadline` from the clock's current reading.
     pub fn new(clock: Arc<dyn Clock>, deadline: Duration) -> Self {
-        let deadline_at = clock.now().saturating_add(deadline);
+        let deadline_at = Cell::new(clock.now().saturating_add(deadline));
         Budget { clock, deadline_at }
+    }
+
+    /// Spends `by` of this budget without time passing on the clock —
+    /// the stage-delay fault's injection point. Only this budget's
+    /// route sees the charge.
+    pub fn charge(&self, by: Duration) {
+        let deadline_at = self.deadline_at.get().saturating_sub(by);
+        self.deadline_at.set(deadline_at);
     }
 
     /// Whether the deadline has passed.
     pub fn exceeded(&self) -> bool {
-        self.clock.now() >= self.deadline_at
+        self.clock.now() >= self.deadline_at.get()
     }
 }
 
@@ -154,8 +162,10 @@ pub enum FaultKind {
     CorruptedRow,
     /// The targeted rung panics (the batch driver's isolation test).
     StagePanic,
-    /// The targeted rung stalls: the router's clock advances by the
-    /// plane's [`delay`](FaultPlane::delay) before the rung runs.
+    /// The targeted rung stalls: the plane's
+    /// [`delay`](FaultPlane::delay) is charged to the net's deadline
+    /// [`Budget`] before the rung runs. A net without a deadline is
+    /// unaffected.
     StageDelay,
 }
 
@@ -331,7 +341,7 @@ impl FaultPlane {
         self
     }
 
-    /// Sets the stage-delay fault's clock advance (default 5 ms).
+    /// Sets the stage-delay fault's budget charge (default 5 ms).
     #[must_use]
     pub fn with_delay(mut self, delay: Duration) -> Self {
         self.delay = delay;
@@ -357,7 +367,7 @@ impl FaultPlane {
         self.seed
     }
 
-    /// The stage-delay fault's clock advance.
+    /// The stage-delay fault's budget charge.
     pub fn delay(&self) -> Duration {
         self.delay
     }
@@ -795,6 +805,20 @@ mod tests {
         assert!(!budget.exceeded());
         clock.advance(Duration::from_millis(1));
         assert!(budget.exceeded());
+    }
+
+    #[test]
+    fn a_charge_spends_only_its_own_budget() {
+        let clock = Arc::new(VirtualClock::new());
+        let charged = Budget::new(clock.clone() as Arc<dyn Clock>, Duration::from_millis(10));
+        let sibling = Budget::new(clock.clone() as Arc<dyn Clock>, Duration::from_millis(10));
+        charged.charge(Duration::from_millis(4));
+        clock.advance(Duration::from_millis(6));
+        assert!(charged.exceeded());
+        assert!(!sibling.exceeded());
+        // A charge larger than the whole budget saturates.
+        sibling.charge(Duration::MAX);
+        assert!(sibling.exceeded());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and correlate by `id` (the server replies to *accepted* requests in
 //! per-connection arrival order, but immediate rejections — overload,
 //! drain, malformed — jump the queue, so id correlation is the only
-//! contract). [`scrape_metrics`] and [`http_post`] cover the HTTP
+//! contract). [`scrape_metrics`] and [`http_request`] cover the HTTP
 //! adapter with the same no-dependency discipline.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -218,16 +218,6 @@ pub fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
         ));
     }
     Ok(body)
-}
-
-/// POSTs a route-request JSON body to the adapter's `/route`.
-pub fn http_post_route(addr: SocketAddr, body: &[u8]) -> io::Result<(u16, String)> {
-    http_request(addr, "POST", "/route", body)
-}
-
-/// POSTs an ECO reroute-request JSON body to the adapter's `/reroute`.
-pub fn http_post_reroute(addr: SocketAddr, body: &[u8]) -> io::Result<(u16, String)> {
-    http_request(addr, "POST", "/reroute", body)
 }
 
 #[cfg(test)]

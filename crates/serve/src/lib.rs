@@ -5,6 +5,9 @@
 //! (mmap'd table, warm cache, fault plane) shared across all of them.
 //! This crate is that process: a daemon that owns an `Engine` and
 //! serves route requests over a hand-rolled, std-only wire protocol.
+//! The framed socket is the only transport for route, reroute and
+//! reload requests; an optional HTTP adapter serves `GET /metrics` and
+//! `GET /healthz` and routes nothing.
 //!
 //! Layers, bottom up:
 //!
@@ -18,7 +21,7 @@
 //!   histograms, rendered as Prometheus text for `/metrics`.
 //! - [`chaos`] — the seed-deterministic transport fault plane: torn
 //!   and corrupted frames, stalled writes, delayed reads, mid-reply
-//!   disconnects, injectable into both transports for soak testing.
+//!   disconnects, injected into the framed socket for soak testing.
 //! - [`server`] — the daemon: per-connection reader/writer threads
 //!   with read/write watchdog deadlines and bounded reply buffers,
 //!   bounded admission queue, a batcher that routes whatever is queued
@@ -54,15 +57,11 @@ pub mod server;
 pub mod wire;
 
 pub use chaos::{TransportFault, TransportFaultKind, TransportPlane};
-pub use client::{
-    http_post_reroute, http_post_route, http_request, scrape_metrics, RetryPolicy,
-    RouteClient,
-};
+pub use client::{http_request, scrape_metrics, RetryPolicy, RouteClient};
 pub use json::{parse, Json, ParseError};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use server::{serve, ServeConfig, ServeSummary, Server, RETRY_AFTER_CAP_MS};
 pub use wire::{
-    parse_any_request, parse_request, parse_reload_request, parse_reroute_request,
-    read_frame, result_to_json, write_frame, ReloadRequest, RerouteRequest, Request,
-    RouteRequest, MAX_FRAME,
+    parse_any_request, read_frame, result_to_json, write_frame, ReloadRequest, RerouteRequest,
+    Request, RouteRequest, MAX_FRAME,
 };

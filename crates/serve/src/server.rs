@@ -1,4 +1,8 @@
-//! The coalescing socket server.
+//! The socket server.
+//!
+//! Route, reroute and reload requests enter only through the framed
+//! socket; the HTTP adapter ([`crate::http`]) serves `/metrics` and
+//! `/healthz` and routes nothing.
 //!
 //! # Architecture
 //!
@@ -53,11 +57,12 @@ use patlabor::{DeltaJob, Engine, Net, NetDelta, ResilienceReport, RouteResult, S
 
 use crate::chaos::{TransportFaultKind, TransportPlane};
 use crate::http;
+use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::wire::{
-    evicted_json, malformed_json, overloaded_json, parse_any_request, parse_request,
-    parse_reroute_request, reload_failed_json, reload_ok_json, reloading_json, result_to_json,
-    shutting_down_json, write_frame, Request, MAX_FRAME,
+    evicted_json, malformed_json, overloaded_json, parse_any_request, reload_failed_json,
+    reload_ok_json, reloading_json, result_to_json, shutting_down_json, write_frame, Request,
+    MAX_FRAME,
 };
 
 /// Server tuning.
@@ -66,8 +71,9 @@ pub struct ServeConfig {
     /// Socket-protocol bind address. Port 0 picks a free port
     /// (read it back from [`Server::addr`]).
     pub addr: String,
-    /// HTTP adapter bind address (`/metrics`, `/healthz`, `POST
-    /// /route`); `None` disables the adapter.
+    /// HTTP adapter bind address (`GET /metrics`, `GET /healthz`);
+    /// `None` disables the adapter. Routes travel only over the framed
+    /// socket at [`ServeConfig::addr`].
     pub http_addr: Option<String>,
     /// Worker threads per batch (0 ⇒ all hardware threads).
     pub threads: usize,
@@ -93,7 +99,8 @@ pub struct ServeConfig {
     /// and evicts the connection instead of blocking the batcher —
     /// per-connection memory is bounded by construction.
     pub reply_buffer: usize,
-    /// The transport fault plane (chaos injection). Empty — the
+    /// The transport fault plane (chaos injection) for the framed
+    /// socket: its readers and writers are the only hooks. Empty — the
     /// default — means every hook short-circuits; see
     /// [`TransportPlane`].
     pub chaos: TransportPlane,
@@ -177,10 +184,10 @@ struct QueueState {
 
 pub(crate) struct Shared {
     engine: Engine,
-    pub(crate) config: ServeConfig,
+    config: ServeConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
     /// The one tally of routed requests: `/metrics` renders its
     /// families from it and [`Server::shutdown`] returns it.
     report: Mutex<ResilienceReport>,
@@ -406,65 +413,64 @@ impl Shared {
                 std::thread::sleep(chaos.delay());
             }
             frame_seq += 1;
-            let request = match parse_any_request(&payload) {
-                Ok(r) => r,
-                Err(m) => {
-                    Metrics::add(&self.metrics.malformed, 1);
-                    if reply_tx.try_send(malformed_json(&m).render().into_bytes()).is_err() {
-                        return;
-                    }
-                    continue;
+            if let Some(reply) = self.admit(conn_id, &payload, &reply_tx) {
+                if reply_tx.try_send(reply.render().into_bytes()).is_err() {
+                    return;
                 }
-            };
-            let (id, deadline_ms, job) = match request {
-                Request::Route(r) => (r.id, r.deadline_ms, Job::Route(r.net)),
-                Request::Reroute(r) => (
-                    r.id,
-                    r.deadline_ms,
-                    Job::Reroute { delta: r.delta, prior_edits: r.prior_edits },
-                ),
-                // The admin verb is handled inline on this connection's
-                // reader thread: validation is file I/O, never touches
-                // the batcher, and a per-connection stall here harms
-                // only the connection that asked for it.
-                Request::Reload(r) => {
-                    let json = match self.reload(&r.path) {
-                        ReloadOutcome::Swapped(epoch) => reload_ok_json(r.id, epoch),
-                        ReloadOutcome::InFlight => reloading_json(r.id),
-                        ReloadOutcome::Rejected(detail) => reload_failed_json(r.id, &detail),
-                    };
-                    if reply_tx.try_send(json.render().into_bytes()).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-            };
-            let mut session = Session::new(id);
-            if let Some(ms) = deadline_ms {
-                session = session.with_deadline(Duration::from_millis(ms));
             }
-            let pending = Pending {
-                job,
-                session,
-                enqueued: Instant::now(),
-                reply: reply_tx.clone(),
-                conn: conn_id,
-            };
-            match self.submit(pending) {
-                Ok(()) => {}
-                Err(Rejection::Overloaded { retry_after_ms }) => {
-                    Metrics::add(&self.metrics.rejected, 1);
-                    let json = overloaded_json(id, retry_after_ms);
-                    if reply_tx.try_send(json.render().into_bytes()).is_err() {
-                        return;
-                    }
-                }
-                Err(Rejection::ShuttingDown) => {
-                    Metrics::add(&self.metrics.shed_shutdown, 1);
-                    if reply_tx.try_send(shutting_down_json(id).render().into_bytes()).is_err() {
-                        return;
-                    }
-                }
+        }
+    }
+
+    /// Queues one request frame, or returns the reply it gets at once:
+    /// `"malformed"`, an admission rejection, or the answer to a reload.
+    /// The reload verb is handled inline on the connection's reader
+    /// thread: validation is file I/O, never touches the batcher, and a
+    /// stall here harms only the connection that asked for it.
+    fn admit(
+        &self,
+        conn_id: u64,
+        payload: &[u8],
+        reply: &mpsc::SyncSender<Vec<u8>>,
+    ) -> Option<Json> {
+        let (id, deadline_ms, job) = match parse_any_request(payload) {
+            Err(m) => {
+                Metrics::add(&self.metrics.malformed, 1);
+                return Some(malformed_json(&m));
+            }
+            Ok(Request::Route(r)) => (r.id, r.deadline_ms, Job::Route(r.net)),
+            Ok(Request::Reroute(r)) => (
+                r.id,
+                r.deadline_ms,
+                Job::Reroute { delta: r.delta, prior_edits: r.prior_edits },
+            ),
+            Ok(Request::Reload(r)) => {
+                return Some(match self.reload(&r.path) {
+                    ReloadOutcome::Swapped(epoch) => reload_ok_json(r.id, epoch),
+                    ReloadOutcome::InFlight => reloading_json(r.id),
+                    ReloadOutcome::Rejected(detail) => reload_failed_json(r.id, &detail),
+                });
+            }
+        };
+        let mut session = Session::new(id);
+        if let Some(ms) = deadline_ms {
+            session = session.with_deadline(Duration::from_millis(ms));
+        }
+        let pending = Pending {
+            job,
+            session,
+            enqueued: Instant::now(),
+            reply: reply.clone(),
+            conn: conn_id,
+        };
+        match self.submit(pending) {
+            Ok(()) => None,
+            Err(Rejection::Overloaded { retry_after_ms }) => {
+                Metrics::add(&self.metrics.rejected, 1);
+                Some(overloaded_json(id, retry_after_ms))
+            }
+            Err(Rejection::ShuttingDown) => {
+                Metrics::add(&self.metrics.shed_shutdown, 1);
+                Some(shutting_down_json(id))
             }
         }
     }
@@ -613,78 +619,6 @@ fn read_exact_watchdog(
         }
     }
     Ok(Some(()))
-}
-
-/// Handles a request payload arriving over the HTTP adapter (`POST
-/// /route`): same admission, same queue, but the reply is awaited
-/// inline (HTTP is request/response, not pipelined).
-pub(crate) fn http_route(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> Vec<u8> {
-    let request = match parse_request(body) {
-        Ok(r) => r,
-        Err(m) => {
-            Metrics::add(&shared.metrics.malformed, 1);
-            return malformed_json(&m).render().into_bytes();
-        }
-    };
-    submit_and_await(shared, conn_id, request.id, request.deadline_ms, Job::Route(request.net))
-}
-
-/// The HTTP adapter's ECO verb (`POST /reroute`): same admission, same
-/// batches as the socket protocol's reroute frames.
-pub(crate) fn http_reroute(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> Vec<u8> {
-    let request = match parse_reroute_request(body) {
-        Ok(r) => r,
-        Err(m) => {
-            Metrics::add(&shared.metrics.malformed, 1);
-            return malformed_json(&m).render().into_bytes();
-        }
-    };
-    submit_and_await(
-        shared,
-        conn_id,
-        request.id,
-        request.deadline_ms,
-        Job::Reroute { delta: request.delta, prior_edits: request.prior_edits },
-    )
-}
-
-/// Shared HTTP tail: admit one job and await its reply inline. A
-/// capacity of one is always enough — HTTP is request/response, so at
-/// most one reply is ever owed and `try_send` in the batcher can never
-/// find this channel full.
-fn submit_and_await(
-    shared: &Arc<Shared>,
-    conn_id: u64,
-    id: u64,
-    deadline_ms: Option<u64>,
-    job: Job,
-) -> Vec<u8> {
-    let mut session = Session::new(id);
-    if let Some(ms) = deadline_ms {
-        session = session.with_deadline(Duration::from_millis(ms));
-    }
-    let (tx, rx) = mpsc::sync_channel(1);
-    let pending = Pending {
-        job,
-        session,
-        enqueued: Instant::now(),
-        reply: tx,
-        conn: conn_id,
-    };
-    match shared.submit(pending) {
-        Ok(()) => match rx.recv() {
-            Ok(payload) => payload,
-            Err(_) => shutting_down_json(id).render().into_bytes(),
-        },
-        Err(Rejection::Overloaded { retry_after_ms }) => {
-            Metrics::add(&shared.metrics.rejected, 1);
-            overloaded_json(id, retry_after_ms).render().into_bytes()
-        }
-        Err(Rejection::ShuttingDown) => {
-            Metrics::add(&shared.metrics.shed_shutdown, 1);
-            shutting_down_json(id).render().into_bytes()
-        }
-    }
 }
 
 pub(crate) fn render_metrics(shared: &Shared) -> String {
@@ -842,7 +776,7 @@ pub fn serve(engine: Engine, config: ServeConfig) -> io::Result<Server> {
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for stream in listener.incoming() {
-        if lock(&shared.queue).draining {
+        if is_draining(shared) {
             return;
         }
         let Ok(stream) = stream else { continue };
@@ -897,19 +831,15 @@ fn inject_write_fault(
         // frame at all.
         TransportFaultKind::Disconnect => {}
         // Torn frame: full length prefix, half the payload, then FIN.
-        TransportFaultKind::TornWrite => {
+        // A stalled write is a torn frame whose peer waits out the
+        // delay before seeing FIN — it exercises client read deadlines.
+        TransportFaultKind::TornWrite | TransportFaultKind::StallWrite => {
             let _ = out.write_all(&(payload.len() as u32).to_le_bytes());
             let _ = out.write_all(&payload[..payload.len() / 2]);
             let _ = out.flush();
-        }
-        // Partial write then stall: like a torn frame but the peer
-        // waits out the delay before seeing FIN — exercises client
-        // read deadlines.
-        TransportFaultKind::StallWrite => {
-            let _ = out.write_all(&(payload.len() as u32).to_le_bytes());
-            let _ = out.write_all(&payload[..payload.len() / 2]);
-            let _ = out.flush();
-            std::thread::sleep(delay);
+            if kind == TransportFaultKind::StallWrite {
+                std::thread::sleep(delay);
+            }
         }
         // Flipped bytes inside an otherwise well-formed frame: the
         // peer's parser, not its framing layer, must catch this.

@@ -116,15 +116,9 @@ pub struct RouteRequest {
 impl RouteRequest {
     /// Encodes the request as its wire JSON.
     pub fn to_json(&self) -> Json {
-        let pins = self
-            .net
-            .pins()
-            .iter()
-            .map(|p| Json::Arr(vec![int(p.x), int(p.y)]))
-            .collect();
         let mut obj = vec![
             ("id".to_string(), Json::Int(self.id as i64)),
-            ("net".to_string(), Json::Arr(pins)),
+            ("net".to_string(), pins_json(&self.net)),
         ];
         if let Some(ms) = self.deadline_ms {
             obj.push(("deadline_ms".to_string(), Json::Int(ms as i64)));
@@ -150,16 +144,9 @@ pub struct RerouteRequest {
 impl RerouteRequest {
     /// Encodes the request as its wire JSON.
     pub fn to_json(&self) -> Json {
-        let pins = self
-            .delta
-            .base
-            .pins()
-            .iter()
-            .map(|p| Json::Arr(vec![int(p.x), int(p.y)]))
-            .collect();
         let mut obj = vec![
             ("id".to_string(), Json::Int(self.id as i64)),
-            ("base".to_string(), Json::Arr(pins)),
+            ("base".to_string(), pins_json(&self.delta.base)),
             ("edit".to_string(), delta_kind_to_json(&self.delta.kind)),
         ];
         if self.prior_edits != 0 {
@@ -201,17 +188,24 @@ pub enum Request {
     Reload(ReloadRequest),
 }
 
+fn point_json(p: Point) -> Json {
+    Json::Arr(vec![int(p.x), int(p.y)])
+}
+
+fn pins_json(net: &Net) -> Json {
+    Json::Arr(net.pins().iter().copied().map(point_json).collect())
+}
+
 /// Serializes a [`DeltaKind`] into the wire edit grammar.
 pub fn delta_kind_to_json(kind: &DeltaKind) -> Json {
-    let pt = |p: Point| Json::Arr(vec![int(p.x), int(p.y)]);
     let tag = ("kind".to_string(), Json::Str(kind.label().to_string()));
     match *kind {
         DeltaKind::MovePin { index, to } => Json::Obj(vec![
             tag,
             ("index".to_string(), Json::Int(index as i64)),
-            ("to".to_string(), pt(to)),
+            ("to".to_string(), point_json(to)),
         ]),
-        DeltaKind::AddSink { at } => Json::Obj(vec![tag, ("at".to_string(), pt(at))]),
+        DeltaKind::AddSink { at } => Json::Obj(vec![tag, ("at".to_string(), point_json(at))]),
         DeltaKind::RemoveSink { index } => Json::Obj(vec![
             tag,
             ("index".to_string(), Json::Int(index as i64)),
@@ -223,8 +217,8 @@ pub fn delta_kind_to_json(kind: &DeltaKind) -> Json {
         ]),
         DeltaKind::BlockageMask { min, max } => Json::Obj(vec![
             tag,
-            ("min".to_string(), pt(min)),
-            ("max".to_string(), pt(max)),
+            ("min".to_string(), point_json(min)),
+            ("max".to_string(), point_json(max)),
         ]),
     }
 }
@@ -273,7 +267,7 @@ fn parse_delta_kind(value: &Json) -> Result<DeltaKind, String> {
     }
 }
 
-/// A request frame that could not be turned into a [`RouteRequest`].
+/// A request frame that could not be turned into a [`Request`].
 /// `id` is recovered from the payload when possible so the rejection
 /// can still be correlated.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,8 +276,11 @@ pub struct MalformedRequest {
     pub detail: String,
 }
 
-/// Parses a request frame's payload.
-pub fn parse_request(payload: &[u8]) -> Result<RouteRequest, MalformedRequest> {
+/// Parses a request frame's payload. UTF-8 and JSON are decoded once
+/// and `id` is recovered once; then a frame carrying `"edit"` is a
+/// reroute, one carrying `"reload"` is the admin path, and anything
+/// else is a route.
+pub fn parse_any_request(payload: &[u8]) -> Result<Request, MalformedRequest> {
     let text = std::str::from_utf8(payload).map_err(|e| MalformedRequest {
         id: 0,
         detail: format!("frame is not UTF-8: {e}"),
@@ -293,29 +290,48 @@ pub fn parse_request(payload: &[u8]) -> Result<RouteRequest, MalformedRequest> {
         detail: e.to_string(),
     })?;
     let id = value.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let fail = |detail: String| MalformedRequest { id, detail };
-    let pins = value
-        .get("net")
-        .and_then(Json::as_array)
-        .ok_or_else(|| fail("missing \"net\" array".to_string()))?;
-    let mut points = Vec::with_capacity(pins.len());
-    for pin in pins {
-        let pair = pin.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-            fail("each pin must be a [x, y] pair".to_string())
-        })?;
-        let x = pair[0].as_i64().ok_or_else(|| fail("pin x must be an integer".to_string()))?;
-        let y = pair[1].as_i64().ok_or_else(|| fail("pin y must be an integer".to_string()))?;
-        points.push(Point::new(x, y));
-    }
-    let net = Net::new(points).map_err(|e| fail(format!("invalid net: {e}")))?;
-    let deadline_ms = match value.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| fail("deadline_ms must be a non-negative integer".to_string()))?,
-        ),
+    let request = if let Some(edit) = value.get("edit") {
+        parse_reroute(&value, edit, id).map(Request::Reroute)
+    } else if let Some(path) = value.get("reload") {
+        match path.as_str() {
+            Some(path) => Ok(Request::Reload(ReloadRequest { id, path: path.to_string() })),
+            None => Err("\"reload\" must be a path string".to_string()),
+        }
+    } else {
+        parse_route(&value, id).map(Request::Route)
     };
-    Ok(RouteRequest { id, net, deadline_ms })
+    request.map_err(|detail| MalformedRequest { id, detail })
+}
+
+/// A route frame's fields: the `net` pin list and an optional deadline.
+fn parse_route(value: &Json, id: u64) -> Result<RouteRequest, String> {
+    Ok(RouteRequest {
+        id,
+        net: parse_pins(value, "net")?,
+        deadline_ms: parse_deadline(value)?,
+    })
+}
+
+/// A reroute frame's fields: the `base` pin list, the `edit`, an
+/// optional `staleness` and an optional deadline.
+fn parse_reroute(value: &Json, edit: &Json, id: u64) -> Result<RerouteRequest, String> {
+    let base = parse_pins(value, "base")?;
+    let kind = parse_delta_kind(edit)?;
+    let prior_edits = match value.get("staleness") {
+        None | Some(Json::Null) => 0,
+        Some(v) => {
+            let edits = v
+                .as_u64()
+                .ok_or_else(|| "staleness must be a non-negative integer".to_string())?;
+            u32::try_from(edits).map_err(|_| "staleness exceeds u32".to_string())?
+        }
+    };
+    Ok(RerouteRequest {
+        id,
+        delta: NetDelta::new(base, kind),
+        prior_edits,
+        deadline_ms: parse_deadline(value)?,
+    })
 }
 
 /// Parses a pin-list field into a net.
@@ -334,80 +350,14 @@ fn parse_pins(value: &Json, field: &str) -> Result<Net, String> {
     Net::new(points).map_err(|e| format!("invalid net: {e}"))
 }
 
-/// Parses an ECO reroute frame's payload.
-pub fn parse_reroute_request(payload: &[u8]) -> Result<RerouteRequest, MalformedRequest> {
-    let text = std::str::from_utf8(payload).map_err(|e| MalformedRequest {
-        id: 0,
-        detail: format!("frame is not UTF-8: {e}"),
-    })?;
-    let value = parse(text).map_err(|e| MalformedRequest {
-        id: 0,
-        detail: e.to_string(),
-    })?;
-    let id = value.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let fail = |detail: String| MalformedRequest { id, detail };
-    let base = parse_pins(&value, "base").map_err(&fail)?;
-    let edit = value
-        .get("edit")
-        .ok_or_else(|| fail("missing \"edit\" object".to_string()))?;
-    let kind = parse_delta_kind(edit).map_err(&fail)?;
-    let prior_edits = match value.get("staleness") {
-        None | Some(Json::Null) => 0,
-        Some(v) => u32::try_from(v.as_u64().ok_or_else(|| {
-            fail("staleness must be a non-negative integer".to_string())
-        })?)
-        .map_err(|_| fail("staleness exceeds u32".to_string()))?,
-    };
-    let deadline_ms = match value.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| fail("deadline_ms must be a non-negative integer".to_string()))?,
-        ),
-    };
-    Ok(RerouteRequest {
-        id,
-        delta: NetDelta::new(base, kind),
-        prior_edits,
-        deadline_ms,
-    })
-}
-
-/// Parses a hot-reload admin frame's payload.
-pub fn parse_reload_request(payload: &[u8]) -> Result<ReloadRequest, MalformedRequest> {
-    let text = std::str::from_utf8(payload).map_err(|e| MalformedRequest {
-        id: 0,
-        detail: format!("frame is not UTF-8: {e}"),
-    })?;
-    let value = parse(text).map_err(|e| MalformedRequest {
-        id: 0,
-        detail: e.to_string(),
-    })?;
-    let id = value.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let path = value
-        .get("reload")
-        .and_then(Json::as_str)
-        .ok_or_else(|| MalformedRequest {
-            id,
-            detail: "\"reload\" must be a path string".to_string(),
-        })?;
-    Ok(ReloadRequest {
-        id,
-        path: path.to_string(),
-    })
-}
-
-/// Parses any verb: a frame carrying `"edit"` is a reroute, one
-/// carrying `"reload"` is the admin path, anything else takes the
-/// route path (whose errors are unchanged).
-pub fn parse_any_request(payload: &[u8]) -> Result<Request, MalformedRequest> {
-    let value = std::str::from_utf8(payload).ok().and_then(|t| parse(t).ok());
-    if value.as_ref().is_some_and(|v| v.get("edit").is_some()) {
-        parse_reroute_request(payload).map(Request::Reroute)
-    } else if value.as_ref().is_some_and(|v| v.get("reload").is_some()) {
-        parse_reload_request(payload).map(Request::Reload)
-    } else {
-        parse_request(payload).map(Request::Route)
+/// Parses the optional `deadline_ms` field.
+fn parse_deadline(value: &Json) -> Result<Option<u64>, String> {
+    match value.get("deadline_ms") {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| "deadline_ms must be a non-negative integer".to_string()),
     }
 }
 
@@ -453,14 +403,26 @@ pub fn outcome_to_json(id: u64, outcome: &RouteOutcome) -> Json {
     ])
 }
 
-/// Serializes a routing failure (`"error": "route"`).
-pub fn route_error_to_json(id: u64, error: &RouteError) -> Json {
-    Json::Obj(vec![
+/// A failure reply: `{"id", "ok": false, "error"}` plus at most one
+/// field that explains it.
+fn error_json(id: u64, error: &str, extra: Option<(&str, Json)>) -> Json {
+    let mut obj = vec![
         ("id".to_string(), Json::Int(id as i64)),
         ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("route".to_string())),
-        ("detail".to_string(), Json::Str(error.to_string())),
-    ])
+        ("error".to_string(), Json::Str(error.to_string())),
+    ];
+    obj.extend(extra.map(|(key, value)| (key.to_string(), value)));
+    Json::Obj(obj)
+}
+
+/// The `detail` field that explains a failure in words.
+fn detail(text: &str) -> Option<(&'static str, Json)> {
+    Some(("detail", Json::Str(text.to_string())))
+}
+
+/// Serializes a routing failure (`"error": "route"`).
+pub fn route_error_to_json(id: u64, error: &RouteError) -> Json {
+    error_json(id, "route", detail(&error.to_string()))
 }
 
 /// Serializes a per-net [`RouteResult`] — success or routing failure.
@@ -474,53 +436,30 @@ pub fn result_to_json(id: u64, result: &RouteResult) -> Json {
 /// The admission-control rejection (`"error": "overloaded"`): the queue
 /// was full, the request was not routed, retry after the given delay.
 pub fn overloaded_json(id: u64, retry_after_ms: u64) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("overloaded".to_string())),
-        ("retry_after_ms".to_string(), Json::Int(retry_after_ms as i64)),
-    ])
+    error_json(id, "overloaded", Some(("retry_after_ms", int(retry_after_ms as i64))))
 }
 
 /// The drain-mode rejection (`"error": "shutting-down"`).
 pub fn shutting_down_json(id: u64) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("shutting-down".to_string())),
-    ])
+    error_json(id, "shutting-down", None)
 }
 
 /// The slow-client eviction notice (`"error": "evicted"`): the server
 /// is closing this connection. Sent best-effort before the close.
-pub fn evicted_json(id: u64, detail: &str) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("evicted".to_string())),
-        ("detail".to_string(), Json::Str(detail.to_string())),
-    ])
+pub fn evicted_json(id: u64, why: &str) -> Json {
+    error_json(id, "evicted", detail(why))
 }
 
 /// The concurrent-reload rejection (`"error": "reloading"`): an admin
 /// reload is already in flight.
 pub fn reloading_json(id: u64) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("reloading".to_string())),
-    ])
+    error_json(id, "reloading", None)
 }
 
 /// The rejected-candidate reload response (`"error": "reload-failed"`):
 /// the old table is still serving.
-pub fn reload_failed_json(id: u64, detail: &str) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("reload-failed".to_string())),
-        ("detail".to_string(), Json::Str(detail.to_string())),
-    ])
+pub fn reload_failed_json(id: u64, why: &str) -> Json {
+    error_json(id, "reload-failed", detail(why))
 }
 
 /// The successful hot-reload response.
@@ -535,12 +474,7 @@ pub fn reload_ok_json(id: u64, epoch: u64) -> Json {
 
 /// The unparseable-frame rejection (`"error": "malformed"`).
 pub fn malformed_json(m: &MalformedRequest) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Int(m.id as i64)),
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str("malformed".to_string())),
-        ("detail".to_string(), Json::Str(m.detail.clone())),
-    ])
+    error_json(m.id, "malformed", detail(&m.detail))
 }
 
 #[cfg(test)]
@@ -549,6 +483,42 @@ mod tests {
 
     fn net3() -> Net {
         Net::new(vec![Point::new(0, 0), Point::new(5, 9), Point::new(9, 4)]).unwrap()
+    }
+
+    /// One reroute request per edit kind.
+    fn reroutes() -> Vec<RerouteRequest> {
+        let kinds = [
+            DeltaKind::MovePin { index: 1, to: Point::new(6, 8) },
+            DeltaKind::AddSink { at: Point::new(2, 2) },
+            DeltaKind::RemoveSink { index: 0 },
+            DeltaKind::Translate { dx: -3, dy: 7 },
+            DeltaKind::BlockageMask { min: Point::new(1, 1), max: Point::new(7, 7) },
+        ];
+        (0..)
+            .zip(kinds)
+            .map(|(i, kind)| RerouteRequest {
+                id: 10 + i,
+                delta: NetDelta::new(net3(), kind),
+                prior_edits: i as u32,
+                deadline_ms: if i % 2 == 0 { Some(8) } else { None },
+            })
+            .collect()
+    }
+
+    /// [`parse_any_request`], required to take the route path.
+    fn parse_route_frame(payload: &[u8]) -> Result<RouteRequest, MalformedRequest> {
+        match parse_any_request(payload)? {
+            Request::Route(r) => Ok(r),
+            other => panic!("route frame took the wrong path: {other:?}"),
+        }
+    }
+
+    /// [`parse_any_request`], required to take the reroute path.
+    fn parse_reroute_frame(payload: &[u8]) -> Result<RerouteRequest, MalformedRequest> {
+        match parse_any_request(payload)? {
+            Request::Reroute(r) => Ok(r),
+            other => panic!("edit frame took the wrong path: {other:?}"),
+        }
     }
 
     #[test]
@@ -579,66 +549,48 @@ mod tests {
             net: net3(),
             deadline_ms: Some(10),
         };
-        let parsed = parse_request(req.to_json().render().as_bytes()).unwrap();
+        let parsed = parse_route_frame(req.to_json().render().as_bytes()).unwrap();
         assert_eq!(parsed, req);
         let bare = RouteRequest {
             id: 7,
             net: net3(),
             deadline_ms: None,
         };
-        let parsed = parse_request(bare.to_json().render().as_bytes()).unwrap();
+        let parsed = parse_route_frame(bare.to_json().render().as_bytes()).unwrap();
         assert_eq!(parsed, bare);
     }
 
     #[test]
     fn reroute_requests_round_trip_for_every_edit_kind() {
-        let kinds = [
-            DeltaKind::MovePin { index: 1, to: Point::new(6, 8) },
-            DeltaKind::AddSink { at: Point::new(2, 2) },
-            DeltaKind::RemoveSink { index: 0 },
-            DeltaKind::Translate { dx: -3, dy: 7 },
-            DeltaKind::BlockageMask { min: Point::new(1, 1), max: Point::new(7, 7) },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let req = RerouteRequest {
-                id: 10 + i as u64,
-                delta: NetDelta::new(net3(), kind),
-                prior_edits: i as u32,
-                deadline_ms: if i % 2 == 0 { Some(8) } else { None },
-            };
+        for req in reroutes() {
             let payload = req.to_json().render();
-            let parsed = parse_reroute_request(payload.as_bytes()).unwrap();
-            assert_eq!(parsed, req, "kind {}", kind.label());
-            // The verb dispatcher sends it down the reroute path.
-            match parse_any_request(payload.as_bytes()).unwrap() {
-                Request::Reroute(r) => assert_eq!(r, req),
-                other => panic!("edit frame took the wrong path: {other:?}"),
-            }
+            let parsed = parse_reroute_frame(payload.as_bytes()).unwrap();
+            assert_eq!(parsed, req, "kind {}", req.delta.kind.label());
         }
         // A plain route frame still takes the route path.
         let plain = RouteRequest { id: 1, net: net3(), deadline_ms: None };
-        match parse_any_request(plain.to_json().render().as_bytes()).unwrap() {
-            Request::Route(r) => assert_eq!(r, plain),
-            other => panic!("route frame took the wrong path: {other:?}"),
-        }
+        assert_eq!(parse_route_frame(plain.to_json().render().as_bytes()).unwrap(), plain);
     }
 
     #[test]
     fn malformed_reroutes_name_the_missing_piece() {
-        let m = parse_reroute_request(br#"{"id": 4, "base": [[0,0],[1,1]]}"#).unwrap_err();
+        // `"edit"` is what makes a frame a reroute, so the edit can be
+        // empty but not absent.
+        let m = parse_reroute_frame(br#"{"id": 4, "base": [[0,0],[1,1]], "edit": null}"#)
+            .unwrap_err();
         assert_eq!(m.id, 4);
         assert!(m.detail.contains("edit"), "{}", m.detail);
-        let m = parse_reroute_request(
+        let m = parse_reroute_frame(
             br#"{"id": 5, "base": [[0,0],[1,1]], "edit": {"kind": "teleport"}}"#,
         )
         .unwrap_err();
         assert!(m.detail.contains("teleport"), "{}", m.detail);
-        let m = parse_reroute_request(
+        let m = parse_reroute_frame(
             br#"{"id": 6, "base": [[0,0],[1,1]], "edit": {"kind": "move-pin", "index": 0}}"#,
         )
         .unwrap_err();
         assert!(m.detail.contains("\"to\""), "{}", m.detail);
-        let m = parse_reroute_request(
+        let m = parse_reroute_frame(
             br#"{"id": 7, "base": [[0,0]], "edit": {"kind": "translate", "dx": 1, "dy": 1}}"#,
         )
         .unwrap_err();
@@ -647,13 +599,13 @@ mod tests {
 
     #[test]
     fn malformed_requests_recover_the_id_when_possible() {
-        let m = parse_request(br#"{"id": 9, "net": "nope"}"#).unwrap_err();
+        let m = parse_route_frame(br#"{"id": 9, "net": "nope"}"#).unwrap_err();
         assert_eq!(m.id, 9);
         assert!(m.detail.contains("net"));
-        let m = parse_request(b"not json").unwrap_err();
+        let m = parse_route_frame(b"not json").unwrap_err();
         assert_eq!(m.id, 0);
         // A degenerate net (degree < 2) is malformed at the wire layer.
-        let m = parse_request(br#"{"id": 3, "net": [[0,0]]}"#).unwrap_err();
+        let m = parse_route_frame(br#"{"id": 3, "net": [[0,0]]}"#).unwrap_err();
         assert_eq!(m.id, 3);
         assert!(m.detail.contains("invalid net"));
     }
@@ -727,7 +679,6 @@ mod tests {
             path: "/tmp/next.plut".to_string(),
         };
         let payload = req.to_json().render();
-        assert_eq!(parse_reload_request(payload.as_bytes()).unwrap(), req);
         match parse_any_request(payload.as_bytes()).unwrap() {
             Request::Reload(r) => assert_eq!(r, req),
             other => panic!("reload frame took the wrong path: {other:?}"),
@@ -736,5 +687,84 @@ mod tests {
         let m = parse_any_request(br#"{"id": 12, "reload": 7}"#).unwrap_err();
         assert_eq!(m.id, 12);
         assert!(m.detail.contains("reload"), "{}", m.detail);
+    }
+
+    /// Every outcome the single parser may give a hostile payload: a
+    /// request that re-encodes to itself, or a `MalformedRequest` that
+    /// echoes the payload's id whenever the damage left the JSON and an
+    /// integer `id` intact. A panic fails the test.
+    fn assert_structured(payload: &[u8]) {
+        let recoverable_id = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| parse(text).ok())
+            .and_then(|value| value.get("id").and_then(Json::as_u64))
+            .unwrap_or(0);
+        match parse_any_request(payload) {
+            Ok(request) => {
+                let (id, encoded) = match &request {
+                    Request::Route(r) => (r.id, r.to_json()),
+                    Request::Reroute(r) => (r.id, r.to_json()),
+                    Request::Reload(r) => (r.id, r.to_json()),
+                };
+                assert_eq!(id, recoverable_id, "{payload:?}");
+                let again = parse_any_request(encoded.render().as_bytes());
+                assert_eq!(again.as_ref(), Ok(&request), "{payload:?}");
+            }
+            Err(m) => {
+                assert_eq!(m.id, recoverable_id, "{payload:?}: {}", m.detail);
+                assert!(!m.detail.is_empty(), "{payload:?}");
+            }
+        }
+    }
+
+    /// Seeded hostile corpus for `parse_any_request`: every truncation
+    /// of a valid route, reroute (all five edit kinds) and reload frame,
+    /// single- and multi-byte flips of them, and random byte strings,
+    /// some drawn from JSON's own alphabet so the damage reaches past
+    /// the tokenizer.
+    #[test]
+    fn hostile_frames_get_structured_answers() {
+        let mut frames: Vec<String> = reroutes().iter().map(|r| r.to_json().render()).collect();
+        frames.push(RouteRequest { id: 41, net: net3(), deadline_ms: Some(10) }.to_json().render());
+        frames.push(ReloadRequest { id: 43, path: "/tmp/next.plut".to_string() }.to_json().render());
+
+        let mut state = 0x0057_11e5_u64;
+        let mut next = || {
+            state = patlabor::resilience::splitmix64(state);
+            state
+        };
+        for frame in &frames {
+            let bytes = frame.as_bytes();
+            assert!(parse_any_request(bytes).is_ok(), "{frame}");
+            for len in 0..bytes.len() {
+                assert_structured(&bytes[..len]);
+            }
+            for flips in [1, 1, 1, 2, 3, 5, 8] {
+                for _ in 0..64 {
+                    let mut damaged = bytes.to_vec();
+                    for _ in 0..flips {
+                        let h = next();
+                        let at = (h % damaged.len() as u64) as usize;
+                        damaged[at] ^= ((h >> 32) as u8).max(1);
+                    }
+                    assert_structured(&damaged);
+                }
+            }
+        }
+        const JSONISH: &[u8] = b"{}[]\":,-0123456789 idnetbasrloum";
+        for round in 0..2_000 {
+            let len = (next() % 96) as usize;
+            let random: Vec<u8> = (0..len)
+                .map(|_| {
+                    let h = next();
+                    if round % 2 == 0 {
+                        h as u8
+                    } else {
+                        JSONISH[(h % JSONISH.len() as u64) as usize]
+                    }
+                })
+                .collect();
+            assert_structured(&random);
+        }
     }
 }

@@ -12,8 +12,8 @@ use patlabor::{
     Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, ResilienceConfig, VirtualClock,
 };
 use patlabor_serve::{
-    http_post_reroute, http_post_route, scrape_metrics, serve, Json, RerouteRequest, RouteClient,
-    RouteRequest, ServeConfig, Server,
+    http_request, scrape_metrics, serve, Json, RerouteRequest, RouteClient, RouteRequest,
+    ServeConfig, Server,
 };
 
 fn test_engine() -> Engine {
@@ -85,8 +85,6 @@ impl Clock for GateClock {
         }
         Duration::ZERO
     }
-
-    fn advance(&self, _by: Duration) {}
 }
 
 /// Opens the gate when dropped, so a failing assertion unwinds into a
@@ -337,6 +335,17 @@ fn malformed_frames_do_not_poison_the_connection() {
     assert_eq!(reply.get("error").and_then(Json::as_str), Some("malformed"));
     assert!(reply.get("detail").is_some());
 
+    // A reroute frame with an unknown edit kind is malformed too, and
+    // the rejection echoes its id and names the kind.
+    client
+        .send_raw(br#"{"id": 5, "base": [[0,0],[1,1]], "edit": {"kind": "teleport"}}"#)
+        .expect("send raw reroute");
+    let reply = client.recv().expect("recv").expect("reply");
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("malformed"));
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(5));
+    let detail = reply.get("detail").and_then(Json::as_str).unwrap_or_default();
+    assert!(detail.contains("teleport"), "{}", reply.render());
+
     // The connection survives: a valid request still routes.
     let net = suite(0x11, 1).remove(0);
     let reply = client
@@ -349,7 +358,7 @@ fn malformed_frames_do_not_poison_the_connection() {
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
 
     let summary = server.shutdown();
-    assert_eq!(summary.malformed, 1);
+    assert_eq!(summary.malformed, 2);
     assert_eq!(summary.report.nets, 1);
 }
 
@@ -481,59 +490,9 @@ fn reroute_frames_replay_in_mixed_batches() {
     assert_eq!(summary.report.errors, 0);
 }
 
-/// `POST /reroute` mirrors the socket reroute verb: replay after a
-/// prior `/route`, malformed bodies get the wire vocabulary.
-#[test]
-fn http_reroute_replays_after_a_route() {
-    let engine = test_engine();
-    let server = serve(
-        engine.clone(),
-        ServeConfig {
-            http_addr: Some("127.0.0.1:0".to_string()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let http = server.http_addr().expect("http enabled");
-
-    let base = suite(0x55, 24)
-        .into_iter()
-        .find(|n| (3..=4).contains(&n.degree()))
-        .expect("tabulated net");
-    let route = RouteRequest { id: 1, net: base.clone(), deadline_ms: None };
-    let (status, _) =
-        http_post_route(http, route.to_json().render().as_bytes()).expect("POST /route");
-    assert_eq!(status, 200);
-
-    let delta = NetDelta::new(base, DeltaKind::Translate { dx: -4, dy: 9 });
-    let reroute = RerouteRequest { id: 2, delta: delta.clone(), prior_edits: 0, deadline_ms: None };
-    let (status, body) =
-        http_post_reroute(http, reroute.to_json().render().as_bytes()).expect("POST /reroute");
-    assert_eq!(status, 200);
-    let reply = patlabor_serve::parse(&body).expect("json body");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(
-        reply.get("source").and_then(Json::as_str),
-        Some("reused"),
-        "{}",
-        reply.render()
-    );
-    assert_eq!(frontier_fields(&reply), direct_frontier(&engine, 2, &delta.apply()));
-
-    // A reroute body without an edit is malformed, not a 4xx.
-    let (status, body) =
-        http_post_reroute(http, br#"{"id": 3, "base": [[0,0],[1,1]]}"#).expect("POST");
-    assert_eq!(status, 200);
-    let reply = patlabor_serve::parse(&body).expect("json");
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("malformed"));
-
-    let summary = server.shutdown();
-    assert_eq!(summary.malformed, 1);
-    assert_eq!(summary.report.nets, 2);
-}
-
-/// The HTTP adapter: /healthz, /metrics exposition, and POST /route
-/// sharing the wire JSON verbatim.
+/// The HTTP adapter serves /healthz and the /metrics exposition of
+/// requests routed over the framed socket, and routes nothing itself:
+/// the old route verbs answer 405.
 #[test]
 fn http_adapter_serves_metrics_and_routes() {
     let engine = test_engine();
@@ -547,20 +506,19 @@ fn http_adapter_serves_metrics_and_routes() {
     .expect("bind");
     let http = server.http_addr().expect("http enabled");
 
-    let (status, body) = patlabor_serve::http_request(http, "GET", "/healthz", &[]).expect("GET");
+    let (status, body) = http_request(http, "GET", "/healthz", &[]).expect("GET");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    // Route a couple of nets over HTTP; replies match direct routing.
+    // Route a couple of nets over the socket; replies match direct
+    // routing.
+    let mut client = RouteClient::connect(server.addr()).expect("connect");
     for (i, net) in suite(0x33, 3).iter().enumerate() {
         let request = RouteRequest {
             id: i as u64,
             net: net.clone(),
             deadline_ms: None,
         };
-        let (status, body) =
-            http_post_route(http, request.to_json().render().as_bytes()).expect("POST /route");
-        assert_eq!(status, 200);
-        let reply = patlabor_serve::parse(&body).expect("json body");
+        let reply = client.route(&request).expect("route");
         assert_eq!(
             frontier_fields(&reply),
             direct_frontier(&engine, i as u64, net)
@@ -581,16 +539,23 @@ fn http_adapter_serves_metrics_and_routes() {
     }
 
     // Unknown paths 404 without killing the listener.
-    let (status, _) = patlabor_serve::http_request(http, "GET", "/nope", &[]).expect("GET");
+    let (status, _) = http_request(http, "GET", "/nope", &[]).expect("GET");
     assert_eq!(status, 404);
 
-    // A malformed HTTP route body gets the wire error vocabulary.
-    let (status, body) = http_post_route(http, b"not json").expect("POST");
+    // Routes enter only through the framed socket: the old HTTP route
+    // verbs are methods the adapter does not allow, body or not.
+    let body = RouteRequest { id: 7, net: suite(0x34, 1).remove(0), deadline_ms: None }
+        .to_json()
+        .render();
+    for path in ["/route", "/reroute"] {
+        let (status, _) = http_request(http, "POST", path, body.as_bytes()).expect("POST");
+        assert_eq!(status, 405, "POST {path}");
+    }
+    let (status, _) = http_request(http, "GET", "/healthz", &[]).expect("GET");
     assert_eq!(status, 200);
-    let reply = patlabor_serve::parse(&body).expect("json");
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("malformed"));
 
-    server.shutdown();
+    let summary = server.shutdown();
+    assert_eq!((summary.report.nets, summary.malformed), (3, 0));
 }
 
 /// A peer that stalls mid-frame past the watchdog budget is evicted —
@@ -711,7 +676,7 @@ fn torn_frame_corpus_never_wedges_either_transport() {
         .route(&RouteRequest { id: 9, net: net.clone(), deadline_ms: None })
         .expect("route after corpus");
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    let (status, body) = patlabor_serve::http_request(http, "GET", "/healthz", &[]).expect("GET");
+    let (status, body) = http_request(http, "GET", "/healthz", &[]).expect("GET");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     server.shutdown();

@@ -5,8 +5,9 @@
 //! either served by a lower rung with a verified frontier or failed with
 //! a structured [`patlabor::RouteError`].
 //!
-//! Time is virtual throughout: only injected stage delays advance the
-//! clock, so the deadline drills cannot flake on a loaded machine. The
+//! Time is virtual throughout: the clock never moves, and an injected
+//! stage delay is charged to the delayed net's own deadline budget, so
+//! the deadline drills cannot flake on a loaded machine. The
 //! `#[ignore]`d variant runs the acceptance-scale 500-net corpus (CI's
 //! fault-matrix job covers the same scale through `patlabor verify`).
 
@@ -14,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use patlabor::{
-    Engine, Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net, ResilienceConfig,
-    ResilienceReport, RouteError, RouterConfig, VirtualClock,
+    CacheConfig, Engine, Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net,
+    ResilienceConfig, ResilienceReport, RouteError, RouterConfig, VirtualClock,
 };
 
 fn corpus(seed: u64, count: usize) -> Vec<Net> {
@@ -112,6 +113,46 @@ fn unabsorbable_panics_fail_slots_structurally_not_fatally() {
                 assert!(payload.contains("injected fault"), "payload was: {payload}")
             }
             Err(e) => panic!("expected a structured panic error, got: {e}"),
+        }
+    }
+}
+
+/// A stage delay spends only the delayed net's budget, so a batch's
+/// answers cannot depend on how many workers share the engine clock:
+/// every `RouteResult`, provenance and trace included, is the same at
+/// 1, 2 and 8 threads. The cache is off so no answer depends on which
+/// worker routed a congruent net first.
+#[test]
+fn stage_delays_charge_only_their_own_net_at_every_thread_count() {
+    let nets = corpus(0xde1a, 600);
+    let engine = Engine::with_table_and_config(
+        LutBuilder::new(4).build(),
+        RouterConfig {
+            resilience: ResilienceConfig {
+                deadline: Some(Duration::from_millis(1)),
+                ..ResilienceConfig::default()
+            },
+            faults: FaultPlane::seeded(0x5eed).with_fault(Fault {
+                kind: FaultKind::StageDelay,
+                scope: FaultScope::Primary,
+                probability: 0.3,
+            }),
+            ..RouterConfig::default()
+        },
+    )
+    .with_cache(CacheConfig::disabled())
+    .with_clock(Arc::new(VirtualClock::new()));
+
+    let serial = engine.route_batch(&nets, 1);
+    let report = ResilienceReport::from_results(&serial);
+    assert!(
+        report.deadline_hits > 0 && report.deadline_hits < report.nets,
+        "p=0.3 must delay some nets and spare others: {report}"
+    );
+    for threads in [2, 8] {
+        let parallel = engine.route_batch(&nets, threads);
+        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(a, b, "net {i} at {threads} threads differs from serial");
         }
     }
 }
