@@ -5,9 +5,10 @@
 //! DESIGN.md §12), the net is served by this sweep: the wirelength end is
 //! an RSMT, the delay end a shortest-path arborescence, and a few
 //! Prim–Dijkstra blends fill the middle. Every constructor here is a
-//! near-linear heuristic, so the rung completes even for nets whose exact
-//! enumeration would blow the budget — approximate by construction, but
-//! every returned tree is a valid routing of the net with consistent
+//! polynomial heuristic (the costliest, iterated 1-Steiner and
+//! Prim–Dijkstra, are `O(n³)`), so the rung completes even for nets whose
+//! exact enumeration would blow the budget — approximate by construction,
+//! but every returned tree is a valid routing of the net with consistent
 //! objectives.
 
 use patlabor_geom::Net;

@@ -21,106 +21,17 @@ pub const EXACT_RSMT_MAX_DEGREE: usize = 7;
 ///
 /// Runs Prim in `O(n²)`.
 pub fn prim_mst(net: &Net) -> RoutingTree {
-    let pts = net.pins();
-    let n = pts.len();
-    let mut in_tree = vec![false; n];
-    let mut best_dist = vec![i64::MAX; n];
-    let mut best_parent = vec![0usize; n];
-    in_tree[0] = true;
-    for v in 1..n {
-        best_dist[v] = pts[v].l1(pts[0]);
-    }
-    let mut parent = vec![0usize; n];
-    for _ in 1..n {
-        let v = (0..n)
-            .filter(|&v| !in_tree[v])
-            .min_by_key(|&v| (best_dist[v], v))
-            .expect("some node is outside the tree");
-        in_tree[v] = true;
-        parent[v] = best_parent[v];
-        for u in 1..n {
-            if !in_tree[u] {
-                let d = pts[u].l1(pts[v]);
-                if d < best_dist[u] {
-                    best_dist[u] = d;
-                    best_parent[u] = v;
-                }
-            }
-        }
-    }
-    RoutingTree::from_parents(pts.to_vec(), parent, n).expect("Prim produces a tree")
+    let (parent, _) = prim(net.pins());
+    RoutingTree::from_parents(net.pins().to_vec(), parent, net.degree())
+        .expect("Prim produces a tree")
 }
 
-/// MST wirelength over an explicit point set (first point is the root).
-fn mst_cost(pts: &[Point]) -> i64 {
-    let n = pts.len();
-    let mut in_tree = vec![false; n];
-    let mut best = vec![i64::MAX; n];
-    in_tree[0] = true;
-    for v in 1..n {
-        best[v] = pts[v].l1(pts[0]);
-    }
-    let mut total = 0;
-    for _ in 1..n {
-        let v = (1..n)
-            .filter(|&v| !in_tree[v])
-            .min_by_key(|&v| best[v])
-            .expect("some node is outside the tree");
-        in_tree[v] = true;
-        total += best[v];
-        for u in 1..n {
-            if !in_tree[u] {
-                best[u] = best[u].min(pts[u].l1(pts[v]));
-            }
-        }
-    }
-    total
-}
-
-/// Kahng–Robins iterated 1-Steiner.
+/// Prim's rectilinear MST over `pts`, rooted at `pts[0]`, in `O(n²)`.
 ///
-/// Candidate Steiner points are the Hanan crossings of tree-adjacent node
-/// pairs (a practical restriction that keeps each round linear in tree
-/// size); the candidate with the largest MST gain is inserted and the
-/// process repeats until no candidate gains.
-pub fn iterated_one_steiner(net: &Net) -> RoutingTree {
-    let mut pts: Vec<Point> = net.pins().to_vec();
-    let num_pins = net.degree();
-    loop {
-        let base = mst_cost(&pts);
-        // Candidates from current MST adjacencies.
-        let tree = mst_over(&pts, num_pins);
-        let mut candidates: Vec<Point> = Vec::new();
-        for (v, p) in tree.edges() {
-            let a = tree.point(v);
-            let b = tree.point(p);
-            for c in [Point::new(a.x, b.y), Point::new(b.x, a.y)] {
-                if !pts.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut best: Option<(i64, Point)> = None;
-        for c in candidates {
-            let mut trial = pts.clone();
-            trial.push(c);
-            let cost = mst_cost(&trial);
-            if cost < base && best.is_none_or(|(bc, _)| cost < bc) {
-                best = Some((cost, c));
-            }
-        }
-        match best {
-            Some((_, c)) => pts.push(c),
-            None => break,
-        }
-    }
-    remove_redundant_steiner(&mst_over(&pts, num_pins))
-}
-
-/// Prim MST over pins + chosen Steiner points, as a [`RoutingTree`].
-fn mst_over(pts: &[Point], num_pins: usize) -> RoutingTree {
+/// Returns each node's parent and the order in which the nodes joined the
+/// tree: the root first, every parent before its children. Ties go to the
+/// lower `(distance, index)`.
+fn prim(pts: &[Point]) -> (Vec<usize>, Vec<usize>) {
     let n = pts.len();
     let mut in_tree = vec![false; n];
     let mut best = vec![i64::MAX; n];
@@ -130,6 +41,8 @@ fn mst_over(pts: &[Point], num_pins: usize) -> RoutingTree {
         best[v] = pts[v].l1(pts[0]);
     }
     let mut parent = vec![0usize; n];
+    let mut joined = Vec::with_capacity(n);
+    joined.push(0);
     for _ in 1..n {
         let v = (1..n)
             .filter(|&v| !in_tree[v])
@@ -137,6 +50,7 @@ fn mst_over(pts: &[Point], num_pins: usize) -> RoutingTree {
             .expect("some node is outside the tree");
         in_tree[v] = true;
         parent[v] = best_parent[v];
+        joined.push(v);
         for u in 1..n {
             if !in_tree[u] {
                 let d = pts[u].l1(pts[v]);
@@ -147,7 +61,116 @@ fn mst_over(pts: &[Point], num_pins: usize) -> RoutingTree {
             }
         }
     }
-    RoutingTree::from_parents(pts.to_vec(), parent, num_pins).expect("Prim produces a tree")
+    (parent, joined)
+}
+
+/// One round of iterated 1-Steiner: the MST of the current points, laid
+/// out for Chin–Houck vertex insertion.
+///
+/// The MST of `P ∪ {c}` uses only the `n − 1` edges of the MST of `P` and
+/// the `n` edges from `c`, so its cost follows from one children-first
+/// sweep over this tree in `O(n)` instead of a fresh `O(n²)` Prim.
+struct MstRound {
+    parent: Vec<usize>,
+    /// `edge[v]` is the length of the edge from `v` to its parent.
+    edge: Vec<i64>,
+    /// Prim's join order: every parent before its children.
+    joined: Vec<usize>,
+    /// The MST's cost.
+    cost: i64,
+}
+
+impl MstRound {
+    fn new(pts: &[Point]) -> MstRound {
+        let (parent, joined) = prim(pts);
+        let edge: Vec<i64> = pts
+            .iter()
+            .zip(&parent)
+            .map(|(p, &u)| p.l1(pts[u]))
+            .collect();
+        let cost = edge.iter().sum();
+        MstRound {
+            parent,
+            edge,
+            joined,
+            cost,
+        }
+    }
+
+    /// The Hanan crossings of MST-adjacent points that are not points
+    /// already, sorted and deduplicated.
+    fn candidates(&self, pts: &[Point]) -> Vec<Point> {
+        let mut candidates = Vec::new();
+        for (&a, &u) in pts.iter().zip(&self.parent).skip(1) {
+            let b = pts[u];
+            for c in [Point::new(a.x, b.y), Point::new(b.x, a.y)] {
+                if !pts.contains(&c) {
+                    candidates.push(c);
+                }
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
+    }
+
+    /// The cost of the MST of `pts ∪ {c}`, in `O(n)`; `m` is scratch.
+    ///
+    /// `m[v]` starts as the length of `c`'s edge to `v` and ends as the
+    /// longest edge still uncounted on the new tree's path from `v`'s
+    /// subtree to `c`. Folding child `w` into its parent `r` puts the
+    /// cycle `r – w ⇝ c ⇝ r` into the graph; the longest of `m[r]`,
+    /// `m[w]` and `edge[w]` leaves it, the shortest of `m[w]` and
+    /// `edge[w]` stays for good, and the survivor of the other two becomes
+    /// `r`'s uncounted edge.
+    fn cost_with(&self, pts: &[Point], c: Point, m: &mut Vec<i64>) -> i64 {
+        m.clear();
+        m.extend(pts.iter().map(|p| c.l1(*p)));
+        let mut cost = 0;
+        for &w in self.joined[1..].iter().rev() {
+            let (r, e) = (self.parent[w], self.edge[w]);
+            cost += m[w].min(e);
+            m[r] = m[r].min(m[w].max(e));
+        }
+        cost + m[0]
+    }
+
+    /// The candidate that shrinks the MST the most (the first in sorted
+    /// order on ties), or `None` when none shrinks it.
+    fn best_insertion(&self, pts: &[Point]) -> Option<Point> {
+        let mut m = Vec::with_capacity(pts.len());
+        let mut best: Option<(i64, Point)> = None;
+        for c in self.candidates(pts) {
+            let cost = self.cost_with(pts, c, &mut m);
+            if cost < self.cost && best.is_none_or(|(bc, _)| cost < bc) {
+                best = Some((cost, c));
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+}
+
+/// Kahng–Robins iterated 1-Steiner.
+///
+/// Candidate Steiner points are the Hanan crossings of tree-adjacent node
+/// pairs, at most two per MST edge rather than the whole Hanan grid. The
+/// candidate with the largest MST gain is inserted and the process repeats
+/// until no candidate gains. A round costs one `O(n²)` Prim plus an
+/// `O(n)` insertion per candidate, so `O(n²)`; with up to `O(n)` rounds
+/// the whole run is `O(n³)`.
+pub fn iterated_one_steiner(net: &Net) -> RoutingTree {
+    let mut pts: Vec<Point> = net.pins().to_vec();
+    loop {
+        let round = MstRound::new(&pts);
+        match round.best_insertion(&pts) {
+            Some(c) => pts.push(c),
+            None => {
+                let tree = RoutingTree::from_parents(pts, round.parent, net.degree())
+                    .expect("Prim produces a tree");
+                return remove_redundant_steiner(&tree);
+            }
+        }
+    }
 }
 
 /// The FLUTE-substitute: a near-minimal Steiner tree via iterated
@@ -185,6 +208,89 @@ mod tests {
 
     fn net(pts: &[(i64, i64)]) -> Net {
         Net::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    /// MST wirelength over an explicit point set by a fresh `O(n²)` Prim:
+    /// the reference [`MstRound::cost_with`] must equal.
+    fn mst_cost(pts: &[Point]) -> i64 {
+        let n = pts.len();
+        let mut in_tree = vec![false; n];
+        let mut best = vec![i64::MAX; n];
+        in_tree[0] = true;
+        for v in 1..n {
+            best[v] = pts[v].l1(pts[0]);
+        }
+        let mut total = 0;
+        for _ in 1..n {
+            let v = (1..n)
+                .filter(|&v| !in_tree[v])
+                .min_by_key(|&v| best[v])
+                .expect("some node is outside the tree");
+            in_tree[v] = true;
+            total += best[v];
+            for u in 1..n {
+                if !in_tree[u] {
+                    best[u] = best[u].min(pts[u].l1(pts[v]));
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn insertion_cost_matches_a_fresh_prim_for_every_candidate() {
+        let mut seed = 0x1_57e1u64;
+        let mut rng = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound) as i64
+        };
+        let mut nets = Vec::new();
+        for degree in 2..=40usize {
+            for span in [8, 10_000] {
+                for _ in 0..2 {
+                    let pins = (0..degree)
+                        .map(|_| Point::new(rng(span), rng(span)))
+                        .collect();
+                    nets.push(Net::new(pins).unwrap());
+                }
+            }
+            // Collinear pins, repeating once the degree passes 23.
+            let pins = (0..degree as i64)
+                .map(|i| Point::new(i * 7 % 23, 3))
+                .collect();
+            nets.push(Net::new(pins).unwrap());
+            // Every pin doubled, the source included.
+            let half: Vec<Point> = (0..degree.div_ceil(2))
+                .map(|_| Point::new(rng(10_000), rng(10_000)))
+                .collect();
+            let pins = half.iter().chain(&half).copied().take(degree).collect();
+            nets.push(Net::new(pins).unwrap());
+        }
+        let mut m = Vec::new();
+        let mut checked = 0;
+        for net in &nets {
+            let mut pts = net.pins().to_vec();
+            loop {
+                let round = MstRound::new(&pts);
+                assert_eq!(round.cost, mst_cost(&pts));
+                for c in round.candidates(&pts) {
+                    let trial: Vec<Point> = pts.iter().copied().chain([c]).collect();
+                    assert_eq!(
+                        round.cost_with(&pts, c, &mut m),
+                        mst_cost(&trial),
+                        "inserting {c:?} into {pts:?}"
+                    );
+                    checked += 1;
+                }
+                match round.best_insertion(&pts) {
+                    Some(c) => pts.push(c),
+                    None => break,
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} candidates checked");
     }
 
     #[test]

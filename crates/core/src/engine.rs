@@ -47,12 +47,15 @@ use crate::resilience::{
     RungOutcome, SystemClock,
 };
 
-/// Cancellation checkpoints between clock reads. Checkpoints are counted
-/// on every poll, but the deadline clock — the expensive part of a poll —
-/// is consulted only on this stride, keeping the budgeted/unbudgeted gap
-/// on the BENCH_PR5 workload under its 2% guard. Rung gates still read
-/// the clock unconditionally, so deadline granularity stays bounded by a
-/// rung even when an inner loop finishes in fewer polls than one stride.
+/// Numeric-DW cancellation checkpoints between clock reads. Checkpoints
+/// are counted on every poll, but the deadline clock — the expensive part
+/// of a poll — is consulted only on this stride, keeping the
+/// budgeted/unbudgeted gap that `--bin resilience_overhead` measures
+/// under its 2% guard. Rung gates still read the clock unconditionally,
+/// so deadline granularity stays bounded by a rung even when the DP
+/// finishes in fewer polls than one stride. Local search is not strided:
+/// it polls a few times per reroute round, each poll far apart, so every
+/// poll reads the clock.
 const BUDGET_POLL_STRIDE: u32 = 64;
 
 /// Engine-level configuration.
@@ -659,10 +662,8 @@ impl Engine {
                         &inner.policy,
                         &inner.config.local_search,
                         &|| {
-                            let n = checks.get() + 1;
-                            checks.set(n);
-                            n.is_multiple_of(BUDGET_POLL_STRIDE)
-                                && ctx.budget.is_some_and(Budget::exceeded)
+                            checks.set(checks.get() + 1);
+                            ctx.budget.is_some_and(Budget::exceeded)
                         },
                     );
                     counters.budget_checks += checks.get();
@@ -1525,5 +1526,36 @@ mod tests {
             assert!(!b.provenance.trace.degraded());
             assert!(b.provenance.counters.budget_checks >= 1);
         }
+    }
+
+    /// A clock that moves 1 ms forward on every read, so a deadline
+    /// expires after a fixed number of reads however fast the host is.
+    #[derive(Debug, Default)]
+    struct TickingClock(std::sync::atomic::AtomicU64);
+
+    impl Clock for TickingClock {
+        fn now(&self) -> Duration {
+            Duration::from_millis(self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+        }
+    }
+
+    #[test]
+    fn local_search_reads_the_clock_on_every_poll() {
+        // Degree 40 at λ = 4 runs 10 reroute rounds and polls its budget
+        // 22 times; a 20 ms deadline on a clock that ticks per read must
+        // expire inside the search, not after it.
+        let engine = engine4().with_clock(Arc::new(TickingClock::default()));
+        let mut seed = 40u64;
+        let net = random_net(&mut seed, 40, 500);
+        let session = Session::default().with_deadline(Duration::from_millis(20));
+        let outcome = engine.route_session(&net, &session).unwrap();
+        assert_eq!(
+            outcome.provenance.trace.to_string(),
+            "local-search:deadline -> baseline:served"
+        );
+        assert_eq!(outcome.provenance.source, RouteSource::Baseline);
+        // Without a deadline the same net is served by the search.
+        let plain = engine.route(&net).unwrap();
+        assert_eq!(plain.provenance.trace.to_string(), "local-search:served");
     }
 }

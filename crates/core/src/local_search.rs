@@ -91,9 +91,10 @@ pub fn local_search_with_report(
 }
 
 /// [`local_search_with_report`] with a cooperative cancellation hook for
-/// deadline budgets: `cancel` is polled once per reroute round and once
-/// per candidate batch, so a long-running search abandons within one
-/// round of its budget expiring.
+/// deadline budgets: `cancel` is polled after each seed and its
+/// refinement, and twice per reroute round (before the reroute and before
+/// its candidates are refined), so a long-running search abandons within
+/// one round of its budget expiring.
 ///
 /// The Pareto set accumulated before cancellation is discarded — a
 /// deadline-expired rung yields to the ladder's next rung rather than
@@ -136,6 +137,9 @@ pub fn local_search_cancellable(
             }
         }
         insert_tree(&mut frontier, seed);
+        if cancel() {
+            return Err(Cancelled);
+        }
     }
 
     let rounds = config.rounds.unwrap_or_else(|| (n / lambda).max(1));

@@ -65,13 +65,22 @@ pub enum ReconnectMoves {
 /// # }
 /// ```
 pub fn remove_redundant_steiner(tree: &RoutingTree) -> RoutingTree {
+    let num_pins = tree.num_pins();
+    let mut degree = vec![0usize; tree.num_nodes()];
+    for v in 1..tree.num_nodes() {
+        degree[v] += 1;
+        degree[tree.parent(v)] += 1;
+    }
+    if degree[num_pins..].iter().all(|&d| d > 2) {
+        return tree.clone();
+    }
+
     let mut points = tree.points().to_vec();
     let mut parent: Vec<usize> = (0..tree.num_nodes()).map(|v| tree.parent(v)).collect();
-    let num_pins = tree.num_pins();
     let mut alive = vec![true; points.len()];
 
     loop {
-        let mut degree = vec![0usize; points.len()];
+        degree.fill(0);
         for v in 1..points.len() {
             if alive[v] {
                 degree[v] += 1;
@@ -135,12 +144,18 @@ pub fn reconnect_pass(tree: &RoutingTree, objective: RefineObjective) -> Routing
 }
 
 /// Mutable pass state: parents/points plus the derived arrays needed for
-/// O(1) candidate scoring.
+/// O(1) candidate scoring. Every array is rebuilt in place after an
+/// accepted move, so a pass allocates only while the tree grows.
+#[derive(Default)]
 struct PassState {
     points: Vec<Point>,
     parent: Vec<usize>,
     num_pins: usize,
     wirelength: i64,
+    /// Children in CSR form: node `v`'s are `kids[kid_start[v]..kid_start[v + 1]]`,
+    /// in increasing index order.
+    kid_start: Vec<usize>,
+    kids: Vec<usize>,
     /// Root distance per node.
     dist: Vec<i64>,
     /// Euler-tour interval per node (`tin`, `tout`), for subtree tests.
@@ -155,23 +170,17 @@ struct PassState {
     suffix: Vec<i64>,
     /// Euler order of nodes.
     order: Vec<usize>,
+    /// DFS stack: `(node, exiting)`.
+    stack: Vec<(usize, bool)>,
 }
 
 impl PassState {
-    fn new(points: Vec<Point>, parent: Vec<usize>, num_pins: usize) -> PassState {
-        let n = points.len();
+    fn new(tree: &RoutingTree) -> PassState {
         let mut state = PassState {
-            points,
-            parent,
-            num_pins,
-            wirelength: 0,
-            dist: Vec::new(),
-            tin: vec![0; n],
-            tout: vec![0; n],
-            sub_pin_max: Vec::new(),
-            prefix: Vec::new(),
-            suffix: Vec::new(),
-            order: Vec::new(),
+            points: tree.points().to_vec(),
+            parent: (0..tree.num_nodes()).map(|v| tree.parent(v)).collect(),
+            num_pins: tree.num_pins(),
+            ..PassState::default()
         };
         state.recompute();
         state
@@ -189,23 +198,49 @@ impl PassState {
         v >= 1 && v < self.num_pins
     }
 
+    /// The root distance of `v` if it is a sink pin, else `i64::MIN`.
+    fn pin_dist(&self, v: usize) -> i64 {
+        if self.is_sink(v) {
+            self.dist[v]
+        } else {
+            i64::MIN
+        }
+    }
+
     /// Rebuilds every derived array in O(n).
     fn recompute(&mut self) {
         let n = self.len();
-        self.tin.resize(n, 0);
-        self.tout.resize(n, 0);
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Count children into `kid_start[p + 2]`; after the prefix sum
+        // `kid_start[p + 1]` is where `p`'s children start, and filling
+        // advances it to where they end, which is where `p + 1`'s start.
+        self.kid_start.clear();
+        self.kid_start.resize(n + 2, 0);
         self.wirelength = 0;
         for v in 1..n {
-            children[self.parent[v]].push(v);
+            self.kid_start[self.parent[v] + 2] += 1;
             self.wirelength += self.edge_len(v);
         }
+        for i in 2..n + 2 {
+            self.kid_start[i] += self.kid_start[i - 1];
+        }
+        self.kids.clear();
+        self.kids.resize(n.saturating_sub(1), 0);
+        for v in 1..n {
+            let slot = &mut self.kid_start[self.parent[v] + 1];
+            self.kids[*slot] = v;
+            *slot += 1;
+        }
         // Iterative DFS for dist + Euler intervals + subtree pin maxima.
-        self.dist = vec![0; n];
-        self.sub_pin_max = vec![i64::MIN; n];
-        self.order = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, bool)> = vec![(0, false)];
-        while let Some((v, exiting)) = stack.pop() {
+        self.dist.clear();
+        self.dist.resize(n, 0);
+        self.sub_pin_max.clear();
+        self.sub_pin_max.resize(n, i64::MIN);
+        self.tin.resize(n, 0);
+        self.tout.resize(n, 0);
+        self.order.clear();
+        self.stack.clear();
+        self.stack.push((0, false));
+        while let Some((v, exiting)) = self.stack.pop() {
             if exiting {
                 self.tout[v] = self.order.len() - 1;
                 if self.is_sink(v) {
@@ -225,24 +260,21 @@ impl PassState {
             }
             self.tin[v] = self.order.len();
             self.order.push(v);
-            stack.push((v, true));
-            for &c in &children[v] {
-                stack.push((c, false));
-            }
+            self.stack.push((v, true));
+            let kids = &self.kids[self.kid_start[v]..self.kid_start[v + 1]];
+            self.stack.extend(kids.iter().map(|&c| (c, false)));
         }
         // Prefix/suffix maxima of sink distances in Euler order.
-        let pin_dist: Vec<i64> = self
-            .order
-            .iter()
-            .map(|&v| if self.is_sink(v) { self.dist[v] } else { i64::MIN })
-            .collect();
-        self.prefix = vec![i64::MIN; n + 1];
-        for (i, &d) in pin_dist.iter().enumerate() {
-            self.prefix[i + 1] = self.prefix[i].max(d);
+        self.prefix.clear();
+        self.prefix.push(i64::MIN);
+        for i in 0..n {
+            let d = self.pin_dist(self.order[i]);
+            self.prefix.push(self.prefix[i].max(d));
         }
-        self.suffix = vec![i64::MIN; n + 1];
+        self.suffix.clear();
+        self.suffix.resize(n + 1, i64::MIN);
         for i in (0..n).rev() {
-            self.suffix[i] = self.suffix[i + 1].max(pin_dist[i]);
+            self.suffix[i] = self.suffix[i + 1].max(self.pin_dist(self.order[i]));
         }
     }
 
@@ -279,12 +311,7 @@ pub fn reconnect_pass_with(
     objective: RefineObjective,
     moves: ReconnectMoves,
 ) -> RoutingTree {
-    let slim = remove_redundant_steiner(tree);
-    let mut state = PassState::new(
-        slim.points().to_vec(),
-        (0..slim.num_nodes()).map(|v| slim.parent(v)).collect(),
-        slim.num_pins(),
-    );
+    let mut state = PassState::new(&remove_redundant_steiner(tree));
 
     // Deepest-first order mirrors SALT's DFS refinement (computed once).
     let mut order: Vec<usize> = (1..state.len()).collect();
@@ -293,6 +320,9 @@ pub fn reconnect_pass_with(
     for &v in &order {
         let (w0, d0) = (state.wirelength, state.delay());
         let vp = state.points[v];
+        // Both objectives demand `w ≤ w0`, so a link longer than the edge
+        // it replaces can never be accepted: skip it before any scoring.
+        let max_link = state.edge_len(v);
 
         /// A candidate rewrite: reattach `v` to `parent`, optionally
         /// through a fresh Steiner point splitting edge `(child, parent)`.
@@ -323,10 +353,10 @@ pub fn reconnect_pass_with(
 
         // Candidate 1: reattach to an existing node.
         for u in 0..state.len() {
-            if u == state.parent[v] || state.in_subtree(u, v) {
+            let link = vp.l1(state.points[u]);
+            if link > max_link || u == state.parent[v] || state.in_subtree(u, v) {
                 continue;
             }
-            let link = vp.l1(state.points[u]);
             let (w, d) = state.rewired_objectives(v, link, state.dist[u]);
             consider(w, d, Action::Node(u), &mut best);
         }
@@ -338,16 +368,16 @@ pub fn reconnect_pass_with(
                     continue;
                 }
                 let p = state.parent[c];
-                if state.in_subtree(c, v) || state.in_subtree(p, v) {
-                    continue;
-                }
                 let bb = BoundingBox::of_points([state.points[c], state.points[p]])
                     .expect("two points");
                 let q = bb.project(vp);
+                let link = vp.l1(q);
+                if link > max_link || state.in_subtree(c, v) || state.in_subtree(p, v) {
+                    continue;
+                }
                 if q == state.points[c] || q == state.points[p] {
                     continue; // covered by node candidates
                 }
-                let link = vp.l1(q);
                 // q lies on a monotone c–p route: dist(q) = dist(p) + |p−q|
                 // and the split leaves every other path length unchanged.
                 let base = state.dist[p] + state.points[p].l1(q);

@@ -136,7 +136,8 @@ impl RoutingTree {
     /// Builds a tree from parent pointers.
     ///
     /// `points[0..num_pins]` must be the net pins in net order; `parent[v]`
-    /// gives the parent of node `v > 0` (`parent[0]` is ignored).
+    /// gives the parent of node `v > 0` (`parent[0]` is ignored and stored
+    /// as 0).
     ///
     /// # Errors
     ///
@@ -145,7 +146,7 @@ impl RoutingTree {
     /// lead back to the root.
     pub fn from_parents(
         points: Vec<Point>,
-        parent: Vec<usize>,
+        mut parent: Vec<usize>,
         num_pins: usize,
     ) -> Result<Self, InvalidTreeError> {
         assert_eq!(points.len(), parent.len(), "points/parent length mismatch");
@@ -168,6 +169,7 @@ impl RoutingTree {
                 }
             }
         }
+        parent[0] = 0;
         Ok(RoutingTree {
             points,
             parent,
