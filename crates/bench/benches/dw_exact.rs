@@ -42,7 +42,6 @@ fn bench_pruning_ablation(c: &mut Criterion) {
                 corner_pruning: true,
                 bbox_shortcut: false,
                 separator_split: false,
-                max_frontier: None,
             },
         ),
         (
@@ -51,7 +50,6 @@ fn bench_pruning_ablation(c: &mut Criterion) {
                 corner_pruning: false,
                 bbox_shortcut: true,
                 separator_split: false,
-                max_frontier: None,
             },
         ),
     ];

@@ -1,8 +1,6 @@
-//! The ECO rerouting bench: what does the delta API buy over routing an
-//! edited design from scratch? Writes `BENCH_PR9.json` at the
-//! repository root in the shared `scaling-v1` schema
-//! ([`patlabor_bench::scaling`]), with the eco rows spliced into the
-//! report the same way the loadgen bench splices its serve rows.
+//! The ECO rerouting gate: what does the delta API buy over routing an
+//! edited design from scratch? Prints one table row per reuse level and
+//! thread count.
 //!
 //! The regime under test is the one an engineering change order lives
 //! in: a design of N routed nets, of which a small fraction moves. The
@@ -25,16 +23,14 @@
 //! sides, so the two numbers answer the same question: how fast is the
 //! design's routing state valid again? Every delta frontier is checked
 //! identical to its fresh counterpart before any number is reported,
-//! and the measured replay fraction (provenance `Reused` over the
-//! edited slots) is recorded so a drifting edit generator cannot
-//! silently skew the curve.
+//! and the measured replay count (provenance `Reused` over the edited
+//! slots) is printed so a drifting edit generator cannot silently skew
+//! the curve.
 //!
-//! CI gate: set `PATLABOR_MIN_ECO_SPEEDUP` (e.g. `3.0`) to make the
-//! bench exit nonzero when the serial delta-vs-fresh ratio at reuse
-//! 0.99 falls below the floor.
+//! A divergence exits 1. CI gate: set `PATLABOR_MIN_ECO_SPEEDUP` (e.g.
+//! `3.0`) to make the bench exit 1 when the serial delta-vs-fresh ratio
+//! at reuse 0.99 falls below the floor.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use patlabor::pipeline::RouteSource;
@@ -47,30 +43,11 @@ const LAMBDA: u8 = 5;
 struct EcoRow {
     reuse_target: f64,
     threads: usize,
-    design_nets: usize,
     edits: usize,
     replayed: usize,
     fresh_nets_per_sec: f64,
     delta_nets_per_sec: f64,
     delta_vs_fresh: f64,
-}
-
-impl EcoRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"reuse_target\": {:.2}, \"threads\": {}, \"design_nets\": {}, \
-             \"edits\": {}, \"replayed\": {}, \"fresh_nets_per_sec\": {:.2}, \
-             \"delta_nets_per_sec\": {:.2}, \"delta_vs_fresh\": {:.4}}}",
-            self.reuse_target,
-            self.threads,
-            self.design_nets,
-            self.edits,
-            self.replayed,
-            self.fresh_nets_per_sec,
-            self.delta_nets_per_sec,
-            self.delta_vs_fresh,
-        )
-    }
 }
 
 /// The edited slots at reuse level `reuse`, spread evenly over the
@@ -125,7 +102,6 @@ fn main() {
 
     let mut eco_rows: Vec<EcoRow> = Vec::new();
     let mut deterministic = true;
-    let mut serial_fresh_nps = 0.0;
     for reuse in REUSE_LEVELS {
         let edits = edits_at(&bases, reuse);
         let mut mutated_design = bases.clone();
@@ -175,9 +151,6 @@ fn main() {
                     );
                 }
             }
-            if threads == 1 && (reuse - 0.99).abs() < f64::EPSILON {
-                serial_fresh_nps = fresh_nps;
-            }
             eprintln!(
                 "reuse {reuse:.2}, threads {threads}: {} edits, fresh {fresh_nps:.0} nets/s, \
                  delta {delta_nps:.0} nets/s ({:.1}x), {replayed} replayed",
@@ -187,7 +160,6 @@ fn main() {
             eco_rows.push(EcoRow {
                 reuse_target: reuse,
                 threads,
-                design_nets: count,
                 edits: jobs.len(),
                 replayed,
                 fresh_nets_per_sec: fresh_nps,
@@ -219,54 +191,16 @@ fn main() {
     );
     println!("deterministic vs fresh: {deterministic}");
 
-    let headline = eco_rows
-        .iter()
-        .find(|r| (r.reuse_target - 0.99).abs() < f64::EPSILON && r.threads == 1)
-        .expect("reuse 0.99 serial row is always measured");
-    let headline_ratio = headline.delta_vs_fresh;
-
-    let mut extra = String::new();
-    let _ = writeln!(
-        extra,
-        "  \"headline\": {{\"reuse_099_serial_delta_vs_fresh\": {headline_ratio:.4}, \
-         \"reuse_099_edits\": {}, \"reuse_099_replayed\": {}}},",
-        headline.edits, headline.replayed
-    );
-    let _ = writeln!(extra, "  \"deterministic_vs_fresh\": {deterministic},");
-    let _ = writeln!(extra, "  \"eco_runs\": [");
-    for (i, row) in eco_rows.iter().enumerate() {
-        let comma = if i + 1 < eco_rows.len() { "," } else { "" };
-        let _ = writeln!(extra, "    {}{comma}", row.to_json());
-    }
-    let _ = writeln!(extra, "  ],");
-
-    let json = patlabor_bench::scaling::render_report(
-        &patlabor_bench::scaling::ReportHeader {
-            bench: "eco_reroute",
-            nets: count,
-            seed: SEED,
-            hardware_threads: hardware,
-            serial_nets_per_sec: serial_fresh_nps,
-        },
-        &[],
-        &extra,
-        "eco_runs compare refreshing an edited design's routing state through \
-         route_batch_deltas (edited nets only; untouched nets keep their routes) \
-         against a cold-engine route of the whole design. reuse_target is the \
-         untouched design fraction; replayed counts edited slots whose provenance \
-         came back Reused (class-preserving edits served from cached winner ids). \
-         Both throughputs are design nets per second. serial_nets_per_sec is the \
-         fresh serial baseline at reuse 0.99. Every delta frontier is checked \
-         identical to its fresh counterpart.",
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR9.json");
-    std::fs::write(&path, &json).expect("write BENCH_PR9.json");
-    eprintln!("wrote {}", path.display());
-
     if !deterministic {
         eprintln!("FAIL: delta rerouting diverged from the fresh routes");
         std::process::exit(1);
     }
+
+    let headline_ratio = eco_rows
+        .iter()
+        .find(|r| (r.reuse_target - 0.99).abs() < f64::EPSILON && r.threads == 1)
+        .expect("reuse 0.99 serial row is always measured")
+        .delta_vs_fresh;
 
     if let Ok(floor) = std::env::var("PATLABOR_MIN_ECO_SPEEDUP") {
         let floor: f64 = floor.parse().expect("PATLABOR_MIN_ECO_SPEEDUP must be a float");

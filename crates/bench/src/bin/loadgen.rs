@@ -1,8 +1,7 @@
 //! The serving-path checker: drives an already-running `patlabor serve`
-//! daemon with a fixed-seed workload, asserts what it answers, and
-//! writes a single-row `BENCH_PR8.json` in the shared `scaling-v1`
-//! schema ([`patlabor_bench::scaling`]). It is the CI serve job's
-//! client; measure serving with `benchmark --workload serve_openloop`.
+//! daemon with a fixed-seed workload and asserts what it answers. It is
+//! the CI serve and chaos jobs' client and measures nothing; measure
+//! serving with `benchmark --workload serve_openloop`.
 //!
 //! Set `PATLABOR_SERVE_ADDR` to the daemon's socket address, optionally
 //! `PATLABOR_SERVE_HTTP` to its HTTP adapter and `PATLABOR_SERVE_LAMBDA`
@@ -20,12 +19,9 @@
 //! (the CI daemon serves a λ = 4 fixture). Exits 1 on any violation.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::process::exit;
-use std::time::{Duration, Instant};
 
 use patlabor::{Engine, Net};
-use patlabor_bench::scaling::{render_report, serve_rows_json, ReportHeader, ServeRun};
 use patlabor_serve::{scrape_metrics, RetryPolicy, RouteClient, RouteRequest};
 
 const SEED: u64 = 0x10ad_6e4e;
@@ -71,57 +67,35 @@ fn frontier_key(json: &patlabor_serve::Json) -> String {
 }
 
 /// Routes every net in-process, one at a time, on a fresh λ engine:
-/// the same rendering for the expected side of the comparison, and the
-/// serial rate in nets/s that gives the report its speed context.
-fn route_locally(lambda: u8, nets: &[Net]) -> (Vec<String>, f64) {
+/// the same rendering for the expected side of the comparison.
+fn route_locally(lambda: u8, nets: &[Net]) -> Vec<String> {
     let engine = Engine::with_table(
         patlabor_lut::LutBuilder::new(lambda)
             .threads(hardware_threads())
             .build(),
     );
-    let started = Instant::now();
-    let outcomes: Vec<_> = nets
-        .iter()
+    nets.iter()
         .map(|net| {
             engine
                 .route(net)
                 .unwrap_or_else(|e| fail(&format!("in-process route failed: {e}")))
-        })
-        .collect();
-    let nets_per_sec = nets.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
-    let keys = outcomes
-        .iter()
-        .map(|outcome| {
-            outcome
                 .frontier
                 .iter()
                 .map(|(c, _)| format!("{}:{}", c.wirelength, c.delay))
                 .collect::<Vec<_>>()
                 .join(";")
         })
-        .collect();
-    (keys, nets_per_sec)
-}
-
-struct LoadOutcome {
-    latencies_ns: Vec<u64>,
-    ok: u64,
-    degraded: u64,
-    retries: u64,
-    open_to_first_us: f64,
-    wall: Duration,
+        .collect()
 }
 
 /// Closed-loop load: `CONNECTIONS` threads, each with its own
 /// connection, each round-tripping its interleaved share of `nets` one
 /// request at a time under a seeded retry budget (`overloaded` replies
-/// are retried with deterministic jittered backoff, and the retries
-/// spent are recorded in the BENCH row). Replies are asserted `ok` and
-/// (when `expected` is given) bit-identical to the in-process frontier.
-fn drive(addr: SocketAddr, nets: &[Net], expected: Option<&[String]>) -> LoadOutcome {
-    // A fresh connection's first round trip, before the load starts:
-    // the open-to-first-response number a cold client sees.
-    let opened = Instant::now();
+/// are retried with deterministic jittered backoff). Replies are
+/// asserted `ok` and (when `expected` is given) bit-identical to the
+/// in-process frontier. Returns the number of `ok` replies.
+fn drive(addr: SocketAddr, nets: &[Net], expected: Option<&[String]>) -> u64 {
+    // A fresh connection's first round trip, before the load starts.
     let mut probe = RouteClient::connect(addr).unwrap_or_else(|e| {
         fail(&format!("connect to {addr} failed: {e}"));
     });
@@ -137,31 +111,25 @@ fn drive(addr: SocketAddr, nets: &[Net], expected: Option<&[String]>) -> LoadOut
         reply.get("ok").and_then(|v| v.as_bool()) == Some(true),
         "first round trip not ok",
     );
-    let open_to_first_us = opened.elapsed().as_secs_f64() * 1e6;
     drop(probe);
 
-    let started = Instant::now();
-    let mut shards: Vec<LoadOutcome> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let workers: Vec<_> = (0..CONNECTIONS)
             .map(|t| {
                 scope.spawn(move || {
                     let mut client = RouteClient::connect(addr)
                         .unwrap_or_else(|e| fail(&format!("connect failed: {e}")));
                     let policy = RetryPolicy::seeded(SEED ^ t as u64);
-                    let mut latencies = Vec::new();
-                    let (mut ok, mut degraded, mut retries) = (0u64, 0u64, 0u64);
+                    let mut ok = 0u64;
                     for i in (t..nets.len()).step_by(CONNECTIONS) {
                         let request = RouteRequest {
                             id: i as u64,
                             net: nets[i].clone(),
                             deadline_ms: None,
                         };
-                        let sent = Instant::now();
-                        let (reply, spent) = client
+                        let (reply, _) = client
                             .route_with_retry(&request, &policy)
                             .unwrap_or_else(|e| fail(&format!("request {i} failed: {e}")));
-                        latencies.push(sent.elapsed().as_nanos() as u64);
-                        retries += u64::from(spent);
                         check(
                             reply.get("id").and_then(|v| v.as_u64()) == Some(i as u64),
                             "reply id does not correlate",
@@ -171,9 +139,6 @@ fn drive(addr: SocketAddr, nets: &[Net], expected: Option<&[String]>) -> LoadOut
                             &format!("request {i} not ok: {}", reply.render()),
                         );
                         ok += 1;
-                        if reply.get("degraded").and_then(|v| v.as_bool()) == Some(true) {
-                            degraded += 1;
-                        }
                         if let Some(expected) = expected {
                             check(
                                 frontier_key(&reply) == expected[i],
@@ -181,67 +146,15 @@ fn drive(addr: SocketAddr, nets: &[Net], expected: Option<&[String]>) -> LoadOut
                             );
                         }
                     }
-                    LoadOutcome {
-                        latencies_ns: latencies,
-                        ok,
-                        degraded,
-                        retries,
-                        open_to_first_us: 0.0,
-                        wall: Duration::ZERO,
-                    }
+                    ok
                 })
             })
             .collect();
         workers
             .into_iter()
             .map(|w| w.join().unwrap_or_else(|_| fail("load worker panicked")))
-            .collect()
-    });
-    let wall = started.elapsed();
-
-    let mut merged = LoadOutcome {
-        latencies_ns: Vec::with_capacity(nets.len()),
-        ok: 0,
-        degraded: 0,
-        retries: 0,
-        open_to_first_us,
-        wall,
-    };
-    for shard in &mut shards {
-        merged.latencies_ns.append(&mut shard.latencies_ns);
-        merged.ok += shard.ok;
-        merged.degraded += shard.degraded;
-        merged.retries += shard.retries;
-    }
-    merged.latencies_ns.sort_unstable();
-    merged
-}
-
-/// The q-th quantile of an already-sorted latency list, in µs.
-fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    sorted_ns[rank - 1] as f64 / 1e3
-}
-
-fn run_row(outcome: &LoadOutcome, mean_batch: Option<f64>) -> ServeRun {
-    ServeRun {
-        connections: CONNECTIONS,
-        requests: outcome.latencies_ns.len(),
-        ok: outcome.ok,
-        degraded: outcome.degraded,
-        // Every `overloaded` reply is retried; `retries` counts them.
-        rejected: 0,
-        throughput_rps: outcome.latencies_ns.len() as f64 / outcome.wall.as_secs_f64().max(1e-9),
-        open_to_first_response_us: outcome.open_to_first_us,
-        p50_us: quantile_us(&outcome.latencies_ns, 0.5),
-        p99_us: quantile_us(&outcome.latencies_ns, 0.99),
-        p999_us: quantile_us(&outcome.latencies_ns, 0.999),
-        mean_batch,
-        retries: Some(outcome.retries),
-    }
+            .sum()
+    })
 }
 
 /// The value of an unlabeled metric family, e.g. `patlabor_queue_depth`.
@@ -276,18 +189,6 @@ fn metric_labeled(exposition: &str, sample: &str) -> Option<f64> {
     metric_value(exposition, sample)
 }
 
-fn write_report(header: &ReportHeader<'_>, rows: &[ServeRun], headline: &str, notes: &str) {
-    let extra = format!(
-        "  \"serve_runs\": {},\n  \"headline\": {headline},\n",
-        serve_rows_json(rows, "  ")
-    );
-    let json = render_report(header, &[], &extra, notes);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR8.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| fail(&format!("write BENCH_PR8.json: {e}")));
-    eprintln!("wrote {}", path.display());
-    print!("{json}");
-}
-
 fn workload() -> Vec<Net> {
     patlabor_netgen::iccad_like_suite(SEED, REQUESTS, 8)
 }
@@ -310,12 +211,12 @@ fn external(addr: SocketAddr) {
     let nets = workload();
     // The local engine runs at the daemon's λ when given (its answers
     // are then the expected ones), at λ = 4 otherwise.
-    let (keys, serial) = route_locally(lambda.unwrap_or(LAMBDA), &nets);
+    let keys = route_locally(lambda.unwrap_or(LAMBDA), &nets);
     let expected = lambda.is_some().then_some(keys);
 
     // The main closed-loop load.
-    let outcome = drive(addr, &nets, expected.as_deref());
-    check(outcome.ok == REQUESTS as u64, "not every valid request was served");
+    let ok = drive(addr, &nets, expected.as_deref());
+    check(ok == REQUESTS as u64, "not every valid request was served");
 
     // Deadline-exceeded probes: an impossible budget must degrade, not
     // fail — `ok` with `degraded: true` and a deadline in the trace.
@@ -391,7 +292,7 @@ fn external(addr: SocketAddr) {
     );
 
     // The metrics plane: families present and mutually consistent.
-    let mean_batch = if let Some(http) = http {
+    if let Some(http) = http {
         let exposition =
             scrape_metrics(http).unwrap_or_else(|e| fail(&format!("metrics scrape failed: {e}")));
         for family in [
@@ -455,37 +356,12 @@ fn external(addr: SocketAddr) {
             }
         }
         eprintln!("metrics plane: all families present and consistent");
-        metric_value(&exposition, "patlabor_batches_total")
-            .zip(metric_value(&exposition, "patlabor_batched_nets_total"))
-            .filter(|(b, _)| *b > 0.0)
-            .map(|(b, n)| n / b)
-    } else {
-        None
-    };
-
-    let row = run_row(&outcome, mean_batch);
-    let headline = format!(
-        "{{\"mode\": \"external\", \"deadline_probes\": {DEADLINE_PROBES}, \
-         \"malformed_probes\": {MALFORMED_PROBES}, \
-         \"served_vs_direct_identical\": {}}}",
-        expected.is_some()
+    }
+    println!(
+        "loadgen: {ok} requests ok{}, {DEADLINE_PROBES} deadline probes degraded, \
+         {MALFORMED_PROBES} malformed frames rejected; all checks passed",
+        if expected.is_some() { " and identical to the in-process route" } else { "" }
     );
-    let header = ReportHeader {
-        bench: "loadgen",
-        nets: REQUESTS,
-        seed: SEED,
-        hardware_threads: hardware_threads(),
-        serial_nets_per_sec: serial,
-    };
-    write_report(
-        &header,
-        std::slice::from_ref(&row),
-        &headline,
-        "external daemon mode (CI serve job): fixed-seed load plus deadline \
-         and malformed probes; /metrics families asserted present and \
-         mutually consistent",
-    );
-    eprintln!("external mode: all checks passed");
 }
 
 fn main() {

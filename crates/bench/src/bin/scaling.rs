@@ -1,92 +1,65 @@
-//! The scaling-curve bench: does `route_batch` actually scale, and does
-//! the frontier cache pay under real parallelism? Writes `BENCH_PR7.json`
-//! at the repository root in the shared `scaling-v1` schema
-//! ([`patlabor_bench::scaling`]).
-//!
-//! What it measures, per thread count 1→N (N = hardware threads), cache
-//! on and off:
-//! * throughput and speedup against the serial cache-off baseline;
+//! The scaling-curve gate: does `route_batch` actually scale? Routes a
+//! fixed-seed mixed workload with the frontier cache off at every thread
+//! count 1→N (N = hardware threads) and prints, per count:
+//! * throughput and speedup against the serial baseline;
 //! * per-worker utilization (busy-ns / elapsed) and its minimum — the
 //!   load-balance floor the work-stealing deques are supposed to hold up;
-//! * steal counts and lost steal races;
-//! * per-shard cache lock contention (failed try-locks).
+//! * successful steals.
 //!
 //! Thread counts above the hardware count are measured only as
-//! *oversubscription observations*: they land in a structurally separate
-//! JSON array and are never part of the scaling curve (on a single-core
-//! container the whole curve is one point — that is the honest answer).
+//! *oversubscription observations*: they are starred in the table and
+//! are never part of the scaling curve (on a single-core container the
+//! whole curve is one point — that is the honest answer).
 //!
-//! Every parallel run is also checked bit-identical to the serial
-//! ordering before its numbers are reported.
+//! Every parallel run is checked bit-identical to the serial ordering;
+//! a divergence exits 1. Determinism with the cache on is checked by
+//! `patlabor verify --threads N` (the `batch-vs-serial` pair).
 //!
 //! CI gate: set `PATLABOR_MIN_SPEEDUP` (e.g. `3.0`) to make the bench
-//! exit nonzero when the cache-off speedup at `PATLABOR_SPEEDUP_THREADS`
-//! (default 4) falls below the floor. The gate only arms when the
-//! machine has at least that many hardware threads — a 1-core runner
-//! cannot measure scaling and must not pretend to.
+//! exit 1 when the speedup at [`GATE_THREADS`] falls below the floor.
+//! The gate only arms when the machine has at least that many hardware
+//! threads — a 1-core runner cannot measure scaling and must not
+//! pretend to.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::{CacheConfig, Engine, Net, ParetoSet, RoutingTree};
-use patlabor_bench::scaling::ScalingRun;
+use patlabor::{CacheConfig, Engine, LookupTable, Net, ParetoSet, RoutingTree};
 
 const SEED: u64 = 0x5ca1_ab1e;
+/// The thread count the speedup floor is read at.
+const GATE_THREADS: usize = 4;
 
-struct Measured {
-    run: ScalingRun,
-    frontiers: Vec<Option<ParetoSet<RoutingTree>>>,
-}
+type Frontiers = Vec<Option<ParetoSet<RoutingTree>>>;
 
-fn router_for(table: &patlabor::LookupTable, cache: bool) -> Engine {
-    Engine::with_table(table.clone()).with_cache(if cache {
-        CacheConfig::default()
-    } else {
-        CacheConfig::disabled()
-    })
-}
-
-fn frontiers(results: Vec<patlabor::RouteResult>) -> Vec<Option<ParetoSet<RoutingTree>>> {
-    results
-        .into_iter()
-        .map(|r| r.ok().map(|o| o.frontier))
-        .collect()
-}
-
-/// One timed run: fresh router (cold cache), full telemetry.
-fn measure(
-    table: &patlabor::LookupTable,
-    nets: &[Net],
+/// One timed run at a fixed thread count.
+struct Run {
     threads: usize,
-    cache: bool,
-    serial_nps: f64,
-) -> Measured {
-    let router = router_for(table, cache);
+    nets_per_sec: f64,
+    utilization: f64,
+    min_worker_utilization: f64,
+    steals: u64,
+}
+
+/// Routes `nets` on a fresh cache-off engine; returns the run's numbers
+/// and its frontiers in input order.
+fn measure(table: &LookupTable, nets: &[Net], threads: usize) -> (Run, Frontiers) {
+    let router = Engine::with_table(table.clone()).with_cache(CacheConfig::disabled());
     let start = Instant::now();
     let (results, stats) = router.route_batch_with_stats(nets, threads);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(results.len(), nets.len());
-    let nets_per_sec = nets.len() as f64 / secs;
-    let (contended_reads, contended_writes) = router
-        .cache_stats()
-        .map_or((0, 0), |s| (s.contended_reads, s.contended_writes));
-    Measured {
-        run: ScalingRun {
-            threads,
-            cache,
-            nets_per_sec,
-            cache_hit_rate: router.cache_stats().map_or(0.0, |s| s.hit_rate()),
-            speedup_vs_serial: if serial_nps > 0.0 { nets_per_sec / serial_nps } else { 0.0 },
-            utilization: Some(stats.utilization()),
-            min_worker_utilization: Some(stats.min_worker_utilization()),
-            steals: Some(stats.total_steals()),
-            failed_steals: Some(stats.total_failed_steals()),
-            contended_reads: Some(contended_reads),
-            contended_writes: Some(contended_writes),
-        },
-        frontiers: frontiers(results),
-    }
+    let run = Run {
+        threads,
+        nets_per_sec: nets.len() as f64 / secs,
+        utilization: stats.utilization(),
+        min_worker_utilization: stats.min_worker_utilization(),
+        steals: stats.total_steals(),
+    };
+    let frontiers = results
+        .into_iter()
+        .map(|r| r.ok().map(|o| o.frontier))
+        .collect();
+    (run, frontiers)
 }
 
 fn main() {
@@ -96,68 +69,41 @@ fn main() {
     let nets = patlabor_bench::mixed_workload(count, SEED);
     let table = patlabor_lut::LutBuilder::new(5).build();
 
-    // Untimed warmup, then the serial cache-off baseline every speedup
-    // is measured against.
-    eprintln!("warmup ...");
-    let serial = measure(&table, &nets, 1, false, 0.0);
+    // Two serial passes (the first doubles as warmup); the faster one is
+    // the baseline every speedup is measured against. Their frontiers
+    // are identical, so either serves as the reference.
     eprintln!("serial baseline ...");
-    let serial = {
-        let m = measure(&table, &nets, 1, false, 0.0);
-        // Keep the faster of the two serial passes as reference
-        // frontiers are identical either way.
-        Measured {
-            run: ScalingRun {
-                speedup_vs_serial: 1.0,
-                ..if m.run.nets_per_sec > serial.run.nets_per_sec {
-                    m.run.clone()
-                } else {
-                    serial.run.clone()
-                }
-            },
-            frontiers: m.frontiers,
-        }
-    };
-    let serial_nps = serial.run.nets_per_sec;
+    let (first, _) = measure(&table, &nets, 1);
+    let (second, serial) = measure(&table, &nets, 1);
+    let serial_nps = first.nets_per_sec.max(second.nets_per_sec);
 
     // The scaling sweep: every thread count the machine can genuinely
     // run in parallel, plus fixed oversubscription observations.
     let mut sweep: Vec<usize> = (1..=hardware).collect();
-    for extra in [2, 4, 2 * hardware] {
+    for extra in [2, GATE_THREADS, 2 * hardware] {
         if extra > hardware && !sweep.contains(&extra) {
             sweep.push(extra);
         }
     }
 
-    let mut runs: Vec<ScalingRun> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     let mut deterministic = true;
-    for cache in [false, true] {
-        for &threads in &sweep {
-            eprintln!("threads = {threads}, cache = {cache} ...");
-            let m = measure(&table, &nets, threads, cache, serial_nps);
-            if m.frontiers != serial.frontiers {
-                deterministic = false;
-                eprintln!("ERROR: threads = {threads}, cache = {cache} diverged from serial");
-            }
-            runs.push(m.run);
+    for &threads in &sweep {
+        eprintln!("threads = {threads} ...");
+        let (run, frontiers) = measure(&table, &nets, threads);
+        if frontiers != serial {
+            deterministic = false;
+            eprintln!("ERROR: threads = {threads} diverged from serial");
         }
+        runs.push(run);
     }
+    let speedup = |r: &Run| r.nets_per_sec / serial_nps;
 
-    // The parallel cache verdict, judged at the widest honest thread
-    // count: does routing with the cache beat routing without it?
-    let widest = hardware;
-    let at = |cache: bool| {
-        runs.iter()
-            .find(|r| r.threads == widest && r.cache == cache)
-            .expect("swept")
-    };
-    let (off, on) = (at(false), at(true));
-    let cache_ratio = on.nets_per_sec / off.nets_per_sec;
-    let cache_pays = cache_ratio > 1.0;
-
+    println!("serial baseline: {serial_nps:.0} nets/s over {count} nets");
     println!(
         "{}",
         patlabor_bench::render_table(
-            &["threads", "cache", "nets/s", "speedup", "util", "min util", "steals", "contention"],
+            &["threads", "nets/s", "speedup", "util", "min util", "steals"],
             &runs
                 .iter()
                 .map(|r| {
@@ -165,19 +111,13 @@ fn main() {
                         format!(
                             "{}{}",
                             r.threads,
-                            if r.oversubscribed(hardware) { "*" } else { "" }
+                            if r.threads > hardware { "*" } else { "" }
                         ),
-                        if r.cache { "on" } else { "off" }.to_string(),
                         format!("{:.0}", r.nets_per_sec),
-                        format!("{:.2}x", r.speedup_vs_serial),
-                        format!("{:.2}", r.utilization.unwrap_or(0.0)),
-                        format!("{:.2}", r.min_worker_utilization.unwrap_or(0.0)),
-                        r.steals.unwrap_or(0).to_string(),
-                        format!(
-                            "{}r/{}w",
-                            r.contended_reads.unwrap_or(0),
-                            r.contended_writes.unwrap_or(0)
-                        ),
+                        format!("{:.2}x", speedup(r)),
+                        format!("{:.2}", r.utilization),
+                        format!("{:.2}", r.min_worker_utilization),
+                        r.steals.to_string(),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -186,42 +126,7 @@ fn main() {
     if sweep.iter().any(|&t| t > hardware) {
         println!("* oversubscribed (threads > {hardware} hardware threads): not scaling data");
     }
-    println!(
-        "cache verdict at {widest} thread(s): {} ({:.2}x vs cache-off, hit rate {:.3})",
-        if cache_pays { "pays" } else { "costs" },
-        cache_ratio,
-        on.cache_hit_rate
-    );
     println!("deterministic vs serial: {deterministic}");
-
-    let mut extra = String::new();
-    let _ = writeln!(
-        extra,
-        "  \"headline\": {{\"max_honest_threads\": {widest}, \
-         \"speedup_cache_off\": {:.4}, \"cache_on_vs_off\": {:.4}, \
-         \"cache_pays\": {cache_pays}, \"cache_hit_rate\": {:.4}}},",
-        off.speedup_vs_serial, cache_ratio, on.cache_hit_rate
-    );
-    let _ = writeln!(extra, "  \"deterministic_vs_serial\": {deterministic},");
-
-    let json = patlabor_bench::scaling::render_report(
-        &patlabor_bench::scaling::ReportHeader {
-            bench: "batch_scaling_curve",
-            nets: count,
-            seed: SEED,
-            hardware_threads: hardware,
-            serial_nets_per_sec: serial_nps,
-        },
-        &runs,
-        &extra,
-        "scaling_runs is the curve (threads <= hardware_threads); oversubscribed_runs \
-         measure scheduler time-slicing and are never scaling data. The cache verdict \
-         compares cache-on vs cache-off at the widest honest thread count on this \
-         machine.",
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR7.json");
-    std::fs::write(&path, &json).expect("write BENCH_PR7.json");
-    eprintln!("wrote {}", path.display());
 
     if !deterministic {
         eprintln!("FAIL: parallel routing diverged from serial");
@@ -233,29 +138,25 @@ fn main() {
     // count has no scaling curve to gate.
     if let Ok(floor) = std::env::var("PATLABOR_MIN_SPEEDUP") {
         let floor: f64 = floor.parse().expect("PATLABOR_MIN_SPEEDUP must be a float");
-        let gate_threads: usize = std::env::var("PATLABOR_SPEEDUP_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(4);
-        if hardware >= gate_threads {
+        if hardware >= GATE_THREADS {
             let measured = runs
                 .iter()
-                .find(|r| r.threads == gate_threads && !r.cache)
-                .map(|r| r.speedup_vs_serial)
+                .find(|r| r.threads == GATE_THREADS)
+                .map(speedup)
                 .expect("gate thread count is inside the sweep");
             println!(
-                "speedup gate: {measured:.2}x at {gate_threads} threads (floor {floor:.2}x)"
+                "speedup gate: {measured:.2}x at {GATE_THREADS} threads (floor {floor:.2}x)"
             );
             if measured < floor {
                 eprintln!(
-                    "FAIL: speedup {measured:.2}x at {gate_threads} threads \
+                    "FAIL: speedup {measured:.2}x at {GATE_THREADS} threads \
                      is below the {floor:.2}x floor"
                 );
                 std::process::exit(1);
             }
         } else {
             println!(
-                "speedup gate skipped: {hardware} hardware thread(s) < {gate_threads} \
+                "speedup gate skipped: {hardware} hardware thread(s) < {GATE_THREADS} \
                  gate threads (cannot measure scaling here)"
             );
         }

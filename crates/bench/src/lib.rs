@@ -10,8 +10,6 @@
 //! (a positive float, default 1.0): the defaults finish in minutes on a
 //! laptop; the paper-scale runs need a beefier budget.
 
-pub mod scaling;
-
 use std::time::{Duration, Instant};
 
 use patlabor::{Cost, Engine, Net, ParetoSet, RoutingTree};
@@ -309,8 +307,8 @@ mod tests {
     }
 }
 
-/// The mixed parallel-serving workload of the scaling bench
-/// (`BENCH_PR7.json`) and the eco bench's base nets (`BENCH_PR9.json`).
+/// The mixed parallel-serving workload of the `scaling` gate, and the
+/// `eco` gate's base nets.
 ///
 /// Repeated cells and macros give real placements many congruent nets:
 /// identical relative pin geometry at different offsets and

@@ -18,13 +18,12 @@
 //! page cache after a one-pass checksum/structure validation, so startup
 //! does not re-parse the table and concurrent processes share one copy.
 //!
-//! `gen-tables` and `stats` remain as aliases of the two `lut`
-//! subcommands.
-//!
 //! # Net-list format
 //!
 //! One net per line: whitespace-separated `x,y` pins, source first.
-//! `#` starts a comment; blank lines are ignored.
+//! `#` starts a comment; blank lines are ignored. Coordinates must lie
+//! within ±(2³¹ − 1) (`Point::MAX_COORD`); `route` fails on a net
+//! outside that bound with a diagnostic naming the net (exit 2).
 //!
 //! ```text
 //! # three nets
@@ -585,7 +584,7 @@ fn render_outcome(
     }
 }
 
-/// Runs `lut build` (alias: `gen-tables`).
+/// Runs `lut build`.
 ///
 /// # Errors
 ///
@@ -983,8 +982,6 @@ USAGE:
                   [--max-degree D] [--threads T] [--span S]
                   [--faults SPEC[,SPEC..]] [--deadline-ms MS]
                   [--smoke] [--chaos-soak] [--no-shrink]
-  patlabor gen-tables --lambda L -o FILE   (alias of `lut build`)
-  patlabor stats FILE                      (alias of `lut info`)
 
 Net list: one net per line, `x,y` pins separated by spaces, source first;
 `#` comments.
@@ -1259,10 +1256,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     plane.with_fault(fault)
                 });
             verify_command(&options)
-        }
-        Some(alias @ ("gen-tables" | "stats")) => {
-            let subcommand = if alias == "stats" { "info" } else { "build" };
-            lut_command(&[&[subcommand.to_string()], &args[1..]].concat())
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
         Some(other) => Err(usage_error(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -1564,33 +1557,30 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// `gen-tables` and `stats` are `lut build` and `lut info` under
-    /// other names: same flags, same file, same report.
+    /// `lut build` and `lut info` are the table commands; the old
+    /// `gen-tables` and `stats` names are unknown commands, a usage
+    /// error (`main` exits 2 on every error) that writes no file.
     #[test]
-    fn gen_tables_and_stats_aliases_print_what_lut_prints() {
-        let dir = std::env::temp_dir().join("patlabor_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("alias3.plut").to_string_lossy().into_owned();
-        let args = |words: &[&str]| -> Vec<String> {
-            words
-                .iter()
-                .map(|w| w.to_string())
-                .chain([path.clone()])
-                .collect()
-        };
-        // The build line reports its own duration; compare around it.
-        let without_duration = |out: String| -> String {
-            let (head, tail) = out.split_once(" in ").unwrap();
-            format!("{head} in _ {}", tail.split_once(' ').unwrap().1)
-        };
-        let built = run(&args(&["lut", "build", "--lambda", "3", "-o"])).unwrap();
-        let lut_bytes = std::fs::read(&path).unwrap();
-        let info = run(&args(&["lut", "info"])).unwrap();
-        let generated = run(&args(&["gen-tables", "--lambda", "3", "-o"])).unwrap();
-        assert_eq!(without_duration(generated), without_duration(built));
-        assert_eq!(std::fs::read(&path).unwrap(), lut_bytes);
-        assert_eq!(run(&args(&["stats"])).unwrap(), info);
-        std::fs::remove_file(&path).ok();
+    fn gen_tables_and_stats_are_unknown_commands() {
+        let path = std::env::temp_dir()
+            .join("patlabor_cli_test_no_alias.plut")
+            .to_string_lossy()
+            .into_owned();
+        for words in [
+            vec!["gen-tables", "--lambda", "3", "-o", path.as_str()],
+            vec!["stats", path.as_str()],
+        ] {
+            let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+            match run(&argv) {
+                Err(CliError::Usage(message)) => assert!(
+                    message.starts_with(&format!("unknown command `{}`", words[0])),
+                    "{message}"
+                ),
+                other => panic!("`{}` was accepted: {other:?}", words[0]),
+            }
+        }
+        assert!(!std::path::Path::new(&path).exists());
+        assert!(!USAGE.contains("gen-tables") && !USAGE.contains("stats"));
     }
 
     #[test]
@@ -2040,6 +2030,31 @@ mod tests {
         assert!(err.to_string().contains("unknown flag"));
         assert!(USAGE.contains("patlabor serve"));
         assert!(USAGE.contains("--json"));
+    }
+
+    /// A net whose coordinates overflow `i64` lengths is a per-net
+    /// route error naming the net (`main` exits 2), not a wrapped
+    /// frontier.
+    #[test]
+    fn route_rejects_nets_outside_the_coordinate_bound() {
+        let dir = std::env::temp_dir().join("patlabor_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("far_nets.txt");
+        let far = format!("{},0 {},0\n", i64::MAX, i64::MIN);
+        std::fs::write(&file, far).unwrap();
+        let err = run(&["route".into(), file.to_string_lossy().into_owned()]).unwrap_err();
+        std::fs::remove_file(&file).ok();
+        assert!(
+            matches!(
+                err,
+                CliError::Route {
+                    net: 0,
+                    source: RouteError::CoordinateOutOfRange { pin: 0, .. }
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("net 0: pin 0 at"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! Every batch also returns per-worker telemetry ([`BatchStats`]): busy
 //! nanoseconds, chunks and nets executed, successful and failed steals —
-//! the raw material of the scaling bench (`BENCH_PR7.json`) and the
+//! the raw material of the `scaling` bench's table and the
 //! `route --threads` report.
 
 use std::any::Any;
@@ -55,20 +55,20 @@ use crate::pipeline::{RouteError, RouteResult};
 
 /// Hard ceiling on the chunk size.
 ///
-/// Measured on the BENCH_PR7 workload: above ~64 nets per chunk the
-/// steal granularity gets coarse enough that one late steal of a chunk
-/// of expensive nets re-creates the tail imbalance stealing exists to
-/// fix, while deque CAS traffic is already unmeasurable at 64 (one CAS
+/// Measured on the `scaling` bench's workload: above ~64 nets per chunk
+/// the steal granularity gets coarse enough that one late steal of a
+/// chunk of expensive nets re-creates the tail imbalance stealing exists
+/// to fix, while deque CAS traffic is already unmeasurable at 64 (one CAS
 /// per chunk ≈ one per 64 routed nets).
 const MAX_CHUNK: usize = 64;
 
 /// Nets per work-stealing chunk for a batch of `len` nets over
 /// `workers` workers: `len / (workers × 4)`, clamped to `[1, 64]`.
 ///
-/// Rationale, re-derived from measured steal rates on the BENCH_PR7
-/// mixed-degree workload: with work stealing the chunk size no longer
-/// bounds tail imbalance (steals rebalance any leftover work), so the
-/// old ~8-chunks-per-worker rule only bought extra cursor traffic. Four
+/// Rationale, re-derived from measured steal rates on the `scaling`
+/// bench's mixed-degree workload: with work stealing the chunk size no
+/// longer bounds tail imbalance (steals rebalance any leftover work), so
+/// the old ~8-chunks-per-worker rule only bought extra cursor traffic. Four
 /// chunks per worker keeps the initial partition coarse — on a balanced
 /// workload the steady state is *zero* steals and every worker walks
 /// its own span — while the 64-net cap keeps what a steal transfers

@@ -38,8 +38,8 @@
 //!   through `try_read`/`try_write` first and count a failed attempt
 //!   before falling back to the blocking path. The per-shard counters
 //!   surface through [`ShardStats`], the aggregate through
-//!   [`CacheStats`] and [`crate::ResilienceReport`], and the scaling
-//!   bench (`BENCH_PR7.json`) uses them as its parallel-cache verdict.
+//!   [`CacheStats`] and [`crate::ResilienceReport`], and the CLI's
+//!   `cache:` line prints them.
 //!
 //! Each shard is bounded and evicts in FIFO order — congruence classes
 //! in real placements are heavily skewed, so even a crude policy keeps

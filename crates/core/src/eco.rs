@@ -21,10 +21,14 @@
 //! # Totality
 //!
 //! [`NetDelta::apply`] is infallible by construction: out-of-range
-//! indices clamp into range and a `RemoveSink` that would leave fewer
-//! than two pins is a no-op. Callers (the wire layer, the CLI's edits
+//! indices clamp into range, a `RemoveSink` that would leave fewer
+//! than two pins is a no-op, and a translate saturates at the `i64`
+//! limits instead of wrapping. Callers (the wire layer, the CLI's edits
 //! file, proptest generators) can therefore produce deltas freely
 //! without a validation handshake — every delta denotes *some* edit.
+//! An edit that leaves a pin outside [`patlabor_geom::Point::MAX_COORD`]
+//! is rejected by the reroute ([`crate::RouteError::CoordinateOutOfRange`]);
+//! saturation guarantees it never wraps back into range.
 
 use patlabor_geom::{Net, Point};
 
@@ -55,6 +59,7 @@ pub enum DeltaKind {
     },
     /// Translate the whole net rigidly. Always class-preserving: the
     /// canonical pattern key and gap vector are translation-invariant.
+    /// Coordinates saturate at the `i64` limits.
     Translate {
         /// Horizontal offset.
         dx: i64,
@@ -121,7 +126,7 @@ impl NetDelta {
             }
             DeltaKind::Translate { dx, dy } => {
                 for p in pins.iter_mut() {
-                    *p = Point::new(p.x + dx, p.y + dy);
+                    *p = Point::new(p.x.saturating_add(dx), p.y.saturating_add(dy));
                 }
             }
             DeltaKind::BlockageMask { min, max } => {
@@ -139,12 +144,14 @@ impl NetDelta {
 }
 
 /// Nearest boundary point of the rectangle for a strictly interior `p`,
-/// ties broken in the fixed order left, right, bottom, top.
+/// ties broken in the fixed order left, right, bottom, top. Distances
+/// saturate at `i64::MAX`, so a rectangle spanning the whole `i64` range
+/// cannot overflow them.
 fn project_to_boundary(p: Point, x0: i64, x1: i64, y0: i64, y1: i64) -> Point {
-    let dl = p.x - x0;
-    let dr = x1 - p.x;
-    let db = p.y - y0;
-    let dt = y1 - p.y;
+    let dl = p.x.saturating_sub(x0);
+    let dr = x1.saturating_sub(p.x);
+    let db = p.y.saturating_sub(y0);
+    let dt = y1.saturating_sub(p.y);
     let m = dl.min(dr).min(db).min(dt);
     if m == dl {
         Point::new(x0, p.y)
@@ -268,6 +275,36 @@ mod tests {
             DeltaKind::BlockageMask { min: Point::new(0, 0), max: Point::new(10, 10) },
         );
         assert_eq!(d.apply().source(), Point::new(0, 5));
+    }
+
+    /// Edits at the `i64` limits neither panic nor wrap: a translate
+    /// saturates, and a blockage spanning the whole range still projects
+    /// onto one of its own edges.
+    #[test]
+    fn extreme_edits_saturate_instead_of_wrapping() {
+        let d = NetDelta::new(
+            base(),
+            DeltaKind::Translate {
+                dx: i64::MAX,
+                dy: i64::MIN,
+            },
+        );
+        let edited = d.apply();
+        assert_eq!(edited.source(), Point::new(i64::MAX, i64::MIN));
+        assert_eq!(edited.pins()[1], Point::new(i64::MAX, i64::MIN + 2));
+        let d = NetDelta::new(
+            base(),
+            DeltaKind::BlockageMask {
+                min: Point::new(i64::MIN, i64::MIN),
+                max: Point::new(i64::MAX, i64::MAX),
+            },
+        );
+        for p in d.apply().pins() {
+            assert!(
+                [i64::MIN, i64::MAX].contains(&p.x) || [i64::MIN, i64::MAX].contains(&p.y),
+                "{p} is not on the blockage boundary"
+            );
+        }
     }
 
     use crate::cache::CacheKey;
@@ -472,6 +509,43 @@ mod tests {
                 stats.per_worker.iter().map(|w| w.nets).sum::<u64>() as usize,
                 jobs.len()
             );
+        }
+    }
+
+    /// An edit that pushes a pin past the coordinate bound is rejected
+    /// with the structured error — serially and in a batch, at every
+    /// thread count — before replay runs, not served, and not a panic
+    /// caught as `Panicked`.
+    #[test]
+    fn out_of_range_edits_are_rejected_before_replay() {
+        let engine = engine4();
+        let net = base();
+        let prev = engine.route(&net).expect("base route");
+        let delta = NetDelta::new(
+            net.clone(),
+            DeltaKind::Translate {
+                dx: i64::MAX,
+                dy: 0,
+            },
+        );
+        let rejected = Err(crate::RouteError::CoordinateOutOfRange {
+            pin: 0,
+            at: Point::new(i64::MAX, 0),
+        });
+        assert_eq!(engine.reroute(&prev, &delta, Session::default()), rejected);
+        let ok = DeltaJob {
+            delta: NetDelta::new(net, DeltaKind::Translate { dx: 3, dy: 1 }),
+            prior_edits: 0,
+            session: Session::default(),
+        };
+        let bad = DeltaJob {
+            delta,
+            ..ok.clone()
+        };
+        for threads in [1usize, 2] {
+            let (results, _) = engine.route_batch_deltas(&[ok.clone(), bad.clone()], threads);
+            assert!(results[0].is_ok(), "threads = {threads}");
+            assert_eq!(results[1], rejected, "threads = {threads}");
         }
     }
 

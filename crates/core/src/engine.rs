@@ -50,10 +50,11 @@ use crate::resilience::{
 /// Numeric-DW cancellation checkpoints between clock reads. Checkpoints
 /// are counted on every poll, but the deadline clock — the expensive part
 /// of a poll — is consulted only on this stride, keeping the
-/// budgeted/unbudgeted gap that `--bin resilience_overhead` measures
-/// under its 2% guard. Rung gates still read the clock unconditionally,
-/// so deadline granularity stays bounded by a rung even when the DP
-/// finishes in fewer polls than one stride. Local search is not strided:
+/// budgeted/unbudgeted gap of the `resilience` criterion bench
+/// (`crates/bench/benches/resilience.rs`) under 2%. Rung gates still
+/// read the clock unconditionally, so deadline granularity stays
+/// bounded by a rung even when the DP finishes in fewer polls than one
+/// stride. Local search is not strided:
 /// it polls a few times per reroute round, each poll far apart, so every
 /// poll reads the clock.
 const BUDGET_POLL_STRIDE: u32 = 64;
@@ -464,14 +465,17 @@ impl Engine {
     ///         local search → baseline                (degree > λ)
     /// ```
     ///
-    /// and the descent is recorded in [`RouteProvenance::trace`]. The
-    /// session's `deadline` overrides the engine's configured deadline
-    /// for this request only; its `fault_seed` re-seeds the fault
-    /// plane's per-net decisions for this request only. Routing is
-    /// deterministic: the frontier is bit-identical regardless of the
-    /// frontier cache's state and of any session deadline generous
-    /// enough not to expire.
+    /// and the descent is recorded in [`RouteProvenance::trace`]. A net
+    /// with a pin outside [`patlabor_geom::Point::MAX_COORD`] is
+    /// rejected before any rung runs
+    /// ([`RouteError::CoordinateOutOfRange`]). The session's `deadline`
+    /// overrides the engine's configured deadline for this request only;
+    /// its `fault_seed` re-seeds the fault plane's per-net decisions for
+    /// this request only. Routing is deterministic: the frontier is
+    /// bit-identical regardless of the frontier cache's state and of any
+    /// session deadline generous enough not to expire.
     pub fn route_session(&self, net: &Net, session: &Session) -> RouteResult {
+        check_coordinates(net)?;
         let inner = &*self.inner;
         let degree = net.degree();
         let mut counters = StageCounters::default();
@@ -623,8 +627,8 @@ impl Engine {
                                 checks.set(n);
                                 // Reading the clock is what costs, not the
                                 // checkpoint itself: stride the reads so a
-                                // hot DP loop stays under the BENCH_PR5
-                                // overhead budget.
+                                // hot DP loop stays inside the 2% budget
+                                // of `BUDGET_POLL_STRIDE`.
                                 n.is_multiple_of(BUDGET_POLL_STRIDE)
                                     && ctx.budget.is_some_and(Budget::exceeded)
                             });
@@ -762,6 +766,7 @@ impl Engine {
         session: &Session,
     ) -> RouteResult {
         let mutated = delta.apply();
+        check_coordinates(&mutated)?;
         let staleness = prior_edits.saturating_add(1);
         if staleness <= self.inner.config.eco.staleness_cap {
             if let Some(outcome) = self.replay_reuse(delta, &mutated, staleness) {
@@ -820,6 +825,18 @@ impl Engine {
             counters,
             trace,
         ))
+    }
+}
+
+/// Rejects a net with a pin outside [`patlabor_geom::Point::MAX_COORD`]
+/// ([`RouteError::CoordinateOutOfRange`]).
+fn check_coordinates(net: &Net) -> Result<(), RouteError> {
+    match net.pins().iter().position(|p| !p.in_bounds()) {
+        Some(pin) => Err(RouteError::CoordinateOutOfRange {
+            pin,
+            at: net.pins()[pin],
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1309,6 +1326,67 @@ mod tests {
         assert_eq!(outcome.provenance.counters.cache_probes, 0);
         assert_eq!(outcome.provenance.trace.served_by(), Some(Rung::ClosedForm));
         assert_eq!(outcome.frontier.len(), 1);
+    }
+
+    fn net_of(pins: &[(i64, i64)]) -> Net {
+        Net::new(pins.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    /// Coordinates whose lengths overflow `i64` used to be served
+    /// wrapped frontiers (the degree-2 net as `w=1 d=1`, the degree-3
+    /// net from the baseline with a negative wirelength). Each is now
+    /// rejected before any rung, naming its first out-of-range pin.
+    #[test]
+    fn nets_outside_the_coordinate_bound_are_rejected() {
+        let engine = engine4();
+        let far = 1i64 << 62;
+        let past = Point::MAX_COORD + 1;
+        for (pins, pin) in [
+            (vec![(i64::MAX, 0), (i64::MIN, 0)], 0),
+            (vec![(i64::MAX, 0), (i64::MIN, 0), (0, 5)], 0),
+            (vec![(-far, -far), (far, far), (far, -far), (-far, far)], 0),
+            (vec![(0, 0), (5, 9), (9, -past)], 2),
+        ] {
+            let net = net_of(&pins);
+            assert_eq!(
+                engine.route(&net),
+                Err(RouteError::CoordinateOutOfRange {
+                    pin,
+                    at: net.pins()[pin]
+                }),
+                "{pins:?}"
+            );
+        }
+    }
+
+    /// A net at the bound routes on the closed-form, table and
+    /// local-search paths, and every frontier cost is its witness
+    /// tree's own objectives.
+    #[test]
+    fn nets_at_the_coordinate_bound_route_exactly() {
+        let engine = engine4();
+        let m = Point::MAX_COORD;
+        for (pins, source) in [
+            (vec![(m, m), (-m, -m)], RouteSource::ClosedForm),
+            (vec![(-m, -m), (m, m), (m, -m)], RouteSource::ExactLut),
+            (
+                vec![(-m, -m), (m, m), (m, -m), (-m, m)],
+                RouteSource::ExactLut,
+            ),
+            (
+                vec![(0, 0), (m, m), (-m, -m), (m, -m), (-m, m), (m, 0), (0, -m)],
+                RouteSource::LocalSearch,
+            ),
+        ] {
+            let net = net_of(&pins);
+            let outcome = engine.route(&net).unwrap();
+            assert_eq!(outcome.provenance.source, source, "{pins:?}");
+            assert!(!outcome.frontier.is_empty());
+            for (cost, tree) in outcome.frontier.iter() {
+                assert_eq!(tree.objectives(), (cost.wirelength, cost.delay), "{pins:?}");
+                assert!(cost.delay > 0 && cost.wirelength >= cost.delay, "{pins:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::fmt;
 
+use patlabor_geom::Point;
 use patlabor_pareto::ParetoSet;
 use patlabor_tree::RoutingTree;
 
@@ -139,6 +140,16 @@ pub struct RouteOutcome {
 /// driver) can report per net instead of aborting the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteError {
+    /// A pin lies outside the coordinate bound ([`Point::MAX_COORD`]).
+    /// Lengths of such a net can overflow `i64`, so it is rejected
+    /// before any rung runs; an ECO edit is checked after it is applied
+    /// and before replay.
+    CoordinateOutOfRange {
+        /// Index of the first offending pin (0 is the source).
+        pin: usize,
+        /// The pin's position.
+        at: Point,
+    },
     /// The Classify stage produced no [`patlabor_geom::NetClass`] for a
     /// degree the tables claim to serve (λ configured beyond the
     /// classifiable maximum). Defense in depth: `Net` construction
@@ -189,6 +200,11 @@ pub enum RouteError {
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RouteError::CoordinateOutOfRange { pin, at } => write!(
+                f,
+                "pin {pin} at {at} is outside the coordinate bound ±{}",
+                Point::MAX_COORD
+            ),
             RouteError::UnclassifiableDegree { degree } => {
                 write!(f, "degree-{degree} net cannot be canonicalized")
             }

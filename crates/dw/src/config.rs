@@ -16,10 +16,6 @@ pub struct DwConfig {
     /// Lemma 4: when every pin of the current subset lies on the grid
     /// boundary, only split the subset into circularly consecutive runs.
     pub separator_split: bool,
-    /// Optional cap on the number of solutions kept per DP state. `None`
-    /// keeps the DP exact; `Some(k)` turns it into a beam-style
-    /// approximation (used only for robustness experiments).
-    pub max_frontier: Option<usize>,
 }
 
 impl Default for DwConfig {
@@ -28,7 +24,6 @@ impl Default for DwConfig {
             corner_pruning: true,
             bbox_shortcut: true,
             separator_split: true,
-            max_frontier: None,
         }
     }
 }
@@ -41,7 +36,6 @@ impl DwConfig {
             corner_pruning: false,
             bbox_shortcut: false,
             separator_split: false,
-            max_frontier: None,
         }
     }
 }
@@ -54,7 +48,6 @@ mod tests {
     fn default_enables_all_lemmas() {
         let c = DwConfig::default();
         assert!(c.corner_pruning && c.bbox_shortcut && c.separator_split);
-        assert_eq!(c.max_frontier, None);
     }
 
     #[test]

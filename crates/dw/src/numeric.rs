@@ -175,11 +175,7 @@ pub fn pareto_frontier_cancellable(
                     acc.push((c.shift(step), edges));
                 }
             }
-            let mut set = ParetoSet::from_unpruned(acc);
-            if let Some(cap) = config.max_frontier {
-                set = truncate_frontier(set, cap);
-            }
-            fin[v] = set;
+            fin[v] = ParetoSet::from_unpruned(acc);
         }
         states[mask as usize] = fin;
     }
@@ -269,25 +265,6 @@ fn expand_mask(local: u32, members: &[usize]) -> u32 {
         }
     }
     out
-}
-
-/// Keeps at most `cap` solutions, evenly spread along the frontier (always
-/// keeping both extreme points).
-fn truncate_frontier<T>(set: ParetoSet<T>, cap: usize) -> ParetoSet<T> {
-    let len = set.len();
-    if len <= cap || cap == 0 {
-        return set;
-    }
-    let entries = set.into_entries();
-    let mut kept = Vec::with_capacity(cap);
-    for (rank, entry) in entries.into_iter().enumerate() {
-        // Evenly spaced indices including first and last.
-        let keep = (rank * (cap - 1)).is_multiple_of(len - 1) || rank == len - 1;
-        if keep && kept.len() < cap {
-            kept.push(entry);
-        }
-    }
-    ParetoSet::from_unpruned(kept)
 }
 
 #[cfg(test)]
@@ -439,20 +416,5 @@ mod tests {
             pareto_frontier_cancellable(&n, &DwConfig::default(), &|| true),
             Err(Cancelled)
         );
-    }
-
-    #[test]
-    fn max_frontier_cap_keeps_extremes() {
-        let n = net(&[(0, 0), (6, 6), (7, 5), (3, 9)]);
-        let full = pareto_frontier(&n, &DwConfig::default());
-        let capped = pareto_frontier(
-            &n,
-            &DwConfig {
-                max_frontier: Some(2),
-                ..DwConfig::default()
-            },
-        );
-        assert!(capped.len() <= full.len());
-        assert!(!capped.is_empty());
     }
 }

@@ -4,9 +4,10 @@ use std::fmt;
 
 /// A point in the rectilinear plane `(Z², ‖·‖₁)`.
 ///
-/// Coordinates are `i64`; all distances computed from points therefore fit in
-/// `i64` for any realistic routing instance (VLSI coordinates are bounded by
-/// a few billions of database units).
+/// Coordinates are `i64`, but the router accepts only points with
+/// |x|, |y| ≤ [`Point::MAX_COORD`] = 2³¹ − 1 (DEF's 32-bit database
+/// units; see [`Point::in_bounds`]). Inside that bound every distance,
+/// wirelength and path delay the router computes fits in `i64`.
 ///
 /// # Example
 ///
@@ -26,6 +27,12 @@ pub struct Point {
 }
 
 impl Point {
+    /// The largest coordinate magnitude the router accepts: 2³¹ − 1, the
+    /// range of DEF's 32-bit database units. Two in-bound points are
+    /// less than 2³³ apart, so a tree of fewer than 2³⁰ such edges sums
+    /// inside `i64`.
+    pub const MAX_COORD: i64 = (1 << 31) - 1;
+
     /// Creates a point from its coordinates.
     #[inline]
     pub const fn new(x: i64, y: i64) -> Self {
@@ -55,6 +62,20 @@ impl Point {
     #[inline]
     pub fn max(self, other: Point) -> Point {
         Point::new(self.x.max(other.x), self.y.max(other.y))
+    }
+
+    /// Whether both coordinates lie in `[-MAX_COORD, MAX_COORD]`
+    /// ([`Point::MAX_COORD`]).
+    ///
+    /// ```
+    /// use patlabor_geom::Point;
+    /// assert!(Point::new(Point::MAX_COORD, -Point::MAX_COORD).in_bounds());
+    /// assert!(!Point::new(0, i64::MIN).in_bounds());
+    /// ```
+    #[inline]
+    pub fn in_bounds(self) -> bool {
+        let range = -Self::MAX_COORD..=Self::MAX_COORD;
+        range.contains(&self.x) && range.contains(&self.y)
     }
 
     /// Swaps the two coordinates (reflection across the main diagonal).

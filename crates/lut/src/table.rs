@@ -31,10 +31,8 @@
 //! (`w = W·l`, `d = maxⱼ Dⱼ·l`), prunes the `(w, d)` pairs numerically,
 //! and materializes [`RoutingTree`]s **only for the frontier survivors**.
 //! Dominated candidates never touch the tree extractor. The dot products
-//! run through a chunked kernel with independent accumulators (wrapping
-//! integer arithmetic is order-independent, so every code path —
-//! autovectorized scalar or the `simd`-feature AVX2 path — is
-//! bit-identical).
+//! run through a chunked scalar kernel with independent accumulators,
+//! which the compiler autovectorizes.
 
 use std::collections::HashMap;
 
@@ -377,10 +375,10 @@ fn eytzinger(keys: &[u64]) -> (Vec<u64>, Vec<u32>) {
 }
 
 /// Integer dot product of a stored multiplicity row against the canonical
-/// gap vector, chunked into four independent accumulators so the scalar
-/// build autovectorizes and pipelines. Wrapping integer arithmetic is
-/// associative and commutative, so every accumulation order — including
-/// the AVX2 path below — produces bit-identical results.
+/// gap vector, chunked into four independent accumulators so it
+/// autovectorizes and pipelines. Wrapping integer arithmetic is
+/// associative and commutative, so the chunked order gives the same
+/// result as a naive left-to-right sum.
 #[inline]
 fn dot_scalar(row: &[u16], gaps: &[i64]) -> i64 {
     let mut acc = [0i64; 4];
@@ -401,71 +399,14 @@ fn dot_scalar(row: &[u16], gaps: &[i64]) -> i64 {
     s
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    //! AVX2 dot-product kernel, runtime-detected with the scalar chunked
-    //! kernel as the always-available fallback. Multiplicities are u16, so
-    //! a 64-bit product decomposes into 32×32→64 partials:
-    //! `m·l = m·lo(l) + (m·hi(l) << 64-bit-wrap 32)`, both exact in
-    //! unsigned 64-bit lanes since `m < 2¹⁶`.
-    use std::arch::x86_64::*;
-
-    pub(super) fn available() -> bool {
-        // std's detection macro caches the cpuid probe internally.
-        std::is_x86_feature_detected!("avx2")
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have checked [`available`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot(row: &[u16], gaps: &[i64]) -> i64 {
-        let n = row.len().min(gaps.len());
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let g = _mm256_loadu_si256(gaps.as_ptr().add(i).cast());
-            let m128 = _mm_loadl_epi64(row.as_ptr().add(i).cast());
-            let m = _mm256_cvtepu16_epi64(m128);
-            let lo = _mm256_mul_epu32(g, m);
-            let hi = _mm256_mul_epu32(_mm256_srli_epi64::<32>(g), m);
-            let prod = _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(hi));
-            acc = _mm256_add_epi64(acc, prod);
-            i += 4;
-        }
-        let mut s = _mm256_extract_epi64::<0>(acc)
-            .wrapping_add(_mm256_extract_epi64::<1>(acc))
-            .wrapping_add(_mm256_extract_epi64::<2>(acc))
-            .wrapping_add(_mm256_extract_epi64::<3>(acc));
-        while i < n {
-            s = s.wrapping_add((row[i] as i64).wrapping_mul(gaps[i]));
-            i += 1;
-        }
-        s
-    }
-}
-
-/// The dot-product kernel the scoring stages run on: the AVX2 path when
-/// the `simd` feature is enabled and the CPU supports it, the chunked
-/// scalar kernel otherwise. Both are bit-identical (wrapping integer
-/// arithmetic; see [`dot_scalar`]).
-#[inline]
-pub(crate) fn kernel_dot(row: &[u16], gaps: &[i64]) -> i64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
-        return unsafe { simd::dot(row, gaps) };
-    }
-    dot_scalar(row, gaps)
-}
-
 /// Scores one candidate's full row block: `(W·l, maxⱼ Dⱼ·l)`.
 #[inline]
 fn score_block(rows: &[u16], gaps: &[i64]) -> (i64, i64) {
     let dims = gaps.len();
-    let w = kernel_dot(&rows[..dims], gaps);
+    let w = dot_scalar(&rows[..dims], gaps);
     let d = rows[dims..]
         .chunks_exact(dims)
-        .map(|row| kernel_dot(row, gaps))
+        .map(|row| dot_scalar(row, gaps))
         .max()
         .unwrap_or(0);
     (w, d)
@@ -930,8 +871,8 @@ mod tests {
 
     #[test]
     fn kernel_dot_matches_reference() {
-        // The kernel (any path) must equal the naive dot on mixed-sign
-        // gaps and all alignments/lengths 0..=17.
+        // The chunked kernel must equal the naive dot on mixed-sign gaps
+        // and all alignments/lengths 0..=17.
         let rows: Vec<u16> = (0..17).map(|i| (i * 37 + 5) as u16).collect();
         let gaps: Vec<i64> = (0..17)
             .map(|i| (i as i64 - 8) * 1_000_000_007)
@@ -942,7 +883,6 @@ mod tests {
                 .zip(&gaps[..len])
                 .map(|(&m, &l)| (m as i64).wrapping_mul(l))
                 .fold(0i64, |a, x| a.wrapping_add(x));
-            assert_eq!(kernel_dot(&rows[..len], &gaps[..len]), expect, "len={len}");
             assert_eq!(dot_scalar(&rows[..len], &gaps[..len]), expect, "len={len}");
         }
     }

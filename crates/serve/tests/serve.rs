@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use patlabor::resilience::splitmix64;
 use patlabor::{
-    Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, ResilienceConfig, VirtualClock,
+    Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, Point, ResilienceConfig, VirtualClock,
 };
 use patlabor_serve::{
     http_request, scrape_metrics, serve, Json, RerouteRequest, RouteClient, RouteRequest,
@@ -360,6 +360,43 @@ fn malformed_frames_do_not_poison_the_connection() {
     let summary = server.shutdown();
     assert_eq!(summary.malformed, 2);
     assert_eq!(summary.report.nets, 1);
+}
+
+/// A route frame whose pins lie outside the coordinate bound (lengths
+/// that overflow `i64`) gets the structured `"error": "route"` reply
+/// instead of a wrapped frontier, and the connection keeps serving.
+#[test]
+fn out_of_range_coordinates_get_a_route_error_and_the_connection_survives() {
+    let server = serve(test_engine(), ServeConfig::default()).expect("bind");
+    let mut client = RouteClient::connect(server.addr()).expect("connect");
+    let far = Net::new(vec![Point::new(i64::MAX, 0), Point::new(i64::MIN, 0)]).expect("net");
+    let reply = client
+        .route(&RouteRequest {
+            id: 7,
+            net: far,
+            deadline_ms: None,
+        })
+        .expect("out-of-range route");
+    let rendered = reply.render();
+    let error = reply.get("error").and_then(Json::as_str);
+    assert_eq!(error, Some("route"), "{rendered}");
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(7));
+    let detail = reply.get("detail").and_then(Json::as_str);
+    let names_the_bound = detail.is_some_and(|d| d.contains("coordinate bound"));
+    assert!(names_the_bound, "{rendered}");
+
+    let net = suite(0x12, 1).remove(0);
+    let reply = client
+        .route(&RouteRequest {
+            id: 8,
+            net,
+            deadline_ms: None,
+        })
+        .expect("route after the rejection");
+    let rendered = reply.render();
+    let ok = reply.get("ok").and_then(Json::as_bool);
+    assert_eq!(ok, Some(true), "{rendered}");
+    server.shutdown();
 }
 
 /// Per-request deadlines ride the degradation ladder: an impossible
