@@ -3,8 +3,7 @@
 //! count 1→N (N = hardware threads) and prints, per count:
 //! * throughput and speedup against the serial baseline;
 //! * per-worker utilization (busy-ns / elapsed) and its minimum — the
-//!   load-balance floor the work-stealing deques are supposed to hold up;
-//! * successful steals.
+//!   load-balance floor the shared chunk queue is supposed to hold up.
 //!
 //! Thread counts above the hardware count are measured only as
 //! *oversubscription observations*: they are starred in the table and
@@ -37,7 +36,6 @@ struct Run {
     nets_per_sec: f64,
     utilization: f64,
     min_worker_utilization: f64,
-    steals: u64,
 }
 
 /// Routes `nets` on a fresh cache-off engine; returns the run's numbers
@@ -53,7 +51,6 @@ fn measure(table: &LookupTable, nets: &[Net], threads: usize) -> (Run, Frontiers
         nets_per_sec: nets.len() as f64 / secs,
         utilization: stats.utilization(),
         min_worker_utilization: stats.min_worker_utilization(),
-        steals: stats.total_steals(),
     };
     let frontiers = results
         .into_iter()
@@ -103,7 +100,7 @@ fn main() {
     println!(
         "{}",
         patlabor_bench::render_table(
-            &["threads", "nets/s", "speedup", "util", "min util", "steals"],
+            &["threads", "nets/s", "speedup", "util", "min util"],
             &runs
                 .iter()
                 .map(|r| {
@@ -117,7 +114,6 @@ fn main() {
                         format!("{:.2}x", speedup(r)),
                         format!("{:.2}", r.utilization),
                         format!("{:.2}", r.min_worker_utilization),
-                        r.steals.to_string(),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -164,6 +160,6 @@ fn main() {
 
     patlabor_bench::paper_note(
         "the paper evaluates all methods multithreaded (footnote 4); this bench \
-         measures whether the batch driver's work-stealing scales on the machine at hand",
+         measures whether the batch driver scales on the machine at hand",
     );
 }

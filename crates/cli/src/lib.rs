@@ -196,9 +196,9 @@ pub struct RouteOptions {
     /// Per-net routing deadline in milliseconds (wall clock).
     pub deadline_ms: Option<u64>,
     /// Worker threads for the batch driver. With more than one, routing
-    /// goes through the work-stealing batch path (frontiers identical to
+    /// goes through the parallel batch path (frontiers identical to
     /// serial) and the output ends with the per-worker scaling report:
-    /// utilization, steals and cache lock contention.
+    /// utilization and cache lock contention.
     pub threads: usize,
     /// Emit NDJSON instead of the human rendering: one wire-protocol
     /// reply object per net, serialized by [`patlabor_serve::wire`] —
@@ -347,25 +347,19 @@ fn build_engine(tables: Option<&str>, lambda: u8) -> Result<Engine, CliError> {
 /// telemetry plus one line per worker.
 fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
     out.push_str(&format!(
-        "batch: {} workers, chunk {}, {:.1} ms, utilization {:.2} (min {:.2}), \
-         {} steals ({} failed)\n",
+        "batch: {} workers, chunk {}, {:.1} ms, utilization {:.2} (min {:.2})\n",
         stats.workers,
         stats.chunk_size,
         stats.elapsed().as_secs_f64() * 1e3,
         stats.utilization(),
         stats.min_worker_utilization(),
-        stats.total_steals(),
-        stats.total_failed_steals(),
     ));
     for (i, w) in stats.per_worker.iter().enumerate() {
         out.push_str(&format!(
-            "  worker {i}: {} nets in {} chunks, busy {:.1} ms, \
-             {} steals ({} failed)\n",
+            "  worker {i}: {} nets in {} chunks, busy {:.1} ms\n",
             w.nets,
             w.chunks,
             w.busy_ns as f64 / 1e6,
-            w.steals,
-            w.failed_steals,
         ));
     }
 }
@@ -986,9 +980,9 @@ USAGE:
 Net list: one net per line, `x,y` pins separated by spaces, source first;
 `#` comments.
 
-`route --threads T` routes through the work-stealing batch driver
+`route --threads T` routes through the parallel batch driver
 (frontiers identical to serial) and appends a scaling report: per-worker
-utilization, steal counts and cache lock contention. `route --json`
+utilization and cache lock contention. `route --json`
 emits one wire-protocol reply object per net (NDJSON), byte-compatible
 with the `serve` daemon's responses.
 
@@ -1378,6 +1372,94 @@ mod tests {
         assert!(err.message.contains("x,y"));
         let err = parse_edits("0 remove-sink 1 9,9\n").unwrap_err();
         assert!(err.message.contains("trailing"));
+    }
+
+    /// Every outcome `parse_edits` may give a hostile file: edits, at
+    /// most one per line, or an error naming a line of the file. A panic
+    /// fails the test.
+    fn assert_edits_structured(text: &str) {
+        let lines = text.lines().count();
+        match parse_edits(text) {
+            Ok(edits) => assert!(edits.len() <= lines, "{text:?}"),
+            Err(e) => {
+                assert!(
+                    (1..=lines).contains(&e.line),
+                    "line {} of {lines}: {text:?}",
+                    e.line
+                );
+                assert!(!e.message.is_empty(), "{text:?}");
+            }
+        }
+    }
+
+    /// Seeded hostile corpus for `--eco` edit files: every truncation of
+    /// a valid file holding all five edit kinds, single- and multi-byte
+    /// flips of it that keep it ASCII (so valid UTF-8), and random
+    /// files, some drawn from the edit grammar's own tokens.
+    #[test]
+    fn hostile_edit_files_get_structured_answers() {
+        let valid = "# chained edits\n\
+                     0 translate 5,-2\n\
+                     1 move-pin 2 7,7\n\
+                     2 add-sink 3,4   # trailing comment\n\
+                     0 remove-sink 1\n\
+                     \n\
+                     3 blockage 2,2 8,8\n";
+        assert_eq!(parse_edits(valid).map(|e| e.len()), Ok(5));
+        let mut state = 0x0ec0_11e5_u64;
+        let mut next = || {
+            state = patlabor::resilience::splitmix64(state);
+            state
+        };
+        for len in 0..valid.len() {
+            assert_edits_structured(&valid[..len]);
+        }
+        for flips in [1, 1, 1, 2, 3, 5, 8] {
+            for _ in 0..256 {
+                let mut damaged = valid.as_bytes().to_vec();
+                for _ in 0..flips {
+                    let h = next();
+                    let at = (h % damaged.len() as u64) as usize;
+                    damaged[at] ^= ((h >> 32) as u8 & 0x7f).max(1);
+                }
+                let damaged = String::from_utf8(damaged).expect("ASCII stays UTF-8");
+                assert_edits_structured(&damaged);
+            }
+        }
+        const TOKENS: [&str; 16] = [
+            "translate",
+            "move-pin",
+            "add-sink",
+            "remove-sink",
+            "blockage",
+            "0",
+            "7",
+            "-3",
+            "5,-2",
+            "9223372036854775808",
+            ",",
+            "#",
+            " ",
+            "\n",
+            "\r\n",
+            "\t",
+        ];
+        for round in 0..2_000 {
+            let len = (next() % 32) as usize;
+            let random: String = (0..len)
+                .map(|_| {
+                    let h = next();
+                    if round % 2 == 0 {
+                        char::from_u32((h % 0x11_0000) as u32)
+                            .unwrap_or('\u{fffd}')
+                            .to_string()
+                    } else {
+                        TOKENS[(h % TOKENS.len() as u64) as usize].to_string()
+                    }
+                })
+                .collect();
+            assert_edits_structured(&random);
+        }
     }
 
     #[test]

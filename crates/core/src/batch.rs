@@ -3,78 +3,51 @@
 //! VLSI designs contain millions of nets and every net routes
 //! independently, so the paper evaluates all methods with multithreading
 //! (its footnote 4 chides YSD for comparing GPU batches against serial
-//! SALT). This module provides the high-throughput driver: a
-//! work-stealing chunked distributor over a shared [`Engine`] handle
-//! (the lookup tables are immutable after construction, so one engine
-//! serves every thread).
+//! SALT). This module provides the high-throughput driver: a shared
+//! queue of output chunks drained by scoped threads over one [`Engine`]
+//! handle (the lookup tables are immutable after construction, so one
+//! engine serves every thread).
 //!
 //! # Design
 //!
-//! The net list is cut into fixed-size chunks and the chunk index space
-//! is pre-partitioned into one contiguous interval per worker. Each
-//! worker owns a lock-free deque holding its remaining interval, packed
-//! `(next, end)` into a single cache-line-padded `AtomicU64`
-//! ([`ChunkDeque`]): the owner pops chunks from the front with a CAS,
-//! and a worker that runs dry steals the back half of the fullest-
-//! looking victim's interval with a CAS on the same word. In the steady
-//! state every worker touches only its own padded cursor — zero shared
-//! write traffic — and the steal path only activates when the static
-//! partition turns out imbalanced (expensive nets clustered in one
-//! worker's span). Compare the previous design, where every chunk claim
-//! bounced one global cursor line between all cores.
+//! The output vector is cut into fixed-size chunks with `chunks_mut`,
+//! and the enumerated chunk iterator sits behind one `Mutex`. Each
+//! worker takes the next chunk, fills its slots, and exits when the
+//! iterator is empty. The lock is held only for the `next()` call, once
+//! per chunk, never while a net routes. Because the chunks are disjoint
+//! `&mut` slices, the borrow checker proves that no two workers write
+//! one slot, and results come back in input order, bit-identical to a
+//! serial loop, without any `unsafe`.
 //!
-//! Results are still published in input order and bit-identical to a
-//! serial loop: workers write each result directly into its final slot
-//! of the (uninitialized) output vector — slots are disjoint by
-//! construction (chunks are claimed exactly once; see the ABA argument
-//! on [`ChunkDeque`]), so no locks and no post-hoc reordering are
-//! needed.
-//!
-//! Chunk size trades deque traffic against steal granularity; with
-//! stealing, it no longer has to bound tail imbalance the way the old
-//! `nets.len() / (threads × 8)` heuristic did. It is derived from the
-//! batch by one rule, grounded in measured steal rates (see
+//! Chunk size trades lock acquisitions against the tail: the worker
+//! that takes the last chunk may still be routing it after the others
+//! have finished. It is derived from the batch by one rule (see
 //! [`auto_chunk`]).
 //!
 //! Every batch also returns per-worker telemetry ([`BatchStats`]): busy
-//! nanoseconds, chunks and nets executed, successful and failed steals —
-//! the raw material of the `scaling` bench's table and the
-//! `route --threads` report.
+//! nanoseconds, chunks and nets executed — the raw material of the
+//! `scaling` bench's table and the `route --threads` report.
 
 use std::any::Any;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use patlabor_geom::Net;
 
 use crate::eco::DeltaJob;
 use crate::engine::{Engine, Session};
-use crate::pad::CachePadded;
 use crate::pipeline::{RouteError, RouteResult};
 
-/// Hard ceiling on the chunk size.
-///
-/// Measured on the `scaling` bench's workload: above ~64 nets per chunk
-/// the steal granularity gets coarse enough that one late steal of a
-/// chunk of expensive nets re-creates the tail imbalance stealing exists
-/// to fix, while deque CAS traffic is already unmeasurable at 64 (one CAS
-/// per chunk ≈ one per 64 routed nets).
+/// Hard ceiling on the chunk size, and so on the nets one late claim can
+/// leave running after the queue is empty.
 const MAX_CHUNK: usize = 64;
 
-/// Nets per work-stealing chunk for a batch of `len` nets over
-/// `workers` workers: `len / (workers × 4)`, clamped to `[1, 64]`.
+/// Nets per chunk for a batch of `len` nets over `workers` workers:
+/// `len / (workers × 4)`, clamped to `[1, 64]`.
 ///
-/// Rationale, re-derived from measured steal rates on the `scaling`
-/// bench's mixed-degree workload: with work stealing the chunk size no
-/// longer bounds tail imbalance (steals rebalance any leftover work), so
-/// the old ~8-chunks-per-worker rule only bought extra cursor traffic. Four
-/// chunks per worker keeps the initial partition coarse — on a balanced
-/// workload the steady state is *zero* steals and every worker walks
-/// its own span — while the 64-net cap keeps what a steal transfers
-/// fine-grained enough that measured steal counts stay in the single
-/// digits per worker on skewed workloads instead of one worker dragging
-/// a mega-chunk.
+/// Four chunks per worker keeps lock acquisitions few on small batches,
+/// and the 64-net cap bounds how much work the last chunk claimed can
+/// add after every other worker has run out.
 fn auto_chunk(len: usize, workers: usize) -> usize {
     (len / (workers.max(1) * 4)).clamp(1, MAX_CHUNK)
 }
@@ -83,17 +56,12 @@ fn auto_chunk(len: usize, workers: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
     /// Nanoseconds spent executing chunks (routing nets), excluding
-    /// deque traffic, steal scans and scheduler wait.
+    /// queue waits and scheduler wait.
     pub busy_ns: u64,
-    /// Chunks this worker executed (own and stolen).
+    /// Chunks this worker executed.
     pub chunks: u64,
     /// Nets this worker routed.
     pub nets: u64,
-    /// Successful steals: intervals taken from another worker's deque.
-    pub steals: u64,
-    /// Steal probes that found the victim's deque empty (or lost the
-    /// race for its last chunks).
-    pub failed_steals: u64,
 }
 
 /// Batch-level telemetry from [`Engine::route_batch_with_stats`]:
@@ -121,20 +89,20 @@ impl BatchStats {
         Duration::from_nanos(self.elapsed_ns)
     }
 
-    /// Successful steals across all workers.
+    /// Always 0 (the driver no longer steals); kept for the benchmark's `batch.steals`.
     pub fn total_steals(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals).sum()
+        0
     }
 
-    /// Failed steal probes across all workers.
+    /// Always 0 (the driver no longer steals); kept for the benchmark's `batch.failed_steals`.
     pub fn total_failed_steals(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.failed_steals).sum()
+        0
     }
 
     /// Mean worker utilization: busy time across workers divided by
     /// `workers × elapsed`. 1.0 means every worker routed nets for the
-    /// whole wall-clock window; the gap to 1.0 is scheduler wait, steal
-    /// scans and exit skew. Meaningless (and typically ≪ 1) when the
+    /// whole wall-clock window; the gap to 1.0 is scheduler wait, queue
+    /// waits and exit skew. Meaningless (and typically ≪ 1) when the
     /// process is oversubscribed — more workers than hardware threads.
     pub fn utilization(&self) -> f64 {
         if self.workers == 0 || self.elapsed_ns == 0 {
@@ -158,149 +126,15 @@ impl BatchStats {
     }
 }
 
-/// A worker's remaining chunk interval `[next, end)`, packed into one
-/// cache-line-padded atomic word (`next` in the high 32 bits).
-///
-/// The owner pops from the front (`next += 1`), thieves take the back
-/// half (`end → mid`), both via CAS on the same word, so every claim is
-/// linearizable and each chunk index is handed out exactly once.
-///
-/// No ABA: intervals are only ever split, never merged, and a chunk
-/// index is claimed (popped or handed to exactly one thief) at most
-/// once. For a CAS to succeed on a stale read `(a, b)`, the word would
-/// have to hold `(a, b)` again later — impossible, because leaving state
-/// `(a, b)` either claims chunk `a` (pop) or shrinks `end` below `b`
-/// with `a` still queued here, and a new interval is stored into this
-/// deque only by its owner after the previous interval emptied, which
-/// claims `a` first. A claimed index never re-enters any interval.
-struct ChunkDeque(CachePadded<AtomicU64>);
-
-/// `u32` is plenty: chunk counts are bounded by net counts, and a batch
-/// of 4 billion nets would not fit in memory anyway (checked at entry).
-fn pack(next: u32, end: u32) -> u64 {
-    (u64::from(next) << 32) | u64::from(end)
-}
-
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-impl ChunkDeque {
-    fn new(next: u32, end: u32) -> Self {
-        ChunkDeque(CachePadded::new(AtomicU64::new(pack(next, end))))
-    }
-
-    /// Owner-side pop of the front chunk.
-    fn pop_front(&self) -> Option<u32> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(next + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(next),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Thief-side steal of the back half (all of a 1-chunk remainder);
-    /// returns the stolen interval.
-    fn steal_half(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            // The owner keeps the front floor(half); the thief takes the
-            // back ceil(half) so a 1-chunk interval is stealable too.
-            let mid = next + (end - next) / 2;
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(next, mid),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((mid, end)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// How many chunks remain (steal-victim selection heuristic; racy
-    /// by nature, which is fine — a stale read only picks a worse
-    /// victim).
-    fn remaining(&self) -> u32 {
-        let (next, end) = unpack(self.0.load(Ordering::Relaxed));
-        end.saturating_sub(next)
-    }
-
-    /// Owner-side replacement of an emptied interval with a stolen one.
-    /// A plain store suffices: only the owner stores, and thieves never
-    /// modify an empty deque (their CAS is preceded by the emptiness
-    /// check), so no concurrent writer exists while this runs.
-    fn refill(&self, interval: (u32, u32)) {
-        self.0.store(pack(interval.0, interval.1), Ordering::Release);
-    }
-}
-
-/// Shares a raw pointer to the output slots between workers.
-///
-/// Safety contract: every index is written by exactly one worker (chunk
-/// claims are disjoint), and the owning vector outlives the thread
-/// scope.
-struct OutputSlots<T>(*mut MaybeUninit<T>);
-
-// SAFETY: workers write disjoint slots; the pointer itself is only copied.
-unsafe impl<T: Send> Sync for OutputSlots<T> {}
-
-/// Drops the already-initialized output slots if a worker panic unwinds
-/// the batch mid-fill.
-///
-/// `Vec<MaybeUninit<T>>` never drops its contents, so without this guard
-/// every `T` written before the panic would leak (routing results hold
-/// heap-allocated frontiers, so the leak is real memory, not just a
-/// formality). Workers flag each slot *after* writing it; the guard runs
-/// on the spawning thread after `thread::scope` has joined every worker
-/// (the join provides the happens-before edge for the flagged writes) and
-/// drops exactly the flagged slots. The success path defuses the guard
-/// with `mem::forget` before assuming ownership of the values.
-struct SlotDropGuard<'a, T> {
-    slots: *mut MaybeUninit<T>,
-    init: &'a [AtomicBool],
-}
-
-impl<T> Drop for SlotDropGuard<'_, T> {
-    fn drop(&mut self) {
-        for (i, flag) in self.init.iter().enumerate() {
-            if flag.load(Ordering::Acquire) {
-                // SAFETY: the flag is set only after slot `i` was fully
-                // written, and no other code drops it (the success path
-                // forgets this guard before taking ownership).
-                unsafe { (*self.slots.add(i)).assume_init_drop() };
-            }
-        }
-    }
-}
-
-/// Fills a `len`-slot output vector across `workers` scoped threads via
-/// per-worker chunk deques with work stealing; `fill(i)` produces slot
+/// Fills a `len`-slot output vector across `workers` scoped threads that
+/// share one queue of `chunk`-slot output slices; `fill(i)` produces slot
 /// `i`. Results are in index order, identical to a serial loop. Returns
 /// the values and the per-worker telemetry.
 ///
 /// Panic safety: if a `fill` call panics, the panicking worker unwinds,
-/// the surviving workers keep draining every remaining chunk (steals
-/// from the dead worker's deque included — its unprocessed interval is
-/// still claimable), the scope joins and re-panics, and the
-/// [`SlotDropGuard`] drops every slot that was initialized before the
-/// unwind — nothing leaks.
+/// the surviving workers keep draining every remaining chunk, the scope
+/// joins and re-panics, and the unwind drops the output vector with
+/// every slot already filled — nothing leaks.
 fn fill_slots_parallel<T, F>(
     len: usize,
     workers: usize,
@@ -311,93 +145,28 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(
-        u32::try_from(len).is_ok(),
-        "batch of {len} nets exceeds the u32 chunk index space"
-    );
-    let mut results: Vec<MaybeUninit<T>> = Vec::with_capacity(len);
-    let slots = OutputSlots(results.as_mut_ptr());
-    let init: Box<[AtomicBool]> = (0..len).map(|_| AtomicBool::new(false)).collect();
-    // Armed before any worker runs; declared after `results` so an unwind
-    // drops the initialized contents first, then the vector frees the
-    // (by then inert) buffer.
-    let guard = SlotDropGuard {
-        slots: results.as_mut_ptr(),
-        init: &init,
-    };
-    // Static partition: worker `w` starts with the contiguous chunk
-    // interval [w·n/W, (w+1)·n/W) — balanced to within one chunk.
-    let nchunks = len.div_ceil(chunk);
-    let deques: Box<[ChunkDeque]> = (0..workers)
-        .map(|w| {
-            ChunkDeque::new(
-                (w * nchunks / workers) as u32,
-                ((w + 1) * nchunks / workers) as u32,
-            )
-        })
-        .collect();
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(len, || None);
+    let queue = Mutex::new(slots.chunks_mut(chunk).enumerate());
     let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let slots = &slots;
-                let init = &init;
-                let fill = &fill;
-                let deques = &deques;
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let mut stats = WorkerStats::default();
                     loop {
-                        // Drain the own deque front-to-back.
-                        while let Some(c) = deques[w].pop_front() {
-                            let start = (c as usize) * chunk;
-                            let end = (start + chunk).min(len);
-                            let t0 = Instant::now();
-                            for i in start..end {
-                                let value = fill(i);
-                                // SAFETY: chunk `c` was claimed exactly
-                                // once (deque CAS), so slot `i` has a
-                                // unique writer, inside the vector's
-                                // allocated capacity.
-                                unsafe { (*slots.0.add(i)).write(value) };
-                                // Publish only after the write completes,
-                                // so the guard never drops a half-written
-                                // slot.
-                                init[i].store(true, Ordering::Release);
-                            }
-                            stats.busy_ns += t0.elapsed().as_nanos() as u64;
-                            stats.chunks += 1;
-                            stats.nets += (end - start) as u64;
+                        // The guard is a temporary of this statement, so
+                        // the lock is released before the chunk is filled.
+                        // `next()` is the only update and cannot panic, so
+                        // a poisoned lock still guards a valid iterator.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((c, out)) = next else { break };
+                        let t0 = Instant::now();
+                        for (slot, i) in out.iter_mut().zip(c * chunk..) {
+                            *slot = Some(fill(i));
                         }
-                        // Own deque empty: steal the back half of the
-                        // fullest victim. Exiting requires observing
-                        // every other deque empty — losing a race for a
-                        // victim's last chunks rescans, because another
-                        // victim may still hold work. Once all deques
-                        // read empty, the remaining work (if any) is
-                        // already claimed by its holders, so exiting
-                        // never orphans a chunk.
-                        let mut stolen = None;
-                        loop {
-                            let victim = (0..workers)
-                                .filter(|&v| v != w)
-                                .max_by_key(|&v| deques[v].remaining());
-                            match victim {
-                                Some(v) if deques[v].remaining() > 0 => {
-                                    if let Some(interval) = deques[v].steal_half() {
-                                        stolen = Some(interval);
-                                        break;
-                                    }
-                                    stats.failed_steals += 1;
-                                }
-                                _ => break,
-                            }
-                        }
-                        match stolen {
-                            Some(interval) => {
-                                stats.steals += 1;
-                                deques[w].refill(interval);
-                            }
-                            None => break,
-                        }
+                        stats.busy_ns += t0.elapsed().as_nanos() as u64;
+                        stats.chunks += 1;
+                        stats.nets += out.len() as u64;
                     }
                     stats
                 })
@@ -405,25 +174,15 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(stats) => stats,
-                // Re-raise inside the scope: the scope has already joined
-                // this worker; re-panicking here unwinds through the
-                // scope (joining the rest) into the guard.
-                Err(payload) => std::panic::resume_unwind(payload),
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect()
     });
-    // Every worker joined without panicking and the deques drained
-    // 0..nchunks, so all slots are initialized; ownership passes to the
-    // returned vector and the guard must not double-drop.
-    std::mem::forget(guard);
-    // SAFETY: all `len` slots were written exactly once (see above).
-    unsafe { results.set_len(len) };
-    // MaybeUninit<T> → T is a transparent no-op once initialized.
-    let values = results
+    let values = slots
         .into_iter()
-        .map(|slot| unsafe { slot.assume_init() })
+        .map(|slot| slot.expect("every chunk is filled before its worker exits"))
         .collect();
     (values, stats)
 }
@@ -463,7 +222,7 @@ impl Engine {
     /// serial routing instead of panicking). Results are in input order
     /// and bit-identical to calling [`Engine::route`] per net (routing
     /// is deterministic, with or without the frontier cache, at every
-    /// thread count, steals included).
+    /// thread count).
     ///
     /// Each slot is that net's own [`RouteResult`]: a net the tables
     /// cannot serve yields `Err` in its slot without poisoning the rest
@@ -475,9 +234,9 @@ impl Engine {
     }
 
     /// [`Engine::route_batch`] plus the driver telemetry: per-worker
-    /// busy time, chunk/net tallies and steal counts ([`BatchStats`]).
-    /// The scaling bench and `route --threads` read utilization from
-    /// here instead of inferring it from wall clock.
+    /// busy time and chunk/net tallies ([`BatchStats`]). The scaling
+    /// bench and `route --threads` read utilization from here instead of
+    /// inferring it from wall clock.
     pub fn route_batch_with_stats(
         &self,
         nets: &[Net],
@@ -488,9 +247,9 @@ impl Engine {
     }
 
     /// Routes a batch of requests, each under its own [`Session`], over
-    /// the same work-stealing driver. Results are in input order, one
-    /// slot per request, and each request's frontier is bit-identical to
-    /// routing it alone via [`Engine::route_session`] — batching changes
+    /// the same batch driver. Results are in input order, one slot per
+    /// request, and each request's frontier is bit-identical to routing
+    /// it alone via [`Engine::route_session`] — batching changes
     /// latency, never answers. The serve layer routes each batch of
     /// queued requests through this call.
     pub fn route_batch_sessions(
@@ -517,7 +276,7 @@ impl Engine {
         }
     }
 
-    /// Reroutes a batch of edits over the same work-stealing driver as
+    /// Reroutes a batch of edits over the same batch driver as
     /// [`Engine::route_batch_sessions`]. Results are in input order, one
     /// slot per job; class-preserving edits replay from the frontier
     /// cache (provenance [`crate::RouteSource::Reused`]) and everything
@@ -532,7 +291,7 @@ impl Engine {
         self.drive_batch(jobs.len(), threads, |i| self.reroute_caught(&jobs[i]))
     }
 
-    /// The shared driver body: serial fast path or work-stealing fill
+    /// The shared driver body: serial fast path or shared-queue fill
     /// over `len` independent slots.
     fn drive_batch(
         &self,
@@ -555,7 +314,6 @@ impl Engine {
                     busy_ns,
                     chunks: 1,
                     nets: len as u64,
-                    ..WorkerStats::default()
                 }],
             };
             return (results, stats);
@@ -597,57 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn deque_pop_and_steal_partition_the_interval() {
-        let deque = ChunkDeque::new(0, 10);
-        assert_eq!(deque.pop_front(), Some(0));
-        assert_eq!(deque.remaining(), 9);
-        // Thief takes the back ceil(half) of [1, 10).
-        assert_eq!(deque.steal_half(), Some((5, 10)));
-        assert_eq!(deque.remaining(), 4);
-        for expect in 1..5 {
-            assert_eq!(deque.pop_front(), Some(expect));
-        }
-        assert_eq!(deque.pop_front(), None);
-        assert_eq!(deque.steal_half(), None);
-        // A 1-chunk interval is stealable whole.
-        let last = ChunkDeque::new(7, 8);
-        assert_eq!(last.steal_half(), Some((7, 8)));
-        assert_eq!(last.pop_front(), None);
-    }
-
-    /// Hammer one deque from many threads (owner pops, thieves steal):
-    /// every chunk index must be claimed exactly once.
-    #[test]
-    fn deque_claims_are_disjoint_under_contention() {
-        use std::sync::atomic::AtomicUsize;
-        const CHUNKS: u32 = 10_000;
-        let deque = ChunkDeque::new(0, CHUNKS);
-        let claims: Box<[AtomicUsize]> =
-            (0..CHUNKS).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            // One owner popping the front...
-            scope.spawn(|| {
-                while let Some(c) = deque.pop_front() {
-                    claims[c as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            // ...and thieves carving up the back.
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    while let Some((lo, hi)) = deque.steal_half() {
-                        for c in lo..hi {
-                            claims[c as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        for (c, claim) in claims.iter().enumerate() {
-            assert_eq!(claim.load(Ordering::Relaxed), 1, "chunk {c} claim count");
-        }
-    }
-
-    #[test]
     fn batch_matches_sequential_and_is_order_stable() {
         let engine = Engine::with_config(RouterConfig {
             lambda: 4,
@@ -665,9 +372,9 @@ mod tests {
     }
 
     /// Satellite: the determinism matrix. Bit-identical frontiers at
-    /// thread counts {1, 2, 4, 16, N, N+3} (N = hardware threads) under
-    /// work stealing. At 16 workers the chunk rule gives single-net
-    /// chunks on these 60 nets, the finest steal granularity there is.
+    /// thread counts {1, 2, 4, 16, N, N+3} (N = hardware threads). At 16
+    /// workers the chunk rule gives single-net chunks on these 60 nets,
+    /// the finest claim granularity there is.
     #[test]
     fn determinism_matrix_across_thread_counts() {
         let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -739,10 +446,8 @@ mod tests {
         assert_eq!(frontiers(engine.route_batch(&nets, 64)), serial);
     }
 
-    /// Regression for the mid-batch panic leak: every `RouteResult` slot
-    /// initialized before a worker panic must still be dropped during the
-    /// unwind. Before the [`SlotDropGuard`], `Vec<MaybeUninit<_>>` leaked
-    /// all of them.
+    /// Regression for the mid-batch panic leak: every slot filled before
+    /// a worker panic must still be dropped during the unwind.
     #[test]
     fn panic_mid_batch_drops_initialized_slots() {
         use std::sync::atomic::AtomicUsize;
@@ -773,24 +478,22 @@ mod tests {
             dropped.load(SeqCst),
             "every initialized slot must be dropped during unwind"
         );
-        // Sanity: the batch got far enough for the guard to matter.
+        // Sanity: the batch got far enough for the unwind to matter.
         assert!(created.load(SeqCst) > 0);
     }
 
-    /// Satellite: a worker dying mid-steal. The panicking worker's
-    /// still-queued interval stays claimable, the survivors steal and
-    /// finish every other slot, and the unwind drops exactly the
-    /// initialized ones — slot isolation holds through worker death.
+    /// Satellite: a worker dying mid-batch. The survivors keep taking
+    /// chunks from the shared queue and fill every other slot —
+    /// slot isolation holds through worker death.
     #[test]
-    fn worker_death_mid_steal_leaves_other_slots_claimed() {
+    fn panicking_worker_leaves_every_other_slot_filled() {
         use std::sync::atomic::AtomicUsize;
         use std::sync::atomic::Ordering::SeqCst;
 
         let filled = AtomicUsize::new(0);
         let len = 400usize;
-        // Chunk 1 with 4 workers: worker 0 owns [0, 100) and dies on its
-        // very first net; the other three keep draining their own spans
-        // and then steal the dead worker's remainder.
+        // Chunk 1 with 4 workers: whichever worker takes slot 0 dies on
+        // it; the other three drain the rest of the queue.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fill_slots_parallel(len, 4, 1, |i| {
                 if i == 0 {
@@ -801,14 +504,13 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "the worker death must propagate");
-        // Every slot except the poisoned one was produced: the dead
-        // worker's interval was stolen and finished by the survivors.
+        // Every slot except the poisoned one was produced by the
+        // survivors.
         assert_eq!(filled.load(SeqCst), len - 1);
     }
 
-    /// The happy path through the guard: values transfer out exactly once
-    /// (each slot dropped once by the caller, never by the guard), and
-    /// the per-worker tallies cover the batch.
+    /// The happy path: values transfer out exactly once, in index order,
+    /// and the per-worker tallies cover the batch.
     #[test]
     fn fill_slots_parallel_matches_serial_and_owns_results() {
         let (squares, stats) = fill_slots_parallel(1000, 7, 16, |i| i * i);
@@ -822,23 +524,29 @@ mod tests {
         );
     }
 
-    /// A deliberately skewed workload (all cost in the last quarter of
-    /// the batch) must trigger steals: the statically-partitioned owner
-    /// of the expensive span cannot be left to finish alone.
+    /// Load balance on a skewed workload (all cost in the last quarter of
+    /// the batch): the expensive quarter must not be left to one worker.
     #[test]
-    fn skewed_workloads_actually_steal() {
-        let (_, stats) = fill_slots_parallel(256, 4, 1, |i| {
-            if i >= 192 {
-                // The expensive span: burn enough real time (≈ 1 ms per
-                // net, past any OS timeslice) that the other three
-                // workers drain their cheap spans first and go stealing
-                // — even on a single hardware thread.
-                std::hint::black_box((0..2_000_000u64).sum::<u64>());
-            }
-            i
+    fn skewed_workloads_spread_over_workers() {
+        use std::collections::HashSet;
+
+        let (fillers, stats) = fill_slots_parallel(256, 4, 1, |i| {
+            (i >= 192).then(|| {
+                // The expensive quarter: ≈ 1 ms per slot, past any OS
+                // timeslice, so other workers get to take chunks even
+                // on a single hardware thread.
+                let t0 = Instant::now();
+                while t0.elapsed() < Duration::from_millis(1) {
+                    std::hint::spin_loop();
+                }
+                std::thread::current().id()
+            })
         });
-        let steals: u64 = stats.iter().map(|w| w.steals).sum();
-        assert!(steals > 0, "no steals on a 4:1 skewed workload: {stats:?}");
+        let workers: HashSet<_> = fillers.into_iter().flatten().collect();
+        assert!(
+            workers.len() >= 2,
+            "one worker filled the expensive quarter: {stats:?}"
+        );
         assert_eq!(stats.iter().map(|w| w.nets).sum::<u64>(), 256);
     }
 

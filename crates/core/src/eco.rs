@@ -190,7 +190,7 @@ pub struct DeltaJob {
     /// prior outcome's `Reused { staleness }` reported; 0 after a fresh
     /// route).
     pub prior_edits: u32,
-    /// The per-request session (deadline, identity, fault seed).
+    /// The per-request session (deadline, identity).
     pub session: Session,
 }
 

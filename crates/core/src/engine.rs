@@ -10,10 +10,9 @@
 //!   `Arc`. Built once; [`Engine::clone`] is a reference-count bump, so
 //!   every connection handler, batch worker and CLI invocation can hold
 //!   its own handle without duplicating a byte of table data.
-//! * [`Session`] — everything per-request: the deadline budget, an
-//!   identity for provenance, and an optional fault-seed override for
-//!   drills. A `Session` is a few machine words of `Copy` data; the
-//!   server mints one per wire request.
+//! * [`Session`] — everything per-request: the deadline budget and an
+//!   identity for provenance. A `Session` is a few machine words of
+//!   `Copy` data; the server mints one per wire request.
 //!
 //! The engine is the crate's only router handle: library callers route
 //! with [`Engine::route`] or the batch driver, and `patlabor serve` runs
@@ -104,7 +103,7 @@ impl Default for RouterConfig {
     }
 }
 
-/// The per-request layer: deadline, identity, fault-seed override.
+/// The per-request layer: deadline and identity.
 ///
 /// Cheap (`Copy`, a few words) by design — the server mints one per wire
 /// request, the batch driver carries one per slot. A default session
@@ -118,14 +117,10 @@ pub struct Session {
     /// Per-request deadline. `Some` overrides the engine's configured
     /// [`ResilienceConfig::deadline`]; `None` inherits it.
     pub deadline: Option<Duration>,
-    /// Per-request fault-plane seed override for drills: the plane's
-    /// registered faults are kept but their per-net decisions re-hash
-    /// under this seed. `None` uses the plane's own seed.
-    pub fault_seed: Option<u64>,
 }
 
 impl Session {
-    /// A session with the given identity and no overrides.
+    /// A session with the given identity and no deadline override.
     pub fn new(id: u64) -> Self {
         Session { id, ..Session::default() }
     }
@@ -134,13 +129,6 @@ impl Session {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-request fault-seed override.
-    #[must_use]
-    pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.fault_seed = Some(seed);
         self
     }
 }
@@ -469,11 +457,10 @@ impl Engine {
     /// with a pin outside [`patlabor_geom::Point::MAX_COORD`] is
     /// rejected before any rung runs
     /// ([`RouteError::CoordinateOutOfRange`]). The session's `deadline`
-    /// overrides the engine's configured deadline for this request only;
-    /// its `fault_seed` re-seeds the fault plane's per-net decisions for
-    /// this request only. Routing is deterministic: the frontier is
-    /// bit-identical regardless of the frontier cache's state and of any
-    /// session deadline generous enough not to expire.
+    /// overrides the engine's configured deadline for this request only.
+    /// Routing is deterministic: the frontier is bit-identical regardless
+    /// of the frontier cache's state and of any session deadline generous
+    /// enough not to expire.
     pub fn route_session(&self, net: &Net, session: &Session) -> RouteResult {
         check_coordinates(net)?;
         let inner = &*self.inner;
@@ -507,7 +494,6 @@ impl Engine {
             deadline.map(|deadline| Budget::new(Arc::clone(&inner.clock), deadline));
         let ctx = LadderCtx {
             faults: &inner.config.faults,
-            fault_seed: session.fault_seed.unwrap_or_else(|| inner.config.faults.seed()),
             budget: budget.as_ref(),
             key: net_key(net),
         };
@@ -898,19 +884,18 @@ fn outcome(
 }
 
 /// The per-route context [`run_rung`] reads: the fault plane, the
-/// session-resolved decision seed, the deadline budget injected delays
-/// are charged to, and the net's fault-decision key.
+/// deadline budget injected delays are charged to, and the net's
+/// fault-decision key.
 struct LadderCtx<'a> {
     faults: &'a FaultPlane,
-    fault_seed: u64,
     budget: Option<&'a Budget>,
     key: u64,
 }
 
 impl LadderCtx<'_> {
-    /// [`FaultPlane::fires_seeded`] under the session-resolved seed.
+    /// [`FaultPlane::fires`] for this route's net.
     fn fires(&self, kind: FaultKind, rung: Rung) -> bool {
-        self.faults.fires_seeded(self.fault_seed, kind, rung, self.key)
+        self.faults.fires(kind, rung, self.key)
     }
 }
 
@@ -1059,41 +1044,6 @@ mod tests {
         // not override it.
         let inherited = engine.route_session(&net, &Session::new(2)).unwrap();
         assert_eq!(inherited.provenance.source, RouteSource::ExactLut);
-    }
-
-    #[test]
-    fn session_fault_seed_reseeds_the_plane() {
-        // A 50% plane: across many nets, at least one net must flip its
-        // decision between two seeds, and a session override must
-        // reproduce the other seed's outcome exactly.
-        let faults = |seed| {
-            FaultPlane::seeded(seed).with_fault(Fault {
-                kind: FaultKind::MissingDegree,
-                scope: FaultScope::Primary,
-                probability: 0.5,
-            })
-        };
-        let base = engine4()
-            .with_cache(CacheConfig::disabled())
-            .with_faults(faults(7));
-        let other = engine4()
-            .with_cache(CacheConfig::disabled())
-            .with_faults(faults(8));
-        let nets = patlabor_netgen::iccad_like_suite(0x5e55, 24, 4);
-        let mut flipped = 0;
-        for net in nets.iter().filter(|n| n.degree() >= 3) {
-            let a = base.route(net).unwrap();
-            let b = other.route(net).unwrap();
-            let via_session = base
-                .route_session(net, &Session::new(0).with_fault_seed(8))
-                .unwrap();
-            assert_eq!(via_session.provenance.source, b.provenance.source);
-            assert_eq!(via_session.frontier.cost_vec(), b.frontier.cost_vec());
-            if a.provenance.source != b.provenance.source {
-                flipped += 1;
-            }
-        }
-        assert!(flipped > 0, "two seeds should disagree on some net at p=0.5");
     }
 
     #[test]

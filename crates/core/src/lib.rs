@@ -45,6 +45,7 @@
 // The serving path must fail with structured `RouteError`s, never an
 // `unwrap` panic; test code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![forbid(unsafe_code)]
 
 mod batch;
 pub mod cache;

@@ -1,31 +1,22 @@
 //! Cache-line padding for hot shared words.
 //!
-//! The batch driver's per-worker deque cursors and the frontier cache's
-//! per-shard locks and counters are written concurrently from many
-//! cores. Without padding, unrelated control words land on the same
-//! 64-byte line and every write invalidates every other core's copy —
-//! false sharing that turns "contention-free by design" into a coherence
-//! storm. [`CachePadded`] aligns (and therefore sizes) its contents to
-//! 128 bytes: one line for the data plus the adjacent line the hardware
-//! prefetcher speculatively pairs with it (Intel's spatial prefetcher
-//! fetches lines in 128-byte pairs, so 64-byte alignment alone still
-//! false-shares through the prefetcher).
+//! The frontier cache's per-shard locks and counters are written
+//! concurrently from many cores. Without padding, unrelated control
+//! words land on the same 64-byte line and every write invalidates every
+//! other core's copy — false sharing that turns "contention-free by
+//! design" into a coherence storm. [`CachePadded`] aligns (and therefore
+//! sizes) its contents to 128 bytes: one line for the data plus the
+//! adjacent line the hardware prefetcher speculatively pairs with it
+//! (Intel's spatial prefetcher fetches lines in 128-byte pairs, so
+//! 64-byte alignment alone still false-shares through the prefetcher).
 
 /// Aligns `T` to 128 bytes so no two padded values share a cache-line
 /// pair. The price is memory (a padded `AtomicU64` occupies 128 bytes);
 /// pay it only for words that are genuinely write-hot from multiple
-/// threads — per-worker cursors, per-shard locks and counters — never
-/// for bulk data.
+/// threads — per-shard locks and counters — never for bulk data.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CachePadded<T>(pub T);
-
-impl<T> CachePadded<T> {
-    /// Wraps a value in its own cache-line pair.
-    pub const fn new(value: T) -> Self {
-        CachePadded(value)
-    }
-}
 
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
@@ -59,7 +50,7 @@ mod tests {
 
     #[test]
     fn deref_passes_through() {
-        let padded = CachePadded::new(41u32);
+        let padded = CachePadded(41u32);
         assert_eq!(*padded + 1, 42);
     }
 }

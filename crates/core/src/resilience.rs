@@ -354,19 +354,6 @@ impl FaultPlane {
         self.faults.is_empty()
     }
 
-    /// The registered faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// The plane's decision seed ([`Engine`] sessions read it so a
-    /// per-request seed override can default to the plane's own).
-    ///
-    /// [`Engine`]: crate::Engine
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The stage-delay fault's budget charge.
     pub fn delay(&self) -> Duration {
         self.delay
@@ -377,21 +364,13 @@ impl FaultPlane {
     /// the rung only gates on scope, so an `AllRungs` fault that hits a
     /// net hits it at every rung.
     pub fn fires(&self, kind: FaultKind, rung: Rung, net_key: u64) -> bool {
-        self.fires_seeded(self.seed, kind, rung, net_key)
-    }
-
-    /// [`FaultPlane::fires`] with the decision seed supplied by the
-    /// caller instead of the plane. Sessions use this to re-hash the
-    /// plane's registered faults under a per-request seed override
-    /// (same faults, same probabilities, independent per-net decisions).
-    pub fn fires_seeded(&self, seed: u64, kind: FaultKind, rung: Rung, net_key: u64) -> bool {
         if self.faults.is_empty() {
             return false;
         }
         self.faults.iter().any(|f| {
             f.kind == kind
                 && f.scope.matches(rung)
-                && unit_interval(splitmix64(seed ^ kind_salt(kind) ^ net_key)) < f.probability
+                && unit_interval(splitmix64(self.seed ^ kind_salt(kind) ^ net_key)) < f.probability
         })
     }
 }

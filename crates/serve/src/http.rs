@@ -83,7 +83,7 @@ fn dispatch(shared: &Shared, request: &Request) -> (&'static str, String) {
 
 /// Reads one request, discarding its body. `Ok(None)` on clean EOF
 /// before a request line.
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let Some(line) = read_line(reader)? else {
         return Ok(None);
     };
@@ -132,7 +132,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
 
 /// One CRLF-terminated line, trimmed, capped at [`MAX_LINE`].
 /// `Ok(None)` on EOF with nothing read.
-fn read_line(reader: &mut BufReader<TcpStream>) -> io::Result<Option<String>> {
+fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut line = String::new();
     let n = reader.by_ref().take(MAX_LINE).read_line(&mut line)?;
     if n == 0 {
@@ -162,4 +162,107 @@ fn write_response(
 
 fn bad(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every outcome the parser may give hostile bytes: `Ok(None)` only
+    /// for empty input, a request whose method and path are single
+    /// non-empty tokens, or an error. A panic fails the test.
+    fn assert_structured(bytes: &[u8]) {
+        match read_request(&mut &bytes[..]) {
+            Ok(None) => assert!(bytes.is_empty(), "{bytes:?}"),
+            Ok(Some(request)) => {
+                for token in [&request.method, &request.path] {
+                    assert!(!token.is_empty(), "{bytes:?}");
+                    assert!(!token.contains(char::is_whitespace), "{bytes:?}");
+                }
+            }
+            Err(e) => assert!(!e.to_string().is_empty(), "{bytes:?}"),
+        }
+    }
+
+    /// Seeded hostile corpus for `read_request`: every truncation of a
+    /// few valid request heads (with and without a body), single- and
+    /// multi-byte flips of them, and random byte strings, some drawn
+    /// from HTTP's own alphabet so the damage reaches past the request
+    /// line.
+    #[test]
+    fn hostile_request_heads_get_structured_answers() {
+        let heads: [&[u8]; 3] = [
+            b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\nAccept: */*\r\n\r\n",
+            b"POST /route HTTP/1.1\r\nContent-Length: 11\r\n\r\n{\"id\": 1}\r\n",
+        ];
+        let mut state = 0x4e77_11e5_u64;
+        let mut next = || {
+            state = patlabor::resilience::splitmix64(state);
+            state
+        };
+        for head in heads {
+            assert!(matches!(read_request(&mut &head[..]), Ok(Some(_))));
+            for len in 0..head.len() {
+                assert_structured(&head[..len]);
+            }
+            for flips in [1, 1, 1, 2, 3, 5, 8] {
+                for _ in 0..64 {
+                    let mut damaged = head.to_vec();
+                    for _ in 0..flips {
+                        let h = next();
+                        let at = (h % damaged.len() as u64) as usize;
+                        damaged[at] ^= ((h >> 32) as u8).max(1);
+                    }
+                    assert_structured(&damaged);
+                }
+            }
+        }
+        const HTTPISH: &[u8] = b"GETPOS /:-\r\n 0123456789HTcontelgh";
+        for round in 0..2_000 {
+            let len = (next() % 96) as usize;
+            let random: Vec<u8> = (0..len)
+                .map(|_| {
+                    let h = next();
+                    if round % 2 == 0 {
+                        h as u8
+                    } else {
+                        HTTPISH[(h % HTTPISH.len() as u64) as usize]
+                    }
+                })
+                .collect();
+            assert_structured(&random);
+        }
+    }
+
+    /// An endless stream of one byte, counting what the parser reads.
+    struct Endless {
+        byte: u8,
+        read: u64,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(self.byte);
+            self.read += buf.len() as u64;
+            Ok(buf.len())
+        }
+    }
+
+    /// A line that never ends, as the request line or as a header, is
+    /// refused once `MAX_LINE` bytes have been read.
+    #[test]
+    fn endless_lines_are_refused_at_the_cap() {
+        const BUFFER: usize = 64;
+        for prefix in [&b""[..], b"GET /metrics HTTP/1.1\r\n"] {
+            let endless = Endless {
+                byte: b'a',
+                read: 0,
+            };
+            let mut reader = BufReader::with_capacity(BUFFER, prefix.chain(endless));
+            assert!(read_request(&mut reader).is_err());
+            let read = reader.get_ref().get_ref().1.read;
+            assert!(read <= MAX_LINE + BUFFER as u64, "read {read} bytes");
+        }
+    }
 }

@@ -33,10 +33,10 @@
 //!
 //! Everything here is std-only by design: no async runtime, no serde,
 //! no HTTP framework. A routing request is microseconds of work — the
-//! server is a thread-per-connection front over the work-stealing batch
-//! driver. At that scale the transport decides the round trip: with
-//! Nagle's algorithm on the reply sockets, transport was about 80% of
-//! a request's median latency under open-loop load, and routing about
+//! server is a thread-per-connection front over the core batch driver.
+//! At that scale the transport decides the round trip: with Nagle's
+//! algorithm on the reply sockets, transport was about 80% of a
+//! request's median latency under open-loop load, and routing about
 //! 4 µs of it. So every accepted socket runs with `TCP_NODELAY`, each
 //! connection's writer flushes once per burst of waiting replies, and
 //! the batcher routes whatever is queued as soon as it is free: it

@@ -9,7 +9,7 @@
 //! ```text
 //! conn reader ──┐                      ┌── conn writer (mpsc drain)
 //! conn reader ──┼─► bounded queue ─► batcher ─► route_batch_sessions
-//! conn reader ──┘   (admission)        │            (work stealing)
+//! conn reader ──┘   (admission)        │          (shared chunk queue)
 //!                                      └─► report fold (+ latency)
 //! ```
 //!
@@ -77,7 +77,7 @@ pub struct ServeConfig {
     pub http_addr: Option<String>,
     /// Worker threads per batch (0 ⇒ all hardware threads).
     pub threads: usize,
-    /// Most requests routed in one batch.
+    /// Most requests routed in one batch (0 acts as 1).
     pub max_batch: usize,
     /// Admission bound: requests queued beyond this are rejected with
     /// `"overloaded"`. This is the server's entire buffering — there is
@@ -271,7 +271,9 @@ impl Shared {
             if q.pending.is_empty() {
                 return;
             }
-            let take = q.pending.len().min(self.config.max_batch);
+            // At least one: a `max_batch` of 0 would route empty batches
+            // forever and never drain the queue.
+            let take = q.pending.len().min(self.config.max_batch.max(1));
             let batch: Vec<Pending> = q.pending.drain(..take).collect();
             self.metrics
                 .queue_depth

@@ -399,6 +399,45 @@ fn out_of_range_coordinates_get_a_route_error_and_the_connection_survives() {
     server.shutdown();
 }
 
+/// A daemon configured with `max_batch: 0` still answers: the batcher
+/// takes at least one queued request per batch. The read timeout and
+/// the bounded wait on `shutdown` (run on its own thread, which owns
+/// the server) make the test fail instead of hanging if it does not.
+#[test]
+fn zero_max_batch_still_answers_and_shuts_down() {
+    let config = ServeConfig {
+        max_batch: 0,
+        ..ServeConfig::default()
+    };
+    let server = serve(test_engine(), config).expect("bind");
+    let mut client = RouteClient::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let net = suite(0x0b47, 1).remove(0);
+    let reply = client.route(&RouteRequest {
+        id: 3,
+        net,
+        deadline_ms: None,
+    });
+    drop(client);
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let reply = reply.expect("no reply within the read timeout");
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        reply.render()
+    );
+    let summary = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown did not return");
+    assert_eq!(summary.report.nets, 1);
+}
+
 /// Per-request deadlines ride the degradation ladder: an impossible
 /// deadline is still answered (degraded), never errored.
 #[test]
@@ -995,7 +1034,12 @@ fn metrics_and_shutdown_report_are_one_tally() {
         let reply = client
             .route(&RouteRequest { id: 1 + i as u64, net, deadline_ms: None })
             .expect("route");
-        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{}", reply.render());
+        assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        reply.render()
+    );
     }
 
     let text = scrape_metrics(http).expect("scrape");

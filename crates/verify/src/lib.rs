@@ -3,7 +3,7 @@
 //! The router is built out of fast paths that each claim to be
 //! indistinguishable from a slower reference computation: the LUT
 //! dot-product query from a fresh numeric DW enumeration, the frontier
-//! cache from a cache-disabled query, the lock-free batch driver from a
+//! cache from a cache-disabled query, the parallel batch driver from a
 //! serial loop, a routed net from its D4/translated images, a table
 //! mapped from its saved file from the in-memory original. Unit tests pin
 //! each claim on a handful of hand-written nets; this crate
@@ -181,10 +181,11 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
         }
     }
 
-    // Pair (c): the work-stealing batch driver vs the serial loop above,
-    // swept across thread counts — determinism must hold under every
-    // steal schedule, including oversubscribed ones (more workers than
-    // hardware threads, maximal preemption) and the configured count.
+    // Pair (c): the parallel batch driver vs the serial loop above,
+    // swept across thread counts — determinism must hold whichever
+    // worker takes which chunk, including when oversubscribed (more
+    // workers than hardware threads, maximal preemption) and at the
+    // configured count.
     let batch_slot = PathPair::ALL
         .iter()
         .position(|&p| p == PathPair::BatchVsSerial)
@@ -217,7 +218,8 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
     // ECO pair, batch half: the per-net loop above already held every
     // serial `reroute` to the fresh-route oracle; here the same deltas
     // go through `route_batch_deltas` at 1 and N threads and must agree
-    // slot-for-slot — replay determinism under every steal schedule.
+    // slot-for-slot — replay determinism whichever worker takes which
+    // chunk.
     let delta_slot = PathPair::ALL
         .iter()
         .position(|&p| p == PathPair::DeltaVsFresh)

@@ -85,7 +85,7 @@ impl PathPair {
         match self {
             PathPair::LutVsNumericDw => "LUT dot-product query",
             PathPair::CachedVsUncached => "frontier-cache replay",
-            PathPair::BatchVsSerial => "lock-free route_batch",
+            PathPair::BatchVsSerial => "parallel route_batch",
             PathPair::D4Translation => "route of a congruent image",
             PathPair::MmapVsOwned => "mmap-backed zero-copy table",
             PathPair::FallbackParity => "LUT-off degradation ladder",
