@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use patlabor::{Cost, Engine, Net, ParetoSet, RoutingTree};
+use patlabor::{Engine, Net, ParetoSet, RoutingTree};
 use patlabor_baselines::{pd, salt, weighted_sum};
 
 /// Experiment scale factor from `PATLABOR_SCALE` (default 1.0).
@@ -232,11 +232,6 @@ pub fn paper_note(line: &str) {
     println!("\n[paper] {line}");
 }
 
-/// Convenience: format a `Cost` compactly.
-pub fn fmt_cost(c: Cost) -> String {
-    format!("({}, {})", c.wirelength, c.delay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +268,7 @@ mod tests {
 
     #[test]
     fn average_curve_staircase_and_clamp() {
-        use patlabor_pareto::ParetoSet;
+        use patlabor_pareto::{Cost, ParetoSet};
         use patlabor_tree::RoutingTree;
         let net = Net::new(vec![
             patlabor::Point::new(0, 0),

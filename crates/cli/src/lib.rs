@@ -37,17 +37,22 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use patlabor::pipeline::RouteOutcome;
 use patlabor::{
-    DeltaKind, Engine, Fault, FaultPlane, LutBuilder, Net, NetDelta, Point, ProvenanceSummary,
-    ResilienceConfig, ResilienceReport, RouteError, Session,
+    DeltaKind, Engine, Fault, FaultPlane, LutBuilder, Net, NetDelta, Point, ResilienceConfig,
+    ResilienceReport, RouteError, Session,
 };
 use patlabor_lut::{LookupTable, TableInfo};
 use patlabor_serve::{serve, ServeConfig};
-use patlabor_verify::{chaos_soak, mutation_smoke_with_table, verify_with_table, ChaosSoakConfig, VerifyConfig};
+use patlabor_verify::{
+    chaos_soak, mutation_smoke_with_table, verify_with_table, ChaosSoakConfig, VerifyConfig,
+    MIN_DEGREE,
+};
 
 /// Error from parsing a net list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,17 +193,16 @@ pub struct RouteOptions {
     /// Fault drills (parsed from `--faults`), armed on the router's
     /// [`FaultPlane`] together with `fault_seed`. A non-empty list (or a
     /// deadline) switches the command to drill mode: per-net failures
-    /// print inline and the run ends with a resilience report instead of
-    /// aborting on the first error.
+    /// print inline instead of aborting the run at the first one.
     pub faults: Vec<Fault>,
     /// Seed of the fault plane's deterministic per-net hash.
     pub fault_seed: u64,
     /// Per-net routing deadline in milliseconds (wall clock).
     pub deadline_ms: Option<u64>,
-    /// Worker threads for the batch driver. With more than one, routing
-    /// goes through the parallel batch path (frontiers identical to
-    /// serial) and the output ends with the per-worker scaling report:
-    /// utilization and cache lock contention.
+    /// Worker threads for the batch driver every mode routes through
+    /// (1 routes serially; frontiers are identical at every count).
+    /// With more than one, the trailer adds the per-worker `batch:`
+    /// report.
     pub threads: usize,
     /// Emit NDJSON instead of the human rendering: one wire-protocol
     /// reply object per net, serialized by [`patlabor_serve::wire`] —
@@ -366,8 +370,7 @@ fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
 
 /// Renders the `cache:` line: frontier-cache health straight from
 /// [`Engine::cache_stats`] (nothing when the cache is disabled). The
-/// `--threads` report, drill mode and the `serve` shutdown output all
-/// print it.
+/// `route` trailer and the `serve` shutdown output both print it.
 fn render_cache_line(out: &mut String, engine: &Engine) {
     if let Some(cache) = engine.cache_stats() {
         out.push_str(&format!(
@@ -383,15 +386,21 @@ fn render_cache_line(out: &mut String, engine: &Engine) {
 
 /// Runs the `route` command; returns the rendered output.
 ///
-/// Each net's header names the pipeline stage that answered it (`via
-/// exact-lut`, `via cache-hit`, …) and the output ends with an aggregate
-/// provenance line over all routed nets. Nets served by a fallback rung
-/// additionally print their degradation trace.
+/// Every mode routes the whole list with one call into the batch driver
+/// ([`Engine::route_batch_with_stats`]; one thread is the serial loop,
+/// and a panic that escapes the ladder becomes
+/// [`RouteError::Panicked`] for its net). One render loop follows:
 ///
-/// With `--faults` or `--deadline-ms` the command runs in drill mode:
-/// per-net failures (injected panics included) print inline instead of
-/// aborting the run, and the output ends with the aggregated
-/// [`ResilienceReport`] and the `cache:` line.
+/// * `--json` prints one wire-protocol reply object per net, failures
+///   included, and nothing else;
+/// * otherwise each net's header names the rung that answered it (`via
+///   exact-lut`, `via cache-hit`, …), and nets served by a fallback rung
+///   add their degradation trace. In drill mode (`--faults` or
+///   `--deadline-ms`) a failed net prints inline as `FAILED`; outside
+///   it, the first failed net ends the run with its [`CliError::Route`].
+///   `--eco` edits follow the nets. The output ends with the
+///   [`ResilienceReport`] (`resilience:`), the per-worker `batch:`
+///   report when `--threads` > 1, and the `cache:` line.
 ///
 /// # Errors
 ///
@@ -418,95 +427,60 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
             ..ResilienceConfig::default()
         });
     }
-    if options.json {
-        // NDJSON: one wire-protocol reply object per net, serialized by
-        // the same module the serve daemon uses — the two outputs can
-        // never drift. Per-net failures become `"error": "route"` lines
-        // instead of aborting the run, exactly like the daemon.
-        let results = engine.route_batch(nets, options.threads.max(1));
-        let mut out = String::new();
-        for (i, result) in results.iter().enumerate() {
-            out.push_str(&patlabor_serve::result_to_json(i as u64, result).render());
-            out.push('\n');
-        }
-        return Ok(out);
-    }
+    let (results, stats) = engine.route_batch_with_stats(nets, options.threads);
     let mut out = String::new();
-    let mut summary = ProvenanceSummary::default();
-    if drills {
-        // Drills route through the batch driver so an injected panic
-        // downgrades to a per-net diagnostic instead of killing the
-        // process, and the run ends with the aggregated report.
-        let results = engine.route_batch(nets, options.threads.max(1));
-        for (i, (net, result)) in nets.iter().zip(&results).enumerate() {
-            match result {
-                Ok(outcome) => {
-                    summary.record(&outcome.provenance);
-                    render_outcome(&mut out, i, net, outcome, options);
-                }
-                Err(e) => {
-                    out.push_str(&format!("net {i} (degree {}): FAILED: {e}\n", net.degree()));
-                }
+    for (i, (net, result)) in nets.iter().zip(&results).enumerate() {
+        match result {
+            // NDJSON: serialized by the module the serve daemon uses, so
+            // the two outputs can never drift; a failure is an `"error":
+            // "route"` line, exactly like the daemon's.
+            _ if options.json => {
+                out.push_str(&patlabor_serve::result_to_json(i as u64, result).render());
+                out.push('\n');
+            }
+            Ok(outcome) => render_outcome(&mut out, i, net, outcome, options),
+            Err(e) if drills => {
+                out.push_str(&format!("net {i} (degree {}): FAILED: {e}\n", net.degree()));
+            }
+            Err(e) => {
+                return Err(CliError::Route {
+                    net: i,
+                    source: e.clone(),
+                })
             }
         }
-        out.push_str(&format!("provenance: {summary} ({} nets)\n", summary.total()));
-        let report = ResilienceReport::from_results(&results);
-        out.push_str(&format!("resilience: {report}\n"));
-        render_cache_line(&mut out, &engine);
+    }
+    if options.json {
         return Ok(out);
     }
-    if options.threads > 1 {
-        // The parallel path: frontiers identical to the serial loop below
-        // (the batch driver publishes in order, bit-identical), plus the
-        // per-worker scaling report. Which of two congruent nets the
-        // frontier cache answers can differ with worker timing, so a
-        // net's `via` label may swap between exact-lut and cache-hit.
-        let (results, stats) = engine.route_batch_with_stats(nets, options.threads);
-        for (i, (net, result)) in nets.iter().zip(results).enumerate() {
-            let outcome = result.map_err(|source| CliError::Route { net: i, source })?;
-            summary.record(&outcome.provenance);
-            render_outcome(&mut out, i, net, &outcome, options);
-        }
-        out.push_str(&format!(
-            "provenance: {summary} ({} nets)\n",
-            summary.total()
-        ));
-        render_batch_stats(&mut out, &stats);
-        render_cache_line(&mut out, &engine);
-        return Ok(out);
-    }
-    let mut outcomes = Vec::with_capacity(nets.len());
-    for (i, net) in nets.iter().enumerate() {
-        let outcome = engine
-            .route(net)
-            .map_err(|source| CliError::Route { net: i, source })?;
-        summary.record(&outcome.provenance);
-        render_outcome(&mut out, i, net, &outcome, options);
-        outcomes.push(outcome);
-    }
-    out.push_str(&format!(
-        "provenance: {summary} ({} nets)\n",
-        summary.total()
-    ));
+    let report = ResilienceReport::from_results(&results);
     if !options.eco.is_empty() {
-        render_eco(&mut out, nets, &outcomes, &engine, options)?;
+        // No drill, so every slot is `Ok` here (a failure returned
+        // above) and the outcomes keep their nets' indices.
+        let outcomes = results.into_iter().flatten().collect();
+        render_eco(&mut out, nets, outcomes, &engine, options)?;
     }
+    out.push_str(&format!("resilience: {report}\n"));
+    if options.threads > 1 {
+        render_batch_stats(&mut out, &stats);
+    }
+    render_cache_line(&mut out, &engine);
     Ok(out)
 }
 
 /// The `--eco` replay pass: applies the edits in file order against the
 /// outcomes of the initial routing pass, chaining per net so staleness
-/// grows with each edit, and appends the ECO section to the output.
+/// grows with each edit, and appends the ECO section, which ends with
+/// the edits' own `eco resilience:` report.
 fn render_eco(
     out: &mut String,
     nets: &[Net],
-    outcomes: &[RouteOutcome],
+    mut last: Vec<RouteOutcome>,
     engine: &Engine,
     options: &RouteOptions,
 ) -> Result<(), CliError> {
     let mut current: Vec<Net> = nets.to_vec();
-    let mut last: Vec<RouteOutcome> = outcomes.to_vec();
-    let mut summary = ProvenanceSummary::default();
+    let mut report = ResilienceReport::default();
     out.push_str(&format!("eco: {} edits\n", options.eco.len()));
     for (e, edit) in options.eco.iter().enumerate() {
         if edit.net >= current.len() {
@@ -517,11 +491,13 @@ fn render_eco(
             )));
         }
         let delta = NetDelta::new(current[edit.net].clone(), edit.kind);
-        let outcome = engine
-            .reroute(&last[edit.net], &delta, Session::default())
-            .map_err(|source| CliError::Route { net: edit.net, source })?;
+        let result = engine.reroute(&last[edit.net], &delta, Session::default());
+        report.record(&result);
+        let outcome = result.map_err(|source| CliError::Route {
+            net: edit.net,
+            source,
+        })?;
         current[edit.net] = delta.apply();
-        summary.record(&outcome.provenance);
         out.push_str(&format!(
             "edit {e}: net {} {}: {} Pareto solutions via {}\n",
             edit.net,
@@ -534,10 +510,7 @@ fn render_eco(
         }
         last[edit.net] = outcome;
     }
-    out.push_str(&format!(
-        "eco provenance: {summary} ({} edits)\n",
-        summary.total()
-    ));
+    out.push_str(&format!("eco resilience: {report}\n"));
     Ok(())
 }
 
@@ -583,10 +556,12 @@ fn render_outcome(
 /// # Errors
 ///
 /// Propagates filesystem errors as [`CliError::Table`].
+///
+/// # Panics
+///
+/// Panics if `lambda` lies outside 3..=9; `--lambda` is checked when it
+/// is read.
 pub fn gen_tables_command(lambda: u8, output: &str) -> Result<String, CliError> {
-    if !(3..=9).contains(&lambda) {
-        return Err(usage_error(format!("--lambda must be 3..=9, got {lambda}")));
-    }
     let start = std::time::Instant::now();
     let table = LutBuilder::new(lambda).build();
     table.save(output).map_err(|e| CliError::Table {
@@ -599,7 +574,7 @@ pub fn gen_tables_command(lambda: u8, output: &str) -> Result<String, CliError> 
     ))
 }
 
-/// Runs `lut info` (alias: `stats`) on a table file: the v4 file-level
+/// Runs `lut info` on a table file: the v4 file-level
 /// report (version, checksum status, mappability, per-section layout)
 /// followed by the per-degree Table II statistics.
 ///
@@ -675,20 +650,37 @@ pub struct VerifyOptions {
     pub smoke: bool,
     /// Run the chaos soak instead of the differential matrix: a real
     /// daemon under a seeded transport fault schedule, audited against
-    /// the crash-only serving invariants.
+    /// the crash-only serving invariants. Excludes `smoke`.
     pub chaos_soak: bool,
 }
 
 /// Runs the `verify` command: the differential harness over every
-/// fast/slow path pair, or (with `--smoke`) its mutation self-check.
+/// fast/slow path pair, or (with `--smoke`) its mutation self-check, or
+/// (with `--chaos-soak`) the chaos soak.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Verify`] carrying the full report when a fast path
-/// diverges from its oracle — or when the smoke mode's planted corruption
-/// goes *undetected*, which indicts the harness itself. Table-file
-/// problems surface as [`CliError::Table`].
+/// Returns [`CliError::Usage`] for a corpus the harness cannot draw
+/// (`--max-degree` below 3, `--span` below 2) or for `--smoke` with
+/// `--chaos-soak`, before any work. Returns [`CliError::Verify`]
+/// carrying the full report when a fast path diverges from its oracle —
+/// or when the smoke mode's planted corruption goes *undetected*, which
+/// indicts the harness itself. Table-file problems surface as
+/// [`CliError::Table`].
 pub fn verify_command(options: &VerifyOptions) -> Result<String, CliError> {
+    if options.config.max_degree < MIN_DEGREE {
+        return Err(usage_error(format!(
+            "--max-degree must be at least {MIN_DEGREE}"
+        )));
+    }
+    if options.config.span < 2 {
+        return Err(usage_error("--span must be at least 2"));
+    }
+    if options.smoke && options.chaos_soak {
+        return Err(usage_error(
+            "--smoke and --chaos-soak are separate runs; pass one of them",
+        ));
+    }
     if options.chaos_soak {
         let report = chaos_soak(&ChaosSoakConfig {
             seed: options.config.seed,
@@ -748,13 +740,7 @@ pub fn lut_command(args: &[String]) -> Result<String, CliError> {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--lambda" => {
-                        lambda = Some(
-                            next_value(&mut it, "--lambda")?
-                                .parse::<u8>()
-                                .map_err(|_| usage_error("--lambda expects an integer"))?,
-                        );
-                    }
+                    "--lambda" => lambda = Some(lambda_value(&mut it)?),
                     "-o" | "--output" => output = Some(next_value(&mut it, "-o")?),
                     other => return Err(usage_error(format!("unknown flag {other}"))),
                 }
@@ -785,32 +771,23 @@ pub struct ServeOptions {
     pub lambda: u8,
     /// Pre-generated table file to mmap instead of building.
     pub tables: Option<String>,
-    /// Socket-protocol bind address (port 0 picks a free port).
-    pub addr: String,
-    /// HTTP adapter bind address; `None` disables `/metrics`.
-    pub http_addr: Option<String>,
-    /// Worker threads per batch (0 ⇒ hardware threads).
-    pub threads: usize,
-    /// Most requests routed in one batch.
-    pub max_batch: usize,
-    /// Admission bound: queued requests beyond this are rejected.
-    pub queue_depth: usize,
     /// Default per-request deadline (requests can override per-call).
     pub deadline_ms: Option<u64>,
+    /// The daemon's configuration: bind addresses, batch workers, batch
+    /// and admission bounds. The CLI serves `/metrics` by default.
+    pub config: ServeConfig,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let defaults = ServeConfig::default();
         ServeOptions {
             lambda: 5,
             tables: None,
-            addr: defaults.addr,
-            http_addr: Some("127.0.0.1:0".to_string()),
-            threads: defaults.threads,
-            max_batch: defaults.max_batch,
-            queue_depth: defaults.queue_depth,
             deadline_ms: None,
+            config: ServeConfig {
+                http_addr: Some("127.0.0.1:0".to_string()),
+                ..ServeConfig::default()
+            },
         }
     }
 }
@@ -849,16 +826,8 @@ pub fn serve_command_with(
             ..ResilienceConfig::default()
         });
     }
-    let config = ServeConfig {
-        addr: options.addr.clone(),
-        http_addr: options.http_addr.clone(),
-        threads: options.threads,
-        max_batch: options.max_batch,
-        queue_depth: options.queue_depth,
-        ..ServeConfig::default()
-    };
-    let server = serve(engine, config).map_err(|e| CliError::Io {
-        path: options.addr.clone(),
+    let server = serve(engine, options.config.clone()).map_err(|e| CliError::Io {
+        path: options.config.addr.clone(),
         message: e.to_string(),
     })?;
     let http = match server.http_addr() {
@@ -978,13 +947,15 @@ USAGE:
                   [--smoke] [--chaos-soak] [--no-shrink]
 
 Net list: one net per line, `x,y` pins separated by spaces, source first;
-`#` comments.
+`#` comments. `--lambda` takes 3..=9.
 
-`route --threads T` routes through the parallel batch driver
-(frontiers identical to serial) and appends a scaling report: per-worker
-utilization and cache lock contention. `route --json`
-emits one wire-protocol reply object per net (NDJSON), byte-compatible
-with the `serve` daemon's responses.
+`route` routes the whole list through the batch driver on T workers
+(`--threads`, default 1; frontiers are identical at every T) and ends
+with a `resilience:` line (nets served per rung), then a per-worker
+`batch:` report when T > 1, then the `cache:` line (hit rate, lock
+contention). `route --json` instead emits one wire-protocol reply
+object per net (NDJSON), byte-compatible with the `serve` daemon's
+responses.
 
 `route --eco EDITS.txt` replays incremental edits after the base route:
 one edit per line, `<net-index> <kind> <args>` where kind is one of
@@ -992,7 +963,7 @@ one edit per line, `<net-index> <kind> <args>` where kind is one of
 `remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Each edit
 reroutes through the delta API — class-preserving edits replay the
 cached winners (provenance `reused`), class-breaking edits fall back
-to the full ladder.
+to the full ladder — and the edits end with an `eco resilience:` line.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
 (route, reroute and reload verbs) with request batching and admission
@@ -1008,17 +979,19 @@ table serving.
 `verify` cross-checks every fast path against its slow oracle on a seeded
 corpus and reports the first divergence as a minimized counterexample;
 `--smoke` instead plants a one-row table corruption and proves the
-harness catches it; `--chaos-soak` boots a real daemon under a seeded
-transport fault schedule (torn/corrupted frames, disconnects, stalls)
-and audits the crash-only serving invariants: answered-exactly-once-or
--closed, bounded drain under chaos, a balanced per-rung ledger, and no
-torn frame ever accepted. Exit status is non-zero on any divergence.
+harness catches it; `--chaos-soak` instead boots a real daemon under a
+seeded transport fault schedule (torn/corrupted frames, disconnects,
+stalls) and audits the crash-only serving invariants: answered-exactly-
+once-or-closed, bounded drain under chaos, a balanced per-rung ledger,
+and no torn frame ever accepted. `--smoke` and `--chaos-soak` exclude
+each other; `--span` takes 2 or more. Exit status is non-zero on any
+divergence.
 
 Fault SPEC: kind[:probability][@rung|@all], e.g. `stage-panic:0.3@all` or
 `missing-degree`. Kinds: missing-degree, missing-pattern, corrupted-row,
 stage-panic, stage-delay. With `--faults`/`--deadline-ms`, `route` runs a
-drill (per-net failures print inline, the run ends with a resilience
-report) and `verify` replays its corpus through the fault-armed router,
+drill (a failed net prints `FAILED` inline instead of ending the run)
+and `verify` replays its corpus through the fault-armed router,
 checking the degradation ladder's service invariants.
 ";
 
@@ -1040,47 +1013,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--lambda" => {
-                        options.lambda = next_value(&mut it, "--lambda")?
-                            .parse()
-                            .map_err(|_| usage_error("--lambda expects an integer"))?;
-                    }
+                    "--lambda" => options.lambda = lambda_value(&mut it)?,
                     "--tables" => options.tables = Some(next_value(&mut it, "--tables")?),
                     "--pick" => {
-                        options.pick_slack = Some(
-                            next_value(&mut it, "--pick")?
-                                .parse()
-                                .map_err(|_| usage_error("--pick expects a number"))?,
-                        );
+                        options.pick_slack = Some(parse_value(&mut it, "--pick", "a number")?)
                     }
                     "--bookshelf" => bookshelf = Some(next_value(&mut it, "--bookshelf")?),
-                    "--faults" => {
-                        for spec in next_value(&mut it, "--faults")?.split(',') {
-                            options.faults.push(Fault::parse(spec.trim()).map_err(usage_error)?);
-                        }
-                    }
-                    "--fault-seed" => {
-                        options.fault_seed = parse_seed(&next_value(&mut it, "--fault-seed")?)
-                            .ok_or_else(|| {
-                                usage_error("--fault-seed expects an integer (decimal or 0x hex)")
-                            })?;
-                    }
-                    "--deadline-ms" => {
-                        options.deadline_ms = Some(
-                            next_value(&mut it, "--deadline-ms")?
-                                .parse()
-                                .map_err(|_| usage_error("--deadline-ms expects an integer"))?,
-                        );
-                    }
-                    "--threads" => {
-                        options.threads = next_value(&mut it, "--threads")?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&t| t >= 1)
-                            .ok_or_else(|| {
-                                usage_error("--threads expects a positive integer")
-                            })?;
-                    }
+                    "--faults" => options.faults.extend(faults_value(&mut it)?),
+                    "--fault-seed" => options.fault_seed = seed_value(&mut it, "--fault-seed")?,
+                    "--deadline-ms" => options.deadline_ms = Some(deadline_value(&mut it)?),
+                    "--threads" => options.threads = positive_value(&mut it, "--threads")?,
                     "--json" => options.json = true,
                     "--eco" => eco_path = Some(next_value(&mut it, "--eco")?),
                     other if !other.starts_with('-') => file = Some(other.to_string()),
@@ -1097,72 +1039,35 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     })?;
                     design.nets
                 }
-                (None, Some(file)) => {
-                    let text = std::fs::read_to_string(&file).map_err(|e| CliError::Io {
-                        path: file.clone(),
-                        message: e.to_string(),
-                    })?;
-                    parse_nets(&text)?
-                }
+                (None, Some(file)) => parse_nets(&read_file(&file)?)?,
                 (None, None) => {
                     return Err(usage_error("route needs a net-list file or --bookshelf AUX"))
                 }
             };
             if let Some(path) = eco_path {
-                let text = std::fs::read_to_string(&path).map_err(|e| CliError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-                options.eco = parse_edits(&text)?;
+                options.eco = parse_edits(&read_file(&path)?)?;
             }
             route_command(&nets, &options)
         }
         Some("lut") => lut_command(&args[1..]),
         Some("serve") => {
             let mut options = ServeOptions::default();
+            let config = &mut options.config;
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--lambda" => {
-                        options.lambda = next_value(&mut it, "--lambda")?
-                            .parse()
-                            .map_err(|_| usage_error("--lambda expects an integer"))?;
-                    }
+                    "--lambda" => options.lambda = lambda_value(&mut it)?,
                     "--tables" => options.tables = Some(next_value(&mut it, "--tables")?),
-                    "--addr" => options.addr = next_value(&mut it, "--addr")?,
-                    "--http-addr" => {
-                        options.http_addr = Some(next_value(&mut it, "--http-addr")?);
-                    }
-                    "--no-http" => options.http_addr = None,
+                    "--deadline-ms" => options.deadline_ms = Some(deadline_value(&mut it)?),
+                    "--addr" => config.addr = next_value(&mut it, "--addr")?,
+                    "--http-addr" => config.http_addr = Some(next_value(&mut it, "--http-addr")?),
+                    "--no-http" => config.http_addr = None,
                     "--threads" => {
-                        options.threads = next_value(&mut it, "--threads")?
-                            .parse()
-                            .map_err(|_| usage_error("--threads expects an integer"))?;
+                        config.threads = parse_value(&mut it, "--threads", "an integer")?
                     }
-                    "--max-batch" => {
-                        options.max_batch = next_value(&mut it, "--max-batch")?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| {
-                                usage_error("--max-batch expects a positive integer")
-                            })?;
-                    }
+                    "--max-batch" => config.max_batch = positive_value(&mut it, "--max-batch")?,
                     "--queue-depth" => {
-                        options.queue_depth = next_value(&mut it, "--queue-depth")?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| {
-                                usage_error("--queue-depth expects a positive integer")
-                            })?;
-                    }
-                    "--deadline-ms" => {
-                        options.deadline_ms = Some(
-                            next_value(&mut it, "--deadline-ms")?
-                                .parse()
-                                .map_err(|_| usage_error("--deadline-ms expects an integer"))?,
-                        );
+                        config.queue_depth = positive_value(&mut it, "--queue-depth")?
                     }
                     other => return Err(usage_error(format!("unknown flag {other}"))),
                 }
@@ -1182,71 +1087,35 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("verify") => {
             let mut options = VerifyOptions::default();
-            let mut fault_specs: Vec<Fault> = Vec::new();
+            let config = &mut options.config;
+            let mut faults = Vec::new();
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--seed" => {
-                        options.config.seed = parse_seed(&next_value(&mut it, "--seed")?)
-                            .ok_or_else(|| {
-                                usage_error("--seed expects an integer (decimal or 0x hex)")
-                            })?;
-                    }
-                    "--nets" => {
-                        options.config.nets = next_value(&mut it, "--nets")?
-                            .parse()
-                            .map_err(|_| usage_error("--nets expects an integer"))?;
-                    }
-                    "--lambda" => {
-                        options.config.lambda = next_value(&mut it, "--lambda")?
-                            .parse()
-                            .map_err(|_| usage_error("--lambda expects an integer"))?;
-                    }
+                    "--seed" => config.seed = seed_value(&mut it, "--seed")?,
+                    "--nets" => config.nets = parse_value(&mut it, "--nets", "an integer")?,
+                    "--lambda" => config.lambda = lambda_value(&mut it)?,
                     "--max-degree" => {
-                        options.config.max_degree = next_value(&mut it, "--max-degree")?
-                            .parse()
-                            .map_err(|_| usage_error("--max-degree expects an integer"))?;
+                        config.max_degree = parse_value(&mut it, "--max-degree", "an integer")?;
                     }
                     "--threads" => {
-                        options.config.threads = next_value(&mut it, "--threads")?
-                            .parse()
-                            .map_err(|_| usage_error("--threads expects an integer"))?;
+                        config.threads = parse_value(&mut it, "--threads", "an integer")?
                     }
-                    "--span" => {
-                        options.config.span = next_value(&mut it, "--span")?
-                            .parse()
-                            .map_err(|_| usage_error("--span expects an integer"))?;
-                    }
+                    "--span" => config.span = parse_value(&mut it, "--span", "an integer")?,
                     "--tables" => options.tables = Some(next_value(&mut it, "--tables")?),
                     "--smoke" => options.smoke = true,
                     "--chaos-soak" => options.chaos_soak = true,
-                    "--no-shrink" => options.config.shrink = false,
-                    "--faults" => {
-                        for spec in next_value(&mut it, "--faults")?.split(',') {
-                            fault_specs.push(Fault::parse(spec.trim()).map_err(usage_error)?);
-                        }
-                    }
-                    "--deadline-ms" => {
-                        options.config.deadline_ms = Some(
-                            next_value(&mut it, "--deadline-ms")?
-                                .parse()
-                                .map_err(|_| usage_error("--deadline-ms expects an integer"))?,
-                        );
-                    }
+                    "--no-shrink" => config.shrink = false,
+                    "--faults" => faults.extend(faults_value(&mut it)?),
+                    "--deadline-ms" => config.deadline_ms = Some(deadline_value(&mut it)?),
                     other => return Err(usage_error(format!("unknown flag {other}"))),
                 }
             }
-            if options.config.max_degree < options.config.min_degree {
-                return Err(usage_error(format!(
-                    "--max-degree must be at least {}",
-                    options.config.min_degree
-                )));
-            }
             // Folded after the loop so `--seed` applies regardless of
             // flag order.
-            options.config.faults = fault_specs
+            config.faults = faults
                 .iter()
-                .fold(FaultPlane::seeded(options.config.seed), |plane, &fault| {
+                .fold(FaultPlane::seeded(config.seed), |plane, &fault| {
                     plane.with_fault(fault)
                 });
             verify_command(&options)
@@ -1256,17 +1125,75 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// The λ values tables can be built for (`LutBuilder::new` asserts the
+/// same range).
+const LAMBDAS: std::ops::RangeInclusive<u8> = 3..=9;
+
 fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
     it.next()
         .cloned()
         .ok_or_else(|| usage_error(format!("{flag} expects a value")))
 }
 
-fn parse_seed(value: &str) -> Option<u64> {
+/// Reads the value after `flag` as a `T`; `expects` names what a
+/// malformed value should have been.
+fn parse_value<T: FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    expects: &str,
+) -> Result<T, CliError> {
+    next_value(it, flag)?
+        .parse()
+        .map_err(|_| usage_error(format!("{flag} expects {expects}")))
+}
+
+fn positive_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, CliError> {
+    parse_value::<NonZeroUsize>(it, flag, "a positive integer").map(NonZeroUsize::get)
+}
+
+/// Reads `--lambda`: the one check of λ against `LAMBDAS`, for every
+/// command that takes it.
+fn lambda_value(it: &mut std::slice::Iter<'_, String>) -> Result<u8, CliError> {
+    let lambda: i64 = parse_value(it, "--lambda", "an integer")?;
+    u8::try_from(lambda)
+        .ok()
+        .filter(|l| LAMBDAS.contains(l))
+        .ok_or_else(|| {
+            usage_error(format!(
+                "--lambda must be {}..={}, got {lambda}",
+                LAMBDAS.start(),
+                LAMBDAS.end()
+            ))
+        })
+}
+
+fn deadline_value(it: &mut std::slice::Iter<'_, String>) -> Result<u64, CliError> {
+    parse_value(it, "--deadline-ms", "an integer")
+}
+
+/// Reads a comma-separated `--faults` list of fault specs.
+fn faults_value(it: &mut std::slice::Iter<'_, String>) -> Result<Vec<Fault>, CliError> {
+    next_value(it, "--faults")?
+        .split(',')
+        .map(|spec| Fault::parse(spec.trim()).map_err(usage_error))
+        .collect()
+}
+
+/// Reads a seed, decimal or `0x` hex.
+fn seed_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, CliError> {
+    let value = next_value(it, flag)?;
     match value.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => value.parse().ok(),
     }
+    .ok_or_else(|| usage_error(format!("{flag} expects an integer (decimal or 0x hex)")))
+}
+
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Io {
+        path: path.to_string(),
+        message: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -1306,7 +1233,8 @@ mod tests {
         assert!(out.contains("pick (budget 19): w=26 d=18"));
         assert!(out.contains(" -- "));
         assert!(out.contains(
-            "provenance: closed-form 0, cache-hit 0, exact-lut 1, numeric-dw 0, local-search 0, baseline 0, reused 0 (1 nets)"
+            "resilience: 1 nets: 1 served (0 degraded), 0 errors (0 panicked), 0 deadline hits; \
+             served by: closed-form 0 cache 0 lut 1 numeric-dw 0 local-search 0 baseline 0\n"
         ));
     }
 
@@ -1317,7 +1245,10 @@ mod tests {
         let out = route_command(&nets, &RouteOptions::default()).unwrap();
         assert!(out.contains("net 0 (degree 3): 1 Pareto solutions via exact-lut"));
         assert!(out.contains("net 1 (degree 3): 1 Pareto solutions via cache-hit"));
-        assert!(out.contains("cache-hit 1, exact-lut 1"));
+        assert!(
+            out.contains("served by: closed-form 0 cache 1 lut 1 "),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1480,8 +1411,13 @@ mod tests {
                 && out.contains("via reused"),
             "translate should replay:\n{out}"
         );
-        assert!(out.contains("eco provenance: "));
-        assert!(out.contains("reused 2 (2 edits)"), "both edits replay:\n{out}");
+        assert!(
+            out.contains(
+                "eco resilience: 2 nets: 2 served (0 degraded), 0 errors (0 panicked), \
+                 0 deadline hits; served by: closed-form 0 cache 2 lut 0 "
+            ),
+            "both edits replay:\n{out}"
+        );
     }
 
     #[test]
@@ -1537,6 +1473,74 @@ mod tests {
         std::fs::remove_file(&edits_file).ok();
     }
 
+    /// The per-net lines of a `route` output (everything before the
+    /// trailer). Congruent nets are translated copies: worker timing
+    /// decides which one the frontier cache answers, or whether both
+    /// miss, so a `via` label may swap between exact-lut and cache-hit;
+    /// the labels are unified and every other line, frontiers included,
+    /// must be identical at every thread count.
+    fn per_net_lines(out: &str) -> Vec<String> {
+        out[..out.find("resilience: ").unwrap()]
+            .lines()
+            .map(|line| line.replace("via cache-hit", "via exact-lut"))
+            .collect()
+    }
+
+    /// Each trailer line's label: the text before its first `:`.
+    fn trailer_labels(out: &str) -> Vec<&str> {
+        out[out.find("resilience: ").unwrap()..]
+            .lines()
+            .map(|line| line.split(':').next().unwrap())
+            .collect()
+    }
+
+    /// Serial, `--threads 3`, drill and `--json` are one batch call and
+    /// one render loop: the human modes print the same per-net lines and
+    /// end with the one trailer — `resilience:`, `batch:` (threaded
+    /// only), `cache:` — and NDJSON prints one reply per net, nothing
+    /// else.
+    #[test]
+    fn route_modes_share_one_render_loop_and_one_trailer() {
+        let nets = parse_nets(
+            "0,0 7,2 3,9\n100,50 107,52 103,59\n0,0 5,5 9,1 2,8\n5,5 25,5\n\
+             0,0 9,3 4,8 12,1 7,7 2,11 10,10\n",
+        )
+        .unwrap();
+        let route = |options: RouteOptions| route_command(&nets, &options).unwrap();
+        let serial = route(RouteOptions::default());
+        let threaded = route(RouteOptions {
+            threads: 3,
+            ..RouteOptions::default()
+        });
+        // A deadline no net reaches: drill mode, same answers.
+        let drill = route(RouteOptions {
+            deadline_ms: Some(60_000),
+            ..RouteOptions::default()
+        });
+        let json = route(RouteOptions {
+            json: true,
+            ..RouteOptions::default()
+        });
+
+        assert_eq!(trailer_labels(&serial), ["resilience", "cache"]);
+        assert_eq!(trailer_labels(&drill), ["resilience", "cache"]);
+        let labels = trailer_labels(&threaded);
+        assert_eq!(labels[..2], ["resilience", "batch"]);
+        assert_eq!(labels.last(), Some(&"cache"));
+        assert!(labels[2..labels.len() - 1]
+            .iter()
+            .all(|l| l.starts_with("  worker ")));
+        assert!(serial.contains("resilience: 5 nets: 5 served (0 degraded), 0 errors"));
+
+        assert_eq!(per_net_lines(&threaded), per_net_lines(&serial));
+        assert_eq!(per_net_lines(&drill), per_net_lines(&serial));
+        assert_eq!(json.lines().count(), nets.len());
+        assert!(
+            json.lines().all(|line| line.starts_with("{\"id\":")),
+            "{json}"
+        );
+    }
+
     #[test]
     fn route_threads_matches_serial_and_appends_scaling_report() {
         let nets = parse_nets(
@@ -1552,24 +1556,15 @@ mod tests {
             },
         )
         .unwrap();
-        // Nets 0 and 1 are translated copies: worker timing decides which
-        // one the frontier cache answers, or whether both miss. So a
-        // per-net `via` label may swap between exact-lut and cache-hit;
-        // every other line, frontiers included, is identical.
-        let per_net = |out: &str| -> Vec<String> {
-            out[..out.find("provenance").unwrap()]
-                .lines()
-                .map(|line| line.replace("via cache-hit", "via exact-lut"))
-                .collect()
-        };
-        assert_eq!(per_net(&parallel), per_net(&serial));
+        assert_eq!(per_net_lines(&parallel), per_net_lines(&serial));
         let table_served = |out: &str| -> u64 {
-            let line = out.lines().find(|l| l.starts_with("provenance: ")).unwrap();
-            ["cache-hit ", "exact-lut "]
+            let line = out.lines().find(|l| l.starts_with("resilience: ")).unwrap();
+            let by_rung = &line[line.find("served by: ").unwrap()..];
+            [" cache ", " lut "]
                 .iter()
                 .map(|key| {
-                    let count = &line[line.find(key).unwrap() + key.len()..];
-                    count[..count.find(',').unwrap()].parse::<u64>().unwrap()
+                    let count = &by_rung[by_rung.find(key).unwrap() + key.len()..];
+                    count[..count.find(' ').unwrap()].parse::<u64>().unwrap()
                 })
                 .sum()
         };
@@ -1665,10 +1660,44 @@ mod tests {
         assert!(!USAGE.contains("gen-tables") && !USAGE.contains("stats"));
     }
 
+    /// `command` given `--lambda` 2 and then 10 (either side of the
+    /// tabulable range) is a usage error before any table is built.
+    fn assert_lambda_rejected(command: &[&str]) {
+        for lambda in ["2", "10"] {
+            let mut argv: Vec<String> = command.iter().map(|w| w.to_string()).collect();
+            argv.extend(["--lambda".to_string(), lambda.to_string()]);
+            match run(&argv) {
+                Err(CliError::Usage(message)) => {
+                    assert_eq!(message, format!("--lambda must be 3..=9, got {lambda}"));
+                }
+                other => panic!("{argv:?} was not a usage error: {other:?}"),
+            }
+        }
+    }
+
     #[test]
-    fn gen_tables_rejects_bad_lambda() {
-        assert!(gen_tables_command(2, "/tmp/x").is_err());
-        assert!(gen_tables_command(10, "/tmp/x").is_err());
+    fn route_rejects_lambda_outside_the_table_range() {
+        assert_lambda_rejected(&["route", "/nonexistent/nets.txt"]);
+    }
+
+    #[test]
+    fn serve_rejects_lambda_outside_the_table_range() {
+        assert_lambda_rejected(&["serve", "--no-http"]);
+    }
+
+    #[test]
+    fn verify_rejects_lambda_outside_the_table_range() {
+        assert_lambda_rejected(&["verify", "--nets", "1"]);
+    }
+
+    #[test]
+    fn lut_build_rejects_lambda_outside_the_table_range() {
+        let path = std::env::temp_dir()
+            .join("patlabor_cli_test_bad_lambda.plut")
+            .to_string_lossy()
+            .into_owned();
+        assert_lambda_rejected(&["lut", "build", "-o", &path]);
+        assert!(!std::path::Path::new(&path).exists());
     }
 
     #[test]
@@ -1801,10 +1830,8 @@ mod tests {
             config: VerifyConfig {
                 seed: 0xcafe,
                 nets: 12,
-                min_degree: 3,
                 max_degree: 4,
                 lambda: 4,
-                dw_max_degree: 4,
                 threads: 2,
                 span: 16,
                 shrink: true,
@@ -1825,6 +1852,30 @@ mod tests {
         .unwrap();
         assert!(out.contains("chaos-soak: seed 0xcafe"), "{out}");
         assert!(out.contains("all crash-only invariants held"), "{out}");
+    }
+
+    #[test]
+    fn verify_span_below_two_is_a_usage_error() {
+        for span in ["0", "1"] {
+            let argv = ["verify", "--nets", "1", "--span", span].map(String::from);
+            match run(&argv) {
+                Err(CliError::Usage(message)) => {
+                    assert_eq!(message, "--span must be at least 2");
+                }
+                other => panic!("--span {span} was not a usage error: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn verify_smoke_with_chaos_soak_is_a_usage_error() {
+        let argv = ["verify", "--smoke", "--chaos-soak"].map(String::from);
+        match run(&argv) {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("--smoke and --chaos-soak"), "{message}");
+            }
+            other => panic!("--smoke --chaos-soak was not a usage error: {other:?}"),
+        }
     }
 
     #[test]
@@ -1998,7 +2049,7 @@ mod tests {
         let reloads = AtomicU32::new(0);
         let options = ServeOptions {
             lambda: 4,
-            http_addr: None,
+            config: ServeConfig::default(),
             ..ServeOptions::default()
         };
         let (tx, rx) = mpsc::channel::<String>();
@@ -2050,7 +2101,7 @@ mod tests {
         let reloads = AtomicU32::new(0);
         let options = ServeOptions {
             tables: Some(path.to_string_lossy().into_owned()),
-            http_addr: None,
+            config: ServeConfig::default(),
             ..ServeOptions::default()
         };
         let (tx, rx) = mpsc::channel::<String>();

@@ -331,12 +331,6 @@ impl Engine {
         self.map_inner(|inner| inner.policy = policy)
     }
 
-    /// Replaces the local-search configuration.
-    #[must_use]
-    pub fn with_local_search(self, local_search: LocalSearchConfig) -> Self {
-        self.map_inner(|inner| inner.config.local_search = local_search)
-    }
-
     /// Replaces the frontier-cache configuration, dropping any cached
     /// entries (and the old counters) in the process.
     #[must_use]

@@ -63,8 +63,7 @@ pub use eco::{DeltaJob, DeltaKind, EcoConfig, NetDelta};
 pub use engine::{Engine, ReloadError, RouterConfig, Session};
 pub use cache::{CacheConfig, CacheStats, ShardStats};
 pub use pipeline::{
-    ProvenanceSummary, RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource,
-    StageCounters,
+    RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource, StageCounters,
 };
 pub use resilience::{
     net_key, Budget, Clock, DegradationTrace, Fault, FaultKind, FaultPlane, FaultScope,

@@ -234,68 +234,6 @@ impl std::error::Error for RouteError {}
 /// The per-net result of the pipeline.
 pub type RouteResult = Result<RouteOutcome, RouteError>;
 
-/// Aggregate provenance over many routed nets (the CLI's summary line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProvenanceSummary {
-    /// Nets answered by the degree-2 closed form.
-    pub closed_form: u64,
-    /// Nets answered from the frontier cache.
-    pub cache_hits: u64,
-    /// Nets answered by a full lookup-table query.
-    pub exact_lut: u64,
-    /// Nets answered by the numeric-DW fallback rung.
-    pub numeric_dw: u64,
-    /// Nets answered by local search.
-    pub local_search: u64,
-    /// Nets answered by the baseline fallback rung.
-    pub baseline: u64,
-    /// Nets answered by ECO replay of a prior route's winners.
-    pub reused: u64,
-}
-
-impl ProvenanceSummary {
-    /// Folds one net's provenance into the tally.
-    pub fn record(&mut self, provenance: &RouteProvenance) {
-        match provenance.source {
-            RouteSource::ClosedForm => self.closed_form += 1,
-            RouteSource::CacheHit => self.cache_hits += 1,
-            RouteSource::ExactLut => self.exact_lut += 1,
-            RouteSource::NumericDw => self.numeric_dw += 1,
-            RouteSource::LocalSearch => self.local_search += 1,
-            RouteSource::Baseline => self.baseline += 1,
-            RouteSource::Reused { .. } => self.reused += 1,
-        }
-    }
-
-    /// Total nets recorded.
-    pub fn total(&self) -> u64 {
-        self.closed_form
-            + self.cache_hits
-            + self.exact_lut
-            + self.numeric_dw
-            + self.local_search
-            + self.baseline
-            + self.reused
-    }
-}
-
-impl fmt::Display for ProvenanceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "closed-form {}, cache-hit {}, exact-lut {}, numeric-dw {}, \
-             local-search {}, baseline {}, reused {}",
-            self.closed_form,
-            self.cache_hits,
-            self.exact_lut,
-            self.numeric_dw,
-            self.local_search,
-            self.baseline,
-            self.reused
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,35 +272,5 @@ mod tests {
         let e = RouteError::RungsExhausted { degree: 5, trace };
         assert!(e.to_string().contains("degree-5"));
         assert!(e.to_string().contains("lut:missing-degree"));
-    }
-
-    #[test]
-    fn summary_records_and_totals() {
-        let mut s = ProvenanceSummary::default();
-        let p = |source| RouteProvenance {
-            degree: 3,
-            source,
-            counters: StageCounters::default(),
-            trace: DegradationTrace::default(),
-        };
-        s.record(&p(RouteSource::CacheHit));
-        s.record(&p(RouteSource::CacheHit));
-        s.record(&p(RouteSource::ExactLut));
-        s.record(&p(RouteSource::LocalSearch));
-        s.record(&p(RouteSource::ClosedForm));
-        s.record(&p(RouteSource::NumericDw));
-        s.record(&p(RouteSource::Baseline));
-        s.record(&p(RouteSource::Reused { staleness: 2 }));
-        assert_eq!(s.total(), 8);
-        assert_eq!(s.cache_hits, 2);
-        assert_eq!(s.numeric_dw, 1);
-        assert_eq!(s.baseline, 1);
-        assert_eq!(s.reused, 1);
-        let line = s.to_string();
-        assert!(line.contains("cache-hit 2"));
-        assert!(line.contains("exact-lut 1"));
-        assert!(line.contains("numeric-dw 1"));
-        assert!(line.contains("baseline 1"));
-        assert!(line.contains("reused 1"));
     }
 }

@@ -105,11 +105,6 @@ impl Rational {
         assert!(self.num != 0, "reciprocal of zero");
         Rational::new(self.den, self.num)
     }
-
-    /// Lossy conversion for reporting only.
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 fn gcd(mut a: u128, mut b: u128) -> u128 {

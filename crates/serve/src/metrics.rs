@@ -180,7 +180,7 @@ impl Metrics {
         counter(
             &mut out,
             "patlabor_requests_total",
-            "Requests admitted into the coalescing queue.",
+            "Requests admitted into the batch queue.",
             Self::get(&self.requests),
         );
         counter(

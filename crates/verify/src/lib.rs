@@ -53,6 +53,14 @@ use patlabor::CacheConfig;
 /// Predicate evaluations the shrinker may spend per counterexample.
 const SHRINK_EVAL_BUDGET: usize = 4_000;
 
+/// Smallest corpus degree (degree 2 is a closed form).
+pub const MIN_DEGREE: usize = 3;
+
+/// Largest degree the numeric-DW oracle re-enumerates, capped further by
+/// λ (the oracle is exponential in degree; 6 keeps a 500-net corpus in
+/// seconds).
+pub const DW_MAX_DEGREE: usize = 6;
+
 /// Harness configuration: corpus shape plus per-pair scope knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyConfig {
@@ -60,19 +68,15 @@ pub struct VerifyConfig {
     pub seed: u64,
     /// Number of corpus nets.
     pub nets: usize,
-    /// Smallest corpus degree (≥ 3; degree 2 is a closed form).
-    pub min_degree: usize,
-    /// Largest corpus degree. Degrees above λ exercise the local-search
-    /// path (covered by the cache and batch pairs only — local search is
-    /// neither table-backed nor D4-invariant by contract).
+    /// Largest corpus degree, at least [`MIN_DEGREE`]. Degrees above λ
+    /// exercise the local-search path (covered by the cache and batch
+    /// pairs only — local search is neither table-backed nor D4-invariant
+    /// by contract).
     pub max_degree: usize,
     /// λ of the freshly built tables ([`verify`] only; λ ≤ 6 builds in
     /// seconds, larger tables should be built offline and passed to
     /// [`verify_with_table`]).
     pub lambda: u8,
-    /// Largest degree the numeric-DW oracle re-enumerates (the oracle is
-    /// exponential in degree; 6 keeps a 500-net corpus in seconds).
-    pub dw_max_degree: usize,
     /// Worker threads for the batch-vs-serial pair.
     pub threads: usize,
     /// Pin coordinates are drawn from `[0, span)²`.
@@ -94,10 +98,8 @@ impl Default for VerifyConfig {
         VerifyConfig {
             seed: 0x5eed,
             nets: 500,
-            min_degree: 3,
             max_degree: 8,
             lambda: 6,
-            dw_max_degree: 6,
             threads: 4,
             span: 48,
             shrink: true,
@@ -110,25 +112,25 @@ impl Default for VerifyConfig {
 impl VerifyConfig {
     /// Largest degree checked against the numeric-DW oracle.
     fn dw_cap(&self) -> usize {
-        self.dw_max_degree.min(self.lambda as usize)
+        DW_MAX_DEGREE.min(self.lambda as usize)
     }
 }
 
 /// The seeded corpus: degrees round-robin over
-/// `min_degree..=max_degree`, pin clouds alternating between uniform and
+/// `MIN_DEGREE..=max_degree`, pin clouds alternating between uniform and
 /// clustered placement (the two shapes real placers produce). Pure
 /// function of the config — two calls yield identical nets.
 pub fn corpus(config: &VerifyConfig) -> Vec<Net> {
     assert!(
-        config.min_degree >= 3 && config.max_degree >= config.min_degree,
-        "corpus degrees must satisfy 3 <= min_degree <= max_degree"
+        config.max_degree >= MIN_DEGREE,
+        "corpus max_degree must be at least {MIN_DEGREE}"
     );
     assert!(config.span >= 2, "corpus span must be at least 2");
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let degree_count = config.max_degree - config.min_degree + 1;
+    let degree_count = config.max_degree - MIN_DEGREE + 1;
     (0..config.nets)
         .map(|i| {
-            let degree = config.min_degree + i % degree_count;
+            let degree = MIN_DEGREE + i % degree_count;
             if config.span >= 16 && i % 3 == 2 {
                 clustered_net(&mut rng, degree, config.span, 1 + i % 3)
             } else {
@@ -1007,10 +1009,8 @@ mod tests {
         VerifyConfig {
             seed: 0xded1_cace,
             nets: 24,
-            min_degree: 3,
             max_degree: 5,
             lambda: 4,
-            dw_max_degree: 4,
             threads: 2,
             span: 20,
             shrink: true,
@@ -1026,7 +1026,7 @@ mod tests {
         let b = corpus(&config);
         assert_eq!(a, b, "same config must yield the identical corpus");
         assert_eq!(a.len(), config.nets);
-        for degree in config.min_degree..=config.max_degree {
+        for degree in MIN_DEGREE..=config.max_degree {
             assert!(
                 a.iter().any(|n| n.degree() == degree),
                 "corpus is missing degree {degree}"
