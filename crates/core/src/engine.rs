@@ -927,7 +927,12 @@ fn run_rung<T>(
     let inject = ctx.fires(FaultKind::StagePanic, rung);
     match panic::catch_unwind(AssertUnwindSafe(|| {
         if inject {
-            panic!("injected fault: stage panic at rung {rung}");
+            // `resume_unwind` skips the panic hook: a drill's injected
+            // panics unwind like real ones without printing, while a real
+            // panic in `body` still reports itself.
+            panic::resume_unwind(Box::new(format!(
+                "injected fault: stage panic at rung {rung}"
+            )));
         }
         body(counters)
     })) {
@@ -1563,19 +1568,24 @@ mod tests {
 
     #[test]
     fn local_search_reads_the_clock_on_every_poll() {
-        // Degree 40 at λ = 4 runs 10 reroute rounds and polls its budget
-        // 22 times; a 20 ms deadline on a clock that ticks per read must
-        // expire inside the search, not after it.
+        // The budget reads the clock once when it starts and the rung gate
+        // once more; degree 40 at λ = 4 then polls after each of its two
+        // seeds and twice in its one reroute round (the max-delay tree
+        // repeats after it). A 3 ms deadline on a clock that ticks per
+        // read expires at the second seed's poll: inside the search, not
+        // at the gate before it.
         let engine = engine4().with_clock(Arc::new(TickingClock::default()));
         let mut seed = 40u64;
         let net = random_net(&mut seed, 40, 500);
-        let session = Session::default().with_deadline(Duration::from_millis(20));
+        let session = Session::default().with_deadline(Duration::from_millis(3));
         let outcome = engine.route_session(&net, &session).unwrap();
         assert_eq!(
             outcome.provenance.trace.to_string(),
             "local-search:deadline -> baseline:served"
         );
         assert_eq!(outcome.provenance.source, RouteSource::Baseline);
+        // The rung gate and the two seed polls.
+        assert_eq!(outcome.provenance.counters.budget_checks, 3);
         // Without a deadline the same net is served by the search.
         let plain = engine.route(&net).unwrap();
         assert_eq!(plain.provenance.trace.to_string(), "local-search:served");

@@ -98,7 +98,8 @@ pub struct StageCounters {
     pub candidates_scored: u32,
     /// Witness trees built by the Materialize stage.
     pub trees_materialized: u32,
-    /// Reroute rounds executed by the LocalSearch stage.
+    /// Reroute rounds the LocalSearch stage ran: at most `⌊n/λ⌋`, fewer
+    /// when the search stopped once its max-delay tree repeated.
     pub local_search_rounds: u32,
     /// Candidate whole-net trees the LocalSearch stage generated.
     pub local_search_candidates: u32,
