@@ -222,8 +222,9 @@ fn external(addr: SocketAddr) {
     // fail — `ok` with `degraded: true` and a deadline in the trace.
     // Degree-2 nets are excluded (their closed form beats any
     // deadline), and the nets come from a *different* seed than the
-    // main load: a net already routed would be a frontier-cache hit,
-    // and a cache hit legitimately serves full-fidelity with no budget.
+    // main load: on a daemon whose engine opted into the frontier
+    // cache, a net already routed would be a cache hit, and a cache hit
+    // legitimately serves full-fidelity with no budget.
     let mut probe = RouteClient::connect(addr)
         .unwrap_or_else(|e| fail(&format!("deadline probe connect failed: {e}")));
     let deadline_pool = patlabor_netgen::iccad_like_suite(SEED ^ 0xdead_beef, 4 * DEADLINE_PROBES, 8);
@@ -302,7 +303,6 @@ fn external(addr: SocketAddr) {
             "patlabor_batches_total",
             "patlabor_batched_nets_total",
             "patlabor_deadline_hits_total",
-            "patlabor_cache_hit_rate",
             "patlabor_latency_seconds_count",
             "patlabor_queue_wait_seconds_count",
         ] {

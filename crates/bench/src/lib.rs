@@ -308,9 +308,10 @@ mod tests {
 /// Repeated cells and macros give real placements many congruent nets:
 /// identical relative pin geometry at different offsets and
 /// orientations. A third of the workload instantiates a small pool of
-/// master patterns that way (cache hits after the first encounter); the
-/// rest are fresh random nets of mixed degree 3–12 (mostly misses, and
-/// above λ the local-search path, which bypasses the cache).
+/// master patterns that way (hits after the first encounter on an
+/// engine with the opt-in frontier cache); the rest are fresh random
+/// nets of mixed degree 3–12 (mostly misses, and above λ the
+/// local-search path, which bypasses the cache).
 pub fn mixed_workload(count: usize, seed: u64) -> Vec<Net> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

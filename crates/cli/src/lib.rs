@@ -368,22 +368,6 @@ fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
     }
 }
 
-/// Renders the `cache:` line: frontier-cache health straight from
-/// [`Engine::cache_stats`] (nothing when the cache is disabled). The
-/// `route` trailer and the `serve` shutdown output both print it.
-fn render_cache_line(out: &mut String, engine: &Engine) {
-    if let Some(cache) = engine.cache_stats() {
-        out.push_str(&format!(
-            "cache: {} shards, hit rate {:.3}, contention {}r/{}w{}\n",
-            cache.shards,
-            cache.hit_rate(),
-            cache.contended_reads,
-            cache.contended_writes,
-            if cache.bypassed { ", bypassed" } else { "" },
-        ));
-    }
-}
-
 /// Runs the `route` command; returns the rendered output.
 ///
 /// Every mode routes the whole list with one call into the batch driver
@@ -394,13 +378,14 @@ fn render_cache_line(out: &mut String, engine: &Engine) {
 /// * `--json` prints one wire-protocol reply object per net, failures
 ///   included, and nothing else;
 /// * otherwise each net's header names the rung that answered it (`via
-///   exact-lut`, `via cache-hit`, …), and nets served by a fallback rung
-///   add their degradation trace. In drill mode (`--faults` or
+///   exact-lut`, `via local-search`, …), and nets served by a fallback
+///   rung add their degradation trace. In drill mode (`--faults` or
 ///   `--deadline-ms`) a failed net prints inline as `FAILED`; outside
 ///   it, the first failed net ends the run with its [`CliError::Route`].
 ///   `--eco` edits follow the nets. The output ends with the
-///   [`ResilienceReport`] (`resilience:`), the per-worker `batch:`
-///   report when `--threads` > 1, and the `cache:` line.
+///   [`ResilienceReport`] (`resilience:`), then the per-worker `batch:`
+///   report when `--threads` > 1. The per-net lines do not depend on
+///   `--threads`.
 ///
 /// # Errors
 ///
@@ -464,14 +449,13 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
     if options.threads > 1 {
         render_batch_stats(&mut out, &stats);
     }
-    render_cache_line(&mut out, &engine);
     Ok(out)
 }
 
-/// The `--eco` replay pass: applies the edits in file order against the
-/// outcomes of the initial routing pass, chaining per net so staleness
-/// grows with each edit, and appends the ECO section, which ends with
-/// the edits' own `eco resilience:` report.
+/// The `--eco` pass: applies the edits in file order, each to its net as
+/// the earlier edits left it, reroutes the edited net through
+/// [`Engine::reroute`] from that net's last outcome, and appends the ECO
+/// section, which ends with the edits' own `eco resilience:` report.
 fn render_eco(
     out: &mut String,
     nets: &[Net],
@@ -793,13 +777,12 @@ impl Default for ServeOptions {
 }
 
 /// What a finished `serve` run reports: the stdout summary line and
-/// the stderr resilience report (plus the `cache:` line).
+/// the stderr resilience report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeExit {
     /// One line for stdout: requests served/rejected.
     pub summary: String,
-    /// The final aggregated [`ResilienceReport`] and the `cache:`
-    /// line, for stderr.
+    /// The final aggregated [`ResilienceReport`] line, for stderr.
     pub report: String,
 }
 
@@ -863,10 +846,8 @@ pub fn serve_command_with(
     }
     // First signal: drain. The batch in flight and everything admitted
     // complete; new requests are rejected as "shutting-down".
-    let engine = server.engine().clone();
     let summary = server.shutdown();
-    let mut report = format!("resilience: {}\n", summary.report);
-    render_cache_line(&mut report, &engine);
+    let report = format!("resilience: {}\n", summary.report);
     Ok(ServeExit {
         summary: format!(
             "serve: drained; {} nets routed, {} rejected, {} malformed\n",
@@ -950,20 +931,18 @@ Net list: one net per line, `x,y` pins separated by spaces, source first;
 `#` comments. `--lambda` takes 3..=9.
 
 `route` routes the whole list through the batch driver on T workers
-(`--threads`, default 1; frontiers are identical at every T) and ends
-with a `resilience:` line (nets served per rung), then a per-worker
-`batch:` report when T > 1, then the `cache:` line (hit rate, lock
-contention). `route --json` instead emits one wire-protocol reply
-object per net (NDJSON), byte-compatible with the `serve` daemon's
-responses.
+(`--threads`, default 1; the per-net output is identical at every T) and
+ends with a `resilience:` line (nets served per rung), then a per-worker
+`batch:` report when T > 1. `route --json` instead emits one
+wire-protocol reply object per net (NDJSON), byte-compatible with the
+`serve` daemon's responses.
 
 `route --eco EDITS.txt` replays incremental edits after the base route:
 one edit per line, `<net-index> <kind> <args>` where kind is one of
 `translate dx,dy`, `move-pin IDX x,y`, `add-sink x,y`,
 `remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Each edit
-reroutes through the delta API — class-preserving edits replay the
-cached winners (provenance `reused`), class-breaking edits fall back
-to the full ladder — and the edits end with an `eco resilience:` line.
+reroutes its net through the delta API (one route of the edited net),
+and the edits end with an `eco resilience:` line.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
 (route, reroute and reload verbs) with request batching and admission
@@ -1240,15 +1219,18 @@ mod tests {
 
     #[test]
     fn route_command_provenance_counts_cache_hits() {
-        // The same congruence class twice: second net must hit the cache.
+        // The same congruence class twice: the CLI's engine has no
+        // frontier cache, so the table answers both nets, and the
+        // trailer has no `cache:` line.
         let nets = parse_nets("0,0 7,2 3,9\n100,50 107,52 103,59\n").unwrap();
         let out = route_command(&nets, &RouteOptions::default()).unwrap();
         assert!(out.contains("net 0 (degree 3): 1 Pareto solutions via exact-lut"));
-        assert!(out.contains("net 1 (degree 3): 1 Pareto solutions via cache-hit"));
+        assert!(out.contains("net 1 (degree 3): 1 Pareto solutions via exact-lut"));
         assert!(
-            out.contains("served by: closed-form 0 cache 1 lut 1 "),
+            out.contains("served by: closed-form 0 cache 0 lut 2 "),
             "{out}"
         );
+        assert!(!out.contains("cache:"), "{out}");
     }
 
     #[test]
@@ -1395,10 +1377,10 @@ mod tests {
 
     #[test]
     fn route_eco_replays_class_preserving_edits() {
-        // A translate preserves the congruence class exactly, so the
-        // edit must answer from winner-id replay (`via reused`) — and a
-        // second translate of the same net chains to staleness 2
-        // without changing the provenance label.
+        // A translate preserves the congruence class, but the CLI's
+        // engine has no frontier cache to replay from: each chained
+        // edit is one route of the edited net through the table, and
+        // its frontier is the base net's.
         let nets = parse_nets("19,2 8,4 4,3 5,4\n").unwrap();
         let options = RouteOptions {
             eco: parse_edits("0 translate 5,-2\n0 translate 1,1\n").unwrap(),
@@ -1406,17 +1388,21 @@ mod tests {
         };
         let out = route_command(&nets, &options).unwrap();
         assert!(out.contains("eco: 2 edits"), "missing eco header:\n{out}");
-        assert!(
-            out.contains("edit 0: net 0 translate: ")
-                && out.contains("via reused"),
-            "translate should replay:\n{out}"
-        );
+        let base = out.lines().next().unwrap();
+        let solutions = &base[base.find(": ").unwrap()..];
+        assert!(solutions.ends_with("via exact-lut"), "{out}");
+        for edit in 0..2 {
+            assert!(
+                out.contains(&format!("edit {edit}: net 0 translate{solutions}\n")),
+                "edit {edit} should route through the table:\n{out}"
+            );
+        }
         assert!(
             out.contains(
                 "eco resilience: 2 nets: 2 served (0 degraded), 0 errors (0 panicked), \
-                 0 deadline hits; served by: closed-form 0 cache 2 lut 0 "
+                 0 deadline hits; served by: closed-form 0 cache 0 lut 2 "
             ),
-            "both edits replay:\n{out}"
+            "both edits route through the table:\n{out}"
         );
     }
 
@@ -1468,22 +1454,17 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("eco: 1 edits"));
-        assert!(out.contains("via reused"));
+        let edit = out.lines().find(|l| l.starts_with("edit 0: ")).unwrap();
+        assert!(edit.starts_with("edit 0: net 0 translate: "), "{out}");
+        assert!(edit.ends_with("via exact-lut"), "{out}");
         std::fs::remove_file(&nets_file).ok();
         std::fs::remove_file(&edits_file).ok();
     }
 
-    /// The per-net lines of a `route` output (everything before the
-    /// trailer). Congruent nets are translated copies: worker timing
-    /// decides which one the frontier cache answers, or whether both
-    /// miss, so a `via` label may swap between exact-lut and cache-hit;
-    /// the labels are unified and every other line, frontiers included,
-    /// must be identical at every thread count.
-    fn per_net_lines(out: &str) -> Vec<String> {
-        out[..out.find("resilience: ").unwrap()]
-            .lines()
-            .map(|line| line.replace("via cache-hit", "via exact-lut"))
-            .collect()
+    /// The per-net text of a `route` output: everything before the
+    /// trailer.
+    fn per_net_text(out: &str) -> &str {
+        &out[..out.find("resilience: ").unwrap()]
     }
 
     /// Each trailer line's label: the text before its first `:`.
@@ -1495,10 +1476,10 @@ mod tests {
     }
 
     /// Serial, `--threads 3`, drill and `--json` are one batch call and
-    /// one render loop: the human modes print the same per-net lines and
-    /// end with the one trailer — `resilience:`, `batch:` (threaded
-    /// only), `cache:` — and NDJSON prints one reply per net, nothing
-    /// else.
+    /// one render loop: the human modes print byte-identical per-net
+    /// text, congruent nets included, and end with the one trailer —
+    /// `resilience:`, then `batch:` (threaded only) — and NDJSON prints
+    /// one reply per net, nothing else.
     #[test]
     fn route_modes_share_one_render_loop_and_one_trailer() {
         let nets = parse_nets(
@@ -1522,18 +1503,15 @@ mod tests {
             ..RouteOptions::default()
         });
 
-        assert_eq!(trailer_labels(&serial), ["resilience", "cache"]);
-        assert_eq!(trailer_labels(&drill), ["resilience", "cache"]);
+        assert_eq!(trailer_labels(&serial), ["resilience"]);
+        assert_eq!(trailer_labels(&drill), ["resilience"]);
         let labels = trailer_labels(&threaded);
         assert_eq!(labels[..2], ["resilience", "batch"]);
-        assert_eq!(labels.last(), Some(&"cache"));
-        assert!(labels[2..labels.len() - 1]
-            .iter()
-            .all(|l| l.starts_with("  worker ")));
+        assert!(labels[2..].iter().all(|l| l.starts_with("  worker ")));
         assert!(serial.contains("resilience: 5 nets: 5 served (0 degraded), 0 errors"));
 
-        assert_eq!(per_net_lines(&threaded), per_net_lines(&serial));
-        assert_eq!(per_net_lines(&drill), per_net_lines(&serial));
+        assert_eq!(per_net_text(&threaded), per_net_text(&serial));
+        assert_eq!(per_net_text(&drill), per_net_text(&serial));
         assert_eq!(json.lines().count(), nets.len());
         assert!(
             json.lines().all(|line| line.starts_with("{\"id\":")),
@@ -1556,24 +1534,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(per_net_lines(&parallel), per_net_lines(&serial));
-        let table_served = |out: &str| -> u64 {
-            let line = out.lines().find(|l| l.starts_with("resilience: ")).unwrap();
-            let by_rung = &line[line.find("served by: ").unwrap()..];
-            [" cache ", " lut "]
-                .iter()
-                .map(|key| {
-                    let count = &by_rung[by_rung.find(key).unwrap() + key.len()..];
-                    count[..count.find(' ').unwrap()].parse::<u64>().unwrap()
-                })
-                .sum()
-        };
-        assert_eq!(table_served(&parallel), table_served(&serial));
-        // Then the scaling report on top.
-        assert!(parallel.contains("batch: "));
-        assert!(parallel.contains("worker 0:"));
-        assert!(parallel.contains("cache: "));
-        assert!(parallel.contains("hit rate"));
+        assert_eq!(per_net_text(&parallel), per_net_text(&serial));
+        // The serial output, `resilience:` line included, then the
+        // scaling report on top and no `cache:` line.
+        let batch = parallel.find("batch: ").unwrap();
+        assert_eq!(&parallel[..batch], serial);
+        assert!(parallel[batch..].contains("worker 0:"));
+        assert!(!parallel.contains("cache:"));
         assert!(!serial.contains("batch: "));
     }
 

@@ -221,8 +221,8 @@ impl Engine {
     /// `threads` is clamped to at least 1 (a zero request degrades to
     /// serial routing instead of panicking). Results are in input order
     /// and bit-identical to calling [`Engine::route`] per net (routing
-    /// is deterministic, with or without the frontier cache, at every
-    /// thread count).
+    /// is deterministic, with or without the opt-in frontier cache, at
+    /// every thread count).
     ///
     /// Each slot is that net's own [`RouteResult`]: a net the tables
     /// cannot serve yields `Err` in its slot without poisoning the rest
@@ -278,11 +278,12 @@ impl Engine {
 
     /// Reroutes a batch of edits over the same batch driver as
     /// [`Engine::route_batch_sessions`]. Results are in input order, one
-    /// slot per job; class-preserving edits replay from the frontier
-    /// cache (provenance [`crate::RouteSource::Reused`]) and everything
-    /// else falls through the ordinary ladder. The serve layer batches
-    /// `reroute` wire requests with fresh routes and routes the reroutes
-    /// of a mixed batch through this call.
+    /// slot per job, and each slot is one route of its edited net. Only
+    /// on an engine that opted into the frontier cache do
+    /// class-preserving edits replay instead (provenance
+    /// [`crate::RouteSource::Reused`]); see [`Engine::reroute`]. The
+    /// serve layer batches `reroute` wire requests with fresh routes and
+    /// routes the reroutes of a mixed batch through this call.
     pub fn route_batch_deltas(
         &self,
         jobs: &[DeltaJob],
@@ -343,10 +344,11 @@ mod tests {
 
     /// The frontiers of a batch result, panicking on any per-net error.
     ///
-    /// Comparisons use frontiers rather than whole outcomes: provenance
-    /// legitimately differs between runs (a serial pass warms the shared
-    /// cache, turning the batch pass's `ExactLut` answers into
-    /// `CacheHit`s) while the frontiers stay bit-identical.
+    /// Comparisons use frontiers rather than whole outcomes: on an
+    /// engine with the opt-in cache, provenance legitimately differs
+    /// between runs (a serial pass warms the shared cache, turning the
+    /// batch pass's `ExactLut` answers into `CacheHit`s) while the
+    /// frontiers stay bit-identical.
     fn frontiers(results: Vec<RouteResult>) -> Vec<ParetoSet<RoutingTree>> {
         results
             .into_iter()
@@ -424,9 +426,8 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x21, 5, 8);
-        // Second route of the same nets hits the warm cache, so both
-        // passes see identical provenance too — whole outcomes compare.
-        let _warmup = engine.route_batch(&nets, 1);
+        // With no cache, provenance is a function of the net alone, so
+        // whole outcomes compare.
         let serial: Vec<_> = nets.iter().map(|n| engine.route(n)).collect();
         assert_eq!(engine.route_batch(&nets, 0), serial);
         assert!(engine.route_batch(&[], 0).is_empty());

@@ -2,21 +2,26 @@
 //!
 //! Production routing traffic is not i.i.d. fresh nets — it is small
 //! edits to placed designs: a pin nudged by legalization, a sink added
-//! by buffering, a blockage dropped over a macro. The congruence-class
-//! machinery makes many of those edits nearly free to answer: both
-//! objectives are invariant under translation and the D4 symmetries, so
-//! an edit that preserves the net's `(canonical pattern key, canonical
-//! gap vector)` class leaves the *winning topology ids* of the previous
-//! route exactly correct for the new geometry. [`crate::Engine::reroute`]
-//! exploits that: it classifies the mutated net and, when the class is
-//! unchanged and the winners are resident in the frontier cache, replays
-//! them against the new pins without touching the LUT's candidate pool —
-//! provenance [`crate::RouteSource::Reused`], `candidates_scored == 0`.
+//! by buffering, a blockage dropped over a macro. A delta API lets a
+//! client reroute only the nets an edit touched:
+//! [`crate::Engine::reroute`] applies the edit and routes the edited net.
+//!
+//! Replay is opt-in. Both objectives are invariant under translation and
+//! the D4 symmetries, so an edit that preserves the net's `(canonical
+//! pattern key, canonical gap vector)` class leaves the *winning
+//! topology ids* of the previous route exactly correct for the new
+//! geometry. On an engine that opted into the frontier cache
+//! ([`crate::Engine::with_cache`]), `reroute` classifies the mutated net
+//! and, when the class is unchanged and the winners are resident,
+//! replays them against the new pins without touching the LUT's
+//! candidate pool — provenance [`crate::RouteSource::Reused`],
+//! `candidates_scored == 0`. That saves only the scoring step, so
+//! default engines route every edit.
 //!
 //! This module owns the delta vocabulary ([`NetDelta`], [`DeltaKind`]),
-//! the batch-driver job type ([`DeltaJob`]) and the staleness policy
-//! ([`EcoConfig`]); the replay fast path itself lives on the engine
-//! (DESIGN.md §16).
+//! the batch-driver job type ([`DeltaJob`]) and the replay staleness
+//! policy ([`EcoConfig`]); the replay fast path itself lives on the
+//! engine (DESIGN.md §16).
 //!
 //! # Totality
 //!
@@ -307,7 +312,7 @@ mod tests {
         }
     }
 
-    use crate::cache::CacheKey;
+    use crate::cache::{CacheConfig, CacheKey};
     use crate::engine::{Engine, Session};
     use crate::pipeline::RouteSource;
     use crate::{LutBuilder, RouterConfig};
@@ -364,8 +369,8 @@ mod tests {
     /// routing the mutated net from scratch.
     #[test]
     fn every_delta_kind_replays_iff_the_class_is_preserved() {
-        let engine = engine4();
-        let scratch = engine4(); // independent tables ⇒ independent cache
+        let engine = engine4().with_cache(CacheConfig::default());
+        let scratch = engine4(); // independent tables, no cache
         let nets: Vec<Net> = patlabor_netgen::iccad_like_suite(0xec0, 60, 4)
             .into_iter()
             .filter(|n| (3..=4).contains(&n.degree()))
@@ -428,6 +433,7 @@ mod tests {
         let engine = Engine::with_table_and_config(
             LutBuilder::new(4).threads(2).build(),
             RouterConfig {
+                cache: CacheConfig::default(),
                 eco: EcoConfig { staleness_cap: cap },
                 ..RouterConfig::default()
             },

@@ -5,11 +5,12 @@
 //! the serving state is split into two layers:
 //!
 //! * [`Engine`] — everything expensive and shared: the (possibly
-//!   mmap'd) [`LookupTable`], the sharded frontier cache, the policy
-//!   weights, the fault plane and the deadline clock, all behind one
-//!   `Arc`. Built once; [`Engine::clone`] is a reference-count bump, so
-//!   every connection handler, batch worker and CLI invocation can hold
-//!   its own handle without duplicating a byte of table data.
+//!   mmap'd) [`LookupTable`], the policy weights, the fault plane, the
+//!   deadline clock and, when a caller opts in, the frontier cache, all
+//!   behind one `Arc`. Built once; [`Engine::clone`] is a
+//!   reference-count bump, so every connection handler, batch worker
+//!   and CLI invocation can hold its own handle without duplicating a
+//!   byte of table data.
 //! * [`Session`] — everything per-request: the deadline budget and an
 //!   identity for provenance. A `Session` is a few machine words of
 //!   `Copy` data; the server mints one per wire request.
@@ -67,12 +68,16 @@ pub struct RouterConfig {
     pub lambda: u8,
     /// Local-search settings for nets with degree `> λ`.
     pub local_search: LocalSearchConfig,
-    /// Frontier-cache settings ([`crate::cache`]). The cache memoizes
-    /// winning topology ids per congruence class of nets, so repeated,
-    /// translated and mirrored pin patterns skip the evaluation of
-    /// dominated candidates. Routing results are bit-identical with the
-    /// cache enabled or disabled; set `cache.enabled = false` (or use
-    /// [`CacheConfig::disabled`]) to always evaluate from scratch.
+    /// Frontier-cache settings ([`crate::cache`]). Off by default
+    /// ([`CacheConfig::disabled`]): every tabulated net routes classify →
+    /// lookup → score → materialize, with no probe and no insert. The
+    /// cache is opt-in, with [`Engine::with_cache`] and
+    /// [`CacheConfig::default`]: it memoizes winning topology ids per
+    /// congruence class, so a congruent repeat skips only the scoring
+    /// of dominated candidates, and it enables ECO replay
+    /// ([`Engine::reroute`]). Measured on the benchmark's workloads, its
+    /// probes and inserts cost more than that saves. Frontiers are
+    /// bit-identical with the cache on or off.
     pub cache: CacheConfig,
     /// Which fallback rungs of the degradation ladder are armed, whether
     /// served frontiers are validated against their witness trees, and
@@ -86,7 +91,8 @@ pub struct RouterConfig {
     pub faults: FaultPlane,
     /// Incremental-rerouting policy ([`EcoConfig`]): how many
     /// consecutive edits [`Engine::reroute`] may serve from replay
-    /// before forcing a fresh route.
+    /// before forcing a fresh route. Replay needs the opt-in frontier
+    /// cache, so without one this has no effect.
     pub eco: EcoConfig,
 }
 
@@ -95,7 +101,7 @@ impl Default for RouterConfig {
         RouterConfig {
             lambda: 5,
             local_search: LocalSearchConfig::default(),
-            cache: CacheConfig::default(),
+            cache: CacheConfig::disabled(),
             resilience: ResilienceConfig::default(),
             faults: FaultPlane::default(),
             eco: EcoConfig::default(),
@@ -332,7 +338,8 @@ impl Engine {
     }
 
     /// Replaces the frontier-cache configuration, dropping any cached
-    /// entries (and the old counters) in the process.
+    /// entries (and the old counters) in the process. Engines start
+    /// without a cache; `.with_cache(CacheConfig::default())` opts in.
     #[must_use]
     pub fn with_cache(self, cache: CacheConfig) -> Self {
         self.map_inner(|inner| {
@@ -384,10 +391,10 @@ impl Engine {
     /// section table, word-striped checksum, arena bounds); only a
     /// candidate that passes and matches the serving λ is committed.
     /// The commit is an epoch'd pointer swap: in-flight routes finish
-    /// on the generation they snapshotted at entry, the frontier cache
-    /// is invalidated wholesale by the epoch bump (no sweep), and late
-    /// inserts from old-generation routes are dropped by their stale
-    /// epoch stamp. On any error the old table keeps serving.
+    /// on the generation they snapshotted at entry, an opted-in frontier
+    /// cache is invalidated wholesale by the epoch bump (no sweep), and
+    /// late inserts from old-generation routes are dropped by their
+    /// stale epoch stamp. On any error the old table keeps serving.
     ///
     /// Returns the new generation's epoch.
     pub fn reload_table(&self, path: impl AsRef<Path>) -> Result<u64, ReloadError> {
@@ -416,7 +423,8 @@ impl Engine {
         &self.inner.config
     }
 
-    /// Frontier-cache counters, or `None` when the cache is disabled.
+    /// Frontier-cache counters, or `None` when the engine has no cache
+    /// (the default).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.inner.cache.as_ref().map(|c| c.stats())
     }
@@ -443,14 +451,15 @@ impl Engine {
     /// through the degradation ladder
     ///
     /// ```text
-    /// cache → LUT query → numeric DW → baseline      (degree ≤ λ)
-    ///         local search → baseline                (degree > λ)
+    /// [cache →] LUT query → numeric DW → baseline    (degree ≤ λ)
+    ///           local search → baseline              (degree > λ)
     /// ```
     ///
-    /// and the descent is recorded in [`RouteProvenance::trace`]. A net
-    /// with a pin outside [`patlabor_geom::Point::MAX_COORD`] is
-    /// rejected before any rung runs
-    /// ([`RouteError::CoordinateOutOfRange`]). The session's `deadline`
+    /// (the bracketed cache rung runs only on an engine that opted into
+    /// the frontier cache), and the descent is recorded in
+    /// [`RouteProvenance::trace`]. A net with a pin outside
+    /// [`patlabor_geom::Point::MAX_COORD`] is rejected before any rung
+    /// runs ([`RouteError::CoordinateOutOfRange`]). The session's `deadline`
     /// overrides the engine's configured deadline for this request only.
     /// Routing is deterministic: the frontier is bit-identical regardless
     /// of the frontier cache's state and of any session deadline generous
@@ -486,10 +495,13 @@ impl Engine {
         let deadline = session.deadline.or(res.deadline);
         let budget =
             deadline.map(|deadline| Budget::new(Arc::clone(&inner.clock), deadline));
+        let faults = &inner.config.faults;
         let ctx = LadderCtx {
-            faults: &inner.config.faults,
+            faults,
             budget: budget.as_ref(),
-            key: net_key(net),
+            // `FaultPlane::fires` reads the key only when a fault is
+            // armed, so an empty plane skips hashing the pins.
+            key: if faults.is_empty() { 0 } else { net_key(net) },
         };
         let mut panic_payload: Option<Box<dyn Any + Send>> = None;
         let mut table_error: Option<RouteError> = None;
@@ -499,7 +511,8 @@ impl Engine {
                 .classify(net)
                 .ok_or(RouteError::UnclassifiableDegree { degree })?;
 
-            // Rung: Cache — replay the class's winning ids on a hit. A
+            // Rung: Cache — only on an engine that opted into the
+            // cache: replay the class's winning ids on a hit. A
             // cache the adaptive bypass has retired (hit rate below the
             // configured floor through the warmup window) is skipped:
             // no probe, no insert, no rung attempt — until the periodic
@@ -612,7 +625,9 @@ impl Engine {
                                 n.is_multiple_of(BUDGET_POLL_STRIDE)
                                     && ctx.budget.is_some_and(Budget::exceeded)
                             });
-                        counters.budget_checks += checks.get();
+                        if ctx.budget.is_some() {
+                            counters.budget_checks += checks.get();
+                        }
                         result.map_err(|Cancelled| RungOutcome::DeadlineExceeded)
                     });
                 match outcome_ {
@@ -650,7 +665,9 @@ impl Engine {
                             ctx.budget.is_some_and(Budget::exceeded)
                         },
                     );
-                    counters.budget_checks += checks.get();
+                    if ctx.budget.is_some() {
+                        counters.budget_checks += checks.get();
+                    }
                     match result {
                         Ok((frontier, report)) => {
                             counters.local_search_rounds = report.rounds as u32;
@@ -711,10 +728,14 @@ impl Engine {
     }
 
     /// Incremental (ECO) rerouting: applies `delta` to its base net and
-    /// answers from replay when the edit preserved the congruence class
+    /// routes the edited net. On an engine without a frontier cache (the
+    /// default) that is all it does: one [`Engine::route_session`] of
+    /// `delta.apply()`, which classifies the net once. An engine that
+    /// opted into the cache ([`Engine::with_cache`]) first tries to
+    /// answer from replay when the edit preserved the congruence class
     /// (see [`crate::eco`] and DESIGN.md §16).
     ///
-    /// `prev` supplies the staleness lineage: a prior
+    /// `prev` supplies the replay staleness lineage: a prior
     /// [`RouteSource::Reused`] outcome continues the edit count, any
     /// other provenance restarts it. [`RouterConfig::eco`]'s
     /// `staleness_cap` bounds how many consecutive edits replay may
@@ -746,11 +767,15 @@ impl Engine {
         session: &Session,
     ) -> RouteResult {
         let mutated = delta.apply();
-        check_coordinates(&mutated)?;
-        let staleness = prior_edits.saturating_add(1);
-        if staleness <= self.inner.config.eco.staleness_cap {
-            if let Some(outcome) = self.replay_reuse(delta, &mutated, staleness) {
-                return Ok(outcome);
+        if let Some(cache) = &self.inner.cache {
+            // Replay serves without the ladder, so it checks the
+            // coordinate bound itself.
+            check_coordinates(&mutated)?;
+            let staleness = prior_edits.saturating_add(1);
+            if staleness <= self.inner.config.eco.staleness_cap {
+                if let Some(outcome) = self.replay_reuse(cache, delta, &mutated, staleness) {
+                    return Ok(outcome);
+                }
             }
         }
         self.route_session(&mutated, session)
@@ -761,7 +786,13 @@ impl Engine {
     /// cache key), the class's winners are resident in an armed frontier
     /// cache, and the replayed frontier passes validation. No LUT
     /// candidate is scored on this path (`candidates_scored` stays 0).
-    fn replay_reuse(&self, delta: &NetDelta, mutated: &Net, staleness: u32) -> Option<RouteOutcome> {
+    fn replay_reuse(
+        &self,
+        cache: &FrontierCache,
+        delta: &NetDelta,
+        mutated: &Net,
+        staleness: u32,
+    ) -> Option<RouteOutcome> {
         let inner = &*self.inner;
         let generation = inner.table.snapshot();
         let table = &*generation.table;
@@ -770,7 +801,9 @@ impl Engine {
         if degree != base.degree() || degree < 3 || degree > table.lambda() as usize {
             return None;
         }
-        let cache = inner.cache.as_ref().filter(|c| !c.skip_probe())?;
+        if cache.skip_probe() {
+            return None;
+        }
         let class = table.classify(mutated)?;
         let key = CacheKey::from_class(&class);
         // A rigid translate is class-preserving by theorem (the
@@ -879,7 +912,7 @@ fn outcome(
 
 /// The per-route context [`run_rung`] reads: the fault plane, the
 /// deadline budget injected delays are charged to, and the net's
-/// fault-decision key.
+/// fault-decision key (0 when the plane is empty and never reads it).
 struct LadderCtx<'a> {
     faults: &'a FaultPlane,
     budget: Option<&'a Budget>,
@@ -982,9 +1015,15 @@ mod tests {
         Engine::with_table(LutBuilder::new(4).threads(2).build())
     }
 
+    /// `engine4` opted into the frontier cache, for the tests of the
+    /// cache itself.
+    fn cached_engine4() -> Engine {
+        engine4().with_cache(CacheConfig::default())
+    }
+
     #[test]
     fn engine_clone_is_a_shared_handle() {
-        let engine = engine4();
+        let engine = cached_engine4();
         let clone = engine.clone();
         // Same shared state: a route through one handle warms the
         // other's cache.
@@ -1005,9 +1044,7 @@ mod tests {
         let net = net3();
         let plain = engine.route(&net).unwrap();
         let session = engine.route_session(&net, &Session::new(42)).unwrap();
-        // Provenance differs only through the cache warmup; compare a
-        // fresh engine for full equality.
-        assert_eq!(plain.frontier, session.frontier);
+        assert_eq!(plain, session);
     }
 
     #[test]
@@ -1052,7 +1089,7 @@ mod tests {
         let path = dir.join("reload_swap.plut");
         LutBuilder::new(4).threads(2).build().save(&path).unwrap();
 
-        let engine = engine4();
+        let engine = cached_engine4();
         let net = net3();
         assert_eq!(engine.table_epoch(), 0);
         assert_eq!(engine.route(&net).unwrap().provenance.source, RouteSource::ExactLut);
@@ -1078,7 +1115,7 @@ mod tests {
         let corrupt = dir.join("reload_corrupt.plut");
         std::fs::write(&corrupt, b"not a lookup table at all").unwrap();
 
-        let engine = engine4();
+        let engine = cached_engine4();
         let net = net3();
         engine.route(&net).unwrap();
         let err = engine.reload_table(&corrupt).unwrap_err();
@@ -1111,7 +1148,7 @@ mod tests {
         let path = dir.join("reload_race.plut");
         LutBuilder::new(4).threads(2).build().save(&path).unwrap();
 
-        let engine = engine4();
+        let engine = cached_engine4();
         let net = net3();
         engine.route(&net).unwrap(); // warm at epoch 0
         engine.reload_table(&path).unwrap();
@@ -1207,7 +1244,7 @@ mod tests {
 
     #[test]
     fn provenance_distinguishes_cache_hits_from_full_queries() {
-        let engine = Engine::new();
+        let engine = Engine::new().with_cache(CacheConfig::default());
         let mut seed = 9u64;
         let net = random_net(&mut seed, 4, 50);
         let first = engine.route(&net).unwrap();
@@ -1589,5 +1626,67 @@ mod tests {
         // Without a deadline the same net is served by the search.
         let plain = engine.route(&net).unwrap();
         assert_eq!(plain.provenance.trace.to_string(), "local-search:served");
+    }
+
+    /// `budget_checks` counts deadline polls: a route without a deadline
+    /// reports none on either rung with cooperative checkpoints, and the
+    /// same route under a generous deadline counts them.
+    #[test]
+    fn routes_without_a_deadline_count_no_budget_checks() {
+        let generous = Session::default().with_deadline(Duration::from_secs(3600));
+        let mut seed = 41u64;
+        let engine = engine4();
+        let large = random_net(&mut seed, 12, 200);
+        let plain = engine.route(&large).unwrap();
+        assert_eq!(plain.provenance.source, RouteSource::LocalSearch);
+        assert_eq!(plain.provenance.counters.budget_checks, 0);
+        let budgeted = engine.route_session(&large, &generous).unwrap();
+        assert_eq!(budgeted.frontier, plain.frontier);
+        // The rung gate and at least the two seed polls.
+        assert!(budgeted.provenance.counters.budget_checks >= 3);
+
+        // A missing-degree fault on the LUT rung hands the net to
+        // numeric DW.
+        let lut_off = engine4().with_faults(FaultPlane::seeded(0).with_fault(Fault {
+            kind: FaultKind::MissingDegree,
+            scope: FaultScope::Rung(Rung::Lut),
+            probability: 1.0,
+        }));
+        let small = random_net(&mut seed, 4, 60);
+        let plain = lut_off.route(&small).unwrap();
+        assert_eq!(plain.provenance.source, RouteSource::NumericDw);
+        assert_eq!(plain.provenance.counters.budget_checks, 0);
+        let budgeted = lut_off.route_session(&small, &generous).unwrap();
+        assert_eq!(budgeted.provenance.source, RouteSource::NumericDw);
+        // The LUT and numeric-DW rung gates, then the DP's checkpoints.
+        assert!(budgeted.provenance.counters.budget_checks > 2);
+    }
+
+    /// A default engine has no frontier cache: a repeated net and a
+    /// translated copy of it each route through the LUT with no probe,
+    /// and a translate reroute is one route of the edited net.
+    #[test]
+    fn default_engine_routes_every_net_through_the_lut() {
+        let engine = Engine::new();
+        assert!(engine.cache_stats().is_none());
+        let mut seed = 9u64;
+        let net = random_net(&mut seed, 4, 50);
+        let translated = net.map_points(|p| Point::new(p.x + 1000, p.y - 37));
+        let first = engine.route(&net).unwrap();
+        for outcome in [
+            &first,
+            &engine.route(&net).unwrap(),
+            &engine.route(&translated).unwrap(),
+        ] {
+            assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
+            assert_eq!(outcome.provenance.counters.cache_probes, 0);
+            assert!(outcome.provenance.counters.candidates_scored >= 1);
+            assert_eq!(outcome.frontier.cost_vec(), first.frontier.cost_vec());
+        }
+        let delta = NetDelta::new(net, DeltaKind::Translate { dx: 5, dy: -2 });
+        let rerouted = engine.reroute(&first, &delta, Session::default()).unwrap();
+        assert_eq!(rerouted.provenance.source, RouteSource::ExactLut);
+        assert_eq!(rerouted.provenance.counters.cache_probes, 0);
+        assert_eq!(rerouted.frontier, engine.route(&delta.apply()).unwrap().frontier);
     }
 }

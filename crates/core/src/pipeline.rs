@@ -18,6 +18,10 @@
 //!            └──────────┘
 //! ```
 //!
+//! The CacheLookup stage runs only on an engine that opted into the
+//! frontier cache ([`crate::Engine::with_cache`]); by default a
+//! tabulated net goes from Classify straight to LutQuery.
+//!
 //! Every route returns a [`RouteOutcome`]: the Pareto frontier plus a
 //! [`RouteProvenance`] recording which stage answered ([`RouteSource`])
 //! and per-stage work counters ([`StageCounters`]). Failures are the

@@ -6,11 +6,12 @@
 //! of erroring, [`crate::Engine::route`] walks a **degradation ladder**
 //!
 //! ```text
-//! cache → LUT query → numeric DW → baseline      (degree ≤ λ)
-//!         local search → baseline                (degree > λ)
+//! [cache →] LUT query → numeric DW → baseline    (degree ≤ λ)
+//!           local search → baseline              (degree > λ)
 //! ```
 //!
-//! where every failed, faulted or budget-expired rung falls through to
+//! (the cache rung only on an engine that opted into the frontier
+//! cache), where every failed, faulted or budget-expired rung falls through to
 //! the next. This module holds the pieces the router composes:
 //!
 //! * [`Clock`] / [`Budget`] — a monotonic clock abstraction so per-net

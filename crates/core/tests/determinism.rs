@@ -1,5 +1,5 @@
 //! Batch/cache determinism: `route_batch` must be bit-identical to
-//! serial `route`, with the frontier cache enabled or disabled.
+//! serial `route`, with the opt-in frontier cache enabled or disabled.
 //!
 //! Comparisons extract frontiers from the [`patlabor::RouteOutcome`]s:
 //! the frontier is the bit-identical part, while provenance legitimately
@@ -42,6 +42,7 @@ fn frontiers(results: Vec<RouteResult>) -> Vec<ParetoSet<RoutingTree>> {
 fn batch_with_and_without_cache_matches_serial_route() {
     let cached = Engine::with_config(RouterConfig {
         lambda: 5,
+        cache: CacheConfig::default(),
         ..RouterConfig::default()
     });
     let uncached = Engine::with_config(RouterConfig {
@@ -83,6 +84,7 @@ fn batch_with_and_without_cache_matches_serial_route() {
 fn congruent_nets_share_one_cache_entry() {
     let router = Engine::with_config(RouterConfig {
         lambda: 5,
+        cache: CacheConfig::default(),
         ..RouterConfig::default()
     });
     let base = Net::new(vec![

@@ -2,7 +2,7 @@
 //!
 //! The per-call entry points in `patlabor` rebuild nothing, but a
 //! process that answers many requests still wants one [`Engine`]
-//! (mmap'd table, warm cache, fault plane) shared across all of them.
+//! (mmap'd table, policy, fault plane) shared across all of them.
 //! This crate is that process: a daemon that owns an `Engine` and
 //! serves route requests over a hand-rolled, std-only wire protocol.
 //! The framed socket is the only transport for route, reroute and

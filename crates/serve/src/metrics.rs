@@ -163,7 +163,8 @@ impl Metrics {
 
     /// Renders the Prometheus text exposition. `report` is the server's
     /// tally of routed requests; `cache` is the engine's live cache
-    /// counters (absent when the frontier cache is disabled);
+    /// counters (absent unless the engine opted into the frontier
+    /// cache);
     /// `table_epoch` is the engine's serving table generation.
     pub fn render(
         &self,

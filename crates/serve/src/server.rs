@@ -152,8 +152,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// What an admitted request asks the engine to do: route a net from
-/// scratch, or replay an ECO edit against a prior route.
+/// What an admitted request asks the engine to do: route a net, or
+/// apply an ECO edit to a prior route's net and reroute it.
 enum Job {
     Route(Net),
     Reroute { delta: NetDelta, prior_edits: u32 },

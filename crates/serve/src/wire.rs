@@ -19,7 +19,8 @@
 //! `staleness` the number of edits already applied since the last full
 //! route (defaults to 0). The presence of `"edit"` is what routes a
 //! frame down the reroute path; responses share the route response
-//! shape, with `"source": "reused"` marking a replay.
+//! shape, with `"source": "reused"` marking a replay (only a daemon
+//! whose engine opted into the frontier cache replays).
 //!
 //! Response (success):
 //! `{"id":7,"ok":true,"degree":3,"source":"exact-lut","rung":"lut",

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 
 use patlabor::resilience::splitmix64;
 use patlabor::{
-    Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, Point, ResilienceConfig, VirtualClock,
+    CacheConfig, Clock, DeltaKind, Engine, LutBuilder, Net, NetDelta, Point, ResilienceConfig,
+    VirtualClock,
 };
 use patlabor_serve::{
     http_request, scrape_metrics, serve, Json, RerouteRequest, RouteClient, RouteRequest,
@@ -121,8 +122,13 @@ fn send_plug(client: &mut RouteClient, gate: &GateClock, id: u64) {
 
 /// A server over `test_engine()` on a fresh gate clock.
 fn gated_server(config: ServeConfig) -> (Engine, Arc<GateClock>, Server) {
+    gated_server_over(test_engine(), config)
+}
+
+/// A server over `engine` on a fresh gate clock.
+fn gated_server_over(engine: Engine, config: ServeConfig) -> (Engine, Arc<GateClock>, Server) {
     let gate = Arc::new(GateClock::default());
-    let engine = test_engine().with_clock(Arc::clone(&gate) as Arc<dyn Clock>);
+    let engine = engine.with_clock(Arc::clone(&gate) as Arc<dyn Clock>);
     let server = serve(engine.clone(), config).expect("bind");
     (engine, gate, server)
 }
@@ -484,18 +490,22 @@ fn impossible_deadline_degrades_but_answers() {
 }
 
 /// ECO reroute frames share batches with fresh routes: a mixed batch
-/// answers both, and a class-preserving edit whose base was routed in
-/// the same batch replays (`"source": "reused"`) — fresh sub-batches
-/// route before delta sub-batches, so the winners are already resident.
+/// answers both, and on an engine with the opt-in frontier cache a
+/// class-preserving edit whose base was routed in the same batch
+/// replays (`"source": "reused"`) — fresh sub-batches route before
+/// delta sub-batches, so the winners are already resident.
 #[test]
 fn reroute_frames_replay_in_mixed_batches() {
     const PLUG: u64 = 100;
-    let (engine, gate, server) = gated_server(ServeConfig {
-        // All four staged requests fit one batch, making the mixed
-        // batch deterministic.
-        max_batch: 4,
-        ..ServeConfig::default()
-    });
+    let (engine, gate, server) = gated_server_over(
+        test_engine().with_cache(CacheConfig::default()),
+        ServeConfig {
+            // All four staged requests fit one batch, making the mixed
+            // batch deterministic.
+            max_batch: 4,
+            ..ServeConfig::default()
+        },
+    );
     let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
@@ -568,7 +578,8 @@ fn reroute_frames_replay_in_mixed_batches() {
 
 /// The HTTP adapter serves /healthz and the /metrics exposition of
 /// requests routed over the framed socket, and routes nothing itself:
-/// the old route verbs answer 405.
+/// the old route verbs answer 405. A default engine has no frontier
+/// cache, so the exposition has no cache families.
 #[test]
 fn http_adapter_serves_metrics_and_routes() {
     let engine = test_engine();
@@ -608,11 +619,11 @@ fn http_adapter_serves_metrics_and_routes() {
         "patlabor_served_by_rung_total{rung=\"lut\"}",
         "patlabor_latency_seconds{quantile=\"0.99\"}",
         "patlabor_latency_seconds_count 3",
-        "patlabor_cache_hit_rate",
         "patlabor_queue_depth 0",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
+    assert!(!text.contains("patlabor_cache_"), "{text}");
 
     // Unknown paths 404 without killing the listener.
     let (status, _) = http_request(http, "GET", "/nope", &[]).expect("GET");

@@ -483,7 +483,10 @@ impl Harness {
         let wire = RouteClient::connect(server.addr())
             .map_err(|e| serve_failure(format!("connecting to the serve daemon failed: {e}")))?;
         Ok(Harness {
-            cached: Engine::with_table_and_config(table.clone(), strict.clone()),
+            // The cache is opt-in, so the cached side of the cache,
+            // batch and delta pairs opts in explicitly.
+            cached: Engine::with_table_and_config(table.clone(), strict.clone())
+                .with_cache(CacheConfig::default()),
             uncached: Engine::with_table_and_config(table.clone(), strict)
                 .with_cache(CacheConfig::disabled()),
             fallback: Engine::with_table(table.clone())
