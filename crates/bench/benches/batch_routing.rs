@@ -2,7 +2,7 @@
 //! frontier cache on a fixed seeded mixed-degree workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use patlabor::{CacheConfig, Engine, Net, RouterConfig};
+use patlabor::{CacheConfig, Engine, LutBuilder, Net, RouterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,8 +23,7 @@ fn bench_batch_routing(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(nets.len() as u64));
     for cache in [false, true] {
-        let router = Engine::with_config(RouterConfig {
-            lambda: 5,
+        let router = Engine::with_table_and_config(LutBuilder::new(5).build(), RouterConfig {
             cache: if cache {
                 CacheConfig::default()
             } else {

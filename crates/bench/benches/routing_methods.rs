@@ -3,7 +3,7 @@
 //! of Fig. 7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_baselines::{pd, salt, weighted_sum};
 use patlabor_geom::Net;
 use rand::SeedableRng;
@@ -16,10 +16,7 @@ fn sample_nets(seed: u64, degree: usize, count: usize) -> Vec<Net> {
 }
 
 fn bench_degree(c: &mut Criterion, degree: usize, count: usize, sample_size: usize) {
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
     let nets = sample_nets(degree as u64, degree, count);
     let mut group = c.benchmark_group(format!("routing_degree_{degree}"));
     group.sample_size(sample_size);

@@ -7,7 +7,7 @@
 //! compare against single-solution flows and a SALT sweep evaluated the
 //! same way.
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_baselines::{rsma, rsmt, salt};
 use patlabor_bench::{paper_note, render_table, scaled};
 use patlabor_tree::{max_elmore, ElmoreModel};
@@ -15,10 +15,7 @@ use patlabor_tree::{max_elmore, ElmoreModel};
 fn main() {
     let net_count = scaled(80, 15);
     println!("Elmore re-ranking of PatLabor Pareto sets ({net_count} nets)\n");
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
     let model = ElmoreModel::default();
     let nets: Vec<_> = patlabor_netgen::iccad_like_suite(0xe180, net_count, 30)
         .into_iter()

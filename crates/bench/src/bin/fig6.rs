@@ -5,7 +5,7 @@
 //! statistic on the ICCAD-like synthetic suite (exact frontiers from the
 //! Pareto-DW / lookup tables).
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{exact_frontier, linear_fit, paper_note, render_table, scaled};
 
 fn main() {
@@ -16,10 +16,7 @@ fn main() {
         .unwrap_or(8);
     println!("Fig 6 — max Pareto frontier size per degree ({nets_per_degree} nets/degree)\n");
 
-    let router = Engine::with_config(RouterConfig {
-        lambda: 6,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(6).build());
 
     let mut xs = Vec::new();
     let mut ys = Vec::new();

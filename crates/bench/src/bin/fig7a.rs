@@ -3,7 +3,7 @@
 //! Curves are normalized by `w(FLUTE)` and `d(CL)` and, following the
 //! paper, averaged only over nets where SALT or YSD is non-optimal.
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{
     average_curve, default_grid, paper_note, render_table, scaled, small_degree_comparison,
     Method,
@@ -21,10 +21,7 @@ fn main() {
          ({nets_per_degree} nets/degree, non-optimal subset)\n"
     );
 
-    let router = Engine::with_config(RouterConfig {
-        lambda,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(lambda).build());
     let (stats, curves) =
         small_degree_comparison(&router, 4..=lambda as usize, nets_per_degree, 0xf17a);
 

@@ -1,7 +1,7 @@
 //! Figure 7(b): averaged Pareto curves and runtimes on large-degree nets
 //! (ICCAD-like degrees 10–50).
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{
     average_curve, default_grid, normalizers, paper_note, render_table, run_method, scaled,
     Method,
@@ -11,10 +11,7 @@ fn main() {
     let net_count = scaled(60, 10);
     println!("Fig 7(b) — averaged Pareto curves, large-degree nets ({net_count} nets)\n");
 
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
 
     // ICCAD-like large-degree sample: resample until the degree is > 9.
     let suite: Vec<_> = patlabor_netgen::iccad_like_suite(0xf17b, net_count * 12, 50)

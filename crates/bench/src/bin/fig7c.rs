@@ -4,7 +4,7 @@
 //! divide-and-conquer YSD substitute is expected to lose badly on
 //! wirelength here — the weakness the paper calls out.
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{
     average_curve, normalizers, paper_note, render_table, run_method, scaled, Method,
 };
@@ -15,10 +15,7 @@ fn main() {
     let degree = 100usize;
     println!("Fig 7(c) — {net_count} random degree-{degree} nets\n");
 
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xf17c);
 
     let mut pooled: [Vec<_>; 4] = Default::default();

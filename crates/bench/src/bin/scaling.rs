@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use patlabor::{CacheConfig, Engine, LookupTable, Net, ParetoSet, RoutingTree};
+use patlabor::{Engine, LookupTable, Net, ParetoSet, RoutingTree};
 
 const SEED: u64 = 0x5ca1_ab1e;
 /// The thread count the speedup floor is read at.
@@ -38,10 +38,10 @@ struct Run {
     min_worker_utilization: f64,
 }
 
-/// Routes `nets` on a fresh cache-off engine; returns the run's numbers
-/// and its frontiers in input order.
+/// Routes `nets` on a fresh engine, which has no frontier cache;
+/// returns the run's numbers and its frontiers in input order.
 fn measure(table: &LookupTable, nets: &[Net], threads: usize) -> (Run, Frontiers) {
-    let router = Engine::with_table(table.clone()).with_cache(CacheConfig::disabled());
+    let router = Engine::with_table(table.clone());
     let start = Instant::now();
     let (results, stats) = router.route_batch_with_stats(nets, threads);
     let secs = start.elapsed().as_secs_f64();

@@ -17,7 +17,7 @@ fn main() {
     let lambda: u8 = std::env::var("PATLABOR_TABLE2_LAMBDA")
         .ok()
         .and_then(|s| s.parse().ok())
-        .filter(|l| (3..=9).contains(l))
+        .filter(|l| patlabor_lut::LAMBDAS.contains(l))
         .unwrap_or(6);
     println!("Table II — lookup-table statistics (lambda = {lambda})\n");
 

@@ -4,7 +4,7 @@
 //! true Pareto frontier. PatLabor is 0% by construction (lookup tables);
 //! the parameterized baselines miss increasingly often as degree grows.
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{paper_note, render_table, scaled, small_degree_comparison, Method};
 
 fn main() {
@@ -19,10 +19,7 @@ fn main() {
          ({nets_per_degree} nets/degree)\n"
     );
 
-    let router = Engine::with_config(RouterConfig {
-        lambda,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(lambda).build());
     let (stats, _) =
         small_degree_comparison(&router, 4..=lambda as usize, nets_per_degree, 0x7ab1e3);
 

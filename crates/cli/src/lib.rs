@@ -45,9 +45,9 @@ use std::time::Duration;
 use patlabor::pipeline::RouteOutcome;
 use patlabor::{
     DeltaKind, Engine, Fault, FaultPlane, LutBuilder, Net, NetDelta, Point, ResilienceConfig,
-    ResilienceReport, RouteError, Session,
+    ResilienceReport, RouteError,
 };
-use patlabor_lut::{LookupTable, TableInfo};
+use patlabor_lut::{LookupTable, TableInfo, LAMBDAS};
 use patlabor_serve::{serve, ServeConfig};
 use patlabor_verify::{
     chaos_soak, mutation_smoke_with_table, verify_with_table, ChaosSoakConfig, VerifyConfig,
@@ -208,10 +208,9 @@ pub struct RouteOptions {
     /// reply object per net, serialized by [`patlabor_serve::wire`] —
     /// byte-compatible with what `patlabor serve` answers.
     pub json: bool,
-    /// ECO edits (parsed from `--eco <edits file>`), replayed after the
-    /// initial routing pass through [`Engine::reroute`]. Edits chain:
-    /// each applies to the net as left by the previous edit, and
-    /// class-preserving edits answer from replay (`via reused`).
+    /// ECO edits (parsed from `--eco <edits file>`), applied after the
+    /// initial routing pass. Edits chain: each applies to the net as
+    /// left by the previous edit, and the edited net is routed afresh.
     pub eco: Vec<EcoEdit>,
 }
 
@@ -244,7 +243,7 @@ impl Default for RouteOptions {
 /// `<net-index> <kind> <args>`, `#` comments and blank lines ignored.
 ///
 /// ```text
-/// # chained edits; staleness grows per net
+/// # chained edits; each applies to its net as the last one left it
 /// 0 translate 5,-2
 /// 1 move-pin 2 7,7
 /// 2 add-sink 3,4
@@ -340,10 +339,7 @@ fn build_engine(tables: Option<&str>, lambda: u8) -> Result<Engine, CliError> {
             })?;
             Ok(Engine::with_table(table))
         }
-        None => Ok(Engine::with_config(patlabor::RouterConfig {
-            lambda,
-            ..patlabor::RouterConfig::default()
-        })),
+        None => Ok(Engine::with_table(LutBuilder::new(lambda).build())),
     }
 }
 
@@ -396,7 +392,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
     let drills = !options.faults.is_empty() || options.deadline_ms.is_some();
     if !options.eco.is_empty() && (options.json || drills || options.threads > 1) {
         return Err(usage_error(
-            "--eco replays edits on the serial human-readable path; it cannot \
+            "--eco applies edits on the serial human-readable path; it cannot \
              combine with --json, --threads, --faults or --deadline-ms",
         ));
     }
@@ -440,10 +436,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
     }
     let report = ResilienceReport::from_results(&results);
     if !options.eco.is_empty() {
-        // No drill, so every slot is `Ok` here (a failure returned
-        // above) and the outcomes keep their nets' indices.
-        let outcomes = results.into_iter().flatten().collect();
-        render_eco(&mut out, nets, outcomes, &engine, options)?;
+        render_eco(&mut out, nets, &engine, options)?;
     }
     out.push_str(&format!("resilience: {report}\n"));
     if options.threads > 1 {
@@ -453,13 +446,13 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
 }
 
 /// The `--eco` pass: applies the edits in file order, each to its net as
-/// the earlier edits left it, reroutes the edited net through
-/// [`Engine::reroute`] from that net's last outcome, and appends the ECO
-/// section, which ends with the edits' own `eco resilience:` report.
+/// the earlier edits left it, routes the edited net with
+/// [`Engine::route`] (the CLI's engine has no frontier cache, so there
+/// is no replay to continue), and appends the ECO section, which ends
+/// with the edits' own `eco resilience:` report.
 fn render_eco(
     out: &mut String,
     nets: &[Net],
-    mut last: Vec<RouteOutcome>,
     engine: &Engine,
     options: &RouteOptions,
 ) -> Result<(), CliError> {
@@ -474,14 +467,14 @@ fn render_eco(
                 current.len()
             )));
         }
-        let delta = NetDelta::new(current[edit.net].clone(), edit.kind);
-        let result = engine.reroute(&last[edit.net], &delta, Session::default());
+        let edited = NetDelta::new(current[edit.net].clone(), edit.kind).apply();
+        let result = engine.route(&edited);
         report.record(&result);
         let outcome = result.map_err(|source| CliError::Route {
             net: edit.net,
             source,
         })?;
-        current[edit.net] = delta.apply();
+        current[edit.net] = edited;
         out.push_str(&format!(
             "edit {e}: net {} {}: {} Pareto solutions via {}\n",
             edit.net,
@@ -492,7 +485,6 @@ fn render_eco(
         for (cost, _) in outcome.frontier.iter() {
             out.push_str(&format!("  w={} d={}\n", cost.wirelength, cost.delay));
         }
-        last[edit.net] = outcome;
     }
     out.push_str(&format!("eco resilience: {report}\n"));
     Ok(())
@@ -937,12 +929,12 @@ ends with a `resilience:` line (nets served per rung), then a per-worker
 wire-protocol reply object per net (NDJSON), byte-compatible with the
 `serve` daemon's responses.
 
-`route --eco EDITS.txt` replays incremental edits after the base route:
+`route --eco EDITS.txt` applies incremental edits after the base route:
 one edit per line, `<net-index> <kind> <args>` where kind is one of
 `translate dx,dy`, `move-pin IDX x,y`, `add-sink x,y`,
 `remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Each edit
-reroutes its net through the delta API (one route of the edited net),
-and the edits end with an `eco resilience:` line.
+applies to its net as the earlier edits left it and routes the edited
+net once, and the edits end with an `eco resilience:` line.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
 (route, reroute and reload verbs) with request batching and admission
@@ -1103,10 +1095,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some(other) => Err(usage_error(format!("unknown command `{other}`\n\n{USAGE}"))),
     }
 }
-
-/// The λ values tables can be built for (`LutBuilder::new` asserts the
-/// same range).
-const LAMBDAS: std::ops::RangeInclusive<u8> = 3..=9;
 
 fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
     it.next()
@@ -1973,10 +1961,7 @@ mod tests {
         assert_eq!(lines.len(), nets.len());
         // Each line is exactly what a serve daemon over the same engine
         // would answer — same serializer, same bytes.
-        let reference = Engine::with_config(patlabor::RouterConfig {
-            lambda: options.lambda,
-            ..patlabor::RouterConfig::default()
-        });
+        let reference = Engine::with_table(LutBuilder::new(options.lambda).build());
         for (i, (line, net)) in lines.iter().zip(&nets).enumerate() {
             let expected =
                 patlabor_serve::result_to_json(i as u64, &reference.route(net)).render();

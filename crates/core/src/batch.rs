@@ -3,10 +3,11 @@
 //! VLSI designs contain millions of nets and every net routes
 //! independently, so the paper evaluates all methods with multithreading
 //! (its footnote 4 chides YSD for comparing GPU batches against serial
-//! SALT). This module provides the high-throughput driver: a shared
-//! queue of output chunks drained by scoped threads over one [`Engine`]
-//! handle (the lookup tables are immutable after construction, so one
-//! engine serves every thread).
+//! SALT). This module provides the high-throughput driver,
+//! [`Engine::route_batch_by`], that every batch entry point and the
+//! serve daemon call: a shared queue of output chunks drained by scoped
+//! threads over one [`Engine`] handle (the lookup tables are immutable
+//! after construction, so one engine serves every thread).
 //!
 //! # Design
 //!
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 use patlabor_geom::Net;
 
 use crate::eco::DeltaJob;
-use crate::engine::{Engine, Session};
+use crate::engine::Engine;
 use crate::pipeline::{RouteError, RouteResult};
 
 /// Hard ceiling on the chunk size, and so on the nets one late claim can
@@ -64,7 +65,7 @@ pub struct WorkerStats {
     pub nets: u64,
 }
 
-/// Batch-level telemetry from [`Engine::route_batch_with_stats`]:
+/// Batch-level telemetry from the batch driver ([`Engine::route_batch_by`]):
 /// what actually happened on each worker, so scaling claims can be
 /// checked against per-thread utilization instead of inferred from
 /// wall-clock alone.
@@ -200,22 +201,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 impl Engine {
-    /// [`Engine::route_session`] with batch-level panic isolation: a
-    /// panic that escapes the degradation ladder (a fault no rung could
-    /// absorb) is converted into [`RouteError::Panicked`] for this net's
-    /// slot instead of unwinding — and thereby poisoning — the whole
-    /// batch.
-    fn route_caught(&self, net: &Net, session: &Session) -> RouteResult {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.route_session(net, session)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(RouteError::Panicked {
-                payload: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
     /// Routes every net, spreading work over `threads` OS threads.
     ///
     /// `threads` is clamped to at least 1 (a zero request degrades to
@@ -242,69 +227,59 @@ impl Engine {
         nets: &[Net],
         threads: usize,
     ) -> (Vec<RouteResult>, BatchStats) {
-        let default = Session::default();
-        self.drive_batch(nets.len(), threads, |i| self.route_caught(&nets[i], &default))
+        self.route_batch_by(nets.len(), threads, |i| self.route(&nets[i]))
     }
 
-    /// Routes a batch of requests, each under its own [`Session`], over
-    /// the same batch driver. Results are in input order, one slot per
-    /// request, and each request's frontier is bit-identical to routing
-    /// it alone via [`Engine::route_session`] — batching changes
-    /// latency, never answers. The serve layer routes each batch of
-    /// queued requests through this call.
-    pub fn route_batch_sessions(
-        &self,
-        requests: &[(Net, Session)],
-        threads: usize,
-    ) -> (Vec<RouteResult>, BatchStats) {
-        self.drive_batch(requests.len(), threads, |i| {
-            let (net, session) = &requests[i];
-            self.route_caught(net, session)
-        })
-    }
-
-    /// [`Engine::reroute_with_staleness`] with batch-level panic
-    /// isolation, mirroring [`Engine::route_caught`].
-    fn reroute_caught(&self, job: &DeltaJob) -> RouteResult {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.reroute_with_staleness(&job.delta, job.prior_edits, &job.session)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(RouteError::Panicked {
-                payload: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
-    /// Reroutes a batch of edits over the same batch driver as
-    /// [`Engine::route_batch_sessions`]. Results are in input order, one
-    /// slot per job, and each slot is one route of its edited net. Only
-    /// on an engine that opted into the frontier cache do
-    /// class-preserving edits replay instead (provenance
-    /// [`crate::RouteSource::Reused`]); see [`Engine::reroute`]. The
-    /// serve layer batches `reroute` wire requests with fresh routes and
-    /// routes the reroutes of a mixed batch through this call.
+    /// Reroutes a batch of edits: [`Engine::route_batch_by`] over
+    /// [`Engine::reroute_with_staleness`]. Each slot is one route of its
+    /// edited net; only on an engine that opted into the frontier cache
+    /// do class-preserving edits replay instead (provenance
+    /// [`crate::RouteSource::Reused`]).
     pub fn route_batch_deltas(
         &self,
         jobs: &[DeltaJob],
         threads: usize,
     ) -> (Vec<RouteResult>, BatchStats) {
-        self.drive_batch(jobs.len(), threads, |i| self.reroute_caught(&jobs[i]))
+        self.route_batch_by(jobs.len(), threads, |i| {
+            let job = &jobs[i];
+            self.reroute_with_staleness(&job.delta, job.prior_edits, &job.session)
+        })
     }
 
-    /// The shared driver body: serial fast path or shared-queue fill
-    /// over `len` independent slots.
-    fn drive_batch(
+    /// The batch driver: fills `len` independent slots, slot `i` with
+    /// `route(i)`, over `threads` OS threads (clamped to at least 1),
+    /// and returns the results in index order with the driver telemetry.
+    /// Every batch entry point is one call of this; the serve layer
+    /// routes each batch of queued requests, routes and reroutes alike,
+    /// through one call too.
+    ///
+    /// One thread, or at most one slot, routes serially on the calling
+    /// thread; otherwise `min(threads, len)` scoped workers drain one
+    /// shared queue of output chunks. `route` is called once per slot and
+    /// its result lands in that slot, whichever worker runs it.
+    /// A panic that escapes `route` is caught for its slot and becomes
+    /// [`RouteError::Panicked`]: one pathological request never takes
+    /// the batch down.
+    pub fn route_batch_by(
         &self,
         len: usize,
         threads: usize,
-        fill: impl Fn(usize) -> RouteResult + Sync,
+        route: impl Fn(usize) -> RouteResult + Sync,
     ) -> (Vec<RouteResult>, BatchStats) {
+        let fill = |i| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(i))).unwrap_or_else(
+                |payload| {
+                    Err(RouteError::Panicked {
+                        payload: panic_message(payload.as_ref()),
+                    })
+                },
+            )
+        };
         let threads = threads.max(1);
         let t0 = Instant::now();
         if threads == 1 || len <= 1 {
             let busy = Instant::now();
-            let results: Vec<RouteResult> = (0..len).map(&fill).collect();
+            let results: Vec<RouteResult> = (0..len).map(fill).collect();
             let busy_ns = busy.elapsed().as_nanos() as u64;
             let stats = BatchStats {
                 workers: 1,
@@ -342,6 +317,10 @@ mod tests {
     use patlabor_pareto::ParetoSet;
     use patlabor_tree::RoutingTree;
 
+    fn engine4() -> Engine {
+        Engine::with_table(crate::LutBuilder::new(4).build())
+    }
+
     /// The frontiers of a batch result, panicking on any per-net error.
     ///
     /// Comparisons use frontiers rather than whole outcomes: on an
@@ -358,10 +337,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_and_is_order_stable() {
-        let engine = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let engine = engine4();
         let nets = patlabor_netgen::iccad_like_suite(0xba7c4, 24, 12);
         let sequential: Vec<_> = nets
             .iter()
@@ -380,10 +356,7 @@ mod tests {
     #[test]
     fn determinism_matrix_across_thread_counts() {
         let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let engine = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let engine = engine4();
         let nets = patlabor_netgen::iccad_like_suite(0xde7e2, 60, 10);
         let sequential: Vec<_> = nets
             .iter()
@@ -403,10 +376,7 @@ mod tests {
 
     #[test]
     fn chunk_size_follows_the_auto_rule() {
-        let engine = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let engine = engine4();
         let nets = patlabor_netgen::iccad_like_suite(0xc4u64, 20, 8);
         let (results, stats) = engine.route_batch_with_stats(&nets, 2);
         assert_eq!(stats.chunk_size, auto_chunk(nets.len(), 2));
@@ -421,10 +391,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_serial() {
-        let engine = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let engine = engine4();
         let nets = patlabor_netgen::iccad_like_suite(0x21, 5, 8);
         // With no cache, provenance is a function of the net alone, so
         // whole outcomes compare.
@@ -435,10 +402,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_nets_is_fine() {
-        let engine = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let engine = engine4();
         let nets = patlabor_netgen::iccad_like_suite(0x5e5e, 3, 6);
         let serial: Vec<_> = nets
             .iter()
@@ -606,10 +570,7 @@ mod tests {
     fn stage_panic_isolates_to_its_slot() {
         use crate::resilience::{net_key, Fault, FaultKind, FaultPlane, FaultScope, Rung};
 
-        let clean = Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        });
+        let clean = engine4();
         let faults = FaultPlane::seeded(0x5eed).with_fault(Fault {
             kind: FaultKind::StagePanic,
             scope: FaultScope::AllRungs,

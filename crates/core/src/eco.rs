@@ -4,14 +4,16 @@
 //! edits to placed designs: a pin nudged by legalization, a sink added
 //! by buffering, a blockage dropped over a macro. A delta API lets a
 //! client reroute only the nets an edit touched:
-//! [`crate::Engine::reroute`] applies the edit and routes the edited net.
+//! [`crate::Engine::reroute_with_staleness`] applies the edit and routes
+//! the edited net, and [`crate::Engine::route_batch_deltas`] does so for
+//! a batch of edits.
 //!
 //! Replay is opt-in. Both objectives are invariant under translation and
 //! the D4 symmetries, so an edit that preserves the net's `(canonical
 //! pattern key, canonical gap vector)` class leaves the *winning
 //! topology ids* of the previous route exactly correct for the new
 //! geometry. On an engine that opted into the frontier cache
-//! ([`crate::Engine::with_cache`]), `reroute` classifies the mutated net
+//! ([`crate::Engine::with_cache`]), a reroute classifies the mutated net
 //! and, when the class is unchanged and the winners are resident,
 //! replays them against the new pins without touching the LUT's
 //! candidate pool — provenance [`crate::RouteSource::Reused`],
@@ -314,11 +316,24 @@ mod tests {
 
     use crate::cache::{CacheConfig, CacheKey};
     use crate::engine::{Engine, Session};
-    use crate::pipeline::RouteSource;
+    use crate::pipeline::{RouteOutcome, RouteSource};
     use crate::{LutBuilder, RouterConfig};
 
     fn engine4() -> Engine {
         Engine::with_table(LutBuilder::new(4).threads(2).build())
+    }
+
+    /// The next link of a replay chain: reroutes `delta` continuing the
+    /// staleness of `prev`, its `Reused` edit count or 0 after a fresh
+    /// route.
+    fn reroute_from(engine: &Engine, prev: &RouteOutcome, delta: &NetDelta) -> RouteOutcome {
+        let prior_edits = match prev.provenance.source {
+            RouteSource::Reused { staleness } => staleness,
+            _ => 0,
+        };
+        engine
+            .reroute_with_staleness(delta, prior_edits, &Session::default())
+            .expect("reroute")
     }
 
     /// xorshift64 — the same deterministic generator the router tests use.
@@ -451,14 +466,14 @@ mod tests {
         for edit in 1..=cap {
             let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
             current = delta.apply();
-            prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
+            prev = reroute_from(&engine, &prev, &delta);
             assert_eq!(prev.provenance.source, RouteSource::Reused { staleness: edit });
         }
         // Edit cap+1 busts the cap: a fresh ladder route answers (for a
         // translate, the warm cache serves it — but NOT as `Reused`).
         let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
         current = delta.apply();
-        prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
+        prev = reroute_from(&engine, &prev, &delta);
         assert_eq!(
             prev.provenance.source,
             RouteSource::CacheHit,
@@ -466,7 +481,7 @@ mod tests {
         );
         // The fresh route re-anchored the lineage: the counter restarts.
         let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
-        prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
+        prev = reroute_from(&engine, &prev, &delta);
         assert_eq!(prev.provenance.source, RouteSource::Reused { staleness: 1 });
     }
 
@@ -526,7 +541,6 @@ mod tests {
     fn out_of_range_edits_are_rejected_before_replay() {
         let engine = engine4();
         let net = base();
-        let prev = engine.route(&net).expect("base route");
         let delta = NetDelta::new(
             net.clone(),
             DeltaKind::Translate {
@@ -538,7 +552,10 @@ mod tests {
             pin: 0,
             at: Point::new(i64::MAX, 0),
         });
-        assert_eq!(engine.reroute(&prev, &delta, Session::default()), rejected);
+        assert_eq!(
+            engine.reroute_with_staleness(&delta, 0, &Session::default()),
+            rejected
+        );
         let ok = DeltaJob {
             delta: NetDelta::new(net, DeltaKind::Translate { dx: 3, dy: 1 }),
             prior_edits: 0,

@@ -18,7 +18,7 @@
 //! The engine is the crate's only router handle: library callers route
 //! with [`Engine::route`] or the batch driver, and `patlabor serve` runs
 //! one engine per process, one session per request, batched through
-//! [`Engine::route_batch_sessions`].
+//! [`Engine::route_batch_by`].
 
 use std::any::Any;
 use std::cell::Cell;
@@ -59,13 +59,10 @@ use crate::resilience::{
 /// poll reads the clock.
 const BUDGET_POLL_STRIDE: u32 = 64;
 
-/// Engine-level configuration.
+/// Engine-level configuration. λ is not part of it: the lookup table an
+/// engine is built around decides which degrees are tabulated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
-    /// λ used when the engine builds its own lookup tables (degrees
-    /// `2..=λ` answered exactly). Tables for λ ≤ 6 build in seconds;
-    /// λ = 7+ should be generated offline and loaded.
-    pub lambda: u8,
     /// Local-search settings for nets with degree `> λ`.
     pub local_search: LocalSearchConfig,
     /// Frontier-cache settings ([`crate::cache`]). Off by default
@@ -75,9 +72,9 @@ pub struct RouterConfig {
     /// [`CacheConfig::default`]: it memoizes winning topology ids per
     /// congruence class, so a congruent repeat skips only the scoring
     /// of dominated candidates, and it enables ECO replay
-    /// ([`Engine::reroute`]). Measured on the benchmark's workloads, its
-    /// probes and inserts cost more than that saves. Frontiers are
-    /// bit-identical with the cache on or off.
+    /// ([`Engine::reroute_with_staleness`]). Measured on the benchmark's
+    /// workloads, its probes and inserts cost more than that saves.
+    /// Frontiers are bit-identical with the cache on or off.
     pub cache: CacheConfig,
     /// Which fallback rungs of the degradation ladder are armed, whether
     /// served frontiers are validated against their witness trees, and
@@ -90,16 +87,15 @@ pub struct RouterConfig {
     /// fires and the serving path skips all fault bookkeeping.
     pub faults: FaultPlane,
     /// Incremental-rerouting policy ([`EcoConfig`]): how many
-    /// consecutive edits [`Engine::reroute`] may serve from replay
-    /// before forcing a fresh route. Replay needs the opt-in frontier
-    /// cache, so without one this has no effect.
+    /// consecutive edits [`Engine::reroute_with_staleness`] may serve
+    /// from replay before forcing a fresh route. Replay needs the opt-in
+    /// frontier cache, so without one this has no effect.
     pub eco: EcoConfig,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            lambda: 5,
             local_search: LocalSearchConfig::default(),
             cache: CacheConfig::disabled(),
             resilience: ResilienceConfig::default(),
@@ -272,38 +268,19 @@ impl Engine {
     /// Builds an engine with freshly generated λ = 5 lookup tables and
     /// the default trained policy.
     pub fn new() -> Self {
-        Self::with_config(RouterConfig::default())
+        Self::with_table(LutBuilder::new(5).build())
     }
 
-    /// Builds an engine with the given configuration (generating tables
-    /// for its λ).
-    pub fn with_config(config: RouterConfig) -> Self {
-        let table = LutBuilder::new(config.lambda).build();
-        Self::assemble(table, config)
-    }
-
-    /// Builds an engine around pre-generated tables (e.g. mmap'd from
-    /// disk via [`LookupTable::open_mmap`]).
+    /// Builds an engine around pre-generated tables: built with
+    /// [`LutBuilder`], or mmap'd from disk via [`LookupTable::open_mmap`].
+    /// The table decides λ: degrees `2..=table.lambda()` are answered
+    /// exactly.
     pub fn with_table(table: LookupTable) -> Self {
-        let config = RouterConfig {
-            lambda: table.lambda(),
-            ..RouterConfig::default()
-        };
-        Self::assemble(table, config)
+        Self::with_table_and_config(table, RouterConfig::default())
     }
 
-    /// Builds an engine around pre-generated tables with an explicit
-    /// configuration. `config.lambda` is overridden by the table's λ —
-    /// the table, not the config, decides which degrees are tabulated.
+    /// [`Engine::with_table`] with an explicit configuration.
     pub fn with_table_and_config(table: LookupTable, config: RouterConfig) -> Self {
-        let config = RouterConfig {
-            lambda: table.lambda(),
-            ..config
-        };
-        Self::assemble(table, config)
-    }
-
-    fn assemble(table: LookupTable, config: RouterConfig) -> Self {
         Engine {
             inner: Arc::new(EngineInner {
                 table: TableSlot::new(Arc::new(table)),
@@ -436,7 +413,8 @@ impl Engine {
     }
 
     /// Routes one net under the engine-level configuration alone
-    /// (equivalent to [`Engine::route_session`] with a default session).
+    /// (equivalent to [`Engine::route_session`] with a default session,
+    /// and like it re-raises a panic that no rung absorbs).
     pub fn route(&self, net: &Net) -> RouteResult {
         self.route_session(net, &Session::default())
     }
@@ -464,12 +442,19 @@ impl Engine {
     /// Routing is deterministic: the frontier is bit-identical regardless
     /// of the frontier cache's state and of any session deadline generous
     /// enough not to expire.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a rung is caught and the next rung tries the net.
+    /// When no later rung serves it (every one that could have absorbed
+    /// it is disabled, or panicked too), the first caught panic resumes
+    /// unwinding out of this call. The batch driver
+    /// ([`Engine::route_batch_by`]) catches it per slot as
+    /// [`RouteError::Panicked`].
     pub fn route_session(&self, net: &Net, session: &Session) -> RouteResult {
         check_coordinates(net)?;
         let inner = &*self.inner;
         let degree = net.degree();
-        let mut counters = StageCounters::default();
-        let mut trace = DegradationTrace::default();
 
         // Stage: Classify — pick the serving path by degree.
         if degree == 2 {
@@ -479,7 +464,11 @@ impl Engine {
             let (w, d) = tree.objectives();
             let mut frontier = ParetoSet::new();
             frontier.insert(Cost::new(w, d), tree);
-            counters.trees_materialized = 1;
+            let counters = StageCounters {
+                trees_materialized: 1,
+                ..StageCounters::default()
+            };
+            let mut trace = DegradationTrace::default();
             trace.push(Rung::ClosedForm, RungOutcome::Served);
             return Ok(outcome(frontier, degree, RouteSource::ClosedForm, counters, trace));
         }
@@ -496,15 +485,19 @@ impl Engine {
         let budget =
             deadline.map(|deadline| Budget::new(Arc::clone(&inner.clock), deadline));
         let faults = &inner.config.faults;
-        let ctx = LadderCtx {
+        let mut ladder = Ladder {
             faults,
             budget: budget.as_ref(),
             // `FaultPlane::fires` reads the key only when a fault is
             // armed, so an empty plane skips hashing the pins.
             key: if faults.is_empty() { 0 } else { net_key(net) },
+            degree,
+            validate: res.validate_frontiers,
+            counters: StageCounters::default(),
+            trace: DegradationTrace::default(),
+            panic_payload: None,
+            table_error: None,
         };
-        let mut panic_payload: Option<Box<dyn Any + Send>> = None;
-        let mut table_error: Option<RouteError> = None;
 
         if degree <= table.lambda() as usize {
             let class = table
@@ -518,177 +511,81 @@ impl Engine {
             // no probe, no insert, no rung attempt — until the periodic
             // re-probe window re-arms it (`skip_probe` drives that).
             if let Some(cache) = inner.cache.as_ref().filter(|c| !c.skip_probe()) {
-                let outcome_ =
-                    run_rung(&ctx, Rung::Cache, &mut counters, &mut panic_payload, |counters| {
-                        counters.cache_probes = 1;
-                        let key = CacheKey::from_class(&class);
-                        let ids = cache.get(&key).ok_or(RungOutcome::Unavailable)?;
-                        counters.cache_hits = 1;
-                        counters.trees_materialized = ids.len() as u32;
-                        let mut frontier = table.query_ids(net, &class, &ids);
-                        if ctx.fires(FaultKind::CorruptedRow, Rung::Cache) {
-                            frontier = corrupt_first_cost(frontier);
-                        }
-                        if res.validate_frontiers && !frontier_consistent(&frontier) {
-                            return Err(RungOutcome::CorruptRow);
-                        }
-                        Ok(frontier)
-                    });
-                match outcome_ {
-                    Ok(frontier) => {
-                        trace.push(Rung::Cache, RungOutcome::Served);
-                        return Ok(outcome(
-                            frontier,
-                            degree,
-                            RouteSource::CacheHit,
-                            counters,
-                            trace,
-                        ));
-                    }
-                    // A plain miss is the normal path, not a degradation.
-                    Err(RungOutcome::Unavailable) => {}
-                    Err(o) => trace.push(Rung::Cache, o),
+                if let Some(served) = ladder.run(Rung::Cache, RouteSource::CacheHit, |l| {
+                    l.counters.cache_probes = 1;
+                    let ids = cache
+                        .get(&CacheKey::from_class(&class))
+                        .ok_or(RungOutcome::Unavailable)?;
+                    l.counters.cache_hits = 1;
+                    l.counters.trees_materialized = ids.len() as u32;
+                    l.vetted(Rung::Cache, table.query_ids(net, &class, &ids))
+                }) {
+                    return Ok(served);
                 }
             }
 
             // Rung: Lut — the primary rung for tabulated degrees.
-            let outcome_ =
-                run_rung(&ctx, Rung::Lut, &mut counters, &mut panic_payload, |counters| {
-                    // In this branch degree ≤ λ ≤ u8::MAX, so the narrowing
-                    // casts below are lossless.
-                    if ctx.fires(FaultKind::MissingDegree, Rung::Lut) {
-                        table_error.get_or_insert(RouteError::MissingDegree {
-                            degree: degree as u8,
-                            lambda: table.lambda(),
-                        });
-                        return Err(RungOutcome::MissingDegree);
-                    }
-                    if ctx.fires(FaultKind::MissingPattern, Rung::Lut) {
-                        table_error.get_or_insert(RouteError::MissingPattern {
-                            degree: degree as u8,
-                            key: class.canonical_key(),
-                        });
-                        return Err(RungOutcome::MissingPattern);
-                    }
-                    let (mut frontier, winners) = match lut_query(table, net, &class, counters) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            let outcome = if matches!(e, RouteError::MissingDegree { .. }) {
-                                RungOutcome::MissingDegree
-                            } else {
-                                RungOutcome::MissingPattern
-                            };
-                            table_error.get_or_insert(e);
-                            return Err(outcome);
-                        }
-                    };
-                    if ctx.fires(FaultKind::CorruptedRow, Rung::Lut) {
-                        frontier = corrupt_first_cost(frontier);
-                    }
-                    if res.validate_frontiers && !frontier_consistent(&frontier) {
-                        return Err(RungOutcome::CorruptRow);
-                    }
-                    Ok((frontier, winners))
-                });
-            match outcome_ {
-                Ok((frontier, winners)) => {
-                    if let Some(cache) = inner.cache.as_ref().filter(|c| !c.bypassed()) {
-                        cache.insert_at(CacheKey::from_class(&class), winners.into(), generation.epoch);
-                    }
-                    trace.push(Rung::Lut, RungOutcome::Served);
-                    return Ok(outcome(
-                        frontier,
-                        degree,
-                        RouteSource::ExactLut,
-                        counters,
-                        trace,
-                    ));
+            if let Some(served) = ladder.run(Rung::Lut, RouteSource::ExactLut, |l| {
+                // In this branch degree ≤ λ ≤ u8::MAX, so the narrowing
+                // casts below are lossless.
+                if l.fires(FaultKind::MissingDegree, Rung::Lut) {
+                    return Err(l.table_miss(RouteError::MissingDegree {
+                        degree: degree as u8,
+                        lambda: table.lambda(),
+                    }));
                 }
-                Err(o) => trace.push(Rung::Lut, o),
+                if l.fires(FaultKind::MissingPattern, Rung::Lut) {
+                    return Err(l.table_miss(RouteError::MissingPattern {
+                        degree: degree as u8,
+                        key: class.canonical_key(),
+                    }));
+                }
+                let (frontier, winners) =
+                    lut_query(table, net, &class, &mut l.counters).map_err(|e| l.table_miss(e))?;
+                let frontier = l.vetted(Rung::Lut, frontier)?;
+                if let Some(cache) = inner.cache.as_ref().filter(|c| !c.bypassed()) {
+                    cache.insert_at(CacheKey::from_class(&class), winners.into(), generation.epoch);
+                }
+                Ok(frontier)
+            }) {
+                return Ok(served);
             }
 
             // Rung: NumericDw — re-enumerate from scratch what the table
             // could not serve. Exact but per-instance expensive, hence
             // capped at `numeric::MAX_DEGREE`.
             if res.dw_fallback && degree <= numeric::MAX_DEGREE {
-                let outcome_ =
-                    run_rung(&ctx, Rung::NumericDw, &mut counters, &mut panic_payload, |counters| {
-                        let checks = Cell::new(0u32);
-                        let result =
-                            numeric::pareto_frontier_cancellable(net, &DwConfig::default(), &|| {
-                                let n = checks.get() + 1;
-                                checks.set(n);
-                                // Reading the clock is what costs, not the
-                                // checkpoint itself: stride the reads so a
-                                // hot DP loop stays inside the 2% budget
-                                // of `BUDGET_POLL_STRIDE`.
-                                n.is_multiple_of(BUDGET_POLL_STRIDE)
-                                    && ctx.budget.is_some_and(Budget::exceeded)
-                            });
-                        if ctx.budget.is_some() {
-                            counters.budget_checks += checks.get();
-                        }
-                        result.map_err(|Cancelled| RungOutcome::DeadlineExceeded)
-                    });
-                match outcome_ {
-                    Ok(frontier) => {
-                        trace.push(Rung::NumericDw, RungOutcome::Served);
-                        return Ok(outcome(
-                            frontier,
-                            degree,
-                            RouteSource::NumericDw,
-                            counters,
-                            trace,
-                        ));
-                    }
-                    Err(o) => trace.push(Rung::NumericDw, o),
+                if let Some(served) = ladder.run(Rung::NumericDw, RouteSource::NumericDw, |l| {
+                    // Reading the clock is what costs, not the checkpoint
+                    // itself: stride the reads so a hot DP loop stays
+                    // inside the 2% budget of `BUDGET_POLL_STRIDE`.
+                    l.polled::<BUDGET_POLL_STRIDE, _>(|poll| {
+                        numeric::pareto_frontier_cancellable(net, &DwConfig::default(), poll)
+                    })
+                }) {
+                    return Ok(served);
                 }
             }
         } else {
             // Rung: LocalSearch — the primary rung above λ.
-            let outcome_ =
-                run_rung(&ctx, Rung::LocalSearch, &mut counters, &mut panic_payload, |counters| {
-                    // A missing-degree fault here simulates reroute tables
-                    // the search cannot use (its subnets query the same
-                    // LUT), demoting the net to the baseline rung.
-                    if ctx.fires(FaultKind::MissingDegree, Rung::LocalSearch) {
-                        return Err(RungOutcome::MissingDegree);
-                    }
-                    let checks = Cell::new(0u32);
-                    let result = local_search_cancellable(
-                        net,
-                        table,
-                        &inner.policy,
-                        &inner.config.local_search,
-                        &|| {
-                            checks.set(checks.get() + 1);
-                            ctx.budget.is_some_and(Budget::exceeded)
-                        },
-                    );
-                    if ctx.budget.is_some() {
-                        counters.budget_checks += checks.get();
-                    }
-                    match result {
-                        Ok((frontier, report)) => {
-                            counters.local_search_rounds = report.rounds as u32;
-                            counters.local_search_candidates = report.candidates as u32;
-                            Ok(frontier)
-                        }
-                        Err(Cancelled) => Err(RungOutcome::DeadlineExceeded),
-                    }
-                });
-            match outcome_ {
-                Ok(frontier) => {
-                    trace.push(Rung::LocalSearch, RungOutcome::Served);
-                    return Ok(outcome(
-                        frontier,
-                        degree,
-                        RouteSource::LocalSearch,
-                        counters,
-                        trace,
-                    ));
+            if let Some(served) = ladder.run(Rung::LocalSearch, RouteSource::LocalSearch, |l| {
+                // A missing-degree fault here simulates reroute tables
+                // the search cannot use (its subnets query the same
+                // LUT), demoting the net to the baseline rung.
+                if l.fires(FaultKind::MissingDegree, Rung::LocalSearch) {
+                    return Err(RungOutcome::MissingDegree);
                 }
-                Err(o) => trace.push(Rung::LocalSearch, o),
+                // The search polls a few times per round, each poll far
+                // apart, so every poll reads the clock.
+                let (frontier, report) = l.polled::<1, _>(|poll| {
+                    let config = &inner.config.local_search;
+                    local_search_cancellable(net, table, &inner.policy, config, poll)
+                })?;
+                l.counters.local_search_rounds = report.rounds as u32;
+                l.counters.local_search_candidates = report.candidates as u32;
+                Ok(frontier)
+            }) {
+                return Ok(served);
             }
         }
 
@@ -696,48 +593,31 @@ impl Engine {
         // an expired budget still yields valid (approximate) trees
         // instead of nothing.
         if res.baseline_fallback {
-            let outcome_ =
-                run_rung(&ctx, Rung::Baseline, &mut counters, &mut panic_payload, |counters| {
-                    let frontier = fallback_frontier(net);
-                    counters.trees_materialized += frontier.len() as u32;
-                    Ok(frontier)
-                });
-            match outcome_ {
-                Ok(frontier) => {
-                    trace.push(Rung::Baseline, RungOutcome::Served);
-                    return Ok(outcome(
-                        frontier,
-                        degree,
-                        RouteSource::Baseline,
-                        counters,
-                        trace,
-                    ));
-                }
-                Err(o) => trace.push(Rung::Baseline, o),
+            if let Some(served) = ladder.run(Rung::Baseline, RouteSource::Baseline, |l| {
+                let frontier = fallback_frontier(net);
+                l.counters.trees_materialized += frontier.len() as u32;
+                Ok(frontier)
+            }) {
+                return Ok(served);
             }
         }
-
-        // Ladder exhausted. A caught panic is not ours to swallow when no
-        // rung could absorb it (the batch driver isolates it per slot);
-        // otherwise prefer the real table error over the generic
-        // exhaustion report.
-        if let Some(payload) = panic_payload {
-            panic::resume_unwind(payload);
-        }
-        Err(table_error.unwrap_or(RouteError::RungsExhausted { degree, trace }))
+        Err(ladder.exhausted())
     }
 
     /// Incremental (ECO) rerouting: applies `delta` to its base net and
     /// routes the edited net. On an engine without a frontier cache (the
     /// default) that is all it does: one [`Engine::route_session`] of
-    /// `delta.apply()`, which classifies the net once. An engine that
-    /// opted into the cache ([`Engine::with_cache`]) first tries to
-    /// answer from replay when the edit preserved the congruence class
-    /// (see [`crate::eco`] and DESIGN.md §16).
+    /// `delta.apply()`, which classifies the net once, and `prior_edits`
+    /// is not read. An engine that opted into the cache
+    /// ([`Engine::with_cache`]) first tries to answer from replay when
+    /// the edit preserved the congruence class (see [`crate::eco`] and
+    /// DESIGN.md §16).
     ///
-    /// `prev` supplies the replay staleness lineage: a prior
-    /// [`RouteSource::Reused`] outcome continues the edit count, any
-    /// other provenance restarts it. [`RouterConfig::eco`]'s
+    /// `prior_edits` is the replay staleness lineage: the number of
+    /// edits already served from replay for this net, which a prior
+    /// [`RouteSource::Reused`] outcome reports as its `staleness` (0
+    /// after any other provenance; the serve layer forwards the wire
+    /// request's `staleness` field). [`RouterConfig::eco`]'s
     /// `staleness_cap` bounds how many consecutive edits replay may
     /// serve; past the cap the mutated net routes fresh, which resets
     /// the counter (a fresh outcome's provenance is no longer `Reused`).
@@ -748,18 +628,6 @@ impl Engine {
     /// of candidates that were already dominated. When the class
     /// changed, the winners are not resident, or validation fails, the
     /// mutated net falls through the ordinary degradation ladder.
-    pub fn reroute(&self, prev: &RouteOutcome, delta: &NetDelta, session: Session) -> RouteResult {
-        let prior_edits = match prev.provenance.source {
-            RouteSource::Reused { staleness } => staleness,
-            _ => 0,
-        };
-        self.reroute_with_staleness(delta, prior_edits, &session)
-    }
-
-    /// [`Engine::reroute`] without a prior outcome in hand: the caller
-    /// supplies the number of edits already served from replay for this
-    /// net's lineage (the serve layer forwards the wire request's
-    /// `staleness` field here; 0 after a fresh route).
     pub fn reroute_with_staleness(
         &self,
         delta: &NetDelta,
@@ -910,70 +778,163 @@ fn outcome(
     }
 }
 
-/// The per-route context [`run_rung`] reads: the fault plane, the
-/// deadline budget injected delays are charged to, and the net's
-/// fault-decision key (0 when the plane is empty and never reads it).
-struct LadderCtx<'a> {
+/// One route's descent through the degradation ladder: what every rung
+/// reads — the fault plane, the deadline budget injected delays are
+/// charged to, the net's fault-decision key (0 when the plane is empty
+/// and never reads it) and whether frontiers are validated — and what
+/// the rungs leave behind: the stage counters, the trace, the first
+/// caught panic and the first table error.
+struct Ladder<'a> {
     faults: &'a FaultPlane,
     budget: Option<&'a Budget>,
     key: u64,
+    degree: usize,
+    validate: bool,
+    counters: StageCounters,
+    trace: DegradationTrace,
+    panic_payload: Option<Box<dyn Any + Send>>,
+    table_error: Option<RouteError>,
 }
 
-impl LadderCtx<'_> {
+impl Ladder<'_> {
     /// [`FaultPlane::fires`] for this route's net.
     fn fires(&self, kind: FaultKind, rung: Rung) -> bool {
         self.faults.fires(kind, rung, self.key)
     }
-}
 
-/// Runs one rung inside the ladder's shared harness:
-///
-/// 1. an injected stage delay is charged to the net's own budget
-///    *before* the deadline gate, so a stalled stage burns the budget it
-///    is about to be judged against — and no other net's;
-/// 2. compute rungs ([`Rung::deadline_gated`]) are skipped once the
-///    budget is exceeded;
-/// 3. the body runs under `catch_unwind` (with an injected stage panic
-///    fired inside it), so a panicking rung falls through instead of
-///    unwinding the caller. The first caught payload is kept so an
-///    unabsorbed panic can resume after the ladder is exhausted.
-fn run_rung<T>(
-    ctx: &LadderCtx<'_>,
-    rung: Rung,
-    counters: &mut StageCounters,
-    panic_payload: &mut Option<Box<dyn Any + Send>>,
-    body: impl FnOnce(&mut StageCounters) -> Result<T, RungOutcome>,
-) -> Result<T, RungOutcome> {
-    if let Some(budget) = ctx.budget {
-        if ctx.fires(FaultKind::StageDelay, rung) {
-            budget.charge(ctx.faults.delay());
+    /// Runs one rung inside the ladder's shared harness:
+    ///
+    /// 1. an injected stage delay is charged to the net's own budget
+    ///    *before* the deadline gate, so a stalled stage burns the budget it
+    ///    is about to be judged against — and no other net's;
+    /// 2. compute rungs ([`Rung::deadline_gated`]) are skipped once the
+    ///    budget is exceeded;
+    /// 3. the body runs under `catch_unwind` (with an injected stage panic
+    ///    fired inside it), so a panicking rung falls through instead of
+    ///    unwinding the caller. The first caught payload is kept so an
+    ///    unabsorbed panic can resume after the ladder is exhausted.
+    ///
+    /// A rung that serves records `served` and returns the outcome, with
+    /// `source` as its provenance. A rung that fails records how, and
+    /// returns `None` for the next rung to try. An `unavailable` rung, a
+    /// cache miss, records nothing: a miss is the normal path, not a
+    /// degradation.
+    fn run(
+        &mut self,
+        rung: Rung,
+        source: RouteSource,
+        body: impl FnOnce(&mut Self) -> Result<ParetoSet<RoutingTree>, RungOutcome>,
+    ) -> Option<RouteOutcome> {
+        if let Some(budget) = self.budget {
+            if self.fires(FaultKind::StageDelay, rung) {
+                budget.charge(self.faults.delay());
+            }
         }
-    }
-    if rung.deadline_gated() {
-        if let Some(budget) = ctx.budget {
-            counters.budget_checks += 1;
-            if budget.exceeded() {
-                return Err(RungOutcome::DeadlineExceeded);
+        let result = if rung.deadline_gated() && self.deadline_exceeded() {
+            Err(RungOutcome::DeadlineExceeded)
+        } else {
+            let inject = self.fires(FaultKind::StagePanic, rung);
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                if inject {
+                    // `resume_unwind` skips the panic hook: a drill's
+                    // injected panics unwind like real ones without
+                    // printing, while a real panic in `body` still
+                    // reports itself.
+                    panic::resume_unwind(Box::new(format!(
+                        "injected fault: stage panic at rung {rung}"
+                    )));
+                }
+                body(self)
+            }))
+            .unwrap_or_else(|payload| {
+                self.panic_payload.get_or_insert(payload);
+                Err(RungOutcome::Panicked)
+            })
+        };
+        match result {
+            Ok(frontier) => {
+                self.trace.push(rung, RungOutcome::Served);
+                Some(outcome(frontier, self.degree, source, self.counters, self.trace))
+            }
+            Err(RungOutcome::Unavailable) => None,
+            Err(failed) => {
+                self.trace.push(rung, failed);
+                None
             }
         }
     }
-    let inject = ctx.fires(FaultKind::StagePanic, rung);
-    match panic::catch_unwind(AssertUnwindSafe(|| {
-        if inject {
-            // `resume_unwind` skips the panic hook: a drill's injected
-            // panics unwind like real ones without printing, while a real
-            // panic in `body` still reports itself.
-            panic::resume_unwind(Box::new(format!(
-                "injected fault: stage panic at rung {rung}"
-            )));
+
+    /// Runs a cancellable search whose poll reads the deadline on every
+    /// `STRIDE`-th call, and counts its polls as budget checks when the
+    /// route has a deadline. A cancelled search is a deadline miss.
+    fn polled<const STRIDE: u32, T>(
+        &mut self,
+        search: impl FnOnce(&dyn Fn() -> bool) -> Result<T, Cancelled>,
+    ) -> Result<T, RungOutcome> {
+        let budget = self.budget;
+        let polls = Cell::new(0u32);
+        let result = search(&|| {
+            let n = polls.get() + 1;
+            polls.set(n);
+            n.is_multiple_of(STRIDE) && budget.is_some_and(Budget::exceeded)
+        });
+        if budget.is_some() {
+            self.counters.budget_checks += polls.get();
         }
-        body(counters)
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            panic_payload.get_or_insert(payload);
-            Err(RungOutcome::Panicked)
+        result.map_err(|Cancelled| RungOutcome::DeadlineExceeded)
+    }
+
+    /// The deadline gate of a compute rung, counted as a budget check
+    /// when a deadline is set.
+    fn deadline_exceeded(&mut self) -> bool {
+        self.budget.is_some_and(|budget| {
+            self.counters.budget_checks += 1;
+            budget.exceeded()
+        })
+    }
+
+    /// A table rung's frontier as served: an injected corrupted row
+    /// shifts a cost off its witness, and validation (when enabled)
+    /// refuses a frontier whose costs are not its witnesses' objectives.
+    fn vetted(
+        &self,
+        rung: Rung,
+        mut frontier: ParetoSet<RoutingTree>,
+    ) -> Result<ParetoSet<RoutingTree>, RungOutcome> {
+        if self.fires(FaultKind::CorruptedRow, rung) {
+            frontier = corrupt_first_cost(frontier);
         }
+        if self.validate && !frontier_consistent(&frontier) {
+            return Err(RungOutcome::CorruptRow);
+        }
+        Ok(frontier)
+    }
+
+    /// Records a table that cannot serve the net (the first such error
+    /// is what an exhausted ladder reports) and returns the rung outcome
+    /// that names it.
+    fn table_miss(&mut self, error: RouteError) -> RungOutcome {
+        let failed = if matches!(error, RouteError::MissingDegree { .. }) {
+            RungOutcome::MissingDegree
+        } else {
+            RungOutcome::MissingPattern
+        };
+        self.table_error.get_or_insert(error);
+        failed
+    }
+
+    /// The error of a ladder that ran out of rungs. A caught panic is
+    /// not ours to swallow when no rung could absorb it (the batch
+    /// driver isolates it per slot), so it resumes; otherwise the real
+    /// table error is preferred over the generic exhaustion report.
+    fn exhausted(self) -> RouteError {
+        if let Some(payload) = self.panic_payload {
+            panic::resume_unwind(payload);
+        }
+        self.table_error.unwrap_or(RouteError::RungsExhausted {
+            degree: self.degree,
+            trace: self.trace,
+        })
     }
 }
 
@@ -1063,7 +1024,6 @@ mod tests {
                 ..RouterConfig::default()
             },
         )
-        .with_cache(CacheConfig::disabled())
         .with_clock(clock);
         let net = net3();
         let generous = engine.route(&net).unwrap();
@@ -1684,7 +1644,9 @@ mod tests {
             assert_eq!(outcome.frontier.cost_vec(), first.frontier.cost_vec());
         }
         let delta = NetDelta::new(net, DeltaKind::Translate { dx: 5, dy: -2 });
-        let rerouted = engine.reroute(&first, &delta, Session::default()).unwrap();
+        let rerouted = engine
+            .reroute_with_staleness(&delta, 0, &Session::default())
+            .unwrap();
         assert_eq!(rerouted.provenance.source, RouteSource::ExactLut);
         assert_eq!(rerouted.provenance.counters.cache_probes, 0);
         assert_eq!(rerouted.frontier, engine.route(&delta.apply()).unwrap().frontier);

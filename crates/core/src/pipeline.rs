@@ -25,7 +25,11 @@
 //! Every route returns a [`RouteOutcome`]: the Pareto frontier plus a
 //! [`RouteProvenance`] recording which stage answered ([`RouteSource`])
 //! and per-stage work counters ([`StageCounters`]). Failures are the
-//! structured [`RouteError`] — no panics on the serving path.
+//! structured [`RouteError`]. A panic that no rung absorbs resumes out of
+//! [`crate::Engine::route`]; the batch driver
+//! ([`crate::Engine::route_batch_by`]) turns it into
+//! [`RouteError::Panicked`] for its slot. So the batch entry points, the
+//! CLI and the daemon never panic, while a direct `route` call can.
 
 use std::fmt;
 
@@ -179,10 +183,11 @@ pub enum RouteError {
         /// The canonical pattern key that missed.
         key: u64,
     },
-    /// The net's worker panicked and the batch driver isolated it to this
-    /// slot ([`crate::Engine::route_batch`]'s per-net `catch_unwind`) —
-    /// or, inside [`crate::Engine::route`], every ladder rung that could
-    /// have absorbed the panic was disabled.
+    /// A panic escaped the net's route, and the batch driver isolated it
+    /// to this slot ([`crate::Engine::route_batch_by`]'s per-slot
+    /// `catch_unwind`). Only the batch driver produces this error: a
+    /// panic that no ladder rung absorbs resumes out of
+    /// [`crate::Engine::route`] as a panic.
     Panicked {
         /// The panic payload, stringified (`&str`/`String` payloads
         /// verbatim; anything else a placeholder).

@@ -7,8 +7,7 @@
 //! on a warm one) — that difference is itself asserted below.
 
 use patlabor::{
-    CacheConfig, Engine, Net, ParetoSet, Point, RouteResult, RouteSource, RouterConfig,
-    RoutingTree,
+    CacheConfig, Engine, LutBuilder, Net, ParetoSet, Point, RouteResult, RouteSource, RoutingTree,
 };
 use patlabor_netgen::uniform_net;
 use rand::rngs::StdRng;
@@ -40,16 +39,9 @@ fn frontiers(results: Vec<RouteResult>) -> Vec<ParetoSet<RoutingTree>> {
 
 #[test]
 fn batch_with_and_without_cache_matches_serial_route() {
-    let cached = Engine::with_config(RouterConfig {
-        lambda: 5,
-        cache: CacheConfig::default(),
-        ..RouterConfig::default()
-    });
-    let uncached = Engine::with_config(RouterConfig {
-        lambda: 5,
-        cache: CacheConfig::disabled(),
-        ..RouterConfig::default()
-    });
+    let table = LutBuilder::new(5).build();
+    let cached = Engine::with_table(table.clone()).with_cache(CacheConfig::default());
+    let uncached = Engine::with_table(table);
     assert!(cached.cache_stats().is_some());
     assert!(uncached.cache_stats().is_none());
 
@@ -82,11 +74,7 @@ fn batch_with_and_without_cache_matches_serial_route() {
 
 #[test]
 fn congruent_nets_share_one_cache_entry() {
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        cache: CacheConfig::default(),
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build()).with_cache(CacheConfig::default());
     let base = Net::new(vec![
         Point::new(0, 0),
         Point::new(7, 2),

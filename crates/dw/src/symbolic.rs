@@ -422,8 +422,8 @@ impl GapSampler {
 /// The exact check builds one row-difference matrix per delay row of `a`
 /// and solves an LP over it; both the matrix and the simplex tableau are
 /// the same shape across the thousands of checks a pattern generates, so
-/// threading one scratch through [`prune_exact`] removes essentially all
-/// allocation from the pruning inner loop.
+/// threading one scratch through the exact pruning pass removes
+/// essentially all allocation from the pruning inner loop.
 #[derive(Debug, Default)]
 pub struct DominanceScratch {
     /// Row-difference matrix `ra − rbₖ` (hoisted out of the per-`ra`

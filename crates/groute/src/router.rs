@@ -183,13 +183,10 @@ impl<'a> GlobalRouter<'a> {
 mod tests {
     use super::*;
     use crate::grid::GridConfig;
-    use patlabor::RouterConfig;
+    use patlabor::LutBuilder;
 
     fn router() -> Engine {
-        Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        })
+        Engine::with_table(LutBuilder::new(4).build())
     }
 
     fn design(seed: u64, count: usize) -> Vec<Net> {

@@ -67,11 +67,13 @@ impl LutBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is outside `3 ..= 9`.
+    /// Panics if `lambda` is outside [`crate::LAMBDAS`] (`3 ..= 9`).
     pub fn new(lambda: u8) -> Self {
         assert!(
-            (3..=9).contains(&lambda),
-            "lookup tables support 3 <= lambda <= 9, got {lambda}"
+            crate::LAMBDAS.contains(&lambda),
+            "lookup tables support {} <= lambda <= {}, got {lambda}",
+            crate::LAMBDAS.start(),
+            crate::LAMBDAS.end()
         );
         LutBuilder {
             lambda,

@@ -421,7 +421,7 @@ impl Layout {
         }
         let h = bytes.get(..HEADER_LEN).ok_or(short)?;
         let lambda = h[8];
-        if !(3..=9).contains(&lambda) {
+        if !crate::LAMBDAS.contains(&lambda) {
             return Err(ReadTableError::Corrupt("lambda out of range"));
         }
         if h[9..16].iter().any(|&b| b != 0) || h[20..24].iter().any(|&b| b != 0) {

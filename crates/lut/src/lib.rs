@@ -44,6 +44,10 @@ pub use builder::LutBuilder;
 pub use format::{fnv1a64_striped, ReadTableError, SectionInfo, TableInfo};
 pub use table::{Backing, LookupTable, LutStats, StoredTopology};
 
+/// The λ values a table can be built for ([`LutBuilder::new`]) and a v4
+/// file may declare ([`LookupTable::open_mmap`]).
+pub const LAMBDAS: std::ops::RangeInclusive<u8> = 3..=9;
+
 // The canonicalization the query path is keyed on; re-exported so callers
 // holding only a table handle can name the classify result.
 pub use patlabor_geom::NetClass;

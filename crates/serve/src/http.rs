@@ -46,7 +46,7 @@ pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 .spawn(move || handle_conn(&shared, conn_id, stream))
         };
         if let Ok(handle) = worker {
-            server::register_thread(shared, handle);
+            server::register_threads(shared, [handle]);
         }
     }
 }

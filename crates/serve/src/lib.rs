@@ -25,7 +25,7 @@
 //! - [`server`] — the daemon: per-connection reader/writer threads
 //!   with read/write watchdog deadlines and bounded reply buffers,
 //!   bounded admission queue, a batcher that routes whatever is queued
-//!   through [`Engine::route_batch_sessions`], epoch-guarded hot table
+//!   with one [`Engine::route_batch_by`] call, epoch-guarded hot table
 //!   reload, and drain-then-exit shutdown.
 //! - [`client`] — a pipelining client for benches, tests, and the
 //!   differential verifier, with a seeded retry budget for
@@ -43,7 +43,7 @@
 //! never waits for a batch to fill.
 //!
 //! [`Engine`]: patlabor::Engine
-//! [`Engine::route_batch_sessions`]: patlabor::Engine::route_batch_sessions
+//! [`Engine::route_batch_by`]: patlabor::Engine::route_batch_by
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(unsafe_code)]

@@ -1,14 +1,14 @@
 //! The socket server.
 //!
 //! Route, reroute and reload requests enter only through the framed
-//! socket; the HTTP adapter ([`crate::http`]) serves `/metrics` and
-//! `/healthz` and routes nothing.
+//! socket; the HTTP adapter (the private `http` module) serves
+//! `/metrics` and `/healthz` and routes nothing.
 //!
 //! # Architecture
 //!
 //! ```text
 //! conn reader ──┐                      ┌── conn writer (mpsc drain)
-//! conn reader ──┼─► bounded queue ─► batcher ─► route_batch_sessions
+//! conn reader ──┼─► bounded queue ─► batcher ─► route_batch_by
 //! conn reader ──┘   (admission)        │          (shared chunk queue)
 //!                                      └─► report fold (+ latency)
 //! ```
@@ -24,12 +24,12 @@
 //! the socket's write half and frames are never interleaved.
 //!
 //! The single **batcher** thread turns the queue into
-//! [`Engine::route_batch_sessions`] calls. It waits for work, takes
-//! whatever is queued, up to `max_batch` requests, and routes it as one
-//! batch; requests that arrive meanwhile form the next batch. A lone
-//! request is routed at once, and batches grow only under load. Every
-//! net is answered on its own, so batching moves latency, never an
-//! answer.
+//! [`Engine::route_batch_by`] calls. It waits for work, takes whatever
+//! is queued, up to `max_batch` requests, and routes that batch, routes
+//! and reroutes mixed, with one driver call; requests that arrive
+//! meanwhile form the next batch. A lone request is routed at once, and
+//! batches grow only under load. Every net is answered on its own, so
+//! batching moves latency, never an answer.
 //!
 //! Every accepted socket has Nagle's algorithm off, and each writer
 //! flushes once its channel is empty: a lone reply leaves at once and
@@ -53,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use patlabor::{DeltaJob, Engine, Net, NetDelta, ResilienceReport, RouteResult, Session};
+use patlabor::{Engine, Net, NetDelta, ResilienceReport, Session};
 
 use crate::chaos::{TransportFaultKind, TransportPlane};
 use crate::http;
@@ -283,49 +283,30 @@ impl Shared {
         }
     }
 
-    /// Routes one batch and replies per request. A batch may mix fresh
-    /// routes and ECO reroutes: each kind goes through its own
-    /// batch-driver call and the replies are reassembled in the batch's
-    /// arrival order.
+    /// Routes one batch with one batch-driver call and replies per
+    /// request. A batch may mix fresh routes and ECO reroutes; each slot
+    /// routes its own request's job under its own session.
     fn route_batch(&self, batch: Vec<Pending>, threads: usize) {
         if batch.is_empty() {
             return;
         }
         let started = Instant::now();
-        let mut fresh = Vec::new();
-        let mut fresh_slots = Vec::new();
-        let mut deltas = Vec::new();
-        let mut delta_slots = Vec::new();
-        for (slot, p) in batch.iter().enumerate() {
-            match &p.job {
-                Job::Route(net) => {
-                    fresh.push((net.clone(), p.session));
-                    fresh_slots.push(slot);
-                }
+        // Workers are spawned only when one kind of job has two or more
+        // requests, so no batch spawns workers that the driver would not
+        // spawn for its routes or its reroutes alone: a lone route with a
+        // lone reroute is routed on this thread.
+        let routes = batch.iter().filter(|p| matches!(p.job, Job::Route(_))).count();
+        let threads = if routes.max(batch.len() - routes) > 1 { threads } else { 1 };
+        let (results, _stats) = self.engine.route_batch_by(batch.len(), threads, |i| {
+            let pending = &batch[i];
+            match &pending.job {
+                Job::Route(net) => self.engine.route_session(net, &pending.session),
                 Job::Reroute { delta, prior_edits } => {
-                    deltas.push(DeltaJob {
-                        delta: delta.clone(),
-                        prior_edits: *prior_edits,
-                        session: p.session,
-                    });
-                    delta_slots.push(slot);
+                    self.engine
+                        .reroute_with_staleness(delta, *prior_edits, &pending.session)
                 }
             }
-        }
-        let mut results: Vec<Option<RouteResult>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        if !fresh.is_empty() {
-            let (routed, _stats) = self.engine.route_batch_sessions(&fresh, threads);
-            for (slot, result) in fresh_slots.into_iter().zip(routed) {
-                results[slot] = Some(result);
-            }
-        }
-        if !deltas.is_empty() {
-            let (rerouted, _stats) = self.engine.route_batch_deltas(&deltas, threads);
-            for (slot, result) in delta_slots.into_iter().zip(rerouted) {
-                results[slot] = Some(result);
-            }
-        }
+        });
         // Fold the batch's wall time into the drain-rate EWMA that
         // admission control prices rejections with.
         let per_net_ns = u64::try_from(
@@ -354,7 +335,6 @@ impl Shared {
                 .record(u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX));
         }
         for (pending, result) in batch.iter().zip(&results) {
-            let Some(result) = result else { continue };
             report.record(result);
             if result.is_ok() {
                 let ns = pending.enqueued.elapsed().as_nanos();
@@ -669,13 +649,18 @@ pub(crate) fn deregister_conn(shared: &Shared, id: u64) {
     lock(&shared.conns).remove(&id);
 }
 
-/// Registers a per-connection thread for joining at shutdown,
-/// reaping already-finished ones so the registry stays proportional
-/// to live connections.
-pub(crate) fn register_thread(shared: &Shared, handle: JoinHandle<()>) {
+/// Registers one connection's threads for joining at shutdown, reaping
+/// already-finished ones so the registry stays proportional to live
+/// connections. A connection's handles are registered together: reaping
+/// between them could drop a writer that finished before its reader was
+/// registered.
+pub(crate) fn register_threads(
+    shared: &Shared,
+    handles: impl IntoIterator<Item = JoinHandle<()>>,
+) {
     let mut threads = lock(&shared.conn_threads);
     threads.retain(|h| !h.is_finished());
-    threads.push(handle);
+    threads.extend(handles);
 }
 
 /// A running server. Dropping it shuts it down (draining the queue).
@@ -805,9 +790,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     shared.run_reader(conn_id, stream, reply_tx);
                 })
         };
-        for handle in [writer, reader].into_iter().flatten() {
-            register_thread(shared, handle);
-        }
+        register_threads(shared, [writer, reader].into_iter().flatten());
     }
 }
 

@@ -491,18 +491,22 @@ fn impossible_deadline_degrades_but_answers() {
 
 /// ECO reroute frames share batches with fresh routes: a mixed batch
 /// answers both, and on an engine with the opt-in frontier cache a
-/// class-preserving edit whose base was routed in the same batch
-/// replays (`"source": "reused"`) — fresh sub-batches route before
-/// delta sub-batches, so the winners are already resident.
+/// class-preserving edit whose base was routed earlier in the same batch
+/// replays (`"source": "reused"`). One worker routes the batch in
+/// arrival order, so the base's winners are resident when the reroute
+/// runs; with more workers that would depend on timing (the frontier
+/// would not).
 #[test]
 fn reroute_frames_replay_in_mixed_batches() {
     const PLUG: u64 = 100;
     let (engine, gate, server) = gated_server_over(
         test_engine().with_cache(CacheConfig::default()),
         ServeConfig {
-            // All four staged requests fit one batch, making the mixed
-            // batch deterministic.
+            // All four staged requests fit one batch, and one worker
+            // routes its slots in arrival order, making the mixed batch
+            // deterministic.
             max_batch: 4,
+            threads: 1,
             ..ServeConfig::default()
         },
     );

@@ -32,6 +32,7 @@ pub use report::{CheckSummary, Counterexample, PathPair, SmokeReport, VerifyRepo
 pub use shrink::shrink_net;
 
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -422,11 +423,14 @@ impl Harness {
             .write_to(&mut bytes)
             .map_err(|e| mmap_failure(format!("serializing the table failed: {e}")))?;
         // The file is removed as soon as it is mapped — the mapping must
-        // keep itself alive without it.
+        // keep itself alive without it. Harnesses running at once in one
+        // process (the tests do) each write a file of their own.
+        static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
-            "patlabor_verify_mmap_{:x}_{}.plut",
+            "patlabor_verify_mmap_{:x}_{}_{}.plut",
             config.seed,
-            std::process::id()
+            std::process::id(),
+            NEXT_FILE.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, &bytes)
             .map_err(|e| mmap_failure(format!("writing the table file failed: {e}")))?;
@@ -465,12 +469,11 @@ impl Harness {
             probability: 1.0,
         });
         // The served-vs-direct pair: one daemon for the whole run,
-        // serving the table under test with the cache disabled on both
-        // sides (so wire and direct replies are pure functions of the
+        // serving the table under test with no cache on either side (the
+        // default, so wire and direct replies are pure functions of the
         // net and can be demanded byte-identical).
         let serve_failure = |detail: String| setup_failure(PathPair::ServedVsDirect, detail);
-        let serve_engine =
-            Engine::with_table(table.clone()).with_cache(CacheConfig::disabled());
+        let serve_engine = Engine::with_table(table.clone());
         let server = patlabor_serve::serve(
             serve_engine.clone(),
             ServeConfig {
@@ -487,11 +490,8 @@ impl Harness {
             // batch and delta pairs opts in explicitly.
             cached: Engine::with_table_and_config(table.clone(), strict.clone())
                 .with_cache(CacheConfig::default()),
-            uncached: Engine::with_table_and_config(table.clone(), strict)
-                .with_cache(CacheConfig::disabled()),
-            fallback: Engine::with_table(table.clone())
-                .with_cache(CacheConfig::disabled())
-                .with_faults(lut_off),
+            uncached: Engine::with_table_and_config(table.clone(), strict),
+            fallback: Engine::with_table(table.clone()).with_faults(lut_off),
             serve_engine,
             wire: RefCell::new(wire),
             wire_id: Cell::new(0),
@@ -740,21 +740,22 @@ impl Harness {
     }
 
     /// ECO pair, per-net half: route the net once, then for every delta
-    /// kind `Engine::reroute` from that outcome must match a fresh,
+    /// kind `Engine::reroute_with_staleness` must match a fresh,
     /// cache-disabled route of the edited net — frontier, witness trees
-    /// and all. Class-preserving edits take the winner-id replay path;
-    /// class-breaking ones fall through the ordinary ladder; the oracle
-    /// cannot tell and demands the same answer either way.
+    /// and all. The base is a fresh route, so every reroute starts from
+    /// a staleness of 0. Class-preserving edits take the winner-id replay
+    /// path; class-breaking ones fall through the ordinary ladder; the
+    /// oracle cannot tell and demands the same answer either way.
     fn delta_vs_fresh(&self, net: &Net) -> Option<Divergence> {
         let engine = &self.cached;
-        let prev = match engine.route(net) {
-            Ok(outcome) => outcome,
-            // A base-net error is the cache pair's divergence, not ours.
-            Err(_) => return None,
-        };
+        // The base route warms the cache a replay reads. A base-net
+        // error is the cache pair's divergence, not ours.
+        if engine.route(net).is_err() {
+            return None;
+        }
         for (name, kind) in delta_kinds(net) {
             let delta = NetDelta::new(net.clone(), kind);
-            let fast = engine.reroute(&prev, &delta, Session::default());
+            let fast = engine.reroute_with_staleness(&delta, 0, &Session::default());
             let reference = self.uncached.route(&delta.apply());
             if let Some((fast_costs, reference_costs, why)) = result_mismatch(&fast, &reference) {
                 let via = fast

@@ -45,8 +45,9 @@ pub enum PathPair {
     ServedVsDirect,
     /// ECO delta rerouting vs a fresh route of the mutated net: for
     /// every delta kind (move-pin, add/remove-sink, translate,
-    /// blockage), `Engine::reroute` of the prior outcome must produce
-    /// the frontier a from-scratch route of the edited net produces —
+    /// blockage), `Engine::reroute_with_staleness` after a fresh route
+    /// of the base net must produce the frontier a from-scratch route of
+    /// the edited net produces —
     /// whether the edit preserved the congruence class (winner-id
     /// replay) or broke it (ladder fallback). Checked serially and
     /// through `route_batch_deltas` at N threads.

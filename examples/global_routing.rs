@@ -13,7 +13,7 @@
 //! cargo run --release --example global_routing
 //! ```
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_groute::{GlobalRouter, GridConfig, RoutingGrid, SelectionStrategy};
 
 fn main() {
@@ -21,10 +21,7 @@ fn main() {
         .into_iter()
         .map(|n| n.dedup_pins())
         .collect();
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
 
     println!(
         "{} nets on a 12x12 gcell grid (tight capacity), 20% delay slack\n",

@@ -10,15 +10,12 @@
 //! cargo run --release --example timing_closure
 //! ```
 
-use patlabor::{Engine, RouterConfig};
+use patlabor::{Engine, LutBuilder};
 use patlabor_baselines::{rsma, rsmt};
 
 fn main() {
     let nets = patlabor_netgen::iccad_like_suite(2025, 120, 30);
-    let router = Engine::with_config(RouterConfig {
-        lambda: 5,
-        ..RouterConfig::default()
-    });
+    let router = Engine::with_table(LutBuilder::new(5).build());
 
     let mut pareto_wire = 0i64;
     let mut pareto_violations = 0usize;

@@ -3,15 +3,12 @@
 
 use std::sync::OnceLock;
 
-use patlabor::{Cost, Engine, Net, ParetoSet, RouterConfig, RoutingTree};
+use patlabor::{Cost, Engine, LutBuilder, Net, ParetoSet, RoutingTree};
 
 fn router() -> &'static Engine {
     static ROUTER: OnceLock<Engine> = OnceLock::new();
     ROUTER.get_or_init(|| {
-        Engine::with_config(RouterConfig {
-            lambda: 4,
-            ..RouterConfig::default()
-        })
+        Engine::with_table(LutBuilder::new(4).build())
     })
 }
 

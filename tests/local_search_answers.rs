@@ -15,7 +15,7 @@
 
 use std::sync::OnceLock;
 
-use patlabor::{Cost, Engine, Net, ParetoSet, RouteSource, RouterConfig, RoutingTree};
+use patlabor::{Cost, Engine, LutBuilder, Net, ParetoSet, RouteSource, RoutingTree};
 use patlabor_baselines::rsma::cl_arborescence;
 use patlabor_baselines::rsmt::rsmt_tree;
 
@@ -29,10 +29,7 @@ const ANSWER_DIGEST: u64 = 0xcc3e_15de_5bc6_fecd;
 fn answers() -> &'static [(Net, ParetoSet<RoutingTree>)] {
     static ANSWERS: OnceLock<Vec<(Net, ParetoSet<RoutingTree>)>> = OnceLock::new();
     ANSWERS.get_or_init(|| {
-        let engine = Engine::with_config(RouterConfig {
-            lambda: LAMBDA as u8,
-            ..RouterConfig::default()
-        });
+        let engine = Engine::with_table(LutBuilder::new(LAMBDA as u8).build());
         patlabor_netgen::iccad_like_suite(0x1cad, 500, 32)
             .into_iter()
             .filter(|net| net.degree() > LAMBDA)

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use patlabor::{
-    CacheConfig, Engine, Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net,
-    ResilienceConfig, ResilienceReport, RouteError, RouterConfig, VirtualClock,
+    Engine, Fault, FaultKind, FaultPlane, FaultScope, LutBuilder, Net, ResilienceConfig,
+    ResilienceReport, RouteError, RouterConfig, VirtualClock,
 };
 
 fn corpus(seed: u64, count: usize) -> Vec<Net> {
@@ -120,8 +120,8 @@ fn unabsorbable_panics_fail_slots_structurally_not_fatally() {
 /// A stage delay spends only the delayed net's budget, so a batch's
 /// answers cannot depend on how many workers share the engine clock:
 /// every `RouteResult`, provenance and trace included, is the same at
-/// 1, 2 and 8 threads. The cache is off so no answer depends on which
-/// worker routed a congruent net first.
+/// 1, 2 and 8 threads. The engine has no cache (the default), so no
+/// answer depends on which worker routed a congruent net first.
 #[test]
 fn stage_delays_charge_only_their_own_net_at_every_thread_count() {
     let nets = corpus(0xde1a, 600);
@@ -140,7 +140,6 @@ fn stage_delays_charge_only_their_own_net_at_every_thread_count() {
             ..RouterConfig::default()
         },
     )
-    .with_cache(CacheConfig::disabled())
     .with_clock(Arc::new(VirtualClock::new()));
 
     let serial = engine.route_batch(&nets, 1);
