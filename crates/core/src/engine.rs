@@ -500,9 +500,12 @@ impl Engine {
         };
 
         if degree <= table.lambda() as usize {
+            // Here 3 ≤ degree ≤ λ, and λ lies in `patlabor_lut::LAMBDAS`
+            // (3..=9): `LutBuilder::new` asserts it and the v4 header
+            // check refuses anything else.
             let class = table
                 .classify(net)
-                .ok_or(RouteError::UnclassifiableDegree { degree })?;
+                .expect("NetClass classifies every degree up to 16, and λ ≤ 9");
 
             // Rung: Cache — only on an engine that opted into the
             // cache: replay the class's winning ids on a hit. A
@@ -540,11 +543,17 @@ impl Engine {
                         key: class.canonical_key(),
                     }));
                 }
+                let cache = inner.cache.as_ref().filter(|c| !c.bypassed());
                 let (frontier, winners) =
-                    lut_query(table, net, &class, &mut l.counters).map_err(|e| l.table_miss(e))?;
+                    lut_query(table, net, &class, cache.is_some(), &mut l.counters)
+                        .map_err(|e| l.table_miss(e))?;
                 let frontier = l.vetted(Rung::Lut, frontier)?;
-                if let Some(cache) = inner.cache.as_ref().filter(|c| !c.bypassed()) {
-                    cache.insert_at(CacheKey::from_class(&class), winners.into(), generation.epoch);
+                if let Some(cache) = cache {
+                    cache.insert_at(
+                        CacheKey::from_class(&class),
+                        winners.into(),
+                        generation.epoch,
+                    );
                 }
                 Ok(frontier)
             }) {
@@ -724,11 +733,14 @@ fn check_coordinates(net: &Net) -> Result<(), RouteError> {
 /// Stages LutQuery + Materialize: score the stored candidates, prune,
 /// and build witness trees for the survivors only. Composes the same
 /// stage calls as [`LookupTable::query_witnesses`], so the frontier
-/// (including tie-break order) is bit-identical to it.
+/// (including tie-break order) is bit-identical to it. The winning ids
+/// are collected only when `with_winners` (a cache will store them);
+/// otherwise the second vector is empty and allocates nothing.
 fn lut_query(
     table: &LookupTable,
     net: &Net,
     class: &NetClass,
+    with_winners: bool,
     counters: &mut StageCounters,
 ) -> Result<(ParetoSet<RoutingTree>, Vec<u32>), RouteError> {
     let Some(ids) = table.candidate_ids(class) else {
@@ -748,14 +760,14 @@ fn lut_query(
     counters.candidates_scored = ids.len() as u32;
     let survivors = table.score_candidates(class, ids);
     counters.trees_materialized = survivors.len() as u32;
-    let mut winners = Vec::with_capacity(survivors.len());
+    let winners = if with_winners {
+        survivors.iter().map(|&(_, id)| id).collect()
+    } else {
+        Vec::new()
+    };
     let entries: Vec<(Cost, RoutingTree)> = survivors
         .into_iter()
-        .map(|(cost, id)| {
-            let tree = table.materialize(net, class, id);
-            winners.push(id);
-            (cost, tree)
-        })
+        .map(|(cost, id)| (cost, table.materialize(net, class, id)))
         .collect();
     Ok((ParetoSet::from_unpruned(entries), winners))
 }

@@ -159,14 +159,6 @@ pub enum RouteError {
         /// The pin's position.
         at: Point,
     },
-    /// The Classify stage produced no [`patlabor_geom::NetClass`] for a
-    /// degree the tables claim to serve (λ configured beyond the
-    /// classifiable maximum). Defense in depth: `Net` construction
-    /// already rejects degree-0/1 instances.
-    UnclassifiableDegree {
-        /// The offending net's degree.
-        degree: usize,
-    },
     /// The table stores no patterns at all for this degree — a truncated
     /// or corrupt table file (a built table covers every degree `3..=λ`).
     MissingDegree {
@@ -215,9 +207,6 @@ impl fmt::Display for RouteError {
                 "pin {pin} at {at} is outside the coordinate bound ±{}",
                 Point::MAX_COORD
             ),
-            RouteError::UnclassifiableDegree { degree } => {
-                write!(f, "degree-{degree} net cannot be canonicalized")
-            }
             RouteError::MissingDegree { degree, lambda } => write!(
                 f,
                 "lookup table has no patterns for degree {degree} \
@@ -272,8 +261,6 @@ mod tests {
         assert!(e.to_string().contains("lambda = 6"));
         let e = RouteError::MissingPattern { degree: 3, key: 0xabc };
         assert!(e.to_string().contains("0xabc"));
-        let e = RouteError::UnclassifiableDegree { degree: 17 };
-        assert!(e.to_string().contains("17"));
         let e = RouteError::Panicked { payload: "index out of bounds".to_string() };
         assert!(e.to_string().contains("panicked"));
         assert!(e.to_string().contains("index out of bounds"));

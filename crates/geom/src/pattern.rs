@@ -146,8 +146,7 @@ impl Pattern {
 
     /// Dense identifier of the pattern.
     pub fn key(&self) -> PatternKey {
-        let lehmer = lehmer_code(&self.yperm);
-        PatternKey(((self.n as u64) << 40) | ((self.source as u64) << 32) | lehmer)
+        key_of(&self.yperm, self.source)
     }
 
     /// The image of the pattern under a symmetry transform.
@@ -160,22 +159,6 @@ impl Pattern {
         }
         let source = t.apply(self.source_node(), n).col;
         Pattern::new(yperm, source)
-    }
-
-    /// `self.transformed(t).key()` without building the intermediate
-    /// pattern. Classification computes eight of these per net, so the
-    /// transformed permutation lives on the stack (degree is capped at
-    /// 16 by the `u8`-rank machinery).
-    pub fn transformed_key(&self, t: Transform) -> PatternKey {
-        let n = self.n;
-        let mut yperm = [0u8; 16];
-        for c in 0..n {
-            let img = t.apply(self.pin_node(c), n);
-            yperm[img.col as usize] = img.row;
-        }
-        let source = t.apply(self.source_node(), n).col;
-        let lehmer = lehmer_code(&yperm[..n as usize]);
-        PatternKey(((n as u64) << 40) | ((source as u64) << 32) | lehmer)
     }
 
     /// The canonical representative of this pattern's symmetry orbit and
@@ -263,6 +246,30 @@ impl Pattern {
             .filter(Pattern::is_canonical)
             .collect()
     }
+}
+
+/// The [`PatternKey`] of the pattern with y-permutation `yperm` and source
+/// column `source`.
+fn key_of(yperm: &[u8], source: u8) -> PatternKey {
+    let n = yperm.len() as u64;
+    PatternKey((n << 40) | ((source as u64) << 32) | lehmer_code(yperm))
+}
+
+/// `Pattern::new(yperm, source).transformed(t).key()` without building
+/// either pattern. The transformed permutation lives on the stack (degree
+/// is capped at 16 by the `u8`-rank machinery), so classification
+/// computes its eight orbit keys without allocating.
+pub(crate) fn transformed_key_of(yperm: &[u8], source: u8, t: Transform) -> PatternKey {
+    let n = yperm.len() as u8;
+    let mut image = [0u8; 16];
+    for (c, &r) in (0..n).zip(yperm) {
+        let img = t.apply(RankNode::new(c, r), n);
+        image[img.col as usize] = img.row;
+    }
+    let source = t
+        .apply(RankNode::new(source, yperm[source as usize]), n)
+        .col;
+    key_of(&image[..n as usize], source)
 }
 
 /// Lehmer code (factorial-base rank) of a permutation of `0..n`.

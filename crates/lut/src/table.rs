@@ -33,13 +33,20 @@
 //! Dominated candidates never touch the tree extractor. The dot products
 //! run through a chunked scalar kernel with independent accumulators,
 //! which the compiler autovectorizes.
+//!
+//! Materialization numbers a stored topology's nodes by rank slot
+//! ([`NetClass::slot`]): the instance's coordinates are sorted, so two
+//! rank nodes are one plane point exactly when they share a slot, and an
+//! `n × n` table of node ids replaces any point search. Classification,
+//! scoring and materialization allocate nothing but the answer: the
+//! survivor list, and each witness tree.
 
 use std::collections::HashMap;
 
 use patlabor_dw::symbolic::SymbolicSolution;
-use patlabor_geom::{Net, NetClass, Point, RankNode};
+use patlabor_geom::{Net, NetClass, RankNode};
 use patlabor_pareto::{Cost, ParetoSet};
-use patlabor_tree::{extract_from_union_with, ExtractScratch, RoutingTree};
+use patlabor_tree::{extract_from_ids, RoutingTree};
 
 use crate::arena::Arena;
 
@@ -416,18 +423,81 @@ std::thread_local! {
     /// Per-thread count of `RoutingTree` materializations (see
     /// [`LookupTable::thread_materializations`]).
     static MATERIALIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
-    /// Reusable query scratch: `(cost, input position, pool id)` triples.
-    /// Thread-local so concurrent batch workers never contend and the
-    /// steady-state query allocates nothing for scoring.
-    static SCORE_SCRATCH: std::cell::RefCell<Vec<(Cost, u32, u32)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Slots of the largest rank grid a [`NetClass`] can have.
+const SLOTS: usize = NetClass::MAX_DEGREE * NetClass::MAX_DEGREE;
 
-    /// Reusable materialization scratch: the instantiated edge list plus
-    /// the tree extractor's graph buffers. Steady-state materialization
-    /// allocates only the returned tree.
-    static MAT_SCRATCH: std::cell::RefCell<(Vec<(Point, Point)>, ExtractScratch)> =
-        std::cell::RefCell::new((Vec::new(), ExtractScratch::new()));
+/// Stored edges [`LookupTable::materialize`] numbers on the stack; a
+/// longer topology uses the heap.
+const STACK_EDGES: usize = 64;
+
+/// A slot no node has claimed yet.
+const UNCLAIMED: u16 = u16::MAX;
+
+/// Instantiates one stored topology (packed rank-node pairs in canonical
+/// space) on `net` and extracts its witness tree.
+///
+/// Nodes are numbered by slot, exactly as [`patlabor_tree::extract_from_union`]
+/// numbers plane points: pins claim their slots first, in pin order (a
+/// pin at an earlier pin's position maps to that pin), and other
+/// endpoints take new ids in edge order. So the tree is the one that
+/// mapping the edges to plane points and extracting from them gives,
+/// without building a point or searching for one.
+fn materialize_edges(net: &Net, class: &NetClass, packed: &[u8]) -> RoutingTree {
+    let n = class.degree();
+    let pins = net.pins();
+    let index = |slot: RankNode| slot.col as usize * n as usize + slot.row as usize;
+    let mut node_at = [UNCLAIMED; SLOTS];
+    let mut first_at = [0u16; NetClass::MAX_DEGREE];
+    for (pin, first) in first_at.iter_mut().enumerate().take(pins.len()) {
+        let slot = &mut node_at[index(class.slot(class.pin_node(pin)))];
+        if *slot == UNCLAIMED {
+            *slot = pin as u16;
+        }
+        *first = *slot;
+    }
+    // Slot of each Steiner node, by id − n.
+    let mut steiner = [RankNode::new(0, 0); SLOTS];
+    let mut nodes = pins.len();
+    let count = packed.len() / 2;
+    let mut on_stack = [(0u32, 0u32, 0i64); STACK_EDGES];
+    let mut on_heap = Vec::new();
+    let edges: &mut [(u32, u32, i64)] = if count <= STACK_EDGES {
+        &mut on_stack[..count]
+    } else {
+        on_heap.resize(count, (0, 0, 0));
+        &mut on_heap
+    };
+    let mut len = 0;
+    for pair in packed.chunks_exact(2) {
+        let [a, b] = [pair[0], pair[1]].map(|p| {
+            let slot = class.slot(class.to_instance(RankNode::new(p / n, p % n)));
+            let id = &mut node_at[index(slot)];
+            if *id == UNCLAIMED {
+                *id = nodes as u16;
+                steiner[nodes - pins.len()] = slot;
+                nodes += 1;
+            }
+            (*id as u32, slot)
+        });
+        if a.0 != b.0 {
+            edges[len] = (a.0, b.0, class.plane_point(a.1).l1(class.plane_point(b.1)));
+            len += 1;
+        }
+    }
+    let point = |v: usize| match v.checked_sub(pins.len()) {
+        None => pins[v],
+        Some(s) => class.plane_point(steiner[s]),
+    };
+    extract_from_ids(
+        pins.len(),
+        nodes,
+        &edges[..len],
+        |pin| first_at[pin] as usize,
+        point,
+    )
+    .expect("stored topologies span every pattern pin")
 }
 
 /// Lookup tables for every degree `2 ..= λ`.
@@ -512,51 +582,41 @@ impl LookupTable {
     /// Ties between equal-cost candidates break toward the earlier `ids`
     /// position, matching [`ParetoSet::from_unpruned`]'s first-in-input
     /// rule, so the surviving ids are a pure function of `(canonical key,
-    /// canonical gaps)`.
+    /// canonical gaps)`. The returned vector is the one allocation.
     pub fn score_candidates(&self, class: &NetClass, ids: &[u32]) -> Vec<(Cost, u32)> {
         let table = &self.tables[class.degree() as usize];
         let gaps = class.canonical_gaps();
-        SCORE_SCRATCH.with(|cell| {
-            let mut scored = cell.borrow_mut();
-            scored.clear();
-            for (seq, &id) in ids.iter().enumerate() {
-                let (w, d) = score_block(table.rows_of(id), gaps);
-                scored.push((Cost::new(w, d), seq as u32, id));
+        // Candidates enter in `ids` order into a staircase kept sorted by
+        // (w ↑, d ↓). One that an entry dominates or ties stays out, so the
+        // earlier position wins a tie; one that enters evicts the entries
+        // it dominates. What is left is the sort-and-sweep frontier.
+        let mut frontier: Vec<(Cost, u32)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let (w, d) = score_block(table.rows_of(id), gaps);
+            let up_to = frontier.partition_point(|(c, _)| c.wirelength <= w);
+            if up_to > 0 && frontier[up_to - 1].0.delay <= d {
+                continue;
             }
-            // The seq tie-break makes the key total, so the unstable sort
-            // reproduces `from_unpruned`'s stable (w ↑, d ↑) order.
-            scored.sort_unstable_by_key(|&(c, seq, _)| (c.wirelength, c.delay, seq));
-            let mut frontier: Vec<(Cost, u32)> = Vec::new();
-            for &(c, _, id) in scored.iter() {
-                match frontier.last() {
-                    Some(&(last, _)) if last.delay <= c.delay => {} // dominated
-                    _ => frontier.push((c, id)),
-                }
+            let lo = frontier.partition_point(|(c, _)| c.wirelength < w);
+            let hi = lo + frontier[lo..].partition_point(|(c, _)| c.delay >= d);
+            if lo == hi {
+                frontier.insert(lo, (Cost::new(w, d), id));
+            } else {
+                frontier[lo] = (Cost::new(w, d), id);
+                frontier.drain(lo + 1..hi);
             }
-            frontier
-        })
+        }
+        frontier
     }
 
     /// The *materialize* stage: instantiates one stored topology against
-    /// `net`'s coordinates, producing a witness [`RoutingTree`]. Reuses
-    /// per-thread graph scratch — the steady state allocates only the
+    /// `net`'s coordinates, producing a witness [`RoutingTree`]. Nodes
+    /// are numbered by rank slot on the stack, so this allocates only the
     /// returned tree.
     pub fn materialize(&self, net: &Net, class: &NetClass, id: u32) -> RoutingTree {
         MATERIALIZATIONS.with(|c| c.set(c.get() + 1));
-        let nb = class.degree();
-        let table = &self.tables[nb as usize];
-        MAT_SCRATCH.with(|cell| {
-            let (pts, scratch) = &mut *cell.borrow_mut();
-            pts.clear();
-            for pair in table.edges_of(id).chunks_exact(2) {
-                let map = |packed: u8| {
-                    class.instance_point(RankNode::new(packed / nb, packed % nb))
-                };
-                pts.push((map(pair[0]), map(pair[1])));
-            }
-            extract_from_union_with(net, pts, scratch)
-                .expect("stored topologies span every pattern pin")
-        })
+        let table = &self.tables[class.degree() as usize];
+        materialize_edges(net, class, table.edges_of(id))
     }
 
     /// Number of [`RoutingTree`] materializations performed by queries on
@@ -628,9 +688,9 @@ impl LookupTable {
     /// Reference query path: materializes **every** candidate topology and
     /// prunes by the trees' measured objectives — the pre-v3 behaviour.
     ///
-    /// Kept for the equivalence tests (dot-product scores must reproduce
-    /// this frontier exactly) and as the baseline the `BENCH_PR2` harness
-    /// measures the dot-product kernel against.
+    /// Kept for the equivalence tests: the dot-product scores of
+    /// [`LookupTable::query_witnesses`] must reproduce this frontier
+    /// exactly.
     pub fn query_materialize_all(
         &self,
         net: &Net,
@@ -743,6 +803,7 @@ impl LookupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patlabor_geom::Pattern;
 
     fn sol(n: u8, edges: &[(RankNode, RankNode)]) -> SymbolicSolution {
         let dims = 2 * n as usize - 2;
@@ -884,6 +945,93 @@ mod tests {
                 .map(|(&m, &l)| (m as i64).wrapping_mul(l))
                 .fold(0i64, |a, x| a.wrapping_add(x));
             assert_eq!(dot_scalar(&rows[..len], &gaps[..len]), expect, "len={len}");
+        }
+    }
+
+    /// The materialize path the slot numbering replaced: stored edges
+    /// mapped to plane points through [`NetClass::instance_point`], then
+    /// numbered by [`patlabor_tree::extract_from_union`]'s point index.
+    fn materialize_by_points(
+        table: &LookupTable,
+        net: &Net,
+        class: &NetClass,
+        id: u32,
+    ) -> RoutingTree {
+        let n = class.degree();
+        let point = |p: u8| class.instance_point(RankNode::new(p / n, p % n));
+        let edges: Vec<_> = table.tables[n as usize]
+            .edges_of(id)
+            .chunks_exact(2)
+            .map(|pair| (point(pair[0]), point(pair[1])))
+            .collect();
+        patlabor_tree::extract_from_union(net, &edges).expect("stored topologies span every pin")
+    }
+
+    #[test]
+    fn materialize_matches_the_point_index_reference_on_every_candidate() {
+        // Every pattern of degree 3..=5 (all D4 images, so every inverse
+        // transform) under all-distinct, partly zero and all-zero gaps,
+        // and every candidate id of its class — not only survivors.
+        let table = crate::LutBuilder::new(5).build();
+        let mut checked = 0;
+        for n in 3..=5u8 {
+            let m = n as i64 - 1;
+            let distinct: Vec<i64> = (0..m).map(|i| 2 * i + 3).collect();
+            let partly_zero: Vec<i64> = (0..m).map(|i| (i % 2) * 5).collect();
+            let zero = vec![0; m as usize];
+            for pattern in Pattern::enumerate_all(n) {
+                for (h, v) in [
+                    (&distinct, &distinct),
+                    (&partly_zero, &distinct),
+                    (&zero, &zero),
+                ] {
+                    let net = pattern.instantiate(h, v);
+                    let class = table.classify(&net).expect("degree 3..=5 classifies");
+                    for &id in table
+                        .candidate_ids(&class)
+                        .expect("a built table holds every pattern")
+                    {
+                        assert_eq!(
+                            table.materialize(&net, &class, id),
+                            materialize_by_points(&table, &net, &class, id),
+                            "{net:?} candidate {id}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 5_000, "only {checked} materializations checked");
+    }
+
+    #[test]
+    fn score_candidates_matches_the_sort_and_sweep_reference() {
+        // The staircase insert must keep exactly what sorting all scored
+        // candidates by (w, d, position) and sweeping keeps.
+        let table = crate::LutBuilder::new(5).build();
+        for pattern in Pattern::enumerate_all(5) {
+            for (h, v) in [([3, 1, 4, 1], [5, 9, 2, 6]), ([0, 2, 0, 2], [1, 0, 1, 0])] {
+                let net = pattern.instantiate(&h, &v);
+                let class = table.classify(&net).unwrap();
+                let ids = table.candidate_ids(&class).unwrap();
+                let degree = &table.tables[5];
+                let mut scored: Vec<(Cost, usize, u32)> = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &id)| {
+                        let (w, d) = score_block(degree.rows_of(id), class.canonical_gaps());
+                        (Cost::new(w, d), seq, id)
+                    })
+                    .collect();
+                scored.sort_by_key(|&(c, seq, _)| (c.wirelength, c.delay, seq));
+                let mut swept: Vec<(Cost, u32)> = Vec::new();
+                for (c, _, id) in scored {
+                    if swept.last().is_none_or(|&(last, _)| c.delay < last.delay) {
+                        swept.push((c, id));
+                    }
+                }
+                assert_eq!(table.score_candidates(&class, ids), swept, "{net:?}");
+            }
         }
     }
 

@@ -170,7 +170,9 @@ impl<T> ParetoSet<T> {
     }
 
     /// Builds a frontier from arbitrary (possibly dominated) solutions in
-    /// `O(k log k)` — the `Pareto(S)` operation of Eq. (1).
+    /// `O(k log k)` — the `Pareto(S)` operation of Eq. (1). The input
+    /// vector is pruned in place and becomes the set's storage; it is
+    /// shrunk only when pruning left it less than half full.
     ///
     /// When several solutions share a cost, the first in the input order
     /// wins.
@@ -178,14 +180,18 @@ impl<T> ParetoSet<T> {
         // Stable sort by (w ↑, d ↑) keeps first-inserted ties in front, then
         // a sweep keeps entries with strictly decreasing delay.
         solutions.sort_by_key(|(c, _)| (c.wirelength, c.delay));
-        let mut entries: Vec<(Cost, T)> = Vec::new();
-        for (c, t) in solutions {
-            match entries.last() {
-                Some((last, _)) if last.delay <= c.delay => {} // dominated
-                _ => entries.push((c, t)),
+        let mut last_delay = None;
+        solutions.retain(|(c, _)| {
+            let keep = last_delay.is_none_or(|d| c.delay < d);
+            if keep {
+                last_delay = Some(c.delay);
             }
+            keep
+        });
+        if solutions.capacity() > 2 * solutions.len() {
+            solutions.shrink_to_fit();
         }
-        ParetoSet { entries }
+        ParetoSet { entries: solutions }
     }
 }
 

@@ -7,23 +7,39 @@
 //! achieves. This module turns such a union into a genuine tree that is no
 //! worse in either objective:
 //!
-//! 1. deduplicate the edge multiset into a graph `G`;
-//! 2. take the shortest-path tree of `G` from the source (delays can only
-//!    shrink: every source→sink path of the union is still a path of `G`);
+//! 1. number the union's plane points as graph nodes (coinciding points
+//!    are one node);
+//! 2. take the shortest-path tree of that graph from the source (delays
+//!    can only shrink: every source→sink path of the union is still a
+//!    path of the graph);
 //! 3. prune Steiner leaves iteratively (wirelength can only shrink).
 //!
+//! Step 1 has two forms. [`extract_from_union`] takes plane-point edges
+//! and numbers points with a linear-scan index (numeric DW, local search,
+//! KS and the baselines). The lookup table numbers the nodes of a stored
+//! topology by their rank-grid slot instead, and hands steps 2–3 the
+//! numbered graph through [`extract_from_ids`].
+//!
 //! Union graphs are tiny — a handful of pins plus at most a few dozen
-//! Steiner points — so the implementation is sized for that regime: a
-//! linear-scan point index instead of a hash map, a settled-scan Dijkstra
-//! instead of a binary heap, and an [`ExtractScratch`] of reusable buffers
-//! so a hot caller (the lookup table's materialize stage) allocates
-//! nothing per extraction beyond the returned tree.
+//! Steiner points — so steps 2–3 are sized for that regime: the graph
+//! lives on the stack up to a few dozen nodes, a union that already is a
+//! spanning tree takes its BFS parents as is, and any other union runs a
+//! settled-scan Dijkstra instead of a binary heap.
 
 use std::fmt;
 
 use patlabor_geom::{Net, Point};
 
+use crate::routing_tree::{with_scratch, STACK_NODES};
 use crate::RoutingTree;
+
+/// Node-id words (`u32`) [`extract_from_ids`] keeps on the stack: the
+/// adjacency and per-node arrays of a graph with `P` nodes and `E` edges
+/// take `3P + 1 + 2E` of them. A larger graph uses the heap.
+const STACK_IDS: usize = 256;
+
+/// Marks an unreached node's parent, and an unkept node's new id.
+const NONE: u32 = u32::MAX;
 
 /// Error returned by [`extract_from_union`] when the union graph does not
 /// connect every pin to the source.
@@ -40,32 +56,6 @@ impl fmt::Display for ExtractTreeError {
 }
 
 impl std::error::Error for ExtractTreeError {}
-
-/// Reusable buffers for [`extract_from_union_with`].
-///
-/// Holding one of these per thread and passing it to every extraction
-/// keeps the graph bookkeeping allocation-free in the steady state; the
-/// buffers grow to the high-water mark of the unions seen and stay there.
-#[derive(Debug, Default)]
-pub struct ExtractScratch {
-    points: Vec<Point>,
-    /// Deduplicated edges as point indices (kept in input order).
-    edge_ids: Vec<(usize, usize, i64)>,
-    adj: Vec<Vec<(usize, i64)>>,
-    dist: Vec<i64>,
-    parent: Vec<usize>,
-    done: Vec<bool>,
-    needed: Vec<bool>,
-    keep: Vec<usize>,
-    remap: Vec<usize>,
-}
-
-impl ExtractScratch {
-    /// An empty scratch; buffers are allocated lazily on first use.
-    pub fn new() -> ExtractScratch {
-        ExtractScratch::default()
-    }
-}
 
 /// Extracts a routing tree from an arbitrary union of edges.
 ///
@@ -102,123 +92,191 @@ pub fn extract_from_union(
     net: &Net,
     edges: &[(Point, Point)],
 ) -> Result<RoutingTree, ExtractTreeError> {
-    extract_from_union_with(net, edges, &mut ExtractScratch::new())
-}
-
-/// [`extract_from_union`] with caller-provided scratch buffers — the
-/// allocation-lean form for hot loops. Results are identical.
-pub fn extract_from_union_with(
-    net: &Net,
-    edges: &[(Point, Point)],
-    s: &mut ExtractScratch,
-) -> Result<RoutingTree, ExtractTreeError> {
     // Index points: pins first (dedup by position → first occurrence
-    // wins, matching the first-pin rule).
-    s.points.clear();
-    s.points.extend_from_slice(net.pins());
-    s.edge_ids.clear();
-    let id_of = |p: Point, points: &mut Vec<Point>| -> usize {
-        match points.iter().position(|&q| q == p) {
+    // wins, matching the first-pin rule), then new endpoints in edge
+    // order.
+    let pins = net.pins();
+    let mut points = pins.to_vec();
+    let mut id_of = |p: Point| -> u32 {
+        let id = match points.iter().position(|&q| q == p) {
             Some(i) => i,
             None => {
                 points.push(p);
                 points.len() - 1
             }
-        }
+        };
+        id as u32
     };
+    let mut ids = Vec::with_capacity(edges.len());
     for &(a, b) in edges {
-        let ia = id_of(a, &mut s.points);
-        let ib = id_of(b, &mut s.points);
+        let (ia, ib) = (id_of(a), id_of(b));
         if ia != ib {
-            s.edge_ids.push((ia, ib, a.l1(b)));
+            ids.push((ia, ib, a.l1(b)));
         }
     }
-    let n = s.points.len();
-    for v in s.adj.iter_mut() {
-        v.clear();
-    }
-    if s.adj.len() < n {
-        s.adj.resize_with(n, Vec::new);
-    }
-    for &(ia, ib, len) in &s.edge_ids {
-        s.adj[ia].push((ib, len));
-        s.adj[ib].push((ia, len));
-    }
-
-    // Dijkstra from the source over the union graph. The graph is tiny,
-    // so a settled scan beats a heap; nodes settle in ascending
-    // (dist, index) order — the same order a lexicographic min-heap pops
-    // them — and relaxation improves strictly, so the parents are
-    // identical to the heap formulation's.
-    s.dist.clear();
-    s.dist.resize(n, i64::MAX);
-    s.parent.clear();
-    s.parent.resize(n, usize::MAX);
-    s.done.clear();
-    s.done.resize(n, false);
-    s.dist[0] = 0;
-    s.parent[0] = 0;
-    loop {
-        let mut u = usize::MAX;
-        let mut best = i64::MAX;
-        for v in 0..n {
-            if !s.done[v] && s.dist[v] < best {
-                best = s.dist[v];
-                u = v;
-            }
-        }
-        if u == usize::MAX {
-            break;
-        }
-        s.done[u] = true;
-        for &(v, len) in &s.adj[u] {
-            let nd = best + len;
-            if nd < s.dist[v] {
-                s.dist[v] = nd;
-                s.parent[v] = u;
-            }
-        }
-    }
-    // Map duplicated pin positions onto their representative's path.
-    for pin in 0..net.degree() {
-        let rep = s
-            .points
+    let first_at = |pin: usize| {
+        pins[..pin]
             .iter()
-            .position(|&q| q == s.points[pin])
-            .expect("a pin always finds itself");
-        if s.dist[rep] == i64::MAX {
-            return Err(ExtractTreeError { pin });
-        }
-        if rep != pin {
-            // Duplicate pin: hang it on its representative with a
-            // zero-length edge.
-            s.dist[pin] = s.dist[rep];
-            s.parent[pin] = rep;
-        }
-    }
+            .position(|&q| q == pins[pin])
+            .unwrap_or(pin)
+    };
+    extract_from_ids(pins.len(), points.len(), &ids, first_at, |v| points[v])
+}
 
-    // Keep only nodes on some root→pin path: prune Steiner branches.
-    s.needed.clear();
-    s.needed.resize(n, false);
-    for pin in 0..net.degree() {
-        let mut v = pin;
-        while !s.needed[v] {
-            s.needed[v] = true;
-            v = s.parent[v];
+/// The shortest-path-and-prune core of [`extract_from_union`], for a
+/// caller that has already numbered the union's nodes.
+///
+/// - Nodes are `0..num_nodes`. Nodes `0..num_pins` are the net's pins in
+///   pin order, node 0 the source; later nodes are Steiner points.
+/// - `first_at(pin)` is the first pin at `pin`'s position (`pin` itself
+///   when no earlier pin shares it). A pin that is not its own first
+///   carries no edges; it hangs off that first pin by a zero-length
+///   edge.
+/// - `edges` holds `(a, b, length)` triples with `a != b`, in union
+///   order, duplicates allowed.
+/// - `point(v)` is node `v`'s position.
+///
+/// When the union is a spanning tree — its edges are exactly one fewer
+/// than its nodes, and a BFS from the source reaches every node — the
+/// BFS parents are the shortest-path parents, and the `O(P²)` settle scan
+/// is skipped. The result is the same tree either way. Allocates only
+/// the returned tree when the graph fits the stack buffers.
+///
+/// # Errors
+///
+/// Returns [`ExtractTreeError`] naming the first pin the edges do not
+/// connect to the source.
+pub fn extract_from_ids(
+    num_pins: usize,
+    num_nodes: usize,
+    edges: &[(u32, u32, i64)],
+    first_at: impl Fn(usize) -> usize,
+    point: impl Fn(usize) -> Point,
+) -> Result<RoutingTree, ExtractTreeError> {
+    let (p, e) = (num_nodes, edges.len());
+    with_scratch::<u32, STACK_IDS, _>(3 * p + 1 + 2 * e, |ids| {
+        let (start, rest) = ids.split_at_mut(p + 1);
+        let (adj, rest) = rest.split_at_mut(2 * e);
+        let (parent, order) = rest.split_at_mut(p);
+
+        // Adjacency in CSR form: node `u`'s incident edge indices are
+        // `adj[start[u]..start[u + 1]]`, in edge order.
+        for &(a, b, _) in edges {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
         }
-    }
-    s.keep.clear();
-    s.keep.extend((0..n).filter(|&v| s.needed[v]));
-    s.remap.clear();
-    s.remap.resize(n, usize::MAX);
-    for (new, &old) in s.keep.iter().enumerate() {
-        s.remap[old] = new;
-    }
-    let tree_points: Vec<Point> = s.keep.iter().map(|&v| s.points[v]).collect();
-    let tree_parent: Vec<usize> = s.keep.iter().map(|&v| s.remap[s.parent[v]]).collect();
-    let tree = RoutingTree::from_parents(tree_points, tree_parent, net.degree())
-        .expect("shortest-path tree construction cannot produce cycles");
-    Ok(tree)
+        for v in 0..p {
+            start[v + 1] += start[v];
+        }
+        order.copy_from_slice(&start[..p]);
+        for (i, &(a, b, _)) in edges.iter().enumerate() {
+            for v in [a as usize, b as usize] {
+                adj[order[v] as usize] = i as u32;
+                order[v] += 1;
+            }
+        }
+        let neighbors = |u: usize| {
+            adj[start[u] as usize..start[u + 1] as usize]
+                .iter()
+                .map(move |&i| {
+                    let (a, b, len) = edges[i as usize];
+                    ((a ^ b ^ u as u32) as usize, len)
+                })
+        };
+
+        // BFS from the source, `order` as its queue.
+        parent.fill(NONE);
+        parent[0] = 0;
+        order[0] = 0;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let u = order[head] as usize;
+            head += 1;
+            for (v, _) in neighbors(u) {
+                if parent[v] == NONE {
+                    parent[v] = u as u32;
+                    order[tail] = v as u32;
+                    tail += 1;
+                }
+            }
+        }
+        let twins = (0..num_pins).filter(|&pin| first_at(pin) != pin).count();
+        if !(tail == p - twins && e + 1 == tail) {
+            // Not a spanning tree: Dijkstra from the source. The graph is
+            // tiny, so a settled scan beats a heap; nodes settle in
+            // ascending (dist, index) order — the same order a
+            // lexicographic min-heap pops them — and relaxation improves
+            // strictly, so the parents are identical to the heap
+            // formulation's. `order` holds the settled flags.
+            with_scratch::<i64, STACK_NODES, _>(p, |dist| {
+                dist.fill(i64::MAX);
+                parent.fill(NONE);
+                order.fill(0);
+                dist[0] = 0;
+                parent[0] = 0;
+                loop {
+                    let mut u = usize::MAX;
+                    let mut best = i64::MAX;
+                    for v in 0..p {
+                        if order[v] == 0 && dist[v] < best {
+                            best = dist[v];
+                            u = v;
+                        }
+                    }
+                    if u == usize::MAX {
+                        break;
+                    }
+                    order[u] = 1;
+                    for (v, len) in neighbors(u) {
+                        let nd = best + len;
+                        if nd < dist[v] {
+                            dist[v] = nd;
+                            parent[v] = u as u32;
+                        }
+                    }
+                }
+            });
+        }
+        // A pin sharing an earlier pin's position hangs off that pin.
+        for pin in 0..num_pins {
+            let first = first_at(pin);
+            if parent[first] == NONE {
+                return Err(ExtractTreeError { pin });
+            }
+            if first != pin {
+                parent[pin] = first as u32;
+            }
+        }
+
+        // Keep only nodes on some root→pin path (prune Steiner branches),
+        // renumbered in index order: `order` marks the kept nodes, then
+        // holds their new ids.
+        order.fill(0);
+        for pin in 0..num_pins {
+            let mut v = pin;
+            while order[v] == 0 {
+                order[v] = 1;
+                v = parent[v] as usize;
+            }
+        }
+        let mut kept = 0;
+        for id in order.iter_mut() {
+            *id = if *id == 1 {
+                kept += 1;
+                kept - 1
+            } else {
+                NONE
+            };
+        }
+        let mut points = Vec::with_capacity(kept as usize);
+        let mut parents = Vec::with_capacity(kept as usize);
+        for v in (0..p).filter(|&v| order[v] != NONE) {
+            points.push(point(v));
+            parents.push(order[parent[v] as usize] as usize);
+        }
+        Ok(RoutingTree::from_parents(points, parents, num_pins)
+            .expect("shortest-path tree construction cannot produce cycles"))
+    })
 }
 
 #[cfg(test)]
@@ -312,37 +370,35 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_stateless() {
-        // The same scratch across dissimilar unions (growing and
-        // shrinking) must reproduce the fresh-scratch result each time.
-        let mut scratch = ExtractScratch::new();
-        let cases: Vec<(Net, Vec<(Point, Point)>)> = vec![
-            (
-                net(&[(0, 0), (4, 0), (4, 3)]),
-                vec![e((0, 0), (4, 0)), e((4, 0), (4, 3))],
-            ),
-            (
-                net(&[(0, 0), (2, 0), (2, 2)]),
-                vec![
-                    e((0, 0), (2, 0)),
-                    e((2, 0), (2, 2)),
-                    e((0, 0), (2, 2)),
-                    e((2, 2), (5, 2)),
-                    e((5, 2), (5, 5)),
-                ],
-            ),
-            (net(&[(0, 0), (4, 0)]), vec![e((0, 0), (4, 0))]),
-            (
-                net(&[(0, 0), (4, 0), (4, 0)]),
-                vec![e((0, 0), (4, 0))],
-            ),
+    fn spanning_tree_fast_path_matches_the_settle_scan() {
+        // The same tree, once as a spanning-tree union (BFS path) and once
+        // with a redundant duplicate edge (settle-scan path), with Steiner
+        // parents numbered after their children.
+        let n = net(&[(0, 0), (6, 4), (6, 0), (2, 4)]);
+        let tree = [
+            e((0, 0), (2, 0)),
+            e((2, 0), (2, 4)),
+            e((6, 4), (6, 0)),
+            e((2, 0), (6, 0)),
         ];
-        for _round in 0..3 {
-            for (n, edges) in &cases {
-                let fresh = extract_from_union(n, edges).unwrap();
-                let reused = extract_from_union_with(n, edges, &mut scratch).unwrap();
-                assert_eq!(fresh, reused);
-            }
-        }
+        let fast = extract_from_union(&n, &tree).unwrap();
+        let mut doubled = tree.to_vec();
+        doubled.push(tree[1]);
+        assert_eq!(extract_from_union(&n, &doubled).unwrap(), fast);
+        fast.validate(&n).unwrap();
+        assert_eq!(fast.objectives(), (2 + 4 + 4 + 4, 10));
+    }
+
+    #[test]
+    fn large_unions_use_the_heap_buffers() {
+        // A 200-pin comb: past every stack buffer, same tree shape rules.
+        let pins: Vec<(i64, i64)> = (0..200).map(|i| (i, 5)).collect();
+        let n = net(&pins);
+        let mut edges: Vec<(Point, Point)> = (0..200).map(|i| e((i, 0), (i, 5))).collect();
+        edges.extend((0..199).map(|i| e((i, 0), (i + 1, 0))));
+        let t = extract_from_union(&n, &edges).unwrap();
+        t.validate(&n).unwrap();
+        assert_eq!(t.wirelength(), 200 * 5 + 199);
+        assert_eq!(t.delay(), 5 + 199 + 5);
     }
 }

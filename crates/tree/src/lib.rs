@@ -46,7 +46,7 @@ mod svg;
 pub use elmore::{elmore_delays, max_elmore, ElmoreModel};
 pub use svg::{render_trees_svg, SvgOptions};
 
-pub use extract::{extract_from_union, extract_from_union_with, ExtractScratch, ExtractTreeError};
+pub use extract::{extract_from_ids, extract_from_union, ExtractTreeError};
 pub use refine::{
     reconnect_pass, reconnect_pass_with, remove_redundant_steiner, ReconnectMoves,
     RefineObjective,

@@ -157,17 +157,8 @@ impl RoutingTree {
                 return Err(InvalidTreeError::MalformedParent { node: v });
             }
         }
-        // Every node must reach the root within n steps.
-        for start in 1..n {
-            let mut v = start;
-            let mut steps = 0;
-            while v != 0 {
-                v = parent[v];
-                steps += 1;
-                if steps > n {
-                    return Err(InvalidTreeError::CyclicEdges);
-                }
-            }
+        if !reaches_root(&parent) {
+            return Err(InvalidTreeError::CyclicEdges);
         }
         parent[0] = 0;
         Ok(RoutingTree {
@@ -232,44 +223,62 @@ impl RoutingTree {
             .map(|(v, p)| (self.points[v], self.points[p]))
     }
 
+    /// Length of the edge from node `v > 0` to its parent.
+    fn edge_len(&self, v: usize) -> i64 {
+        self.points[v].l1(self.points[self.parent[v]])
+    }
+
     /// Total wirelength `w(T)`: the sum of rectilinear edge lengths.
     pub fn wirelength(&self) -> i64 {
-        self.edges()
-            .map(|(v, p)| self.points[v].l1(self.points[p]))
-            .sum()
+        (1..self.points.len()).map(|v| self.edge_len(v)).sum()
     }
 
     /// Distance from the root to every node along tree edges.
     pub fn root_distances(&self) -> Vec<i64> {
-        let n = self.points.len();
-        let mut dist = vec![-1i64; n];
-        dist[0] = 0;
-        // Nodes may appear in any order; resolve by chasing parents.
-        for v in 1..n {
-            self.resolve_dist(v, &mut dist);
-        }
+        let mut dist = vec![0; self.points.len()];
+        self.fill_root_distances(&mut dist);
         dist
     }
 
-    fn resolve_dist(&self, v: usize, dist: &mut [i64]) -> i64 {
-        if dist[v] >= 0 {
-            return dist[v];
+    /// Writes every node's root distance into `dist` (one entry per
+    /// node) and returns the wirelength. Nodes may appear in any order,
+    /// so an unresolved node walks up to its nearest resolved ancestor
+    /// and resolves the whole walk on the way back: each node is
+    /// resolved once, so the pass is `O(n)`.
+    fn fill_root_distances(&self, dist: &mut [i64]) -> i64 {
+        dist.fill(-1);
+        dist[0] = 0;
+        let mut wirelength = 0;
+        for v in 1..self.points.len() {
+            wirelength += self.edge_len(v);
+            let (mut u, mut above) = (v, 0);
+            while dist[u] < 0 {
+                above += self.edge_len(u);
+                u = self.parent[u];
+            }
+            let (mut u, mut d) = (v, dist[u] + above);
+            while dist[u] < 0 {
+                dist[u] = d;
+                d -= self.edge_len(u);
+                u = self.parent[u];
+            }
         }
-        let p = self.parent[v];
-        let d = self.resolve_dist(p, dist) + self.points[v].l1(self.points[p]);
-        dist[v] = d;
-        d
+        wirelength
     }
 
     /// Delay `d(T)`: the maximum root→sink path length.
     pub fn delay(&self) -> i64 {
-        let dist = self.root_distances();
-        (1..self.num_pins).map(|v| dist[v]).max().unwrap_or(0)
+        self.objectives().1
     }
 
-    /// Both objectives as a `(wirelength, delay)` pair.
+    /// Both objectives as a `(wirelength, delay)` pair, from one pass
+    /// over the nodes. Allocates nothing up to 64 nodes.
     pub fn objectives(&self) -> (i64, i64) {
-        (self.wirelength(), self.delay())
+        with_scratch::<i64, STACK_NODES, _>(self.points.len(), |dist| {
+            let wirelength = self.fill_root_distances(dist);
+            let delay = dist[1..self.num_pins].iter().copied().max().unwrap_or(0);
+            (wirelength, delay)
+        })
     }
 
     /// Path length from the root to pin `pin` (net pin index).
@@ -324,18 +333,57 @@ impl RoutingTree {
         if self.num_pins != net.degree() || self.points[..self.num_pins] != *net.pins() {
             return Err(InvalidTreeError::DisconnectedPin { pin: 0 });
         }
-        for mut v in 1..self.points.len() {
-            let mut steps = 0;
-            while v != 0 {
-                v = self.parent[v];
-                steps += 1;
-                if steps > self.points.len() {
-                    return Err(InvalidTreeError::CyclicEdges);
-                }
-            }
+        if !reaches_root(&self.parent) {
+            return Err(InvalidTreeError::CyclicEdges);
         }
         Ok(())
     }
+}
+
+/// Node count up to which per-node bookkeeping (tree checks, objectives,
+/// extraction distances) lives on the stack.
+pub(crate) const STACK_NODES: usize = 64;
+
+/// Runs `f` on a buffer of `len` default values: on the stack when
+/// `len <= N`, on the heap above. Keeps small trees' bookkeeping
+/// allocation-free.
+pub(crate) fn with_scratch<T: Copy + Default, const N: usize, R>(
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if len <= N {
+        f(&mut [T::default(); N][..len])
+    } else {
+        f(&mut vec![T::default(); len])
+    }
+}
+
+/// Whether every node's parent chain ends at node 0 (in-range parents
+/// assumed; `parent[0]` is never read). Each node is marked once: as on
+/// the current walk, or as reaching the root. A walk that meets its own
+/// mark has found a cycle, so the check is `O(n)`.
+fn reaches_root(parent: &[usize]) -> bool {
+    const ON_WALK: u8 = 1;
+    const REACHES_ROOT: u8 = 2;
+    with_scratch::<u8, STACK_NODES, _>(parent.len(), |mark| {
+        mark[0] = REACHES_ROOT;
+        for start in 1..parent.len() {
+            let mut v = start;
+            while mark[v] == 0 {
+                mark[v] = ON_WALK;
+                v = parent[v];
+            }
+            if mark[v] == ON_WALK {
+                return false;
+            }
+            let mut v = start;
+            while mark[v] == ON_WALK {
+                mark[v] = REACHES_ROOT;
+                v = parent[v];
+            }
+        }
+        true
+    })
 }
 
 #[cfg(test)]

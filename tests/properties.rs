@@ -5,9 +5,11 @@ use std::sync::OnceLock;
 use patlabor::cache::CacheKey;
 use patlabor::{Engine, Net, ParetoSet, Point, RoutingTree};
 use patlabor_dw::{numeric, DwConfig};
-use patlabor_geom::{NetClass, Pattern};
+use patlabor_geom::{HananGrid, NetClass, Pattern, PatternKey, Transform, ALL_TRANSFORMS};
 use patlabor_tree::{reconnect_pass, remove_redundant_steiner, RefineObjective};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn router() -> &'static Engine {
     static ROUTER: OnceLock<Engine> = OnceLock::new();
@@ -43,6 +45,73 @@ fn arb_general_position_net(span: i64) -> impl Strategy<Value = Net> {
             .collect();
         Net::new(pins).unwrap()
     })
+}
+
+/// `NetClass::of` rebuilt from the public grid and pattern types: the
+/// least orbit key over `ALL_TRANSFORMS`, then the lexicographically
+/// least mapped gap vector among the transforms reaching it (the first
+/// such transform wins a tie), and that transform's inverse.
+fn grid_pattern_reference(net: &Net) -> (PatternKey, Vec<i64>, Transform) {
+    let grid = HananGrid::new(net);
+    let (pattern, _) = Pattern::from_grid(&grid);
+    let key = ALL_TRANSFORMS
+        .iter()
+        .map(|&t| pattern.transformed(t).key())
+        .min()
+        .expect("eight transforms");
+    let mut best: Option<(Vec<i64>, Transform)> = None;
+    for t in ALL_TRANSFORMS {
+        if pattern.transformed(t).key() != key {
+            continue;
+        }
+        // The swap applies first, then the flips.
+        let (mut h, mut v) = if t.swap {
+            (grid.v_gaps(), grid.h_gaps())
+        } else {
+            (grid.h_gaps(), grid.v_gaps())
+        };
+        if t.flip_x {
+            h.reverse();
+        }
+        if t.flip_y {
+            v.reverse();
+        }
+        h.extend(v);
+        if best.as_ref().is_none_or(|(gaps, _)| h < *gaps) {
+            best = Some((h, t));
+        }
+    }
+    let (gaps, t) = best.expect("some transform reaches the least key");
+    (key, gaps, t.inverse())
+}
+
+/// The stack classifier gives the grid-and-pattern reference's key,
+/// canonical gaps and inverse, and the grid's pin ranks, on nets of
+/// every classifiable degree: at span 8 most coordinates tie, at span
+/// 10,000 few do.
+#[test]
+fn netclass_matches_the_grid_pattern_reference() {
+    let mut rng = StdRng::seed_from_u64(0xC1A55);
+    for span in [8i64, 10_000] {
+        for degree in 2..=NetClass::MAX_DEGREE {
+            for _ in 0..40 {
+                let pins = (0..degree)
+                    .map(|_| Point::new(rng.gen_range(0..span), rng.gen_range(0..span)))
+                    .collect();
+                let net = Net::new(pins).expect("degree ≥ 2");
+                let class = NetClass::of(&net).expect("degree ≤ 16 classifies");
+                let (key, gaps, inverse) = grid_pattern_reference(&net);
+                assert_eq!(class.key(), key, "{net:?}");
+                assert_eq!(class.canonical_gaps(), gaps.as_slice(), "{net:?}");
+                assert_eq!(class.inverse(), inverse, "{net:?}");
+                let grid = HananGrid::new(&net);
+                for pin in 0..degree {
+                    let (node, cell) = (class.pin_node(pin), grid.pin_node(pin));
+                    assert_eq!((node.col as u16, node.row as u16), (cell.col, cell.row));
+                }
+            }
+        }
+    }
 }
 
 proptest! {
