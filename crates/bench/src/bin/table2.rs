@@ -5,8 +5,9 @@
 //! and generation throughput (topologies/second — the basis of the
 //! paper's "441× faster than FLUTE" comparison).
 //!
-//! Default λ = 6 finishes in seconds; set `PATLABOR_TABLE2_LAMBDA=7` (or
-//! 8) for the bigger offline runs.
+//! Measured in release on a 2-core host, the default λ = 6 finishes in
+//! about a second and `PATLABOR_TABLE2_LAMBDA=7` in about 32 s; λ = 8 is
+//! an offline run.
 
 use std::time::Instant;
 
@@ -25,6 +26,10 @@ fn main() {
     let mut total_topos = 0usize;
     let mut total_bytes = 0usize;
     let mut total_secs = 0.0f64;
+    // The previous iteration's table is the sub-degree table of this one
+    // (builds are deterministic), so its byte length is what this
+    // degree's payload sits on top of.
+    let mut prev_bytes = 0usize;
     for degree in 4..=lambda {
         let start = Instant::now();
         let table = LutBuilder::new(degree).build();
@@ -37,15 +42,8 @@ fn main() {
         let mut bytes = Vec::new();
         table.write_to(&mut bytes).expect("in-memory write");
         // Subtract the sub-degree payload so sizes are per degree.
-        let sub = if degree > 4 {
-            let prev = LutBuilder::new(degree - 1).build();
-            let mut b = Vec::new();
-            prev.write_to(&mut b).expect("in-memory write");
-            b.len()
-        } else {
-            0
-        };
-        let degree_bytes = bytes.len().saturating_sub(sub);
+        let degree_bytes = bytes.len().saturating_sub(prev_bytes);
+        prev_bytes = bytes.len();
         total_topos += stats.total_topologies;
         total_bytes += degree_bytes;
         total_secs += secs;

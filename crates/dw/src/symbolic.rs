@@ -117,6 +117,10 @@ impl SymbolicSolution {
 /// `l ≥ 0`, evaluating the returned topologies on the instantiated net and
 /// pruning numerically yields the true Pareto frontier of that net.
 ///
+/// Each DP state keeps its solutions in flat fixed-stride arrays. Both
+/// transitions write their candidates into one reused buffer, and only
+/// the candidates that survive the state's prune get edge lists.
+///
 /// # Panics
 ///
 /// Panics if the pattern degree exceeds 10.
@@ -136,20 +140,6 @@ pub fn symbolic_frontier(pattern: &Pattern, config: &DwConfig) -> Vec<SymbolicSo
     let full: u32 = (1u32 << num_sinks) - 1;
     let sink_node: Vec<usize> = sinks.iter().map(|&c| id_of(pattern.pin_node(c))).collect();
     let source_node = id_of(pattern.source_node());
-
-    // Symbolic distance vectors between all node pairs.
-    let gap_vec = |a: RankNode, b: RankNode| -> GapVec {
-        let mut v = vec![0u16; dims];
-        let (c0, c1) = (a.col.min(b.col) as usize, a.col.max(b.col) as usize);
-        for x in &mut v[c0..c1] {
-            *x += 1;
-        }
-        let (r0, r1) = (a.row.min(b.row) as usize, a.row.max(b.row) as usize);
-        for x in &mut v[n - 1 + r0..n - 1 + r1] {
-            *x += 1;
-        }
-        v
-    };
 
     // Lemma 2 in rank space.
     let pins: Vec<RankNode> = pattern.pin_nodes();
@@ -171,34 +161,54 @@ pub fn symbolic_frontier(pattern: &Pattern, config: &DwConfig) -> Vec<SymbolicSo
         })
         .collect();
 
-    let sampler = GapSampler::new(dims);
-    let mut states: Vec<Vec<Vec<SymbolicSolution>>> =
-        vec![vec![Vec::new(); nn]; full as usize + 1];
+    let steps = Steps::new(n);
+    // Indexed by mask; masks are built in ascending order, so a merge's
+    // submasks are always ready.
+    let mut states: Vec<Layer> = vec![Layer::new(0)];
+    let mut merged: Candidates<(u32, u32, u32)> = Candidates::default();
+    let mut grown: Candidates<(u32, u32)> = Candidates::default();
+    let mut step_block: Vec<u16> = Vec::new();
 
     for mask in 1..=full {
         let members: Vec<usize> = (0..num_sinks).filter(|i| mask >> i & 1 == 1).collect();
-        let mut pre: Vec<Vec<SymbolicSolution>> = vec![Vec::new(); nn];
+        let stride = (1 + members.len()) * dims;
+        let mut pre = Layer::new(stride);
 
         if members.len() == 1 {
             let q = sink_node[members[0]];
-            for v in 0..nn {
-                if !alive[v] {
-                    continue;
+            for (v, &live) in alive.iter().enumerate() {
+                if live {
+                    // `W` and the one delay row are both the v–q distance.
+                    let (gaps, sum) = steps.get(v, q);
+                    pre.blocks.extend_from_slice(gaps);
+                    pre.blocks.extend_from_slice(gaps);
+                    pre.sum_w.push(sum);
+                    if v != q {
+                        pre.edges.push((node(v), node(q)));
+                    }
+                    pre.edge_end.push(pre.edges.len() as u32);
                 }
-                let e = gap_vec(node(v), node(q));
-                let edges = if v == q {
-                    Vec::new()
-                } else {
-                    vec![(node(v), node(q))]
-                };
-                pre[v].push(SymbolicSolution {
-                    w: e.clone(),
-                    delays: vec![e],
-                    edges,
-                });
+                pre.close_node();
             }
         } else {
             let splits = symbolic_splits(mask, &members, &sink_boundary_pos, config);
+            // Where each merged delay row comes from, per split: the rows
+            // interleave by global sink order.
+            let row_sources: Vec<Vec<(bool, usize)>> = splits
+                .iter()
+                .map(|&(m1, _)| {
+                    let (mut i1, mut i2) = (0usize, 0usize);
+                    members
+                        .iter()
+                        .map(|&bit| {
+                            let left = m1 >> bit & 1 == 1;
+                            let side = if left { &mut i1 } else { &mut i2 };
+                            *side += 1;
+                            (left, *side - 1)
+                        })
+                        .collect()
+                })
+                .collect();
             // Lemma 3 in rank space: merge only inside the members' bbox.
             let (mut c_lo, mut c_hi, mut r_lo, mut r_hi) = (u8::MAX, 0u8, u8::MAX, 0u8);
             for &i in &members {
@@ -208,67 +218,66 @@ pub fn symbolic_frontier(pattern: &Pattern, config: &DwConfig) -> Vec<SymbolicSo
                 r_lo = r_lo.min(p.row);
                 r_hi = r_hi.max(p.row);
             }
-            for v in 0..nn {
-                if !alive[v] {
-                    continue;
-                }
+            for (v, &live) in alive.iter().enumerate() {
                 let p = node(v);
-                if config.bbox_shortcut
-                    && !(c_lo <= p.col && p.col <= c_hi && r_lo <= p.row && p.row <= r_hi)
-                {
-                    continue;
-                }
-                let mut acc: Vec<SymbolicSolution> = Vec::new();
-                for &(m1, m2) in &splits {
-                    for s1 in &states[m1 as usize][v] {
-                        for s2 in &states[m2 as usize][v] {
-                            acc.push(combine(s1, s2, m1, m2));
-                        }
+                let in_bbox = c_lo <= p.col && p.col <= c_hi && r_lo <= p.row && p.row <= r_hi;
+                if live && (in_bbox || !config.bbox_shortcut) {
+                    merged.clear(stride);
+                    for (split, &(m1, m2)) in splits.iter().enumerate() {
+                        merged.push_merges(
+                            &states[m1 as usize],
+                            &states[m2 as usize],
+                            v,
+                            &row_sources[split],
+                            split as u32,
+                            dims,
+                        );
                     }
+                    merged.prune(dims);
+                    merged.append_survivors(&mut pre, |(split, left, right), edges| {
+                        let (m1, m2) = splits[split as usize];
+                        edges.extend_from_slice(states[m1 as usize].edges(left as usize));
+                        edges.extend_from_slice(states[m2 as usize].edges(right as usize));
+                    });
                 }
-                pre[v] = prune(acc, &sampler);
+                pre.close_node();
             }
         }
 
         // Edge growth: single all-pairs pass (triangle inequality holds per
         // gap component, so relayed growth is componentwise dominated).
-        let mut fin: Vec<Vec<SymbolicSolution>> = vec![Vec::new(); nn];
+        // The full set is only ever read at the source.
+        let mut fin = Layer::new(stride);
         for v in 0..nn {
-            if !alive[v] {
-                continue;
-            }
-            let mut acc: Vec<SymbolicSolution> = Vec::new();
-            for u in 0..nn {
-                if !alive[u] || pre[u].is_empty() {
-                    continue;
-                }
-                let step = gap_vec(node(u), node(v));
-                for s in &pre[u] {
-                    let mut w = s.w.clone();
-                    add(&mut w, &step);
-                    let delays = s
-                        .delays
-                        .iter()
-                        .map(|row| {
-                            let mut r = row.clone();
-                            add(&mut r, &step);
-                            r
-                        })
-                        .collect();
-                    let mut edges = s.edges.clone();
-                    if u != v {
-                        edges.push((node(u), node(v)));
+            if alive[v] && (mask != full || v == source_node) {
+                grown.clear(stride);
+                for (u, &live) in alive.iter().enumerate() {
+                    if !live || pre.node_range(u).is_empty() {
+                        continue;
                     }
-                    acc.push(SymbolicSolution { w, delays, edges });
+                    // The step adds to `W` and to every delay row.
+                    let (gaps, sum) = steps.get(u, v);
+                    step_block.clear();
+                    for _ in 0..=members.len() {
+                        step_block.extend_from_slice(gaps);
+                    }
+                    grown.push_growths(&pre, u, &step_block, sum);
                 }
+                grown.prune(dims);
+                grown.append_survivors(&mut fin, |(u, index), edges| {
+                    edges.extend_from_slice(pre.edges(index as usize));
+                    if u as usize != v {
+                        edges.push((node(u as usize), node(v)));
+                    }
+                });
             }
-            fin[v] = prune(acc, &sampler);
+            fin.close_node();
         }
-        states[mask as usize] = fin;
+        states.push(fin);
     }
 
-    let final_state = std::mem::take(&mut states[full as usize][source_node]);
-    prune_exact(final_state, &sampler, &mut DominanceScratch::default())
+    let final_state = states[full as usize].to_solutions(source_node, dims);
+    prune_exact(final_state, &GapSampler::new(dims), &mut DominanceScratch::default())
 }
 
 fn is_corner(pins: &[RankNode], p: RankNode) -> bool {
@@ -293,35 +302,272 @@ fn is_corner(pins: &[RankNode], p: RankNode) -> bool {
     ll || lr || ul || ur
 }
 
-fn add(target: &mut GapVec, other: &GapVec) {
-    for (t, &o) in target.iter_mut().zip(other) {
-        *t += o;
+/// The symbolic distance between every pair of rank nodes `(a, b)` of an
+/// `n`-pin pattern, and its sum: a 1 for every gap they span, horizontal
+/// gaps first.
+struct Steps {
+    nn: usize,
+    dims: usize,
+    gaps: Vec<u16>,
+    sums: Vec<u32>,
+}
+
+impl Steps {
+    fn new(n: usize) -> Self {
+        let (nn, dims) = (n * n, 2 * n - 2);
+        let mut gaps = vec![0u16; nn * nn * dims];
+        for (id, step) in gaps.chunks_exact_mut(dims).enumerate() {
+            let (a, b) = (id / nn, id % nn);
+            let (ac, ar, bc, br) = (a / n, a % n, b / n, b % n);
+            step[ac.min(bc)..ac.max(bc)].fill(1);
+            step[n - 1 + ar.min(br)..n - 1 + ar.max(br)].fill(1);
+        }
+        let sums = gaps
+            .chunks_exact(dims)
+            .map(|step| step.iter().map(|&x| x as u32).sum())
+            .collect();
+        Steps {
+            nn,
+            dims,
+            gaps,
+            sums,
+        }
+    }
+
+    /// The step between nodes `a` and `b`: its gaps and their sum.
+    fn get(&self, a: usize, b: usize) -> (&[u16], u32) {
+        let id = a * self.nn + b;
+        (&self.gaps[id * self.dims..(id + 1) * self.dims], self.sums[id])
     }
 }
 
-/// Merges two disjoint-subset solutions rooted at the same node: `W` adds,
-/// delay rows interleave by global sink order.
-fn combine(s1: &SymbolicSolution, s2: &SymbolicSolution, m1: u32, m2: u32) -> SymbolicSolution {
-    let mut w = s1.w.clone();
-    add(&mut w, &s2.w);
-    let mask = m1 | m2;
-    let mut delays = Vec::with_capacity(s1.delays.len() + s2.delays.len());
-    let (mut i1, mut i2) = (0usize, 0usize);
-    for bit in 0..32 {
-        if mask >> bit & 1 == 0 {
-            continue;
-        }
-        if m1 >> bit & 1 == 1 {
-            delays.push(s1.delays[i1].clone());
-            i1 += 1;
-        } else {
-            delays.push(s2.delays[i2].clone());
-            i2 += 1;
+/// The DP states `(mask, v)` of one subset mask, for every node `v`, in
+/// one set of flat arrays.
+///
+/// Every solution of a mask covers the same `k = popcount(mask)` sinks,
+/// so each is one fixed-stride block of `(1 + k)·(2n − 2)`
+/// multiplicities: `W` first, then the delay rows in ascending sink
+/// order ([`SymbolicSolution::flat_rows`] order). Beside its block, each
+/// solution keeps its `ΣW` and its edges, in a CSR arena. Nodes are
+/// filled in ascending order, each closed by [`Layer::close_node`].
+struct Layer {
+    stride: usize,
+    blocks: Vec<u16>,
+    sum_w: Vec<u32>,
+    /// End of each solution's run in `edges`.
+    edge_end: Vec<u32>,
+    edges: Vec<(RankNode, RankNode)>,
+    /// The solutions at node `v` are `first[v]..first[v + 1]`.
+    first: Vec<u32>,
+}
+
+impl Layer {
+    fn new(stride: usize) -> Self {
+        Layer {
+            stride,
+            blocks: Vec::new(),
+            sum_w: Vec::new(),
+            edge_end: Vec::new(),
+            edges: Vec::new(),
+            first: vec![0],
         }
     }
-    let mut edges = s1.edges.clone();
-    edges.extend_from_slice(&s2.edges);
-    SymbolicSolution { w, delays, edges }
+
+    /// Ends the solutions of the next node in order.
+    fn close_node(&mut self) {
+        self.first.push(self.sum_w.len() as u32);
+    }
+
+    fn node_range(&self, v: usize) -> std::ops::Range<usize> {
+        self.first[v] as usize..self.first[v + 1] as usize
+    }
+
+    fn block(&self, i: usize) -> &[u16] {
+        &self.blocks[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn edges(&self, i: usize) -> &[(RankNode, RankNode)] {
+        let start = if i == 0 { 0 } else { self.edge_end[i - 1] as usize };
+        &self.edges[start..self.edge_end[i] as usize]
+    }
+
+    fn to_solutions(&self, v: usize, dims: usize) -> Vec<SymbolicSolution> {
+        self.node_range(v)
+            .map(|i| {
+                let (w, rows) = self.block(i).split_at(dims);
+                SymbolicSolution {
+                    w: w.to_vec(),
+                    delays: rows.chunks_exact(dims).map(<[u16]>::to_vec).collect(),
+                    edges: self.edges(i).to_vec(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// One state's candidates, in generation order, each with where it came
+/// from (`O`). One buffer serves every state of a pattern, so steady-state
+/// generation does not allocate.
+#[derive(Default)]
+struct Candidates<O> {
+    stride: usize,
+    blocks: Vec<u16>,
+    sum_w: Vec<u32>,
+    origins: Vec<O>,
+    /// `(ΣW << 32) | index`, sorted.
+    keys: Vec<u64>,
+    /// Survivors of [`Candidates::prune`], by index.
+    keep: Vec<u32>,
+}
+
+impl<O: Copy> Candidates<O> {
+    fn clear(&mut self, stride: usize) {
+        self.stride = stride;
+        self.blocks.clear();
+        self.sum_w.clear();
+        self.origins.clear();
+    }
+
+    /// Sorts the candidates by `(ΣW, block)`, drops all but the earliest
+    /// generated of equal blocks, then sweeps: a candidate dominated by a
+    /// kept one dies, and it evicts (`swap_remove`) every kept one it
+    /// dominates. Leaves the survivors in `keep`.
+    ///
+    /// Dominance here is the cheap, sound half of Lemma 1: `W`
+    /// componentwise no larger, and every delay row componentwise below
+    /// some row of the other. (The two imply no worse `(w, d)` under any
+    /// gap vector, so the sampled prefilter of [`prune_exact`] could only
+    /// reject early; it does not pay for itself here.) A dominator's `ΣW`
+    /// is no larger than its victim's, so ascending-`ΣW` order meets
+    /// dominators before their victims, and a later candidate can only
+    /// dominate a kept one of equal `ΣW` (their `W` are then equal). The
+    /// exact LP runs only on the final state.
+    fn prune(&mut self, dims: usize) {
+        let Candidates {
+            stride,
+            blocks,
+            sum_w,
+            keys,
+            keep,
+            ..
+        } = self;
+        let stride = *stride;
+        let block = |i: usize| &blocks[i * stride..(i + 1) * stride];
+
+        keys.clear();
+        keys.extend(sum_w.iter().enumerate().map(|(i, &s)| ((s as u64) << 32) | i as u64));
+        keys.sort_unstable();
+        // Equal-`ΣW` runs are ordered by block; the sort is stable, so
+        // equal blocks stay in generation order.
+        let mut start = 0;
+        while start < keys.len() {
+            let sum = keys[start] >> 32;
+            let len = keys[start..].partition_point(|&k| k >> 32 == sum);
+            if len > 1 {
+                keys[start..start + len]
+                    .sort_by(|&a, &b| block(a as u32 as usize).cmp(block(b as u32 as usize)));
+            }
+            start += len;
+        }
+
+        let dominates = |a: usize, b: usize| {
+            let (wa, ra) = block(a).split_at(dims);
+            let (wb, rb) = block(b).split_at(dims);
+            // A row is most often covered by the same sink's row.
+            componentwise_le(wa, wb)
+                && ra.chunks_exact(dims).zip(rb.chunks_exact(dims)).all(|(r, same)| {
+                    componentwise_le(r, same)
+                        || rb.chunks_exact(dims).any(|q| componentwise_le(r, q))
+                })
+        };
+        keep.clear();
+        let mut last: Option<usize> = None;
+        'outer: for &key in keys.iter() {
+            let c = key as u32 as usize;
+            if last.is_some_and(|p| block(p) == block(c)) {
+                continue;
+            }
+            last = Some(c);
+            let mut i = 0;
+            while i < keep.len() {
+                let k = keep[i] as usize;
+                if dominates(k, c) {
+                    continue 'outer;
+                }
+                if sum_w[k] == sum_w[c] && dominates(c, k) {
+                    keep.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            keep.push(c as u32);
+        }
+    }
+
+    /// Appends the survivors of the last [`Candidates::prune`] to `layer`,
+    /// in sweep order; `edges_of` appends a survivor's edges given its
+    /// origin.
+    fn append_survivors(
+        &self,
+        layer: &mut Layer,
+        mut edges_of: impl FnMut(O, &mut Vec<(RankNode, RankNode)>),
+    ) {
+        let stride = self.stride;
+        for &i in &self.keep {
+            let i = i as usize;
+            layer.blocks.extend_from_slice(&self.blocks[i * stride..(i + 1) * stride]);
+            layer.sum_w.push(self.sum_w[i]);
+            edges_of(self.origins[i], &mut layer.edges);
+            layer.edge_end.push(layer.edges.len() as u32);
+        }
+    }
+}
+
+impl Candidates<(u32, u32)> {
+    /// Grows every solution at node `u` of `pre` by one step: `step_block`
+    /// adds to its block, and `step_sum` to its `ΣW`.
+    fn push_growths(&mut self, pre: &Layer, u: usize, step_block: &[u16], step_sum: u32) {
+        for i in pre.node_range(u) {
+            let block = pre.block(i);
+            self.blocks.extend(block.iter().zip(step_block).map(|(&x, &g)| x + g));
+            self.sum_w.push(pre.sum_w[i] + step_sum);
+            self.origins.push((u as u32, i as u32));
+        }
+    }
+}
+
+impl Candidates<(u32, u32, u32)> {
+    /// Merges every pair of a solution at node `v` of `left` and one at
+    /// `v` of `right`, states of two disjoint sink subsets: `W` and `ΣW`
+    /// add, and the delay rows interleave by global sink order (`rows`).
+    fn push_merges(
+        &mut self,
+        left: &Layer,
+        right: &Layer,
+        v: usize,
+        rows: &[(bool, usize)],
+        split: u32,
+        dims: usize,
+    ) {
+        for i in left.node_range(v) {
+            let a = left.block(i);
+            for j in right.node_range(v) {
+                let b = right.block(j);
+                self.blocks
+                    .extend(a[..dims].iter().zip(&b[..dims]).map(|(&x, &y)| x + y));
+                for &(from_left, r) in rows {
+                    let src = if from_left { a } else { b };
+                    self.blocks.extend_from_slice(&src[(1 + r) * dims..(2 + r) * dims]);
+                }
+                self.sum_w.push(left.sum_w[i] + right.sum_w[j]);
+                self.origins.push((split, i as u32, j as u32));
+            }
+        }
+    }
+}
+
+fn componentwise_le(a: &[u16], b: &[u16]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| x <= y)
 }
 
 fn symbolic_splits(
@@ -445,16 +691,15 @@ pub fn dominates_with(
     scratch: &mut DominanceScratch,
 ) -> bool {
     // Wirelength: componentwise.
-    if a.w.iter().zip(&b.w).any(|(&x, &y)| x > y) {
+    if !componentwise_le(&a.w, &b.w) {
         return false;
     }
     // Delay, cheap sufficient check: every row of a is componentwise below
     // some row of b.
-    let covered = a.delays.iter().all(|ra| {
-        b.delays
-            .iter()
-            .any(|rb| ra.iter().zip(rb).all(|(&x, &y)| x <= y))
-    });
+    let covered = a
+        .delays
+        .iter()
+        .all(|ra| b.delays.iter().any(|rb| componentwise_le(ra, rb)));
     if covered {
         return true;
     }
@@ -477,68 +722,23 @@ pub fn dominates_with(
     true
 }
 
-/// Prunes with cheap checks (dedupe + componentwise dominance + sampled
-/// prefilter); used on every DP state.
-fn prune(mut solutions: Vec<SymbolicSolution>, sampler: &GapSampler) -> Vec<SymbolicSolution> {
-    // Sort by total wirelength first: a dominator's W is componentwise ≤
-    // its victim's, hence its ΣW too, so ascending-ΣW order meets
-    // dominators before their victims — dominated candidates die against
-    // an early `keep` entry instead of growing the quadratic sweep. The
-    // lexicographic tail makes the order total (up to exact duplicates,
-    // which the dedup below removes), keeping the survivors
-    // deterministic.
+/// Exact prune with the LP decision procedure; used on the final state.
+///
+/// The final state has survived [`Candidates::prune`], so no solution in
+/// it cheaply dominates another. It is sorted by `(ΣW, W, delay rows)`
+/// so the exact sweep meets dominators early. `scratch` is threaded
+/// through every LP call (see [`DominanceScratch`]).
+fn prune_exact(
+    mut solutions: Vec<SymbolicSolution>,
+    sampler: &GapSampler,
+    scratch: &mut DominanceScratch,
+) -> Vec<SymbolicSolution> {
     solutions.sort_by(|a, b| {
         let sa: u32 = a.w.iter().map(|&x| x as u32).sum();
         let sb: u32 = b.w.iter().map(|&x| x as u32).sum();
         sa.cmp(&sb)
             .then_with(|| (&a.w, &a.delays).cmp(&(&b.w, &b.delays)))
     });
-    solutions.dedup_by(|a, b| a.w == b.w && a.delays == b.delays);
-
-    let mut keep: Vec<SymbolicSolution> = Vec::with_capacity(solutions.len());
-    'outer: for s in solutions {
-        let mut i = 0;
-        while i < keep.len() {
-            if cheap_dominates(&keep[i], &s, sampler) {
-                continue 'outer;
-            }
-            if cheap_dominates(&s, &keep[i], sampler) {
-                keep.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        keep.push(s);
-    }
-    keep
-}
-
-/// Componentwise-only dominance (sound, incomplete, no LP).
-fn cheap_dominates(a: &SymbolicSolution, b: &SymbolicSolution, sampler: &GapSampler) -> bool {
-    if a.w.iter().zip(&b.w).any(|(&x, &y)| x > y) {
-        return false;
-    }
-    if !sampler.may_dominate(a, b) {
-        return false;
-    }
-    a.delays.iter().all(|ra| {
-        b.delays
-            .iter()
-            .any(|rb| ra.iter().zip(rb).all(|(&x, &y)| x <= y))
-    })
-}
-
-/// Exact prune with the LP decision procedure; used on the final state.
-///
-/// `prune` leaves the candidates sorted by total wirelength, so the exact
-/// sweep also meets dominators early; `scratch` is threaded through every
-/// LP call (see [`DominanceScratch`]).
-fn prune_exact(
-    solutions: Vec<SymbolicSolution>,
-    sampler: &GapSampler,
-    scratch: &mut DominanceScratch,
-) -> Vec<SymbolicSolution> {
-    let solutions = prune(solutions, sampler);
     let mut keep: Vec<SymbolicSolution> = Vec::with_capacity(solutions.len());
     'outer: for s in solutions {
         let mut i = 0;
@@ -583,6 +783,41 @@ mod tests {
                 assert!(!s.samples[..i].contains(v), "duplicate at dims={dims}");
             }
         }
+    }
+
+    /// Prunes `blocks` (`W` of length `dims`, then delay rows) as one DP
+    /// state and returns the survivors' generation indices in sweep order.
+    fn pruned(dims: usize, blocks: &[&[u16]]) -> Vec<u32> {
+        let mut c: Candidates<u32> = Candidates::default();
+        c.clear(blocks[0].len());
+        for (i, b) in blocks.iter().enumerate() {
+            c.blocks.extend_from_slice(b);
+            c.sum_w.push(b[..dims].iter().map(|&x| x as u32).sum());
+            c.origins.push(i as u32);
+        }
+        c.prune(dims);
+        c.keep.iter().map(|&i| c.origins[i as usize]).collect()
+    }
+
+    #[test]
+    fn prune_keeps_the_earliest_of_equal_blocks_in_block_order() {
+        // Equal ΣW: block order puts 1 first; 2 repeats 0's block and goes.
+        let blocks: [&[u16]; 3] = [&[1, 1, 1, 0], &[0, 2, 5, 5], &[1, 1, 1, 0]];
+        assert_eq!(pruned(2, &blocks), [1, 0]);
+    }
+
+    #[test]
+    fn prune_evicts_with_swap_remove_at_equal_sum() {
+        // 2 (ΣW 1) comes first. 0, 3 and 1 tie on ΣW 2 and come in that
+        // block order; 1 dominates 0 (each row of 1 lies below a row of
+        // 0), so 0 is swap-removed and 3 takes its slot.
+        let blocks: [&[u16]; 4] = [
+            &[1, 1, 0, 2, 1, 0],
+            &[1, 1, 1, 0, 0, 1],
+            &[0, 1, 5, 5, 5, 5],
+            &[1, 1, 0, 3, 0, 3],
+        ];
+        assert_eq!(pruned(2, &blocks), [2, 3, 1]);
     }
 
     #[test]

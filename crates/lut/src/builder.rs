@@ -43,8 +43,8 @@ fn estimated_dw_cost(p: &Pattern) -> u64 {
 /// paper's clustering step). Work is spread over `threads` OS threads.
 ///
 /// The paper uses λ = 9 (4.76 h on 16 cores). Generation here is exact for
-/// any λ ≤ 9; pick λ to taste — degrees ≤ 6 take seconds, 7 takes minutes,
-/// 8–9 are an offline job.
+/// any λ ≤ 9. Measured in release on a 2-core host: λ = 6 builds in about
+/// 0.5 s and λ = 7 in about 30 s; 8–9 are an offline job.
 ///
 /// # Example
 ///

@@ -37,10 +37,24 @@ fn oracle_agrees_with_dw_on_degree_5() {
 }
 
 /// λ = 7 table generation + agreement with the DP on random degree-7 nets.
+///
+/// The table's v4 bytes are pinned like the smaller tables' in
+/// `tests/lut_v3.rs`: their length and the header's payload checksum.
+/// CI runs this test in release, where the build takes about 30 s on two
+/// cores.
 #[test]
-#[ignore = "generates the lambda-7 tables (minutes)"]
+#[ignore = "generates the lambda-7 tables (about 30 s in release on 2 cores)"]
 fn lambda7_table_agrees_with_dw() {
     let table = LutBuilder::new(7).build();
+    let mut bytes = Vec::new();
+    table.write_to(&mut bytes).expect("in-memory write");
+    let checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8-byte checksum"));
+    assert_eq!(
+        (bytes.len(), checksum),
+        (29_822_808, 0xfca5_e71f_621d_8785),
+        "lambda 7: (length, checksum) moved"
+    );
+    drop(bytes);
     let mut seed = 0x7ab1e;
     for _ in 0..10 {
         let net = random_net(&mut seed, 7, 200);

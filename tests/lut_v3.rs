@@ -106,6 +106,39 @@ fn trees_are_materialized_only_for_frontier_survivors() {
     );
 }
 
+/// Table builds are deterministic, and their bytes are pinned: the v4
+/// bytes of each λ keep their length and payload checksum (the header's
+/// u64 at offset 24). A change that moves any table byte fails here,
+/// whether it changes the symbolic DP's survivors, their order or their
+/// edges, the pooling, or the writer. If a change moves them on purpose,
+/// the new figures go in with the reason.
+#[test]
+fn lut_tables_are_byte_stable() {
+    let pinned: [(u8, usize, u64); 4] = [
+        (3, 656, 0x51b2_c041_a2d5_2bc9),
+        (4, 2_920, 0xb0de_9433_fa13_e62c),
+        (5, 38_940, 0x141d_e0b6_19e4_9015),
+        (6, 933_232, 0x669c_ec09_d65e_f78c),
+    ];
+    for (lambda, len, checksum) in pinned {
+        let built;
+        let table = if lambda == 6 {
+            table6()
+        } else {
+            built = LutBuilder::new(lambda).build();
+            &built
+        };
+        let mut bytes = Vec::new();
+        table.write_to(&mut bytes).expect("in-memory write");
+        let stored = u64::from_le_bytes(bytes[24..32].try_into().expect("8-byte checksum"));
+        assert_eq!(
+            (bytes.len(), stored),
+            (len, checksum),
+            "lambda {lambda}: (length, checksum) moved"
+        );
+    }
+}
+
 #[test]
 fn lut_roundtrip_mmap_backing_answers_like_the_owned_one() {
     let table = LutBuilder::new(5).build();
