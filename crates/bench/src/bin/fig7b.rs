@@ -3,8 +3,7 @@
 
 use patlabor::{Engine, LutBuilder};
 use patlabor_bench::{
-    average_curve, default_grid, normalizers, paper_note, render_table, run_method, scaled,
-    Method,
+    default_grid, normalizers, paper_note, print_fig7_tables, run_method, scaled, Method,
 };
 
 fn main() {
@@ -37,36 +36,7 @@ fn main() {
         }
     }
 
-    let grid = default_grid();
-    let averaged: Vec<Vec<f64>> = pooled.iter().map(|p| average_curve(&grid, p)).collect();
-    let mut rows = Vec::new();
-    for (gi, g) in grid.iter().enumerate() {
-        let mut row = vec![format!("{g:.2}")];
-        for avg in &averaged {
-            row.push(format!("{:.4}", avg[gi]));
-        }
-        rows.push(row);
-    }
-    let headers: Vec<&str> = ["w/w(FLUTE)"]
-        .into_iter()
-        .chain(Method::ALL.iter().map(|m| m.name()))
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-
-    println!("\nclamp-free quality (avg approximation factor vs combined frontier; 1.0 = best):");
-    let factors = patlabor_bench::approximation_summary(&pooled);
-    let mut q_rows = Vec::new();
-    for (mi, m) in Method::ALL.iter().enumerate() {
-        q_rows.push(vec![m.name().to_string(), format!("{:.4}", factors[mi])]);
-    }
-    println!("{}", render_table(&["method", "avg factor"], &q_rows));
-
-    println!("\ntotal runtimes:");
-    let mut time_rows = Vec::new();
-    for (mi, m) in Method::ALL.iter().enumerate() {
-        time_rows.push(vec![m.name().to_string(), format!("{:.3}s", totals[mi])]);
-    }
-    println!("{}", render_table(&["method", "total time"], &time_rows));
+    print_fig7_tables(&default_grid(), &pooled, &totals);
     println!(
         "PatLabor/SALT time ratio: {:.2}",
         totals[0] / totals[1].max(1e-9)

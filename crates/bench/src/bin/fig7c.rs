@@ -5,9 +5,7 @@
 //! wirelength here — the weakness the paper calls out.
 
 use patlabor::{Engine, LutBuilder};
-use patlabor_bench::{
-    average_curve, normalizers, paper_note, render_table, run_method, scaled, Method,
-};
+use patlabor_bench::{normalizers, paper_note, print_fig7_tables, run_method, scaled, Method};
 use rand::SeedableRng;
 
 fn main() {
@@ -32,35 +30,7 @@ fn main() {
 
     // Wider grid: degree-100 RSMTs sit far from the delay optimum.
     let grid: Vec<f64> = (0..=12).map(|i| 1.0 + i as f64 * 0.1).collect();
-    let averaged: Vec<Vec<f64>> = pooled.iter().map(|p| average_curve(&grid, p)).collect();
-    let mut rows = Vec::new();
-    for (gi, g) in grid.iter().enumerate() {
-        let mut row = vec![format!("{g:.2}")];
-        for avg in &averaged {
-            row.push(format!("{:.4}", avg[gi]));
-        }
-        rows.push(row);
-    }
-    let headers: Vec<&str> = ["w/w(FLUTE)"]
-        .into_iter()
-        .chain(Method::ALL.iter().map(|m| m.name()))
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-
-    println!("\nclamp-free quality (avg approximation factor vs combined frontier; 1.0 = best):");
-    let factors = patlabor_bench::approximation_summary(&pooled);
-    let mut q_rows = Vec::new();
-    for (mi, m) in Method::ALL.iter().enumerate() {
-        q_rows.push(vec![m.name().to_string(), format!("{:.4}", factors[mi])]);
-    }
-    println!("{}", render_table(&["method", "avg factor"], &q_rows));
-
-    println!("\ntotal runtimes:");
-    let mut time_rows = Vec::new();
-    for (mi, m) in Method::ALL.iter().enumerate() {
-        time_rows.push(vec![m.name().to_string(), format!("{:.3}s", totals[mi])]);
-    }
-    println!("{}", render_table(&["method", "total time"], &time_rows));
+    print_fig7_tables(&grid, &pooled, &totals);
     paper_note(
         "paper Fig 7(c): at low wirelength budgets PatLabor matches SALT; at high \
          budgets PatLabor is tighter; YSD's divide-and-conquer performs poorly on \

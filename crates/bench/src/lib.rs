@@ -165,6 +165,44 @@ pub fn approximation_summary(per_method: &[MethodResults]) -> Vec<f64> {
     sums.into_iter().map(|s| s / nets.max(1) as f64).collect()
 }
 
+/// Prints the three tables every Fig. 7 panel shows: the averaged
+/// curves of `pooled` on `grid`, the clamp-free quality of each method
+/// and its total runtime (`totals`, seconds), methods in
+/// [`Method::ALL`] order.
+pub fn print_fig7_tables(grid: &[f64], pooled: &[MethodResults], totals: &[f64]) {
+    let averaged: Vec<Vec<f64>> = pooled.iter().map(|p| average_curve(grid, p)).collect();
+    let rows: Vec<Vec<String>> = grid
+        .iter()
+        .enumerate()
+        .map(|(gi, g)| {
+            std::iter::once(format!("{g:.2}"))
+                .chain(averaged.iter().map(|avg| format!("{:.4}", avg[gi])))
+                .collect()
+        })
+        .collect();
+    let headers: Vec<&str> = ["w/w(FLUTE)"]
+        .into_iter()
+        .chain(Method::ALL.iter().map(|m| m.name()))
+        .collect();
+    println!("{}", render_table(&headers, &rows));
+
+    println!("\nclamp-free quality (avg approximation factor vs combined frontier; 1.0 = best):");
+    let q_rows: Vec<Vec<String>> = Method::ALL
+        .iter()
+        .zip(approximation_summary(pooled))
+        .map(|(m, f)| vec![m.name().to_string(), format!("{f:.4}")])
+        .collect();
+    println!("{}", render_table(&["method", "avg factor"], &q_rows));
+
+    println!("\ntotal runtimes:");
+    let time_rows: Vec<Vec<String>> = Method::ALL
+        .iter()
+        .zip(totals)
+        .map(|(m, t)| vec![m.name().to_string(), format!("{t:.3}s")])
+        .collect();
+    println!("{}", render_table(&["method", "total time"], &time_rows));
+}
+
 /// Renders a plain-text table: header row + aligned columns.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

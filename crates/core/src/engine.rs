@@ -732,8 +732,8 @@ fn check_coordinates(net: &Net) -> Result<(), RouteError> {
 
 /// Stages LutQuery + Materialize: score the stored candidates, prune,
 /// and build witness trees for the survivors only. Composes the same
-/// stage calls as [`LookupTable::query_witnesses`], so the frontier
-/// (including tie-break order) is bit-identical to it. The winning ids
+/// stage calls as [`LookupTable::query`], so the frontier (including
+/// tie-break order) is bit-identical to it. The winning ids
 /// are collected only when `with_winners` (a cache will store them);
 /// otherwise the second vector is empty and allocates nothing.
 fn lut_query(

@@ -1,20 +1,22 @@
-//! Owned-or-mapped element storage for the CSR arenas.
+//! Typed views of the CSR arenas inside a table's v4 image.
 //!
-//! Every arena of a [`crate::LookupTable`] is either an owned `Vec<T>`
-//! (built tables, streaming loads) or a borrowed slice of a shared
-//! read-only file [`Mapping`] (zero-copy opens). Consumers only ever see
-//! `&[T]` — the query kernels are agnostic to the backing — and the
-//! mapped variant keeps its mapping alive through an `Arc`, so cloning a
-//! table clones pointers, not megabytes.
+//! Every arena of a [`crate::LookupTable`] is a borrowed slice of the
+//! table's read-only [`Mapping`] — a file mapping or a heap copy, which
+//! read alike. Consumers only ever see `&[T]`, and an arena keeps its
+//! mapping alive through an `Arc`.
 //!
-//! Mapped arenas are constructed exclusively by the v4 open path after it
-//! has validated bounds, alignment and the checksum, which is what makes
-//! the raw-pointer reinterpretation here sound.
+//! Arenas are constructed exclusively by the v4 reader after it has
+//! validated bounds, alignment and the checksum, which is what makes the
+//! raw-pointer reinterpretation here sound. The format is little-endian
+//! and read in place, so the crate builds only for little-endian targets.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::mmap::Mapping;
+
+#[cfg(not(target_endian = "little"))]
+compile_error!("v4 table images are little-endian and read in place");
 
 /// Marker for element types whose every bit pattern is a valid value, so a
 /// validated, aligned byte range of a mapping can be reinterpreted as a
@@ -25,18 +27,15 @@ impl Pod for u16 {}
 impl Pod for u32 {}
 impl Pod for u64 {}
 
-pub(crate) enum Arena<T: Pod> {
-    Owned(Vec<T>),
-    Mapped {
-        ptr: *const T,
-        len: usize,
-        /// Keeps the mapped file alive for as long as any arena borrows it.
-        map: Arc<Mapping>,
-    },
+pub(crate) struct Arena<T: Pod> {
+    ptr: *const T,
+    len: usize,
+    /// Keeps the mapping alive for as long as any arena borrows it.
+    _map: Arc<Mapping>,
 }
 
-// A mapped arena is an immutable view of an immutable mapping; an owned
-// arena is a Vec. Both are freely shareable across threads.
+// An arena is an immutable view of an immutable mapping, freely
+// shareable across threads.
 unsafe impl<T: Pod + Send + Sync> Send for Arena<T> {}
 unsafe impl<T: Pod + Send + Sync> Sync for Arena<T> {}
 
@@ -47,7 +46,7 @@ impl<T: Pod> Arena<T> {
     ///
     /// Panics when the range is out of bounds or misaligned — the format
     /// validator must have established both before building arenas.
-    pub(crate) fn mapped(map: &Arc<Mapping>, offset: usize, count: usize) -> Arena<T> {
+    pub(crate) fn mapped(map: &Arc<Mapping>, (offset, count): (usize, usize)) -> Arena<T> {
         let size = std::mem::size_of::<T>();
         let bytes = count.checked_mul(size).expect("arena byte size overflow");
         let end = offset.checked_add(bytes).expect("arena end overflow");
@@ -58,37 +57,10 @@ impl<T: Pod> Arena<T> {
             0,
             "arena offset misaligned for element type"
         );
-        Arena::Mapped {
+        Arena {
             ptr: ptr.cast(),
             len: count,
-            map: Arc::clone(map),
-        }
-    }
-
-    pub(crate) fn as_slice(&self) -> &[T] {
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Mapped { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts(*ptr, *len)
-            },
-        }
-    }
-
-    /// True when this arena borrows a file mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self, Arena::Mapped { .. })
-    }
-
-    /// Mutable access, converting a mapped arena to owned first
-    /// (copy-on-write; used by the fault-injection hooks, never by the
-    /// serving path).
-    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
-        if let Arena::Mapped { .. } = self {
-            *self = Arena::Owned(self.as_slice().to_vec());
-        }
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Mapped { .. } => unreachable!("just converted to owned"),
+            _map: Arc::clone(map),
         }
     }
 }
@@ -96,64 +68,13 @@ impl<T: Pod> Arena<T> {
 impl<T: Pod> Deref for Arena<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        self.as_slice()
-    }
-}
-
-impl<T: Pod> From<Vec<T>> for Arena<T> {
-    fn from(v: Vec<T>) -> Self {
-        Arena::Owned(v)
-    }
-}
-
-impl<T: Pod> Default for Arena<T> {
-    fn default() -> Self {
-        Arena::Owned(Vec::new())
-    }
-}
-
-impl<T: Pod> Clone for Arena<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Arena::Owned(v) => Arena::Owned(v.clone()),
-            Arena::Mapped { ptr, len, map } => Arena::Mapped {
-                ptr: *ptr,
-                len: *len,
-                map: Arc::clone(map),
-            },
-        }
-    }
-}
-
-// Backing-agnostic equality: an owned table and its mapped image compare
-// equal, which is exactly what the round-trip and parity tests assert.
-impl<T: Pod + PartialEq> PartialEq for Arena<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl<T: Pod + Eq> Eq for Arena<T> {}
-
-impl<T: Pod + std::fmt::Debug> std::fmt::Debug for Arena<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_mapped() {
-            write!(f, "Mapped")?;
-        }
-        self.as_slice().fmt(f)
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owned_arena_derefs_and_compares() {
-        let a: Arena<u32> = vec![1, 2, 3].into();
-        let b: Arena<u32> = vec![1, 2, 3].into();
-        assert_eq!(&a[..], &[1, 2, 3]);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn mapped_arena_reads_the_mapping() {
@@ -165,29 +86,10 @@ mod tests {
         bytes.extend_from_slice(&9u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let map = Arc::new(Mapping::open(&path).unwrap());
-        let arena: Arena<u64> = Arena::mapped(&map, 64, 2);
+        let arena: Arena<u64> = Arena::mapped(&map, (64, 2));
         assert_eq!(&arena[..], &[7, 9]);
-        assert!(arena.is_mapped());
-        let owned: Arena<u64> = vec![7, 9].into();
-        assert_eq!(arena, owned, "backing must not affect equality");
-        let cloned = arena.clone();
-        drop(arena);
-        assert_eq!(&cloned[..], &[7, 9], "clone keeps the mapping alive");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn to_mut_copies_out_of_the_mapping() {
-        let dir = std::env::temp_dir().join("patlabor_arena_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.bin");
-        std::fs::write(&path, vec![3u8; 16]).unwrap();
-        let map = Arc::new(Mapping::open(&path).unwrap());
-        let mut arena: Arena<u8> = Arena::mapped(&map, 0, 16);
-        arena.to_mut()[0] = 9;
-        assert!(!arena.is_mapped());
-        assert_eq!(arena[0], 9);
-        assert_eq!(map.bytes()[0], 3, "the mapping itself is untouched");
+        drop(map);
+        assert_eq!(&arena[..], &[7, 9], "the arena keeps the mapping alive");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,10 +4,101 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use patlabor_dw::{boundary::boundary_position, symbolic::symbolic_frontier, DwConfig};
-use patlabor_geom::Pattern;
+use patlabor_dw::boundary::boundary_position;
+use patlabor_dw::symbolic::{symbolic_frontier, SymbolicSolution};
+use patlabor_dw::DwConfig;
+use patlabor_geom::{Pattern, RankNode};
 
-use crate::table::{DegreeTable, LookupTable, StoredTopology};
+use crate::format::CsrArrays;
+use crate::table::LookupTable;
+
+/// One pooled topology: tree edges in the canonical pattern's rank grid
+/// (packed as `col · n + row` byte pairs) plus its symbolic cost rows.
+///
+/// `rows` is the flattened block [`SymbolicSolution::flat_rows`] produces:
+/// the wirelength multiplicities `W` (length `2n − 2`) followed by one
+/// delay row per sink in ascending sink-column order. Two topologies from
+/// different patterns pool into one entry only when **both** the edge set
+/// and the rows agree — the rows are what the query kernel evaluates, so
+/// pooling must never conflate topologies whose costs differ on some net.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct StoredTopology {
+    /// Packed edges (endpoint node ids), sorted and deduplicated.
+    edges: Vec<(u8, u8)>,
+    /// Flattened cost rows: `n · (2n − 2)` multiplicities.
+    rows: Vec<u16>,
+}
+
+impl StoredTopology {
+    /// Packs a symbolic DP solution of a degree-`n` pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solution's row shape does not match degree `n`
+    /// (`2n − 2` gap dimensions, `n − 1` delay rows).
+    fn from_solution(sol: &SymbolicSolution, n: u8) -> Self {
+        let dims = 2 * n as usize - 2;
+        assert_eq!(sol.w.len(), dims, "W row has wrong gap dimension");
+        assert_eq!(
+            sol.delays.len(),
+            n as usize - 1,
+            "final DP solutions carry one delay row per sink"
+        );
+        let pack = |nd: RankNode| nd.col * n + nd.row;
+        let mut packed: Vec<(u8, u8)> = sol
+            .edges
+            .iter()
+            .map(|&(a, b)| {
+                let (pa, pb) = (pack(a), pack(b));
+                (pa.min(pb), pa.max(pb))
+            })
+            .collect();
+        packed.sort_unstable();
+        packed.dedup();
+        StoredTopology {
+            edges: packed,
+            rows: sol.flat_rows(),
+        }
+    }
+}
+
+/// Pools a degree's per-pattern topology lists into its CSR arrays: one
+/// pool entry per distinct `(edges, rows)`, patterns by ascending key.
+///
+/// # Panics
+///
+/// Panics if a topology's row block has the wrong stride for `degree`.
+fn pool(degree: u8, lists: HashMap<u64, Vec<StoredTopology>>) -> CsrArrays {
+    let mut a = CsrArrays {
+        edge_off: vec![0],
+        pattern_off: vec![0],
+        ..CsrArrays::default()
+    };
+    let stride = degree as usize * (2 * degree as usize - 2);
+    let mut index: HashMap<StoredTopology, u32> = HashMap::new();
+    // Deterministic arena order: process patterns by ascending key —
+    // which is also the order `pattern_keys` needs for the key index.
+    let mut keys: Vec<u64> = lists.keys().copied().collect();
+    keys.sort_unstable();
+    for key in keys {
+        for t in &lists[&key] {
+            let id = *index.entry(t.clone()).or_insert_with(|| {
+                assert_eq!(t.rows.len(), stride, "row block has wrong stride");
+                for &(x, y) in &t.edges {
+                    a.edges.push(x);
+                    a.edges.push(y);
+                }
+                a.edge_off.push((a.edges.len() / 2) as u32);
+                a.costs.extend_from_slice(&t.rows);
+                (a.edge_off.len() - 2) as u32
+            });
+            a.pattern_ids.push(id);
+        }
+        a.pattern_keys.push(key);
+        a.pattern_off.push(a.pattern_ids.len() as u32);
+    }
+    a
+}
 
 /// Estimated symbolic-DW cost of a pattern, for scheduling.
 ///
@@ -94,17 +185,13 @@ impl LutBuilder {
         self
     }
 
-    /// Generates the tables.
+    /// Generates the tables: pools each degree into its CSR arrays and
+    /// encodes them into the table's v4 image, held in memory.
     pub fn build(self) -> LookupTable {
-        let mut tables: Vec<DegreeTable> =
-            (0..=self.lambda).map(|_| DegreeTable::default()).collect();
-        for degree in 3..=self.lambda {
-            tables[degree as usize] = DegreeTable::from_lists(degree, self.build_degree(degree));
-        }
-        LookupTable {
-            lambda: self.lambda,
-            tables,
-        }
+        let degrees = (3..=self.lambda)
+            .map(|degree| pool(degree, self.build_degree(degree)))
+            .collect();
+        LookupTable::from_arrays(self.lambda, degrees)
     }
 
     fn build_degree(&self, degree: u8) -> HashMap<u64, Vec<StoredTopology>> {
@@ -149,6 +236,112 @@ mod tests {
     use super::*;
     use patlabor_dw::numeric;
     use patlabor_geom::{Net, Point};
+
+    fn sol(n: u8, edges: &[(RankNode, RankNode)]) -> SymbolicSolution {
+        let dims = 2 * n as usize - 2;
+        SymbolicSolution {
+            w: vec![1; dims],
+            delays: vec![vec![2; dims]; n as usize - 1],
+            edges: edges.to_vec(),
+        }
+    }
+
+    #[test]
+    fn stored_topology_packs_edges_and_rows() {
+        let n = 5u8;
+        let edges = vec![
+            (RankNode::new(0, 0), RankNode::new(3, 2)),
+            (RankNode::new(4, 4), RankNode::new(1, 1)),
+        ];
+        let t = StoredTopology::from_solution(&sol(n, &edges), n);
+        // Nodes pack as col · n + row; each edge is ordered, the list
+        // sorted.
+        assert_eq!(t.edges, [(0, 17), (6, 24)]);
+        // Rows: W first, then the four delay rows.
+        assert_eq!(t.rows.len(), 5 * 8);
+        assert_eq!(&t.rows[..8], &[1; 8]);
+        assert_eq!(&t.rows[8..16], &[2; 8]);
+    }
+
+    #[test]
+    fn duplicate_edges_collapse() {
+        let n = 3u8;
+        let e = (RankNode::new(0, 0), RankNode::new(2, 2));
+        let t = StoredTopology::from_solution(&sol(n, &[e, e, (e.1, e.0)]), n);
+        assert_eq!(t.edges.len(), 1);
+    }
+
+    fn topo(edges: Vec<(u8, u8)>, rows: Vec<u16>) -> StoredTopology {
+        StoredTopology { edges, rows }
+    }
+
+    /// Pool entry `id` of degree-3 arrays, reassembled.
+    fn entry(a: &CsrArrays, id: u32) -> StoredTopology {
+        let (lo, hi) = (
+            a.edge_off[id as usize] as usize,
+            a.edge_off[id as usize + 1] as usize,
+        );
+        StoredTopology {
+            edges: a.edges[2 * lo..2 * hi]
+                .chunks_exact(2)
+                .map(|p| (p[0], p[1]))
+                .collect(),
+            rows: a.costs[12 * id as usize..][..12].to_vec(),
+        }
+    }
+
+    /// Pool ids of the pattern at sorted position `p`.
+    fn ids(a: &CsrArrays, p: usize) -> &[u32] {
+        &a.pattern_ids[a.pattern_off[p] as usize..a.pattern_off[p + 1] as usize]
+    }
+
+    #[test]
+    fn pooling_dedupes_across_patterns() {
+        // Degree 3: stride = 3 · 4 = 12.
+        let a = topo(vec![(0, 1), (1, 2)], vec![7; 12]);
+        let b = topo(vec![(0, 2)], vec![9; 12]);
+        let mut lists = HashMap::new();
+        lists.insert(1u64, vec![a.clone(), b.clone()]);
+        lists.insert(2u64, vec![a.clone()]);
+        lists.insert(3u64, vec![b.clone(), a.clone()]);
+        let arrays = pool(3, lists);
+        assert_eq!(arrays.edge_off.len() - 1, 2, "two unique topologies");
+        assert_eq!(arrays.pattern_keys, [1, 2, 3]);
+        // Pattern 3 references both, in its own order.
+        let ids3 = ids(&arrays, 2);
+        assert_eq!(entry(&arrays, ids3[0]), b);
+        assert_eq!(entry(&arrays, ids3[1]), a);
+    }
+
+    #[test]
+    fn pooling_keeps_same_edges_with_different_rows_apart() {
+        // Same tree shape but different cost rows (e.g. two patterns with
+        // different source columns): the query evaluates the rows, so the
+        // entries must not merge.
+        let a = topo(vec![(0, 1)], vec![1; 12]);
+        let b = topo(vec![(0, 1)], vec![2; 12]);
+        let mut lists = HashMap::new();
+        lists.insert(1u64, vec![a.clone()]);
+        lists.insert(2u64, vec![b.clone()]);
+        let arrays = pool(3, lists);
+        assert_eq!(arrays.edge_off.len() - 1, 2);
+        assert_ne!(
+            entry(&arrays, ids(&arrays, 0)[0]),
+            entry(&arrays, ids(&arrays, 1)[0])
+        );
+    }
+
+    #[test]
+    fn pooling_is_deterministic() {
+        let mk = || {
+            let mut lists = HashMap::new();
+            for k in 0..20u64 {
+                lists.insert(k, vec![topo(vec![(0, (k % 5) as u8)], vec![k as u16; 12])]);
+            }
+            pool(3, lists)
+        };
+        assert_eq!(mk(), mk());
+    }
 
     #[test]
     fn builds_all_degree_3_and_4_patterns() {

@@ -29,15 +29,17 @@
 //! ```
 //!
 //! The format carries no pointers and no floats, so it is fully
-//! deterministic: identical tables serialize to identical bytes, and a
-//! deserialized table re-serializes to the exact input bytes. Because the
-//! layout is fixed little-endian, naturally aligned and explicitly
-//! indexed, a v4 file can be served **zero-copy**: [`LookupTable::open_mmap`]
-//! maps the file, verifies the checksum and every structural invariant
-//! once, and then borrows the CSR arenas straight out of the mapping —
+//! deterministic, and the reader accepts only the canonical encoding
+//! (zero reserved bytes, zero padding, sections packed in order): a table
+//! and its bytes determine each other. Because the layout is fixed
+//! little-endian, naturally aligned and explicitly indexed, a table *is*
+//! its v4 image. [`LookupTable::open_mmap`] maps a file, and
+//! [`crate::LutBuilder`] encodes its arrays into a heap copy; either way
+//! one reader verifies the checksum and every structural invariant once,
+//! then borrows the CSR arenas straight out of the image — for a file,
 //! shared read-only across threads and processes from the page cache.
-//! It is the only reader: [`TableInfo::read`] shares its header and
-//! section-table parse.
+//! [`LookupTable::write_to`] writes the image back out unchanged, and
+//! [`TableInfo::read`] shares the reader's header and section-table parse.
 //!
 //! The checksum retains FNV-1a as its primitive but stripes it across 8
 //! interleaved lanes of 8-byte little-endian words ([`fnv1a64_striped`]):
@@ -58,7 +60,7 @@ use std::sync::Arc;
 
 use crate::arena::Arena;
 use crate::mmap::{Mapping, MAP_ALIGN};
-use crate::table::{DegreeTable, LookupTable};
+use crate::table::{DegreeTable, LookupTable, View};
 
 const MAGIC: &[u8; 4] = b"PLUT";
 const VERSION: u32 = 4;
@@ -195,8 +197,8 @@ struct RawSection {
     count: u64,
 }
 
-/// The canonical section plan for a table: `(degree, kind)` in order with
-/// element sizes and, for a writer, the element counts.
+/// The canonical section plan for a table: `(degree, kind, element size)`
+/// in order.
 fn section_plan(lambda: u8) -> impl Iterator<Item = (u8, u8, u32)> {
     (3..=lambda).flat_map(|d| (0u8..6).map(move |k| (d, k, KINDS[k as usize].1)))
 }
@@ -205,101 +207,129 @@ fn section_count(lambda: u8) -> usize {
     6 * (lambda as usize - 2)
 }
 
+/// One degree's six CSR arrays, in section order: what the builder pools
+/// and a fault hook edits, and what [`encode`] writes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct CsrArrays {
+    pub(crate) edge_off: Vec<u32>,
+    pub(crate) edges: Vec<u8>,
+    pub(crate) costs: Vec<u16>,
+    pub(crate) pattern_keys: Vec<u64>,
+    pub(crate) pattern_off: Vec<u32>,
+    pub(crate) pattern_ids: Vec<u32>,
+}
+
+/// Appends `values` in little-endian order.
+fn put<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], le: fn(T) -> [u8; N]) {
+    for &v in values {
+        out.extend_from_slice(&le(v));
+    }
+}
+
+/// The v4 image of a table whose degrees `3..=lambda` hold `degrees`:
+/// the writer. Its output is the only form a table has in memory.
+fn encode(lambda: u8, degrees: &[CsrArrays]) -> Vec<u8> {
+    let nsec = section_count(lambda);
+    assert_eq!(6 * degrees.len(), nsec, "one array set per degree 3..=lambda");
+    // The header and section table are filled in once the sections are
+    // laid out: packed in canonical order, each aligned.
+    let mut image = vec![0u8; HEADER_LEN + nsec * ENTRY_LEN];
+    let mut entries = HEADER_LEN;
+    for ((d, k, elem), a) in section_plan(lambda).zip(degrees.iter().flat_map(|a| [a; 6])) {
+        image.resize(align_up(image.len(), MAP_ALIGN), 0); // zero padding
+        let offset = image.len();
+        match k {
+            0 => put(&mut image, &a.edge_off, u32::to_le_bytes),
+            1 => image.extend_from_slice(&a.edges),
+            2 => put(&mut image, &a.costs, u16::to_le_bytes),
+            3 => put(&mut image, &a.pattern_keys, u64::to_le_bytes),
+            4 => put(&mut image, &a.pattern_off, u32::to_le_bytes),
+            _ => put(&mut image, &a.pattern_ids, u32::to_le_bytes),
+        }
+        let bytes = (image.len() - offset) as u64;
+        let entry = &mut image[entries..entries + ENTRY_LEN];
+        entry[0] = d;
+        entry[1] = k;
+        entry[4..8].copy_from_slice(&elem.to_le_bytes());
+        entry[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+        entry[16..24].copy_from_slice(&bytes.to_le_bytes());
+        entry[24..32].copy_from_slice(&(bytes / u64::from(elem)).to_le_bytes());
+        entries += ENTRY_LEN;
+    }
+    let file_len = image.len() as u64;
+    let checksum = fnv1a64_striped(&image[HEADER_LEN..]);
+    let header = &mut image[..HEADER_LEN];
+    header[0..4].copy_from_slice(MAGIC);
+    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    header[8] = lambda;
+    header[16..20].copy_from_slice(&(nsec as u32).to_le_bytes());
+    header[24..32].copy_from_slice(&checksum.to_le_bytes());
+    header[32..40].copy_from_slice(&file_len.to_le_bytes());
+    image
+}
+
+/// The one reader: checks an image (layout, checksum, section table,
+/// padding, arena values) and builds the table that borrows its arenas.
+/// Every [`LookupTable`] comes from here.
+fn from_image(map: Mapping) -> Result<LookupTable, ReadTableError> {
+    let map = Arc::new(map);
+    let bytes = map.bytes();
+    let layout = Layout::parse(bytes)?;
+    if layout.file_len != bytes.len() {
+        return Err(ReadTableError::Corrupt("file length mismatch"));
+    }
+    // Checksum before anything borrows: one striped scan of the body.
+    let computed = fnv1a64_striped(&bytes[HEADER_LEN..]);
+    if layout.checksum != computed {
+        return Err(ReadTableError::BadChecksum {
+            stored: layout.checksum,
+            computed,
+        });
+    }
+    validate_section_table(layout.lambda, &layout.sections, bytes)?;
+
+    let section = |sec: &RawSection| (sec.offset as usize, sec.count as usize);
+    let mut degrees = Vec::with_capacity(layout.sections.len() / 6);
+    for chunk in layout.sections.chunks_exact(6) {
+        let table = DegreeTable::assemble(
+            chunk[0].degree,
+            Arena::mapped(&map, section(&chunk[0])),
+            Arena::mapped(&map, section(&chunk[1])),
+            Arena::mapped(&map, section(&chunk[2])),
+            Arena::mapped(&map, section(&chunk[3])),
+            Arena::mapped(&map, section(&chunk[4])),
+            Arena::mapped(&map, section(&chunk[5])),
+        );
+        validate_degree_arenas(&table)?;
+        degrees.push(table);
+    }
+    Ok(LookupTable {
+        view: Arc::new(View {
+            lambda: layout.lambda,
+            image: map,
+            degrees,
+        }),
+    })
+}
+
 impl LookupTable {
-    fn section_counts(&self, d: u8) -> [usize; 6] {
-        let t = &self.tables[d as usize];
-        [
-            t.edge_off.len(),
-            t.edges.len(),
-            t.costs.len(),
-            t.pattern_keys.len(),
-            t.pattern_off.len(),
-            t.pattern_ids.len(),
-        ]
+    /// The table whose degrees `3..=lambda` hold `degrees`: encoded, put
+    /// in a heap image and read back like any file.
+    pub(crate) fn from_arrays(lambda: u8, degrees: Vec<CsrArrays>) -> LookupTable {
+        let image = encode(lambda, &degrees);
+        drop(degrees);
+        from_image(Mapping::copy_of(&image)).expect("an encoded table passes the reader")
     }
 
-    /// Serializes the table to any writer (a `&mut` reference works too).
+    /// Writes the table's v4 image to any writer (a `&mut` reference
+    /// works too): the bytes the reader checked, whether they came from a
+    /// file or were encoded in memory.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let nsec = section_count(self.lambda);
-        // Lay the sections out: packed in canonical order, each aligned.
-        let mut offsets = Vec::with_capacity(nsec);
-        let mut cursor = align_up(HEADER_LEN + nsec * ENTRY_LEN, MAP_ALIGN);
-        let mut counts = Vec::with_capacity(nsec);
-        for (d, k, elem) in section_plan(self.lambda) {
-            let count = self.section_counts(d)[k as usize];
-            offsets.push(cursor);
-            counts.push(count);
-            cursor = align_up(cursor + count * elem as usize, MAP_ALIGN);
-        }
-        let file_len = match counts.last() {
-            Some(_) => {
-                let (d, k, elem) = section_plan(self.lambda).last().expect("nsec > 0");
-                let _ = (d, k);
-                offsets[nsec - 1] + counts[nsec - 1] * elem as usize
-            }
-            None => align_up(HEADER_LEN, MAP_ALIGN),
-        };
-
-        // Body = section table + padded payload; buffered once so the
-        // header can carry its checksum.
-        let mut body = Vec::with_capacity(file_len - HEADER_LEN);
-        for (i, (d, k, elem)) in section_plan(self.lambda).enumerate() {
-            body.push(d);
-            body.push(k);
-            body.extend_from_slice(&0u16.to_le_bytes());
-            body.extend_from_slice(&elem.to_le_bytes());
-            body.extend_from_slice(&(offsets[i] as u64).to_le_bytes());
-            body.extend_from_slice(&((counts[i] * elem as usize) as u64).to_le_bytes());
-            body.extend_from_slice(&(counts[i] as u64).to_le_bytes());
-        }
-        for (i, (d, k, _)) in section_plan(self.lambda).enumerate() {
-            body.resize(offsets[i] - HEADER_LEN, 0); // zero padding
-            let t = &self.tables[d as usize];
-            match k {
-                0 => {
-                    for &v in t.edge_off.iter() {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                1 => body.extend_from_slice(&t.edges),
-                2 => {
-                    for &v in t.costs.iter() {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                3 => {
-                    for &v in t.pattern_keys.iter() {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                4 => {
-                    for &v in t.pattern_off.iter() {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                _ => {
-                    for &v in t.pattern_ids.iter() {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(HEADER_LEN + body.len(), file_len);
-
-        let mut header = [0u8; HEADER_LEN];
-        header[0..4].copy_from_slice(MAGIC);
-        header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        header[8] = self.lambda;
-        header[16..20].copy_from_slice(&(nsec as u32).to_le_bytes());
-        header[24..32].copy_from_slice(&fnv1a64_striped(&body).to_le_bytes());
-        header[32..40].copy_from_slice(&(file_len as u64).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(&body)?;
-        Ok(())
+        w.write_all(self.view.image.bytes())
     }
 
     /// Opens a table **zero-copy**: the file is mapped read-only, the
@@ -307,60 +337,20 @@ impl LookupTable {
     /// CSR arenas then borrow the mapping directly — no parse, no copies,
     /// shared across threads (and across processes, via the page cache).
     ///
-    /// The returned table answers queries identically to the one it was
-    /// saved from; only [`LookupTable::backing`] differs.
+    /// The returned table equals the one it was saved from and answers
+    /// queries identically; only [`LookupTable::backing`] differs.
     ///
     /// # Errors
     ///
     /// Returns [`ReadTableError`] on filesystem problems, version
-    /// mismatch, checksum mismatch, or any malformed offset, count, index
-    /// or alignment — all detected here, before any arena is served.
-    /// Version ≤ 3 files get a [`ReadTableError::BadVersion`] naming the
-    /// `lut build` regeneration command — v3 arenas were written
-    /// unaligned and unpadded, so there is nothing to migrate in place.
+    /// mismatch, checksum mismatch, or any malformed offset, count, index,
+    /// alignment or padding — all detected here, before any arena is
+    /// served. Version ≤ 3 files get a [`ReadTableError::BadVersion`]
+    /// naming the `lut build` regeneration command — v3 arenas were
+    /// written unaligned and unpadded, so there is nothing to migrate in
+    /// place.
     pub fn open_mmap(path: impl AsRef<std::path::Path>) -> Result<Self, ReadTableError> {
-        let map = Arc::new(Mapping::open(path.as_ref())?);
-        let bytes = map.bytes();
-        let layout = Layout::parse(bytes)?;
-        if layout.file_len != bytes.len() {
-            return Err(ReadTableError::Corrupt("file length mismatch"));
-        }
-        // Checksum before anything borrows: one striped scan of the body.
-        let computed = fnv1a64_striped(&bytes[HEADER_LEN..]);
-        if layout.checksum != computed {
-            return Err(ReadTableError::BadChecksum {
-                stored: layout.checksum,
-                computed,
-            });
-        }
-        validate_section_table(layout.lambda, &layout.sections, layout.file_len)?;
-
-        let mut tables: Vec<DegreeTable> = (0..=layout.lambda)
-            .map(|_| DegreeTable::default())
-            .collect();
-        for chunk in layout.sections.chunks_exact(6) {
-            let d = chunk[0].degree;
-            let at = |i: usize| (chunk[i].offset as usize, chunk[i].count as usize);
-            let (o0, c0) = at(0);
-            let (o1, c1) = at(1);
-            let (o2, c2) = at(2);
-            let (o3, c3) = at(3);
-            let (o4, c4) = at(4);
-            let (o5, c5) = at(5);
-            let edge_off: Arena<u32> = Arena::mapped(&map, o0, c0);
-            let edges: Arena<u8> = Arena::mapped(&map, o1, c1);
-            let costs: Arena<u16> = Arena::mapped(&map, o2, c2);
-            let keys: Arena<u64> = Arena::mapped(&map, o3, c3);
-            let pat_off: Arena<u32> = Arena::mapped(&map, o4, c4);
-            let ids: Arena<u32> = Arena::mapped(&map, o5, c5);
-            validate_degree_arenas(d, &edge_off, &edges, &costs, &keys, &pat_off, &ids)?;
-            tables[d as usize] =
-                DegreeTable::assemble(d, edge_off, edges, costs, keys, pat_off, ids);
-        }
-        Ok(LookupTable {
-            lambda: layout.lambda,
-            tables,
-        })
+        from_image(Mapping::open(path.as_ref())?)
     }
 
     /// Writes the table to a file path, replacing any file already there.
@@ -475,14 +465,18 @@ fn parse_section_entry(e: &[u8; ENTRY_LEN]) -> Result<RawSection, ReadTableError
 
 /// Structural validation of the section table against the canonical
 /// layout: exact `(degree, kind, element size)` sequence, aligned packed
-/// offsets, consistent byte lengths, and cross-section count relations
-/// that do not depend on payload values.
+/// offsets, zero padding before each section, consistent byte lengths,
+/// and cross-section count relations that do not depend on payload
+/// values. `bytes` is the whole file.
 fn validate_section_table(
     lambda: u8,
     sections: &[RawSection],
-    file_len: usize,
+    bytes: &[u8],
 ) -> Result<(), ReadTableError> {
-    let mut cursor = align_up(HEADER_LEN + sections.len() * ENTRY_LEN, MAP_ALIGN);
+    let file_len = bytes.len();
+    // End of what precedes the next section: the section table, then
+    // each section's payload.
+    let mut end = HEADER_LEN + sections.len() * ENTRY_LEN;
     for (sec, (d, k, elem)) in sections.iter().zip(section_plan(lambda)) {
         if sec.degree != d || sec.kind != k {
             return Err(ReadTableError::Corrupt("section out of canonical order"));
@@ -490,30 +484,28 @@ fn validate_section_table(
         if sec.elem != elem {
             return Err(ReadTableError::Corrupt("section element size mismatch"));
         }
-        if sec.offset as usize != cursor {
+        if sec.offset != align_up(end, MAP_ALIGN) as u64 {
             return Err(ReadTableError::Corrupt("section offset out of place"));
         }
-        if !(sec.offset as usize).is_multiple_of(MAP_ALIGN) {
-            return Err(ReadTableError::Corrupt("section offset misaligned"));
-        }
-        if sec.count > 100_000_000 {
+        // No section holds more elements than the file has bytes, which
+        // also keeps the products below from overflowing.
+        if sec.count > file_len as u64 {
             return Err(ReadTableError::Corrupt("implausible section count"));
         }
         if sec.bytes != sec.count * elem as u64 {
             return Err(ReadTableError::Corrupt("section byte length mismatch"));
         }
-        cursor = align_up(cursor + sec.bytes as usize, MAP_ALIGN);
-        let end = sec.offset as usize + sec.bytes as usize;
-        if end > file_len {
+        let (offset, section_end) = (sec.offset as usize, (sec.offset + sec.bytes) as usize);
+        if section_end > file_len {
             return Err(ReadTableError::Corrupt("section escapes the file"));
         }
+        if bytes[end..offset].iter().any(|&b| b != 0) {
+            return Err(ReadTableError::Corrupt("padding bytes not zero"));
+        }
+        end = section_end;
     }
     // The file ends flush with the last section.
-    let last_end = sections
-        .last()
-        .map(|s| s.offset as usize + s.bytes as usize)
-        .unwrap_or(align_up(HEADER_LEN, MAP_ALIGN));
-    if last_end != file_len {
+    if end != file_len {
         return Err(ReadTableError::Corrupt("file length mismatch"));
     }
     // Per-degree count relations knowable from the table alone.
@@ -538,43 +530,34 @@ fn validate_section_table(
     Ok(())
 }
 
-/// Value-level validation of one degree's arenas, run at open before any
-/// arena is served.
-fn validate_degree_arenas(
-    d: u8,
-    edge_off: &[u32],
-    edges: &[u8],
-    costs: &[u16],
-    keys: &[u64],
-    pat_off: &[u32],
-    ids: &[u32],
-) -> Result<(), ReadTableError> {
-    let npool = edge_off.len() - 1; // length checked by the section table
-    if edge_off[0] != 0 || edge_off.windows(2).any(|w| w[0] > w[1]) {
+/// Value-level validation of one degree's arenas, run by the reader
+/// before any arena is served.
+fn validate_degree_arenas(t: &DegreeTable) -> Result<(), ReadTableError> {
+    let npool = t.npool(); // `edge_off` is non-empty: checked by the section table
+    if t.edge_off[0] != 0 || t.edge_off.windows(2).any(|w| w[0] > w[1]) {
         return Err(ReadTableError::Corrupt("edge offsets not monotonic"));
     }
-    if edges.len() != 2 * edge_off[npool] as usize {
+    if t.edges.len() != 2 * t.edge_off[npool] as usize {
         return Err(ReadTableError::Corrupt("edge arena length mismatch"));
     }
-    let max_node = (d as u16) * (d as u16);
-    if edges.iter().any(|&b| b as u16 >= max_node) {
+    let max_node = u16::from(t.n) * u16::from(t.n);
+    if t.edges.iter().any(|&b| u16::from(b) >= max_node) {
         return Err(ReadTableError::Corrupt("edge node out of range"));
     }
-    let stride = d as usize * (2 * d as usize - 2);
-    if costs.len() != npool * stride {
+    if t.costs.len() != npool * t.row_stride() {
         return Err(ReadTableError::Corrupt("cost arena count mismatch"));
     }
-    if keys.windows(2).any(|w| w[0] >= w[1]) {
+    if t.pattern_keys.windows(2).any(|w| w[0] >= w[1]) {
         return Err(ReadTableError::Corrupt("pattern keys not ascending"));
     }
-    let npat = keys.len();
-    if pat_off[0] != 0 || pat_off.windows(2).any(|w| w[0] > w[1]) {
+    let npat = t.pattern_count();
+    if t.pattern_off[0] != 0 || t.pattern_off.windows(2).any(|w| w[0] > w[1]) {
         return Err(ReadTableError::Corrupt("pattern offsets not monotonic"));
     }
-    if ids.len() != pat_off[npat] as usize {
+    if t.pattern_ids.len() != t.pattern_off[npat] as usize {
         return Err(ReadTableError::Corrupt("topology-ref arena length mismatch"));
     }
-    if ids.iter().any(|&id| id as usize >= npool) {
+    if t.pattern_ids.iter().any(|&id| id as usize >= npool) {
         return Err(ReadTableError::Corrupt("pool index out of range"));
     }
     Ok(())
@@ -634,8 +617,7 @@ impl TableInfo {
         let layout = Layout::parse(&bytes)?;
         let checksum_ok = layout.file_len == bytes.len()
             && fnv1a64_striped(&bytes[HEADER_LEN..]) == layout.checksum;
-        let structural_ok =
-            validate_section_table(layout.lambda, &layout.sections, layout.file_len).is_ok();
+        let structural_ok = validate_section_table(layout.lambda, &layout.sections, &bytes).is_ok();
         Ok(TableInfo {
             version: VERSION,
             lambda: layout.lambda,
@@ -934,6 +916,78 @@ mod tests {
         buf[edges_at - 1] ^= 0x01; // padding before the edges section
         let err = open_bytes("v4_pad.plut", &buf).unwrap_err();
         assert!(matches!(err, ReadTableError::BadChecksum { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_zero_padding_is_rejected_behind_a_valid_checksum() {
+        // The same padding flip with the checksum resealed: the layout
+        // check must refuse it, so every accepted image is canonical.
+        let table = LutBuilder::new(3).threads(1).build();
+        let mut buf = Vec::new();
+        table.write_to(&mut buf).unwrap();
+        let edges_at = section_offset(&buf, 3, 1);
+        buf[edges_at - 1] ^= 0x01;
+        reseal(&mut buf);
+        let err = open_bytes("v4_pad_sealed.plut", &buf).unwrap_err();
+        assert!(
+            matches!(err, ReadTableError::Corrupt("padding bytes not zero")),
+            "{err}"
+        );
+        let path = tmp("v4_pad_sealed_info.plut");
+        std::fs::write(&path, &buf).unwrap();
+        let info = TableInfo::read(&path).unwrap();
+        assert!(info.checksum_ok);
+        assert!(!info.mappable, "lut info must not call the file mappable");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupting_a_mapped_table_never_writes_its_file() {
+        let table = LutBuilder::new(4).threads(1).build();
+        let path = tmp("v4_corrupt_mapped.plut");
+        table.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let mut corrupted = LookupTable::open_mmap(&path).unwrap();
+        assert!(corrupted.corrupt_cost_row(4, 0, 1));
+        assert_eq!(corrupted.backing(), Backing::Owned);
+        assert_ne!(corrupted, table);
+        assert_eq!(std::fs::read(&path).unwrap(), saved, "the file is untouched");
+        assert_eq!(LookupTable::open_mmap(&path).unwrap(), table);
+        // The corrupted table is an image like any other: its bytes
+        // reopen to a table equal to it.
+        let mut bytes = Vec::new();
+        corrupted.write_to(&mut bytes).unwrap();
+        assert_eq!(open_bytes("v4_corrupt_reopen.plut", &bytes).unwrap(), corrupted);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_removed_degree_round_trips_through_a_file() {
+        let mut table = LutBuilder::new(4).threads(1).build();
+        table.remove_degree(3);
+        assert_eq!(table.pattern_count(3), 0);
+        assert_eq!(table.pattern_count(4), 16);
+        let path = tmp("v4_removed.plut");
+        table.save(&path).unwrap();
+        let reopened = LookupTable::open_mmap(&path).unwrap();
+        assert_eq!(reopened, table);
+        assert_eq!(reopened.pattern_count(3), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn built_tables_are_heap_images_that_clones_share() {
+        let table = LutBuilder::new(3).threads(1).build();
+        assert_eq!(table.backing(), Backing::Owned);
+        let clone = table.clone();
+        assert_eq!(
+            clone.view.image.bytes().as_ptr(),
+            table.view.image.bytes().as_ptr(),
+            "a clone shares the image"
+        );
+        let mut bytes = Vec::new();
+        table.write_to(&mut bytes).unwrap();
+        assert_eq!(bytes, table.view.image.bytes(), "write_to writes the image");
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`LookupTable::save`] / [`LookupTable::open_mmap`] — the v4 file
 //!   format: tables are built once offline, then served zero-copy from a
 //!   read-only mapping; [`TableInfo`] describes a file without serving it.
+//!   A table is its v4 image whether it was built or opened: one reader
+//!   checks every table, and `save` writes the bytes it checked.
 //!
 //! # Example
 //!
@@ -42,7 +44,7 @@ mod table;
 
 pub use builder::LutBuilder;
 pub use format::{fnv1a64_striped, ReadTableError, SectionInfo, TableInfo};
-pub use table::{Backing, LookupTable, LutStats, StoredTopology};
+pub use table::{Backing, LookupTable, LutStats};
 
 /// The λ values a table can be built for ([`LutBuilder::new`]) and a v4
 /// file may declare ([`LookupTable::open_mmap`]).

@@ -1,16 +1,19 @@
-//! Read-only file mappings for zero-copy table serving.
+//! The immutable, 64-byte-aligned bytes a lookup table is a view of.
 //!
-//! On unix the file is `mmap`ed shared read-only, so N processes opening
-//! the same table share one set of physical pages straight from the page
-//! cache and open-to-ready cost is independent of table size (modulo the
-//! one checksum pass). Elsewhere the "mapping" is a 64-byte-aligned heap
-//! buffer filled by a single bulk read — same API, same alignment
-//! guarantees, no sharing.
+//! Every table is one v4 image (see [`crate::LookupTable`]). A table
+//! opened from a file maps it: on unix the file is `mmap`ed shared
+//! read-only, so N processes opening the same table share one set of
+//! physical pages straight from the page cache and open-to-ready cost is
+//! independent of table size (modulo the one checksum pass). A table
+//! built or re-encoded in memory holds its image in a heap buffer
+//! ([`Mapping::copy_of`]), as does a file opened where there is no
+//! `mmap`. Both have the same alignment guarantee, and nothing reads them
+//! differently.
 //!
-//! The mapping is immutable for its whole lifetime: it is created,
-//! validated once by the v4 open path, and then only ever read. That
-//! immutability is what makes the `Send + Sync` claims of the borrowing
-//! arenas sound.
+//! The bytes are immutable for the mapping's whole lifetime: it is
+//! created, validated once by the v4 reader, and then only ever read.
+//! That immutability is what makes the `Send + Sync` claims of the
+//! borrowing arenas sound.
 
 use std::fs::File;
 use std::io;
@@ -29,8 +32,8 @@ enum Backing {
     },
 }
 
-/// An immutable byte buffer backed by an `mmap` (unix) or an aligned heap
-/// allocation (fallback), always aligned to [`MAP_ALIGN`].
+/// An immutable byte buffer backed by an `mmap` (unix files) or an
+/// aligned heap allocation, always aligned to [`MAP_ALIGN`].
 pub(crate) struct Mapping {
     backing: Backing,
 }
@@ -99,34 +102,30 @@ impl Mapping {
     }
 
     #[cfg(not(unix))]
-    fn from_file(file: File, len: usize) -> io::Result<Mapping> {
-        Mapping::read_aligned(file, len)
+    fn from_file(mut file: File, len: usize) -> io::Result<Mapping> {
+        use std::io::Read;
+        let mut bytes = Vec::with_capacity(len);
+        file.read_to_end(&mut bytes)?;
+        Ok(Mapping::copy_of(&bytes))
     }
 
-    /// Fallback path: one aligned allocation, one bulk read.
-    #[cfg_attr(unix, allow(dead_code))]
-    fn read_aligned(mut file: File, len: usize) -> io::Result<Mapping> {
-        use std::io::Read;
-        let layout = std::alloc::Layout::from_size_align(len, MAP_ALIGN)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "table too large to map"))?;
+    /// Copies `bytes` into one [`MAP_ALIGN`]-aligned heap allocation.
+    pub(crate) fn copy_of(bytes: &[u8]) -> Mapping {
+        // A zero-size allocation is undefined; reserve at least one byte.
+        let layout = std::alloc::Layout::from_size_align(bytes.len().max(1), MAP_ALIGN)
+            .expect("a byte buffer that exists fits an aligned layout");
         let ptr = unsafe { std::alloc::alloc(layout) };
         if ptr.is_null() {
             std::alloc::handle_alloc_error(layout);
         }
-        // Constructing the Mapping before the read puts the buffer under
-        // Drop, so an I/O error frees it with the allocating layout.
-        let mut mapping = Mapping {
-            backing: Backing::Heap { ptr, len, layout },
-        };
-        let buf = match &mut mapping.backing {
-            Backing::Heap { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts_mut(*ptr, *len)
+        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr, bytes.len()) };
+        Mapping {
+            backing: Backing::Heap {
+                ptr,
+                len: bytes.len(),
+                layout,
             },
-            #[cfg(unix)]
-            Backing::Mmap { .. } => unreachable!(),
-        };
-        file.read_exact(buf)?;
-        Ok(mapping)
+        }
     }
 
     pub(crate) fn bytes(&self) -> &[u8] {
@@ -139,6 +138,15 @@ impl Mapping {
 
     pub(crate) fn len(&self) -> usize {
         self.bytes().len()
+    }
+
+    /// True when the bytes are an `mmap` of a file, false for a heap copy.
+    pub(crate) fn is_mmap(&self) -> bool {
+        match self.backing {
+            #[cfg(unix)]
+            Backing::Mmap { .. } => true,
+            Backing::Heap { .. } => false,
+        }
     }
 }
 
@@ -181,21 +189,19 @@ mod tests {
         let map = Mapping::open(&path).unwrap();
         assert_eq!(map.bytes(), &data[..]);
         assert_eq!(map.bytes().as_ptr() as usize % MAP_ALIGN, 0);
+        assert_eq!(map.is_mmap(), cfg!(unix));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn heap_fallback_matches() {
-        let dir = std::env::temp_dir().join("patlabor_mmap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.bin");
-        let data = vec![7u8; 777];
-        std::fs::write(&path, &data).unwrap();
-        let file = File::open(&path).unwrap();
-        let map = Mapping::read_aligned(file, data.len()).unwrap();
-        assert_eq!(map.bytes(), &data[..]);
+    fn heap_copy_is_aligned_and_equal() {
+        // Odd lengths and an unaligned source: the copy is still aligned.
+        let data: Vec<u8> = (0..=255u8).cycle().take(778).collect();
+        let map = Mapping::copy_of(&data[1..]);
+        assert_eq!(map.bytes(), &data[1..]);
         assert_eq!(map.bytes().as_ptr() as usize % MAP_ALIGN, 0);
-        std::fs::remove_file(&path).ok();
+        assert!(!map.is_mmap());
+        assert_eq!(Mapping::copy_of(&[]).len(), 0);
     }
 
     #[test]

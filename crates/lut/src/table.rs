@@ -1,10 +1,10 @@
-//! The lookup table proper: CSR storage layout, the dot-product query
-//! kernel and statistics.
+//! The lookup table proper: a view of one v4 image, the dot-product
+//! query kernel and statistics.
 //!
 //! # v4 storage layout
 //!
-//! Each degree's table is a set of flat arenas (one allocation — or one
-//! borrowed mapping range — each, no per-topology boxing):
+//! Each degree's table is a set of flat arenas (one section of the image
+//! each, no per-topology boxing):
 //!
 //! ```text
 //! pool entry t (a pooled topology)
@@ -16,13 +16,13 @@
 //!   ids    id arena    [pattern_off[p] .. pattern_off[p+1])  u32 pool ids
 //! ```
 //!
-//! Arenas are [`Arena`]s: either owned `Vec`s (built or stream-loaded
-//! tables) or borrowed slices of a shared read-only file mapping
-//! (zero-copy opens, see [`LookupTable::open_mmap`]). The query kernels
-//! are backing-agnostic.
+//! Arenas are [`Arena`]s: typed slices of the table's image, which is a
+//! read-only file mapping ([`LookupTable::open_mmap`]) or a heap copy
+//! (a table built or re-encoded in memory). The one reader in
+//! `format.rs` builds every table, so the query kernels see one form.
 //!
 //! Pattern keys are additionally indexed in an Eytzinger (BFS) layout
-//! built at construction: the branchless descent touches one cache line
+//! built by the reader: the branchless descent touches one cache line
 //! per level near the root and prefetches grandchildren, replacing the
 //! cache-hostile middle-of-the-array probes of a plain binary search.
 //!
@@ -41,77 +41,15 @@
 //! scoring and materialization allocate nothing but the answer: the
 //! survivor list, and each witness tree.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use patlabor_dw::symbolic::SymbolicSolution;
 use patlabor_geom::{Net, NetClass, RankNode};
 use patlabor_pareto::{Cost, ParetoSet};
 use patlabor_tree::{extract_from_ids, RoutingTree};
 
 use crate::arena::Arena;
-
-/// One pooled topology: tree edges in the canonical pattern's rank grid
-/// (packed as `col · n + row` byte pairs) plus its symbolic cost rows.
-///
-/// `rows` is the flattened block [`SymbolicSolution::flat_rows`] produces:
-/// the wirelength multiplicities `W` (length `2n − 2`) followed by one
-/// delay row per sink in ascending sink-column order. Two topologies from
-/// different patterns pool into one entry only when **both** the edge set
-/// and the rows agree — the rows are what the query kernel evaluates, so
-/// pooling must never conflate topologies whose costs differ on some net.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StoredTopology {
-    /// Packed edges (endpoint node ids), sorted and deduplicated.
-    pub edges: Vec<(u8, u8)>,
-    /// Flattened cost rows: `n · (2n − 2)` multiplicities.
-    pub rows: Vec<u16>,
-}
-
-impl StoredTopology {
-    /// Packs a symbolic DP solution of a degree-`n` pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solution's row shape does not match degree `n`
-    /// (`2n − 2` gap dimensions, `n − 1` delay rows).
-    pub fn from_solution(sol: &SymbolicSolution, n: u8) -> Self {
-        let dims = 2 * n as usize - 2;
-        assert_eq!(sol.w.len(), dims, "W row has wrong gap dimension");
-        assert_eq!(
-            sol.delays.len(),
-            n as usize - 1,
-            "final DP solutions carry one delay row per sink"
-        );
-        let pack = |nd: RankNode| nd.col * n + nd.row;
-        let mut packed: Vec<(u8, u8)> = sol
-            .edges
-            .iter()
-            .map(|&(a, b)| {
-                let (pa, pb) = (pack(a), pack(b));
-                (pa.min(pb), pa.max(pb))
-            })
-            .collect();
-        packed.sort_unstable();
-        packed.dedup();
-        StoredTopology {
-            edges: packed,
-            rows: sol.flat_rows(),
-        }
-    }
-
-    /// Unpacks into rank-node edges.
-    pub fn rank_edges(&self, n: u8) -> Vec<(RankNode, RankNode)> {
-        self.edges
-            .iter()
-            .map(|&(a, b)| {
-                (
-                    RankNode::new(a / n, a % n),
-                    RankNode::new(b / n, b % n),
-                )
-            })
-            .collect()
-    }
-}
+use crate::format::CsrArrays;
+use crate::mmap::Mapping;
 
 /// Per-degree statistics — the rows of the paper's Table II.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,16 +67,17 @@ pub struct LutStats {
     /// "store only one topology for each cluster"; v3+ clusters on
     /// `(edges, cost rows)` so pooled entries are query-equivalent).
     pub unique_topologies: usize,
-    /// Approximate in-memory size in bytes of this degree's arenas.
+    /// Bytes of this degree's six v4 sections, without alignment padding.
     pub bytes: usize,
 }
 
-/// How a [`LookupTable`]'s arenas are backed.
+/// Where a [`LookupTable`]'s v4 image lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backing {
-    /// Arenas are owned `Vec`s (built in-process or stream-parsed).
+    /// A heap copy: a table built in this process, or one a fault hook
+    /// re-encoded.
     Owned,
-    /// Arenas borrow a shared read-only file mapping (zero-copy open).
+    /// A shared read-only `mmap` of a table file (zero-copy open).
     Mapped,
 }
 
@@ -152,9 +91,8 @@ impl std::fmt::Display for Backing {
 }
 
 /// One degree's table as flat CSR arenas (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct DegreeTable {
-    /// Degree `n` (0 for the empty placeholder tables below degree 3).
+    /// Degree `n`.
     pub(crate) n: u8,
     /// `edge_off[t] .. edge_off[t+1]` indexes the edge *pairs* of pool
     /// entry `t`; length `npool + 1`, starts at 0.
@@ -170,17 +108,14 @@ pub(crate) struct DegreeTable {
     pub(crate) pattern_off: Arena<u32>,
     /// Pool-id arena.
     pub(crate) pattern_ids: Arena<u32>,
-    /// `pattern_keys` in Eytzinger (BFS) order — derived at construction,
-    /// always owned (it is small: one u64 + one u32 per pattern).
-    eyt_keys: Vec<u64>,
-    /// Sorted position of each Eytzinger slot, to recover the CSR index.
-    eyt_pos: Vec<u32>,
+    /// `pattern_keys` in Eytzinger order, derived by the reader (it is
+    /// small: one u64 + one u32 per pattern).
+    index: KeyIndex,
 }
 
 impl DegreeTable {
     /// Builds a table from its arenas, deriving the Eytzinger key index.
-    /// All construction paths (builder, stream parse, mmap open) funnel
-    /// through here so the index can never be stale.
+    /// The reader is the one caller, so the index can never be stale.
     pub(crate) fn assemble(
         n: u8,
         edge_off: Arena<u32>,
@@ -190,7 +125,7 @@ impl DegreeTable {
         pattern_off: Arena<u32>,
         pattern_ids: Arena<u32>,
     ) -> DegreeTable {
-        let (eyt_keys, eyt_pos) = eytzinger(&pattern_keys);
+        let index = KeyIndex::new(&pattern_keys);
         DegreeTable {
             n,
             edge_off,
@@ -199,33 +134,31 @@ impl DegreeTable {
             pattern_keys,
             pattern_off,
             pattern_ids,
-            eyt_keys,
-            eyt_pos,
+            index,
         }
     }
 
-    /// An empty placeholder table for `degree`.
-    pub(crate) fn empty(degree: u8) -> DegreeTable {
-        DegreeTable::assemble(
-            degree,
-            vec![0].into(),
-            Arena::default(),
-            Arena::default(),
-            Arena::default(),
-            vec![0].into(),
-            Arena::default(),
-        )
+    /// Copies the arenas out, for a fault hook to edit and re-encode.
+    fn to_arrays(&self) -> CsrArrays {
+        CsrArrays {
+            edge_off: self.edge_off.to_vec(),
+            edges: self.edges.to_vec(),
+            costs: self.costs.to_vec(),
+            pattern_keys: self.pattern_keys.to_vec(),
+            pattern_off: self.pattern_off.to_vec(),
+            pattern_ids: self.pattern_ids.to_vec(),
+        }
     }
 
     /// Cost-arena stride per pool entry: one `W` row plus `n − 1` delay
     /// rows, each `2n − 2` long.
     pub(crate) fn row_stride(&self) -> usize {
-        self.n as usize * (2 * self.n as usize).saturating_sub(2)
+        self.n as usize * (2 * self.n as usize - 2)
     }
 
     /// Number of pooled topologies.
     pub(crate) fn npool(&self) -> usize {
-        self.edge_off.len().saturating_sub(1)
+        self.edge_off.len() - 1
     }
 
     /// Packed edges of pool entry `id`, flattened (2 bytes per edge).
@@ -243,38 +176,9 @@ impl DegreeTable {
         &self.costs[id as usize * stride..(id as usize + 1) * stride]
     }
 
-    /// CSR position of a canonical pattern key, via branchless Eytzinger
-    /// descent with grandchild prefetch.
-    fn find_key(&self, key: u64) -> Option<usize> {
-        let m = self.eyt_keys.len();
-        if m == 0 {
-            return None;
-        }
-        let mut k = 1usize;
-        while k <= m {
-            #[cfg(target_arch = "x86_64")]
-            // Touch the grandchild pair two levels down so it is in L1 by
-            // the time the descent arrives.
-            if 4 * k <= m {
-                unsafe {
-                    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                    _mm_prefetch(self.eyt_keys.as_ptr().add(4 * k - 1).cast(), _MM_HINT_T0);
-                }
-            }
-            k = 2 * k + usize::from(self.eyt_keys[k - 1] < key);
-        }
-        // Undo the right-turns: the lower bound is the ancestor reached by
-        // the last left turn.
-        k >>= k.trailing_ones() + 1;
-        if k == 0 || self.eyt_keys[k - 1] != key {
-            return None;
-        }
-        Some(self.eyt_pos[k - 1] as usize)
-    }
-
     /// Pool ids of a canonical pattern key.
     pub(crate) fn ids_of(&self, key: u64) -> Option<&[u32]> {
-        let p = self.find_key(key)?;
+        let p = self.index.find(key)?;
         let (lo, hi) = (
             self.pattern_off[p] as usize,
             self.pattern_off[p + 1] as usize,
@@ -286,99 +190,63 @@ impl DegreeTable {
     pub(crate) fn pattern_count(&self) -> usize {
         self.pattern_keys.len()
     }
-
-    /// True when any arena borrows a file mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        self.edge_off.is_mapped()
-            || self.edges.is_mapped()
-            || self.costs.is_mapped()
-            || self.pattern_keys.is_mapped()
-            || self.pattern_off.is_mapped()
-            || self.pattern_ids.is_mapped()
-    }
-
-    /// Reassembles pool entry `id` (test and tooling convenience; the
-    /// query path reads the arenas directly).
-    #[cfg(test)]
-    pub(crate) fn topology(&self, id: u32) -> StoredTopology {
-        StoredTopology {
-            edges: self
-                .edges_of(id)
-                .chunks_exact(2)
-                .map(|p| (p[0], p[1]))
-                .collect(),
-            rows: self.rows_of(id).to_vec(),
-        }
-    }
-
-    /// Builds a degree table from per-pattern topology lists, pooling
-    /// entries whose `(edges, rows)` agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a topology's row block has the wrong stride for `degree`.
-    pub(crate) fn from_lists(
-        degree: u8,
-        lists: HashMap<u64, Vec<StoredTopology>>,
-    ) -> DegreeTable {
-        let mut edge_off: Vec<u32> = vec![0];
-        let mut edges: Vec<u8> = Vec::new();
-        let mut costs: Vec<u16> = Vec::new();
-        let mut pattern_keys: Vec<u64> = Vec::new();
-        let mut pattern_off: Vec<u32> = vec![0];
-        let mut pattern_ids: Vec<u32> = Vec::new();
-        let stride = degree as usize * (2 * degree as usize).saturating_sub(2);
-        let mut index: HashMap<StoredTopology, u32> = HashMap::new();
-        // Deterministic arena order: process patterns by ascending key —
-        // which is also the order `pattern_keys` needs for binary search.
-        let mut keys: Vec<u64> = lists.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            for t in &lists[&key] {
-                let id = *index.entry(t.clone()).or_insert_with(|| {
-                    assert_eq!(t.rows.len(), stride, "row block has wrong stride");
-                    for &(a, b) in &t.edges {
-                        edges.push(a);
-                        edges.push(b);
-                    }
-                    edge_off.push((edges.len() / 2) as u32);
-                    costs.extend_from_slice(&t.rows);
-                    (edge_off.len() - 2) as u32
-                });
-                pattern_ids.push(id);
-            }
-            pattern_keys.push(key);
-            pattern_off.push(pattern_ids.len() as u32);
-        }
-        DegreeTable::assemble(
-            degree,
-            edge_off.into(),
-            edges.into(),
-            costs.into(),
-            pattern_keys.into(),
-            pattern_off.into(),
-            pattern_ids.into(),
-        )
-    }
 }
 
-/// Lays `keys` (sorted ascending) out in Eytzinger (BFS) order, returning
-/// the reordered keys and each slot's original sorted position.
-fn eytzinger(keys: &[u64]) -> (Vec<u64>, Vec<u32>) {
-    fn fill(k: usize, next: &mut usize, keys: &[u64], eyt: &mut [u64], pos: &mut [u32]) {
-        if k <= keys.len() {
-            fill(2 * k, next, keys, eyt, pos);
-            eyt[k - 1] = keys[*next];
-            pos[k - 1] = *next as u32;
-            *next += 1;
-            fill(2 * k + 1, next, keys, eyt, pos);
+/// Sorted keys laid out in Eytzinger (BFS) order, with each slot's
+/// sorted position to recover the CSR index.
+struct KeyIndex {
+    keys: Vec<u64>,
+    pos: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes `keys`, which are sorted ascending.
+    fn new(keys: &[u64]) -> KeyIndex {
+        fn fill(k: usize, next: &mut usize, keys: &[u64], index: &mut KeyIndex) {
+            if k <= keys.len() {
+                fill(2 * k, next, keys, index);
+                index.keys[k - 1] = keys[*next];
+                index.pos[k - 1] = *next as u32;
+                *next += 1;
+                fill(2 * k + 1, next, keys, index);
+            }
         }
+        let mut index = KeyIndex {
+            keys: vec![0; keys.len()],
+            pos: vec![0; keys.len()],
+        };
+        fill(1, &mut 0, keys, &mut index);
+        index
     }
-    let mut eyt = vec![0u64; keys.len()];
-    let mut pos = vec![0u32; keys.len()];
-    let mut next = 0usize;
-    fill(1, &mut next, keys, &mut eyt, &mut pos);
-    (eyt, pos)
+
+    /// Sorted position of `key`, via branchless Eytzinger descent with
+    /// grandchild prefetch.
+    fn find(&self, key: u64) -> Option<usize> {
+        let m = self.keys.len();
+        if m == 0 {
+            return None;
+        }
+        let mut k = 1usize;
+        while k <= m {
+            #[cfg(target_arch = "x86_64")]
+            // Touch the grandchild pair two levels down so it is in L1 by
+            // the time the descent arrives.
+            if 4 * k <= m {
+                unsafe {
+                    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                    _mm_prefetch(self.keys.as_ptr().add(4 * k - 1).cast(), _MM_HINT_T0);
+                }
+            }
+            k = 2 * k + usize::from(self.keys[k - 1] < key);
+        }
+        // Undo the right-turns: the lower bound is the ancestor reached by
+        // the last left turn.
+        k >>= k.trailing_ones() + 1;
+        if k == 0 || self.keys[k - 1] != key {
+            return None;
+        }
+        Some(self.pos[k - 1] as usize)
+    }
 }
 
 /// Integer dot product of a stored multiplicity row against the canonical
@@ -500,42 +368,79 @@ fn materialize_edges(net: &Net, class: &NetClass, packed: &[u8]) -> RoutingTree 
     .expect("stored topologies span every pattern pin")
 }
 
-/// Lookup tables for every degree `2 ..= λ`.
+
+/// Lookup tables for every degree `3 ..= λ` (degree 2 has a closed-form
+/// answer), as a view of one validated v4 image.
 ///
-/// Construct with [`crate::LutBuilder`] (owned arenas), or serve a saved
-/// table zero-copy from disk with [`LookupTable::open_mmap`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Build one with [`crate::LutBuilder`] (a heap image), or serve a saved
+/// table zero-copy from disk with [`LookupTable::open_mmap`]. Either way
+/// the same reader checked the image and the same arenas answer queries.
+/// Cloning shares the image. Two tables are equal when their contents
+/// are, whatever their backing: the reader accepts only canonical
+/// images, so equal contents are equal bytes.
+#[derive(Clone)]
 pub struct LookupTable {
+    pub(crate) view: Arc<View>,
+}
+
+/// What clones of a [`LookupTable`] share: the image and the per-degree
+/// arenas that borrow it.
+pub(crate) struct View {
     pub(crate) lambda: u8,
-    /// `tables[d]` for degree `d`; indices `0..3` stay empty.
-    pub(crate) tables: Vec<DegreeTable>,
+    pub(crate) image: Arc<Mapping>,
+    /// `degrees[d - 3]` for degree `d`.
+    pub(crate) degrees: Vec<DegreeTable>,
+}
+
+impl PartialEq for LookupTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.view.image.bytes() == other.view.image.bytes()
+    }
+}
+
+impl Eq for LookupTable {}
+
+impl std::fmt::Debug for LookupTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LookupTable")
+            .field("lambda", &self.lambda())
+            .field("backing", &self.backing())
+            .field("bytes", &self.view.image.len())
+            .finish()
+    }
 }
 
 impl LookupTable {
     /// The largest tabulated degree λ.
     pub fn lambda(&self) -> u8 {
-        self.lambda
+        self.view.lambda
     }
 
-    /// Whether the arenas are owned or borrow a file mapping.
+    /// Whether the image is a file mapping or a heap copy.
     pub fn backing(&self) -> Backing {
-        if self.tables.iter().any(DegreeTable::is_mapped) {
+        if self.view.image.is_mmap() {
             Backing::Mapped
         } else {
             Backing::Owned
         }
     }
 
+    /// The table of `degree`, or `None` outside `3..=λ`.
+    fn degree(&self, degree: u8) -> Option<&DegreeTable> {
+        self.view.degrees.get(usize::from(degree).checked_sub(3)?)
+    }
+
     /// The exact Pareto frontier of `net` with one witness tree per point,
-    /// or `None` when the net's degree exceeds λ.
+    /// or `None` when the net's degree exceeds λ or its canonical pattern
+    /// is not tabulated.
     ///
-    /// The query canonicalizes the net's pattern, scores every stored
-    /// candidate with integer dot products against its symbolic cost rows,
-    /// prunes numerically, and materializes witness trees only for the
-    /// surviving frontier.
+    /// Composes the three query stages: [`LookupTable::candidate_ids`]
+    /// (key-index lookup), [`LookupTable::score_candidates`] (dot products
+    /// and numeric prune) and [`LookupTable::materialize`] (survivors
+    /// only) — the calls the engine's LUT rung makes.
     pub fn query(&self, net: &Net) -> Option<ParetoSet<RoutingTree>> {
         let n = net.degree();
-        if n < 2 || n > self.lambda as usize {
+        if n < 2 || n > self.lambda() as usize {
             return None;
         }
         if n == 2 {
@@ -548,19 +453,35 @@ impl LookupTable {
         let class = self
             .classify(net)
             .expect("degree checked to be in 3..=lambda");
-        Some(self.query_witnesses(net, &class)?.0)
+        let ids = self.candidate_ids(&class)?;
+        let entries: Vec<(Cost, RoutingTree)> = self
+            .score_candidates(&class, ids)
+            .into_iter()
+            .map(|(cost, id)| {
+                let tree = self.materialize(net, &class, id);
+                debug_assert_eq!(
+                    (cost.wirelength, cost.delay),
+                    tree.objectives(),
+                    "dot-product score must equal the materialized tree's objectives"
+                );
+                (cost, tree)
+            })
+            .collect();
+        // Entries are already sorted ascending-w / strictly-descending-d,
+        // so this sweep keeps every entry as-is.
+        Some(ParetoSet::from_unpruned(entries))
     }
 
-    /// Canonicalizes `net` for [`LookupTable::query_witnesses`] /
-    /// [`LookupTable::query_ids`], or `None` when its degree is outside
-    /// `3..=λ` (degree 2 has a closed-form answer and nothing to cache).
+    /// Canonicalizes `net` for the query stages, or `None` when its
+    /// degree is outside `3..=λ` (degree 2 has a closed-form answer and
+    /// nothing to cache).
     ///
     /// The canonicalization itself lives in [`patlabor_geom::NetClass`] —
     /// the same object the frontier cache keys on — so the table and the
     /// cache can never disagree about which nets are congruent.
     pub fn classify(&self, net: &Net) -> Option<NetClass> {
         let n = net.degree();
-        if n < 3 || n > self.lambda as usize {
+        if n < 3 || n > self.lambda() as usize {
             return None;
         }
         NetClass::of(net)
@@ -570,7 +491,14 @@ impl LookupTable {
     /// `None` when the pattern is not tabulated. This is the pure *lookup*
     /// stage of a query: one Eytzinger descent over the key index.
     pub fn candidate_ids(&self, class: &NetClass) -> Option<&[u32]> {
-        self.tables[class.degree() as usize].ids_of(class.canonical_key())
+        self.degree(class.degree())?.ids_of(class.canonical_key())
+    }
+
+    /// The table of a class's degree, which the query stages after
+    /// [`LookupTable::candidate_ids`] may take as tabulated.
+    fn degree_of(&self, class: &NetClass) -> &DegreeTable {
+        self.degree(class.degree())
+            .expect("a class with candidate ids has a tabulated degree")
     }
 
     /// The *score* stage: evaluates every candidate id by dot products
@@ -584,7 +512,7 @@ impl LookupTable {
     /// rule, so the surviving ids are a pure function of `(canonical key,
     /// canonical gaps)`. The returned vector is the one allocation.
     pub fn score_candidates(&self, class: &NetClass, ids: &[u32]) -> Vec<(Cost, u32)> {
-        let table = &self.tables[class.degree() as usize];
+        let table = self.degree_of(class);
         let gaps = class.canonical_gaps();
         // Candidates enter in `ids` order into a staircase kept sorted by
         // (w ↑, d ↓). One that an entry dominates or ties stays out, so the
@@ -615,8 +543,7 @@ impl LookupTable {
     /// returned tree.
     pub fn materialize(&self, net: &Net, class: &NetClass, id: u32) -> RoutingTree {
         MATERIALIZATIONS.with(|c| c.set(c.get() + 1));
-        let table = &self.tables[class.degree() as usize];
-        materialize_edges(net, class, table.edges_of(id))
+        materialize_edges(net, class, self.degree_of(class).edges_of(id))
     }
 
     /// Number of [`RoutingTree`] materializations performed by queries on
@@ -627,51 +554,14 @@ impl LookupTable {
         MATERIALIZATIONS.with(|c| c.get())
     }
 
-    /// The Pareto frontier of `net` together with the pool ids of the
-    /// winning topologies (in frontier order), or `None` when the
-    /// canonical pattern is not tabulated.
-    ///
-    /// Composes the three query stages: [`LookupTable::candidate_ids`]
-    /// (key-index lookup), [`LookupTable::score_candidates`] (dot products
-    /// + numeric prune) and [`LookupTable::materialize`] (survivors only).
-    ///
-    /// The id list is exactly what a frontier cache needs to store:
-    /// replaying it through [`LookupTable::query_ids`] on any net with the
-    /// same canonical key and gap vector reproduces this frontier
-    /// bit-for-bit, including tie-break order.
-    pub fn query_witnesses(
-        &self,
-        net: &Net,
-        class: &NetClass,
-    ) -> Option<(ParetoSet<RoutingTree>, Vec<u32>)> {
-        let ids = self.candidate_ids(class)?;
-        let frontier = self.score_candidates(class, ids);
-        let mut winners = Vec::with_capacity(frontier.len());
-        let entries: Vec<(Cost, RoutingTree)> = frontier
-            .into_iter()
-            .map(|(cost, id)| {
-                let tree = self.materialize(net, class, id);
-                debug_assert_eq!(
-                    (cost.wirelength, cost.delay),
-                    tree.objectives(),
-                    "dot-product score must equal the materialized tree's objectives"
-                );
-                winners.push(id);
-                (cost, tree)
-            })
-            .collect();
-        // Entries are already sorted ascending-w / strictly-descending-d,
-        // so this sweep keeps every entry as-is.
-        Some((ParetoSet::from_unpruned(entries), winners))
-    }
-
     /// Re-evaluates a cached winning-id list against `net`.
     ///
-    /// `ids` must come from a [`LookupTable::query_witnesses`] call whose
-    /// class had the same canonical key and gap vector (the frontier
-    /// cache's lookup key); the result then equals that call's frontier.
+    /// `ids` must be the pool ids [`LookupTable::score_candidates`]
+    /// returned for a class with the same canonical key and gap vector
+    /// (the frontier cache's lookup key), in the order it returned them;
+    /// the result then equals that query's frontier.
     pub fn query_ids(&self, net: &Net, class: &NetClass, ids: &[u32]) -> ParetoSet<RoutingTree> {
-        let table = &self.tables[class.degree() as usize];
+        let table = self.degree_of(class);
         let gaps = class.canonical_gaps();
         let witnesses: Vec<(Cost, RoutingTree)> = ids
             .iter()
@@ -689,8 +579,7 @@ impl LookupTable {
     /// prunes by the trees' measured objectives — the pre-v3 behaviour.
     ///
     /// Kept for the equivalence tests: the dot-product scores of
-    /// [`LookupTable::query_witnesses`] must reproduce this frontier
-    /// exactly.
+    /// [`LookupTable::query`] must reproduce this frontier exactly.
     pub fn query_materialize_all(
         &self,
         net: &Net,
@@ -710,9 +599,18 @@ impl LookupTable {
 
     /// Number of stored patterns for `degree`.
     pub fn pattern_count(&self, degree: u8) -> usize {
-        self.tables
-            .get(degree as usize)
-            .map_or(0, DegreeTable::pattern_count)
+        self.degree(degree).map_or(0, DegreeTable::pattern_count)
+    }
+
+    /// This table with `edit` applied to `degree`'s arrays: re-encoded
+    /// into a new heap image and read back, so a fault-injected table
+    /// passes the same reader as any other, and a mapped file is never
+    /// written through.
+    fn edited(&self, degree: u8, edit: impl FnOnce(&mut CsrArrays)) -> LookupTable {
+        let mut arrays: Vec<CsrArrays> =
+            self.view.degrees.iter().map(DegreeTable::to_arrays).collect();
+        edit(&mut arrays[usize::from(degree) - 3]);
+        LookupTable::from_arrays(self.lambda(), arrays)
     }
 
     /// Drops every stored pattern for `degree`, leaving an empty table in
@@ -723,14 +621,20 @@ impl LookupTable {
     /// broken bytes. Fault-injection helper for tests and tooling; a table
     /// built by [`crate::LutBuilder`] never has gaps.
     ///
-    /// This hook mutates one concrete table. For orchestrated drills —
+    /// This hook re-encodes this one table. For orchestrated drills —
     /// injecting the same failure mode across a corpus without doctoring
     /// the shared table — use the router's fault plane
     /// (`patlabor::FaultPlane`, kind `missing-degree`), which simulates
     /// this condition per net, deterministically by seed.
     pub fn remove_degree(&mut self, degree: u8) {
-        if let Some(table) = self.tables.get_mut(degree as usize) {
-            *table = DegreeTable::empty(degree);
+        if self.degree(degree).is_some() {
+            *self = self.edited(degree, |a| {
+                *a = CsrArrays {
+                    edge_off: vec![0],
+                    pattern_off: vec![0],
+                    ..CsrArrays::default()
+                }
+            });
         }
     }
 
@@ -747,9 +651,9 @@ impl LookupTable {
     /// a shifted dot-product cost. Tables built by [`crate::LutBuilder`]
     /// are never corrupt.
     ///
-    /// On a mapped table this copies the cost arena out of the mapping
-    /// first (copy-on-write) — the file and other tables sharing the
-    /// mapping are never written through.
+    /// The table is re-encoded into a new heap image: the file of a mapped
+    /// table, and other tables sharing its image, are never written
+    /// through.
     ///
     /// Like [`LookupTable::remove_degree`], this is the table-local hook;
     /// the router's fault plane (`patlabor::FaultPlane`, kind
@@ -757,34 +661,36 @@ impl LookupTable {
     /// net without touching the table, and the router's frontier
     /// validation then demotes the net down the degradation ladder.
     pub fn corrupt_cost_row(&mut self, degree: u8, id: u32, delta: u16) -> bool {
-        let Some(table) = self.tables.get_mut(degree as usize) else {
+        let Some(table) = self.degree(degree) else {
             return false;
         };
         if id as usize >= table.npool() {
             return false;
         }
-        let stride = table.row_stride();
-        let costs = table.costs.to_mut();
-        for v in &mut costs[id as usize * stride..(id as usize + 1) * stride] {
-            *v = v.wrapping_add(delta);
-        }
+        let rows = id as usize * table.row_stride()..(id as usize + 1) * table.row_stride();
+        *self = self.edited(degree, |a| {
+            for v in &mut a.costs[rows] {
+                *v = v.wrapping_add(delta);
+            }
+        });
         true
     }
 
     /// Statistics per degree (Table II).
     pub fn stats(&self) -> Vec<LutStats> {
-        (3..=self.lambda)
-            .map(|d| {
-                let table = &self.tables[d as usize];
+        self.view
+            .degrees
+            .iter()
+            .map(|table| {
                 let total = table.pattern_ids.len();
-                let bytes = table.edges.len()
-                    + table.edge_off.len() * 4
-                    + table.costs.len() * 2
-                    + table.pattern_keys.len() * 8
-                    + table.pattern_off.len() * 4
-                    + table.pattern_ids.len() * 4;
+                let bytes = std::mem::size_of_val(&*table.edge_off)
+                    + std::mem::size_of_val(&*table.edges)
+                    + std::mem::size_of_val(&*table.costs)
+                    + std::mem::size_of_val(&*table.pattern_keys)
+                    + std::mem::size_of_val(&*table.pattern_off)
+                    + std::mem::size_of_val(&*table.pattern_ids);
                 LutStats {
-                    degree: d,
+                    degree: table.n,
                     num_patterns: table.pattern_count(),
                     avg_topologies: if table.pattern_count() == 0 {
                         0.0
@@ -805,106 +711,25 @@ mod tests {
     use super::*;
     use patlabor_geom::Pattern;
 
-    fn sol(n: u8, edges: &[(RankNode, RankNode)]) -> SymbolicSolution {
-        let dims = 2 * n as usize - 2;
-        SymbolicSolution {
-            w: vec![1; dims],
-            delays: vec![vec![2; dims]; n as usize - 1],
-            edges: edges.to_vec(),
-        }
-    }
-
-    #[test]
-    fn stored_topology_pack_roundtrip() {
-        let n = 5u8;
-        let edges = vec![
-            (RankNode::new(0, 0), RankNode::new(3, 2)),
-            (RankNode::new(4, 4), RankNode::new(1, 1)),
-        ];
-        let t = StoredTopology::from_solution(&sol(n, &edges), n);
-        let back = t.rank_edges(n);
-        // Roundtrip preserves the edge set (endpoint order normalized).
-        assert_eq!(back.len(), 2);
-        assert!(back.contains(&(RankNode::new(0, 0), RankNode::new(3, 2))));
-        assert!(back.contains(&(RankNode::new(1, 1), RankNode::new(4, 4))));
-        // Rows: W first, then the four delay rows.
-        assert_eq!(t.rows.len(), 5 * 8);
-        assert_eq!(&t.rows[..8], &[1; 8]);
-        assert_eq!(&t.rows[8..16], &[2; 8]);
-    }
-
-    #[test]
-    fn duplicate_edges_collapse() {
-        let n = 3u8;
-        let e = (RankNode::new(0, 0), RankNode::new(2, 2));
-        let t = StoredTopology::from_solution(&sol(n, &[e, e, (e.1, e.0)]), n);
-        assert_eq!(t.edges.len(), 1);
-    }
-
-    fn topo(edges: Vec<(u8, u8)>, rows: Vec<u16>) -> StoredTopology {
-        StoredTopology { edges, rows }
-    }
-
-    #[test]
-    fn pooling_dedupes_across_patterns() {
-        // Degree 3: stride = 3 · 4 = 12.
-        let a = topo(vec![(0, 1), (1, 2)], vec![7; 12]);
-        let b = topo(vec![(0, 2)], vec![9; 12]);
-        let mut lists = HashMap::new();
-        lists.insert(1u64, vec![a.clone(), b.clone()]);
-        lists.insert(2u64, vec![a.clone()]);
-        lists.insert(3u64, vec![b.clone(), a.clone()]);
-        let table = DegreeTable::from_lists(3, lists);
-        assert_eq!(table.npool(), 2, "two unique topologies");
-        // Pattern 3 references both, in its own order.
-        let ids3 = table.ids_of(3).unwrap();
-        assert_eq!(table.topology(ids3[0]), b);
-        assert_eq!(table.topology(ids3[1]), a);
-    }
-
-    #[test]
-    fn pooling_keeps_same_edges_with_different_rows_apart() {
-        // Same tree shape but different cost rows (e.g. two patterns with
-        // different source columns): the query evaluates the rows, so the
-        // entries must not merge.
-        let a = topo(vec![(0, 1)], vec![1; 12]);
-        let b = topo(vec![(0, 1)], vec![2; 12]);
-        let mut lists = HashMap::new();
-        lists.insert(1u64, vec![a.clone()]);
-        lists.insert(2u64, vec![b.clone()]);
-        let table = DegreeTable::from_lists(3, lists);
-        assert_eq!(table.npool(), 2);
-        assert_ne!(
-            table.topology(table.ids_of(1).unwrap()[0]),
-            table.topology(table.ids_of(2).unwrap()[0])
-        );
-    }
-
-    #[test]
-    fn pooling_is_deterministic() {
-        let mk = || {
-            let mut lists = HashMap::new();
-            for k in 0..20u64 {
-                lists.insert(k, vec![topo(vec![(0, (k % 5) as u8)], vec![k as u16; 12])]);
-            }
-            DegreeTable::from_lists(3, lists)
-        };
-        assert_eq!(mk(), mk());
-    }
-
     #[test]
     fn csr_accessors_are_consistent() {
-        let a = topo(vec![(0, 1), (1, 2), (2, 5)], vec![3; 12]);
-        let b = topo(vec![(0, 2)], vec![4; 12]);
-        let mut lists = HashMap::new();
-        lists.insert(10u64, vec![a.clone(), b.clone()]);
-        let table = DegreeTable::from_lists(3, lists);
-        assert_eq!(table.edges_of(0), &[0, 1, 1, 2, 2, 5]);
-        assert_eq!(table.edges_of(1), &[0, 2]);
-        assert_eq!(table.rows_of(0), &a.rows[..]);
-        assert_eq!(table.rows_of(1), &b.rows[..]);
-        assert!(table.ids_of(11).is_none());
-        assert_eq!(table.ids_of(10), Some(&[0u32, 1][..]));
+        // Degree 3: stride = 3 · 4 = 12. Two pool entries, one pattern.
+        let arrays = CsrArrays {
+            edge_off: vec![0, 3, 4],
+            edges: vec![0, 1, 1, 2, 2, 5, 0, 2],
+            costs: [[3; 12], [4; 12]].concat(),
+            pattern_keys: vec![10],
+            pattern_off: vec![0, 2],
+            pattern_ids: vec![0, 1],
+        };
+        let table = LookupTable::from_arrays(3, vec![arrays]);
+        let degree = table.degree(3).unwrap();
+        assert_eq!(degree.edges_of(0), &[0, 1, 1, 2, 2, 5]);
+        assert_eq!(degree.edges_of(1), &[0, 2]);
+        assert_eq!(degree.rows_of(0), &[3; 12]);
+        assert_eq!(degree.rows_of(1), &[4; 12]);
+        assert!(degree.ids_of(11).is_none());
+        assert_eq!(degree.ids_of(10), Some(&[0u32, 1][..]));
     }
 
     #[test]
@@ -913,16 +738,10 @@ mod tests {
         // key is found at its sorted position, every absent probe misses.
         for m in 0..=70u64 {
             let keys: Vec<u64> = (0..m).map(|i| 3 * i + 1).collect();
-            let (eyt, pos) = eytzinger(&keys);
-            let table = DegreeTable {
-                pattern_keys: keys.clone().into(),
-                eyt_keys: eyt,
-                eyt_pos: pos,
-                ..DegreeTable::default()
-            };
+            let index = KeyIndex::new(&keys);
             for probe in 0..=(3 * m + 3) {
                 assert_eq!(
-                    table.find_key(probe),
+                    index.find(probe),
                     keys.binary_search(&probe).ok(),
                     "m={m} probe={probe}"
                 );
@@ -959,7 +778,9 @@ mod tests {
     ) -> RoutingTree {
         let n = class.degree();
         let point = |p: u8| class.instance_point(RankNode::new(p / n, p % n));
-        let edges: Vec<_> = table.tables[n as usize]
+        let edges: Vec<_> = table
+            .degree(n)
+            .unwrap()
             .edges_of(id)
             .chunks_exact(2)
             .map(|pair| (point(pair[0]), point(pair[1])))
@@ -1014,7 +835,7 @@ mod tests {
                 let net = pattern.instantiate(&h, &v);
                 let class = table.classify(&net).unwrap();
                 let ids = table.candidate_ids(&class).unwrap();
-                let degree = &table.tables[5];
+                let degree = table.degree(5).unwrap();
                 let mut scored: Vec<(Cost, usize, u32)> = ids
                     .iter()
                     .enumerate()

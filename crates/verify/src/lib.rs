@@ -618,7 +618,7 @@ impl Harness {
 
     /// Mmap pair, per-net half: the zero-copy table must answer the full
     /// query — candidate lookup, scoring, witness materialization —
-    /// identically to the owned table it was saved from. (Structural
+    /// identically to the heap image it was saved from. (Structural
     /// equality is checked once at construction; this checks the serving
     /// behavior over the whole corpus.)
     fn mmap_vs_owned(&self, net: &Net) -> Option<Divergence> {

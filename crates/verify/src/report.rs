@@ -102,7 +102,7 @@ impl PathPair {
             PathPair::CachedVsUncached => "cache-disabled full query",
             PathPair::BatchVsSerial => "serial per-net routing loop",
             PathPair::D4Translation => "route of the base net",
-            PathPair::MmapVsOwned => "owned-arena table query",
+            PathPair::MmapVsOwned => "heap-image table query",
             PathPair::FallbackParity => "healthy-table route / tree invariants",
             PathPair::ServedVsDirect => "in-process engine route, serialized locally",
             PathPair::DeltaVsFresh => "fresh route of the edited net",

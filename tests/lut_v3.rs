@@ -71,7 +71,7 @@ fn v3_query_matches_the_materialize_all_reference_path() {
         let degree = 3 + trial % 4;
         let net = random_net(&mut rng, degree, 48);
         let class = table.classify(&net).unwrap();
-        let fast = table.query_witnesses(&net, &class).unwrap().0;
+        let fast = table.query(&net).unwrap();
         let reference = table.query_materialize_all(&net, &class).unwrap();
         assert_eq!(fast.cost_vec(), reference.cost_vec());
     }
@@ -88,14 +88,13 @@ fn trees_are_materialized_only_for_frontier_survivors() {
         let class = table.classify(&net).unwrap();
         let candidates = table.candidate_ids(&class).unwrap().len();
         let before = LookupTable::thread_materializations();
-        let (frontier, winners) = table.query_witnesses(&net, &class).unwrap();
+        let frontier = table.query(&net).unwrap();
         let built = LookupTable::thread_materializations() - before;
         assert_eq!(
             built,
             frontier.len() as u64,
             "query must materialize exactly one tree per frontier point"
         );
-        assert_eq!(winners.len(), frontier.len());
         if candidates > frontier.len() {
             saw_pruning = true;
         }
