@@ -50,8 +50,7 @@ use patlabor::{
 use patlabor_lut::{LookupTable, TableInfo, LAMBDAS};
 use patlabor_serve::{serve, ServeConfig};
 use patlabor_verify::{
-    chaos_soak, mutation_smoke_with_table, verify_with_table, ChaosSoakConfig, VerifyConfig,
-    MIN_DEGREE,
+    chaos_soak, mutation_smoke_with_table, verify_with_table, VerifyConfig, MIN_DEGREE,
 };
 
 /// Error from parsing a net list.
@@ -241,6 +240,8 @@ impl Default for RouteOptions {
 
 /// Parses the `--eco` edits format: one edit per line,
 /// `<net-index> <kind> <args>`, `#` comments and blank lines ignored.
+/// Each kind is spelled as its [`DeltaKind::label`], the name the wire
+/// protocol and `route`'s output use.
 ///
 /// ```text
 /// # chained edits; each applies to its net as the last one left it
@@ -248,7 +249,7 @@ impl Default for RouteOptions {
 /// 1 move-pin 2 7,7
 /// 2 add-sink 3,4
 /// 0 remove-sink 1
-/// 3 blockage 2,2 8,8
+/// 3 blockage-mask 2,2 8,8
 /// ```
 ///
 /// # Errors
@@ -302,7 +303,7 @@ pub fn parse_edits(text: &str) -> Result<Vec<EcoEdit>, ParseNetsError> {
                 2,
             ),
             "remove-sink" => (DeltaKind::RemoveSink { index: index()? }, 1),
-            "blockage" => (
+            "blockage-mask" => (
                 DeltaKind::BlockageMask {
                     min: point(2, "a corner")?,
                     max: point(3, "a corner")?,
@@ -312,7 +313,7 @@ pub fn parse_edits(text: &str) -> Result<Vec<EcoEdit>, ParseNetsError> {
             other => {
                 return Err(err(format!(
                     "unknown edit kind `{other}` (translate | move-pin | add-sink | \
-                     remove-sink | blockage)"
+                     remove-sink | blockage-mask)"
                 )))
             }
         };
@@ -658,10 +659,7 @@ pub fn verify_command(options: &VerifyOptions) -> Result<String, CliError> {
         ));
     }
     if options.chaos_soak {
-        let report = chaos_soak(&ChaosSoakConfig {
-            seed: options.config.seed,
-            ..ChaosSoakConfig::default()
-        });
+        let report = chaos_soak(options.config.seed);
         let summary = report.summary();
         return if report.is_clean() {
             Ok(summary)
@@ -932,9 +930,9 @@ wire-protocol reply object per net (NDJSON), byte-compatible with the
 `route --eco EDITS.txt` applies incremental edits after the base route:
 one edit per line, `<net-index> <kind> <args>` where kind is one of
 `translate dx,dy`, `move-pin IDX x,y`, `add-sink x,y`,
-`remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Each edit
-applies to its net as the earlier edits left it and routes the edited
-net once, and the edits end with an `eco resilience:` line.
+`remove-sink IDX`, `blockage-mask x0,y0 x1,y1` (`#` comments). Each
+edit applies to its net as the earlier edits left it and routes the
+edited net once, and the edits end with an `eco resilience:` line.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
 (route, reroute and reload verbs) with request batching and admission
@@ -1230,7 +1228,7 @@ mod tests {
              2 add-sink 3,4   # trailing comment\n\
              0 remove-sink 1\n\
              \n\
-             3 blockage 2,2 8,8\n",
+             3 blockage-mask 2,2 8,8\n",
         )
         .unwrap();
         assert_eq!(edits.len(), 5);
@@ -1275,6 +1273,43 @@ mod tests {
         assert!(err.message.contains("trailing"));
     }
 
+    /// The edits file spells every kind as its label, so an edit read
+    /// back from `route`'s output parses as the same edit. The match has
+    /// no wildcard: a new kind does not compile until it is listed here.
+    #[test]
+    fn edit_kinds_are_spelled_as_their_labels() {
+        let kinds = [
+            DeltaKind::MovePin {
+                index: 2,
+                to: Point::new(7, 7),
+            },
+            DeltaKind::AddSink {
+                at: Point::new(3, 4),
+            },
+            DeltaKind::RemoveSink { index: 1 },
+            DeltaKind::Translate { dx: 5, dy: -2 },
+            DeltaKind::BlockageMask {
+                min: Point::new(2, 2),
+                max: Point::new(8, 8),
+            },
+        ];
+        for kind in kinds {
+            let args = match kind {
+                DeltaKind::MovePin { index, to } => format!("{index} {},{}", to.x, to.y),
+                DeltaKind::AddSink { at } => format!("{},{}", at.x, at.y),
+                DeltaKind::RemoveSink { index } => index.to_string(),
+                DeltaKind::Translate { dx, dy } => format!("{dx},{dy}"),
+                DeltaKind::BlockageMask { min, max } => {
+                    format!("{},{} {},{}", min.x, min.y, max.x, max.y)
+                }
+            };
+            let line = format!("0 {} {args}\n", kind.label());
+            let edits = parse_edits(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!(edits, [EcoEdit { net: 0, kind }], "{line:?}");
+            assert_eq!(edits[0].kind.label(), kind.label());
+        }
+    }
+
     /// Every outcome `parse_edits` may give a hostile file: edits, at
     /// most one per line, or an error naming a line of the file. A panic
     /// fails the test.
@@ -1305,7 +1340,7 @@ mod tests {
                      2 add-sink 3,4   # trailing comment\n\
                      0 remove-sink 1\n\
                      \n\
-                     3 blockage 2,2 8,8\n";
+                     3 blockage-mask 2,2 8,8\n";
         assert_eq!(parse_edits(valid).map(|e| e.len()), Ok(5));
         let mut state = 0x0ec0_11e5_u64;
         let mut next = || {
@@ -1332,7 +1367,7 @@ mod tests {
             "move-pin",
             "add-sink",
             "remove-sink",
-            "blockage",
+            "blockage-mask",
             "0",
             "7",
             "-3",

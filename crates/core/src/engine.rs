@@ -44,7 +44,7 @@ use crate::pipeline::{
 use crate::policy::Policy;
 use crate::resilience::{
     net_key, Budget, Clock, DegradationTrace, FaultKind, FaultPlane, ResilienceConfig, Rung,
-    RungOutcome, SystemClock,
+    RungOutcome, SystemClock, STAGE_DELAY,
 };
 
 /// Numeric-DW cancellation checkpoints between clock reads. Checkpoints
@@ -137,11 +137,11 @@ impl Session {
 
 /// One loaded table generation: the table plus the monotone epoch it
 /// was installed under. Epoch 0 is the table the engine was built with;
-/// every successful [`Engine::reload_table`] bumps it. `Clone` is an
-/// `Arc` bump — no table bytes move.
+/// every successful [`Engine::reload_table`] bumps it. `Clone` is the
+/// table's own `Arc` bump — no table bytes move.
 #[derive(Debug, Clone)]
 pub(crate) struct TableGeneration {
-    pub(crate) table: Arc<LookupTable>,
+    pub(crate) table: LookupTable,
     pub(crate) epoch: u64,
 }
 
@@ -158,7 +158,7 @@ pub(crate) struct TableSlot {
 }
 
 impl TableSlot {
-    fn new(table: Arc<LookupTable>) -> Self {
+    fn new(table: LookupTable) -> Self {
         TableSlot {
             slot: RwLock::new(TableGeneration { table, epoch: 0 }),
         }
@@ -175,7 +175,7 @@ impl TableSlot {
     /// before the new table becomes snapshottable: a route that
     /// snapshots the new generation can therefore never hit an entry
     /// stamped by the old one.
-    fn install(&self, table: Arc<LookupTable>, cache: Option<&FrontierCache>) -> u64 {
+    fn install(&self, table: LookupTable, cache: Option<&FrontierCache>) -> u64 {
         let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
         let epoch = slot.epoch + 1;
         if let Some(cache) = cache {
@@ -283,7 +283,7 @@ impl Engine {
     pub fn with_table_and_config(table: LookupTable, config: RouterConfig) -> Self {
         Engine {
             inner: Arc::new(EngineInner {
-                table: TableSlot::new(Arc::new(table)),
+                table: TableSlot::new(table),
                 policy: Policy::default(),
                 cache: Self::build_cache(&config),
                 config,
@@ -350,7 +350,7 @@ impl Engine {
     /// current generation. A concurrent [`Engine::reload_table`] does
     /// not invalidate the returned handle; it keeps the generation it
     /// captured alive.
-    pub fn table(&self) -> Arc<LookupTable> {
+    pub fn table(&self) -> LookupTable {
         self.inner.table.snapshot().table
     }
 
@@ -387,7 +387,7 @@ impl Engine {
         Ok(self
             .inner
             .table
-            .install(Arc::new(candidate), self.inner.cache.as_deref()))
+            .install(candidate, self.inner.cache.as_deref()))
     }
 
     /// The active pin-selection policy.
@@ -478,7 +478,7 @@ impl Engine {
         // and its cache inserts carry the snapshot's epoch so they are
         // dropped rather than published into a newer generation.
         let generation = inner.table.snapshot();
-        let table = &*generation.table;
+        let table = &generation.table;
 
         let res = inner.config.resilience;
         let deadline = session.deadline.or(res.deadline);
@@ -563,7 +563,7 @@ impl Engine {
             // Rung: NumericDw — re-enumerate from scratch what the table
             // could not serve. Exact but per-instance expensive, hence
             // capped at `numeric::MAX_DEGREE`.
-            if res.dw_fallback && degree <= numeric::MAX_DEGREE {
+            if res.fallbacks && degree <= numeric::MAX_DEGREE {
                 if let Some(served) = ladder.run(Rung::NumericDw, RouteSource::NumericDw, |l| {
                     // Reading the clock is what costs, not the checkpoint
                     // itself: stride the reads so a hot DP loop stays
@@ -601,7 +601,7 @@ impl Engine {
         // Rung: Baseline — deliberately cheap and never deadline-gated:
         // an expired budget still yields valid (approximate) trees
         // instead of nothing.
-        if res.baseline_fallback {
+        if res.fallbacks {
             if let Some(served) = ladder.run(Rung::Baseline, RouteSource::Baseline, |l| {
                 let frontier = fallback_frontier(net);
                 l.counters.trees_materialized += frontier.len() as u32;
@@ -672,7 +672,7 @@ impl Engine {
     ) -> Option<RouteOutcome> {
         let inner = &*self.inner;
         let generation = inner.table.snapshot();
-        let table = &*generation.table;
+        let table = &generation.table;
         let base = &delta.base;
         let degree = mutated.degree();
         if degree != base.degree() || degree < 3 || degree > table.lambda() as usize {
@@ -839,7 +839,7 @@ impl Ladder<'_> {
     ) -> Option<RouteOutcome> {
         if let Some(budget) = self.budget {
             if self.fires(FaultKind::StageDelay, rung) {
-                budget.charge(self.faults.delay());
+                budget.charge(STAGE_DELAY);
             }
         }
         let result = if rung.deadline_gated() && self.deadline_exceeded() {
@@ -1503,16 +1503,15 @@ mod tests {
 
     #[test]
     fn stage_delay_with_deadline_walks_to_the_baseline() {
-        let faults = FaultPlane::seeded(0)
-            .with_fault(Fault {
-                kind: FaultKind::StageDelay,
-                scope: FaultScope::Primary,
-                probability: 1.0,
-            })
-            .with_delay(Duration::from_millis(10));
+        let faults = FaultPlane::seeded(0).with_fault(Fault {
+            kind: FaultKind::StageDelay,
+            scope: FaultScope::Primary,
+            probability: 1.0,
+        });
+        // The delay spends the whole budget before the LUT rung runs.
         let config = RouterConfig {
             resilience: ResilienceConfig {
-                deadline: Some(Duration::from_millis(5)),
+                deadline: Some(STAGE_DELAY),
                 ..ResilienceConfig::default()
             },
             faults,

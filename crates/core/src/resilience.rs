@@ -163,8 +163,7 @@ pub enum FaultKind {
     CorruptedRow,
     /// The targeted rung panics (the batch driver's isolation test).
     StagePanic,
-    /// The targeted rung stalls: the plane's
-    /// [`delay`](FaultPlane::delay) is charged to the net's deadline
+    /// The targeted rung stalls: 5 ms is charged to the net's deadline
     /// [`Budget`] before the rung runs. A net without a deadline is
     /// unaffected.
     StageDelay,
@@ -311,23 +310,18 @@ pub fn parse_kind_spec<K: Copy>(
 /// and routing order — so a missing-degree fault that hits a net in a
 /// serial run hits the same net in every batch run, and the verify
 /// harness can replay the exact fault pattern from the seed alone.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default is an empty plane: nothing fires, zero serving-path
+/// overhead.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlane {
     seed: u64,
-    delay: Duration,
     faults: Vec<Fault>,
 }
 
-impl Default for FaultPlane {
-    /// An empty plane: nothing fires, zero serving-path overhead.
-    fn default() -> Self {
-        FaultPlane {
-            seed: 0,
-            delay: Duration::from_millis(5),
-            faults: Vec::new(),
-        }
-    }
-}
+/// What a [`FaultKind::StageDelay`] fault charges to its net's deadline
+/// budget each time it fires.
+pub(crate) const STAGE_DELAY: Duration = Duration::from_millis(5);
 
 impl FaultPlane {
     /// An empty plane with the given decision seed.
@@ -342,22 +336,10 @@ impl FaultPlane {
         self
     }
 
-    /// Sets the stage-delay fault's budget charge (default 5 ms).
-    #[must_use]
-    pub fn with_delay(mut self, delay: Duration) -> Self {
-        self.delay = delay;
-        self
-    }
-
     /// Whether any fault is registered (the serving path skips all fault
     /// bookkeeping on an empty plane).
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// The stage-delay fault's budget charge.
-    pub fn delay(&self) -> Duration {
-        self.delay
     }
 
     /// Whether a `kind` fault strikes `rung` for the net identified by
@@ -632,11 +614,10 @@ impl fmt::Display for DegradationTrace {
 /// Which parts of the resilience layer are armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
-    /// Fall through to a fresh numeric DW enumeration when the cache and
-    /// LUT rungs cannot serve a tabulated degree.
-    pub dw_fallback: bool,
-    /// Fall through to the baseline heuristic sweep as the last rung.
-    pub baseline_fallback: bool,
+    /// Arm the fallback rungs: a fresh numeric DW enumeration when the
+    /// cache and LUT rungs cannot serve a tabulated degree, and the
+    /// baseline heuristic sweep as the last rung.
+    pub fallbacks: bool,
     /// Validate every served frontier (each cost must equal its witness
     /// tree's recomputed objectives) so corrupted cost rows demote to
     /// the next rung instead of serving wrong answers.
@@ -650,8 +631,7 @@ impl Default for ResilienceConfig {
     /// Everything armed, no deadline.
     fn default() -> Self {
         ResilienceConfig {
-            dw_fallback: true,
-            baseline_fallback: true,
+            fallbacks: true,
             validate_frontiers: true,
             deadline: None,
         }
@@ -665,8 +645,7 @@ impl ResilienceConfig {
     /// instead of being silently absorbed.
     pub fn strict() -> Self {
         ResilienceConfig {
-            dw_fallback: false,
-            baseline_fallback: false,
+            fallbacks: false,
             validate_frontiers: false,
             deadline: None,
         }
@@ -935,11 +914,10 @@ mod tests {
     #[test]
     fn strict_config_disarms_everything() {
         let strict = ResilienceConfig::strict();
-        assert!(!strict.dw_fallback);
-        assert!(!strict.baseline_fallback);
+        assert!(!strict.fallbacks);
         assert!(!strict.validate_frontiers);
         assert_eq!(strict.deadline, None);
         let default = ResilienceConfig::default();
-        assert!(default.dw_fallback && default.baseline_fallback && default.validate_frontiers);
+        assert!(default.fallbacks && default.validate_frontiers);
     }
 }

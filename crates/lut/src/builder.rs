@@ -150,7 +150,6 @@ fn estimated_dw_cost(p: &Pattern) -> u64 {
 pub struct LutBuilder {
     lambda: u8,
     threads: usize,
-    config: DwConfig,
 }
 
 impl LutBuilder {
@@ -169,19 +168,12 @@ impl LutBuilder {
         LutBuilder {
             lambda,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            config: DwConfig::default(),
         }
     }
 
     /// Sets the number of generation threads (default: all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the DP pruning configuration (used by equivalence tests).
-    pub fn config(mut self, config: DwConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -210,7 +202,7 @@ impl LutBuilder {
                     let Some(pattern) = patterns.get(i) else {
                         break;
                     };
-                    let solutions = symbolic_frontier(pattern, &self.config);
+                    let solutions = symbolic_frontier(pattern, &DwConfig::default());
                     let mut topos: Vec<StoredTopology> = solutions
                         .iter()
                         .map(|s| StoredTopology::from_solution(s, degree))

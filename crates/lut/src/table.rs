@@ -287,12 +287,6 @@ fn score_block(rows: &[u16], gaps: &[i64]) -> (i64, i64) {
     (w, d)
 }
 
-std::thread_local! {
-    /// Per-thread count of `RoutingTree` materializations (see
-    /// [`LookupTable::thread_materializations`]).
-    static MATERIALIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Slots of the largest rank grid a [`NetClass`] can have.
 const SLOTS: usize = NetClass::MAX_DEGREE * NetClass::MAX_DEGREE;
 
@@ -542,16 +536,7 @@ impl LookupTable {
     /// are numbered by rank slot on the stack, so this allocates only the
     /// returned tree.
     pub fn materialize(&self, net: &Net, class: &NetClass, id: u32) -> RoutingTree {
-        MATERIALIZATIONS.with(|c| c.set(c.get() + 1));
         materialize_edges(net, class, self.degree_of(class).edges_of(id))
-    }
-
-    /// Number of [`RoutingTree`] materializations performed by queries on
-    /// the calling thread since it started. Instrumentation for tests and
-    /// benchmarks asserting that trees are built only for frontier
-    /// survivors; per-thread so concurrent tests never interfere.
-    pub fn thread_materializations() -> u64 {
-        MATERIALIZATIONS.with(|c| c.get())
     }
 
     /// Re-evaluates a cached winning-id list against `net`.

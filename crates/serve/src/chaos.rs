@@ -160,11 +160,6 @@ impl TransportPlane {
         self.faults.is_empty()
     }
 
-    /// The plane's decision seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The injected stall/delay duration.
     pub fn delay(&self) -> Duration {
         self.delay.unwrap_or(DEFAULT_CHAOS_DELAY)

@@ -111,7 +111,7 @@ impl RouteClient {
         loop {
             let reply = self.route(request)?;
             let overloaded = reply.get("error").and_then(Json::as_str) == Some("overloaded");
-            if !overloaded || retries >= policy.budget {
+            if !overloaded || retries >= RETRY_BUDGET {
                 return Ok((reply, retries));
             }
             let hint = reply
@@ -128,49 +128,47 @@ impl RouteClient {
     }
 }
 
-/// A deterministic retry budget for `overloaded` rejections: capped
-/// exponential backoff with seeded jitter, floored at the server's
+/// Most retries [`RouteClient::route_with_retry`] spends per request
+/// before an `overloaded` rejection is final.
+const RETRY_BUDGET: u32 = 3;
+
+/// First-attempt backoff, milliseconds.
+const BACKOFF_BASE_MS: u64 = 2;
+
+/// Ceiling on any single backoff, milliseconds.
+const BACKOFF_CAP_MS: u64 = 250;
+
+/// A deterministic retry budget for `overloaded` rejections: up to
+/// three retries with capped (2 ms doubling to at most 250 ms)
+/// exponential backoff, seeded jitter, floored at the server's
 /// `retry_after_ms` hint. Deterministic so bench reruns with the same
 /// seed replay the same retry schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryPolicy {
-    /// Most retries spent per request before the rejection is final.
-    pub budget: u32,
-    /// First-attempt backoff, milliseconds.
-    pub base_ms: u64,
-    /// Ceiling on any single backoff, milliseconds.
-    pub cap_ms: u64,
     /// Jitter seed; same seed → same schedule.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { budget: 3, base_ms: 2, cap_ms: 250, seed: 0 }
-    }
+    seed: u64,
 }
 
 impl RetryPolicy {
-    /// A policy with everything default but the seed.
+    /// The policy whose jitter derives from `seed`.
     pub fn seeded(seed: u64) -> Self {
-        RetryPolicy { seed, ..Self::default() }
+        RetryPolicy { seed }
     }
 
     /// The backoff before retry number `attempt` (0-based) of request
     /// `id`, honouring the server's `retry_after_ms` hint as a floor.
     /// Pure: the schedule is a function of (seed, id, attempt, hint).
     pub fn backoff_ms(&self, id: u64, attempt: u32, retry_after_ms: Option<u64>) -> u64 {
-        let exp = self
-            .base_ms
+        let exp = BACKOFF_BASE_MS
             .saturating_mul(1u64 << attempt.min(16))
-            .min(self.cap_ms);
+            .min(BACKOFF_CAP_MS);
         // Full jitter over the exponential window, never below half of
         // it (so backoff still backs off).
         let h = splitmix64(self.seed ^ id.rotate_left(32) ^ u64::from(attempt));
         let jittered = exp / 2 + h % (exp / 2 + 1);
-        jittered.max(retry_after_ms.unwrap_or(0)).min(
-            self.cap_ms.max(retry_after_ms.unwrap_or(0)),
-        )
+        jittered
+            .max(retry_after_ms.unwrap_or(0))
+            .min(BACKOFF_CAP_MS.max(retry_after_ms.unwrap_or(0)))
     }
 }
 
@@ -237,13 +235,16 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_respects_cap_and_hint() {
-        let p = RetryPolicy { budget: 8, base_ms: 2, cap_ms: 100, seed: 3 };
+        let p = RetryPolicy::seeded(3);
+        // 2 ms doubles past the 250 ms cap at attempt 7.
         for attempt in 0..10 {
-            let exp = p.base_ms.saturating_mul(1 << attempt.min(16)).min(p.cap_ms);
+            let exp = BACKOFF_BASE_MS
+                .saturating_mul(1 << attempt.min(16))
+                .min(BACKOFF_CAP_MS);
             let ms = p.backoff_ms(1, attempt, None);
             // Jitter stays inside [exp/2, exp] and never exceeds cap.
             assert!(ms >= exp / 2 && ms <= exp, "attempt {attempt}: {ms} vs exp {exp}");
-            assert!(ms <= p.cap_ms);
+            assert!(ms <= BACKOFF_CAP_MS);
         }
         // The server's hint is a floor even when it exceeds the cap.
         assert!(p.backoff_ms(1, 0, Some(500)) >= 500);

@@ -94,28 +94,28 @@ pub struct ServeConfig {
     /// closed (`write` timeout metric). This is what keeps one stalled
     /// peer from holding drain hostage.
     pub write_timeout: Duration,
-    /// Bounded per-connection reply buffer, in frames. When a client
-    /// falls this far behind its replies, the batcher drops the reply
-    /// and evicts the connection instead of blocking the batcher —
-    /// per-connection memory is bounded by construction.
-    ///
-    /// The default, 1,024, is the admission bound
-    /// ([`ServeConfig::queue_depth`]'s default). The buffer also fills
-    /// while the connection's own writer thread waits for a CPU, so a
-    /// smaller one evicts clients that read every reply as it arrives:
-    /// at 128 frames, a client pacing 8,000–20,000 requests/s over one
-    /// connection on a 2-vCPU host was evicted in 3 of 7 runs. A peer that
-    /// stops reading is still evicted once this many replies wait, and
-    /// [`ServeConfig::write_timeout`] still closes it. The channel
-    /// allocates every slot up front (32 B each), so a connection holds
-    /// 32 KiB of reply slots.
-    pub reply_buffer: usize,
     /// The transport fault plane (chaos injection) for the framed
     /// socket: its readers and writers are the only hooks. Empty — the
     /// default — means every hook short-circuits; see
     /// [`TransportPlane`].
     pub chaos: TransportPlane,
 }
+
+/// Bounded per-connection reply buffer, in frames. When a client falls
+/// this far behind its replies, the batcher drops the reply and evicts
+/// the connection instead of blocking the batcher — per-connection
+/// memory is bounded by construction.
+///
+/// 1,024 is the admission bound ([`ServeConfig::queue_depth`]'s
+/// default). The buffer also fills while the connection's own writer
+/// thread waits for a CPU, so a smaller one evicts clients that read
+/// every reply as it arrives: at 128 frames, a client pacing
+/// 8,000–20,000 requests/s over one connection on a 2-vCPU host was
+/// evicted in 3 of 7 runs. A peer that stops reading is still evicted
+/// once this many replies wait, and [`ServeConfig::write_timeout`] still
+/// closes it. The channel allocates every slot up front (32 B each), so
+/// a connection holds 32 KiB of reply slots.
+const REPLY_BUFFER: usize = 1024;
 
 /// Upper clamp on computed `retry_after_ms` hints. A second of backoff
 /// is already "come back much later"; anything larger would just park
@@ -157,7 +157,6 @@ impl Default for ServeConfig {
             queue_depth: 1024,
             read_stall: Duration::from_secs(2),
             write_timeout: Duration::from_secs(5),
-            reply_buffer: 1024,
             chaos: TransportPlane::default(),
         }
     }
@@ -779,8 +778,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         let Ok(stream) = stream else { continue };
         let conn_id = register_conn(shared, &stream);
-        let (reply_tx, reply_rx) =
-            mpsc::sync_channel::<Vec<u8>>(shared.config.reply_buffer.max(1));
+        let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(REPLY_BUFFER);
         let write_half = stream.try_clone();
         let writer = {
             let shared = Arc::clone(shared);

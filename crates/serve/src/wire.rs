@@ -522,6 +522,44 @@ mod tests {
         }
     }
 
+    /// The three request frames README.md documents, as it prints them:
+    /// each must appear there verbatim and parse to its request, so the
+    /// README cannot drift from the parser.
+    #[test]
+    fn readme_request_frames_parse_to_their_requests() {
+        let readme = include_str!("../../../README.md");
+        let frames = [
+            (
+                r#"{"id": 1, "net": [[0,0],[5,9],[9,4]], "deadline_ms": 10}"#,
+                Request::Route(RouteRequest {
+                    id: 1,
+                    net: net3(),
+                    deadline_ms: Some(10),
+                }),
+            ),
+            (
+                r#"{"id":7,"base":[[0,0],[5,9],[9,4]],"edit":{"kind":"translate","dx":3,"dy":-1},"staleness":2}"#,
+                Request::Reroute(RerouteRequest {
+                    id: 7,
+                    delta: NetDelta::new(net3(), DeltaKind::Translate { dx: 3, dy: -1 }),
+                    prior_edits: 2,
+                    deadline_ms: None,
+                }),
+            ),
+            (
+                r#"{"id": 99, "reload": "tables.plut"}"#,
+                Request::Reload(ReloadRequest {
+                    id: 99,
+                    path: "tables.plut".to_string(),
+                }),
+            ),
+        ];
+        for (frame, request) in frames {
+            assert!(readme.contains(frame), "README.md does not show {frame}");
+            assert_eq!(parse_any_request(frame.as_bytes()), Ok(request), "{frame}");
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_reject_oversize() {
         let mut buf = Vec::new();

@@ -871,9 +871,9 @@ fn table_epoch_gauge_follows_the_engine() {
 }
 
 /// A client that stops draining its replies hits the bounded reply
-/// buffer and is evicted — the batcher never blocks on it. A stalled
-/// write (chaos `stall-write` at probability 1) parks the writer so
-/// the buffer actually fills.
+/// buffer (1,024 frames) and is evicted — the batcher never blocks on
+/// it. A stalled write (chaos `stall-write` at probability 1) parks the
+/// writer so the buffer actually fills.
 #[test]
 fn full_reply_buffer_evicts_instead_of_blocking() {
     let chaos = patlabor_serve::TransportPlane::seeded(0x51)
@@ -883,7 +883,6 @@ fn full_reply_buffer_evicts_instead_of_blocking() {
     let server = serve(
         test_engine(),
         ServeConfig {
-            reply_buffer: 1,
             chaos,
             ..ServeConfig::default()
         },
@@ -892,7 +891,7 @@ fn full_reply_buffer_evicts_instead_of_blocking() {
     let metrics = server.metrics();
 
     let mut client = RouteClient::connect(server.addr()).expect("connect");
-    for (i, net) in suite(0x99, 6).iter().enumerate() {
+    for (i, net) in suite(0x99, 1_200).iter().enumerate() {
         // The eviction closes the socket, and it can land before the
         // last frames are sent; a failed send is that close.
         let request = RouteRequest { id: i as u64, net: net.clone(), deadline_ms: None };
@@ -900,8 +899,9 @@ fn full_reply_buffer_evicts_instead_of_blocking() {
             break;
         }
     }
-    // Reply 1 parks the writer in the injected stall, reply 2 fills
-    // the buffer, some later reply must find it full and evict.
+    // Reply 1 parks the writer in the injected stall, the next 1,024
+    // fill the buffer, and some later reply must find it full and
+    // evict before the stall ends.
     assert!(
         wait_for(Duration::from_secs(10), || {
             patlabor_serve::Metrics::get(&metrics.evicted) >= 1
@@ -1019,8 +1019,7 @@ fn metric_sum(exposition: &str, family: &str) -> u64 {
 #[test]
 fn metrics_and_shutdown_report_are_one_tally() {
     let engine = test_engine().with_resilience(ResilienceConfig {
-        dw_fallback: false,
-        baseline_fallback: false,
+        fallbacks: false,
         ..ResilienceConfig::default()
     });
     let server = serve(

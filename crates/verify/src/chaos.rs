@@ -33,35 +33,20 @@ use patlabor_serve::{
     serve, Json, RetryPolicy, RouteClient, RouteRequest, ServeConfig, TransportPlane,
 };
 
-/// Soak shape: how hard and how long to shake the daemon.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSoakConfig {
-    /// Seeds the fault schedule, the corpus, and the retry jitter.
-    pub seed: u64,
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests each client attempts to get answered.
-    pub nets_per_client: usize,
-    /// λ of the served table (4 builds in milliseconds).
-    pub lambda: u8,
-    /// How long clients run before the SIGINT-style drain begins.
-    pub run_for: Duration,
-    /// Invariant 2's bound: drain must complete within this.
-    pub drain_bound: Duration,
-}
+/// Concurrent client threads.
+const CLIENTS: usize = 4;
 
-impl Default for ChaosSoakConfig {
-    fn default() -> Self {
-        ChaosSoakConfig {
-            seed: 0xC4A0_55EE,
-            clients: 4,
-            nets_per_client: 48,
-            lambda: 4,
-            run_for: Duration::from_millis(250),
-            drain_bound: Duration::from_secs(10),
-        }
-    }
-}
+/// Requests each client attempts to get answered.
+const NETS_PER_CLIENT: usize = 48;
+
+/// λ of the served table (4 builds in milliseconds).
+const LAMBDA: u8 = 4;
+
+/// How long clients run before the SIGINT-style drain begins.
+const RUN_FOR: Duration = Duration::from_millis(250);
+
+/// Invariant 2's bound: drain must complete within this.
+const DRAIN_BOUND: Duration = Duration::from_secs(10);
 
 /// What the soak observed, with every invariant breach spelled out in
 /// `violations` — empty means the daemon kept its crash-only promises.
@@ -136,9 +121,10 @@ struct ClientTally {
 
 /// Runs the soak. Boots the daemon with every fault kind armed at
 /// moderate probability, shakes it with reconnecting clients, drains
-/// mid-chaos, and audits the invariants. Pure function of the config.
-pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
-    let chaos = TransportPlane::seeded(config.seed)
+/// mid-chaos, and audits the invariants. Pure function of `seed`, which
+/// drives the fault schedule, the corpus and the retry jitter.
+pub fn chaos_soak(seed: u64) -> ChaosSoakReport {
+    let chaos = TransportPlane::seeded(seed)
         .with_spec("torn-write:0.06")
         .and_then(|p| p.with_spec("corrupt-write:0.06"))
         .and_then(|p| p.with_spec("disconnect:0.04"))
@@ -146,7 +132,7 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
         .and_then(|p| p.with_spec("delay-read:0.08"))
         .expect("static fault specs parse")
         .with_delay(Duration::from_millis(5));
-    let engine = Engine::with_table(LutBuilder::new(config.lambda).threads(2).build());
+    let engine = Engine::with_table(LutBuilder::new(LAMBDA).threads(2).build());
     let server = serve(
         engine,
         ServeConfig {
@@ -159,16 +145,14 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
     .expect("soak daemon binds a free loopback port");
     let addr = server.addr();
 
-    let handles: Vec<_> = (0..config.clients)
+    let handles: Vec<_> = (0..CLIENTS)
         .map(|t| {
-            let seed = config.seed ^ (t as u64);
-            let count = config.nets_per_client;
-            let lambda = config.lambda;
-            std::thread::spawn(move || run_client(addr, seed, t as u64, count, lambda))
+            let seed = seed ^ (t as u64);
+            std::thread::spawn(move || run_client(addr, seed, t as u64))
         })
         .collect();
 
-    std::thread::sleep(config.run_for);
+    std::thread::sleep(RUN_FOR);
     let drain_started = Instant::now();
     server.begin_shutdown();
 
@@ -204,10 +188,10 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
              counted {responses} responses"
         ));
     }
-    if drain_ms > config.drain_bound.as_millis() as u64 {
+    if drain_ms > DRAIN_BOUND.as_millis() as u64 {
         violations.push(format!(
             "drain took {drain_ms} ms under chaos, bound is {} ms",
-            config.drain_bound.as_millis()
+            DRAIN_BOUND.as_millis()
         ));
     }
     if summary.chaos_injected == 0 {
@@ -215,7 +199,7 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
     }
 
     ChaosSoakReport {
-        seed: config.seed,
+        seed,
         answered,
         retries,
         reconnects,
@@ -233,14 +217,8 @@ pub fn chaos_soak(config: &ChaosSoakConfig) -> ChaosSoakReport {
 /// well-formed reply correlated by id, or its connection observably
 /// dies and the request is retried on a fresh one. A parsed reply with
 /// the wrong id is the one thing that must never happen.
-fn run_client(
-    addr: std::net::SocketAddr,
-    seed: u64,
-    client: u64,
-    count: usize,
-    lambda: u8,
-) -> ClientTally {
-    let nets = patlabor_netgen::iccad_like_suite(seed, count, lambda as usize);
+fn run_client(addr: std::net::SocketAddr, seed: u64, client: u64) -> ClientTally {
+    let nets = patlabor_netgen::iccad_like_suite(seed, NETS_PER_CLIENT, LAMBDA as usize);
     let policy = RetryPolicy::seeded(seed);
     let mut tally = ClientTally {
         answered: 0,
@@ -319,12 +297,7 @@ mod tests {
     /// faults while doing so.
     #[test]
     fn fixed_seed_soak_holds_every_invariant() {
-        let report = chaos_soak(&ChaosSoakConfig {
-            clients: 3,
-            nets_per_client: 30,
-            run_for: Duration::from_millis(150),
-            ..ChaosSoakConfig::default()
-        });
+        let report = chaos_soak(0xC4A0_55EE);
         assert!(
             report.is_clean(),
             "soak violations:\n{}",

@@ -27,7 +27,7 @@ mod chaos;
 mod report;
 mod shrink;
 
-pub use chaos::{chaos_soak, ChaosSoakConfig, ChaosSoakReport};
+pub use chaos::{chaos_soak, ChaosSoakReport};
 pub use report::{CheckSummary, Counterexample, PathPair, SmokeReport, VerifyReport};
 pub use shrink::shrink_net;
 

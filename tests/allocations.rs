@@ -4,15 +4,18 @@
 //! running in parallel never mix their counts. Once a thread has routed
 //! one net, a route of a degree 3–6 net through the table allocates only
 //! its answer: the frontier vector, the score survivors, and each witness
-//! tree's points and parents. Classification allocates nothing.
+//! tree's points and parents. A tree is therefore built only for a
+//! frontier survivor, never for a dominated candidate. Classification
+//! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::OnceLock;
 
 use patlabor::{Engine, RouteSource};
 use patlabor_geom::{Net, NetClass, Point};
-use patlabor_lut::LutBuilder;
+use patlabor_lut::{LookupTable, LutBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,9 +87,14 @@ fn nets() -> Vec<Net> {
     nets
 }
 
+fn table6() -> &'static LookupTable {
+    static TABLE: OnceLock<LookupTable> = OnceLock::new();
+    TABLE.get_or_init(|| LutBuilder::new(6).build())
+}
+
 #[test]
 fn warm_lut_routes_allocate_only_the_answer() {
-    let engine = Engine::with_table(LutBuilder::new(6).build());
+    let engine = Engine::with_table(table6().clone());
     let nets = nets();
     engine.route(&nets[0]).expect("warm-up route serves");
     let mut total = 0;
@@ -101,6 +109,37 @@ fn warm_lut_routes_allocate_only_the_answer() {
     }
     // Every route allocates at least its frontier and one tree.
     assert!(total >= 4 * nets.len() as u64, "{total} allocations in all");
+}
+
+/// A warm query allocates the score survivors, the frontier vector and
+/// two buffers per witness tree, so materializing a dominated candidate
+/// breaks the bound on every net whose candidates outnumber its
+/// frontier.
+#[test]
+fn trees_are_materialized_only_for_frontier_survivors() {
+    let table = table6();
+    let nets = nets();
+    table.query(&nets[0]).expect("warm-up query serves");
+    let mut pruned = 0;
+    for net in &nets {
+        let class = table.classify(net).expect("degree ≤ λ");
+        let candidates = table
+            .candidate_ids(&class)
+            .expect("a built table has every pattern");
+        let before = allocations();
+        let frontier = table.query(net).expect("degree ≤ λ");
+        let made = allocations() - before;
+        let bound = 2 + 2 * frontier.len() as u64;
+        assert!(made <= bound, "{made} allocations, bound {bound}: {net:?}");
+        if candidates.len() > frontier.len() {
+            pruned += 1;
+        }
+    }
+    // Without dominated candidates the bound checks nothing.
+    assert!(
+        pruned >= nets.len() / 2,
+        "only {pruned} nets prune a candidate"
+    );
 }
 
 #[test]
