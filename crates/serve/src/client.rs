@@ -143,7 +143,7 @@ const BACKOFF_CAP_MS: u64 = 250;
 /// exponential backoff, seeded jitter, floored at the server's
 /// `retry_after_ms` hint. Deterministic so bench reruns with the same
 /// seed replay the same retry schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Jitter seed; same seed → same schedule.
     seed: u64,

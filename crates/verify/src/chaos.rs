@@ -14,8 +14,8 @@
 //!    reply correlates to the one outstanding request; a damaged frame
 //!    only ever appears on a connection that dies (clients observe it
 //!    as an I/O error, never as a plausible wrong answer).
-//! 2. **Drain under chaos is bounded** — shutdown completes within the
-//!    configured bound even with faults firing mid-drain.
+//! 2. **Drain under chaos is bounded** — shutdown completes within
+//!    10 s even with faults firing mid-drain.
 //! 3. **The rung ledger balances** — Σ served-by-rung equals the
 //!    response counter exactly; chaos must not double-count or leak.
 //! 4. **No torn frame is ever accepted** — a parsed reply carrying an
