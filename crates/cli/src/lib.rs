@@ -312,8 +312,8 @@ pub fn parse_edits(text: &str) -> Result<Vec<EcoEdit>, ParseNetsError> {
             ),
             other => {
                 return Err(err(format!(
-                    "unknown edit kind `{other}` (translate | move-pin | add-sink | \
-                     remove-sink | blockage-mask)"
+                    "unknown edit kind `{other}` ({})",
+                    DeltaKind::LABELS.join(" | ")
                 )))
             }
         };
@@ -1262,8 +1262,11 @@ mod tests {
 
         let err = parse_edits("0 teleport 1,1\n").unwrap_err();
         assert_eq!(err.line, 1);
-        assert!(err.message.contains("teleport"));
-        assert!(err.message.contains("translate"));
+        assert_eq!(
+            err.message,
+            "unknown edit kind `teleport` (translate | move-pin | add-sink | remove-sink | \
+             blockage-mask)"
+        );
         let err = parse_edits("0 translate 5,-2\nnope translate 1,1\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("net index"));

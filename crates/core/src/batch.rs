@@ -5,20 +5,25 @@
 //! (its footnote 4 chides YSD for comparing GPU batches against serial
 //! SALT). This module provides the high-throughput driver,
 //! [`Engine::route_batch_by`], that every batch entry point and the
-//! serve daemon call: a shared queue of output chunks drained by scoped
-//! threads over one [`Engine`] handle (the lookup tables are immutable
-//! after construction, so one engine serves every thread).
+//! serve daemon call: the batch pins one table generation
+//! ([`Engine::pinned`]), and the calling thread drains a shared queue of
+//! output chunks beside `threads − 1` scoped helpers, all routing through
+//! that one [`Pinned`] handle. A table generation is immutable, so one
+//! handle serves every thread, and a route writes no word that another
+//! thread's routes write: the table slot's lock and the table's reference
+//! count are touched once per batch, not once per route.
 //!
 //! # Design
 //!
 //! The output vector is cut into fixed-size chunks with `chunks_mut`,
 //! and the enumerated chunk iterator sits behind one `Mutex`. Each
-//! worker takes the next chunk, fills its slots, and exits when the
-//! iterator is empty. The lock is held only for the `next()` call, once
-//! per chunk, never while a net routes. Because the chunks are disjoint
-//! `&mut` slices, the borrow checker proves that no two workers write
-//! one slot, and results come back in input order, bit-identical to a
-//! serial loop, without any `unsafe`.
+//! worker, the caller as worker 0 and every helper, takes the next
+//! chunk, fills its slots, and stops when the iterator is empty. The
+//! lock is held only for the `next()` call, once per chunk, never while
+//! a net routes. Because the chunks are disjoint `&mut` slices, the
+//! borrow checker proves that no two workers write one slot, and results
+//! come back in input order, bit-identical to a serial loop, without any
+//! `unsafe`.
 //!
 //! Chunk size trades lock acquisitions against the tail: the worker
 //! that takes the last chunk may still be routing it after the others
@@ -36,7 +41,7 @@ use std::time::{Duration, Instant};
 use patlabor_geom::Net;
 
 use crate::eco::DeltaJob;
-use crate::engine::Engine;
+use crate::engine::{Engine, Pinned};
 use crate::pipeline::{RouteError, RouteResult};
 
 /// Hard ceiling on the chunk size, and so on the nets one late claim can
@@ -71,7 +76,9 @@ pub struct WorkerStats {
 /// wall-clock alone.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// Workers actually spawned (`min(threads, nets)`; 1 = serial path).
+    /// Workers that routed, `min(threads, nets)`: the calling thread and
+    /// `workers − 1` spawned helpers (1 = the serial path, on the calling
+    /// thread alone).
     pub workers: usize,
     /// Chunk size used: `nets / (workers × 4)` clamped to `[1, 64]`
     /// (the whole batch on the serial path).
@@ -80,7 +87,8 @@ pub struct BatchStats {
     pub chunks: usize,
     /// Wall-clock time of the whole batch.
     pub elapsed_ns: u64,
-    /// Per-worker telemetry, indexed by worker id.
+    /// Per-worker telemetry, indexed by worker id; worker 0 is the
+    /// calling thread.
     pub per_worker: Vec<WorkerStats>,
 }
 
@@ -127,15 +135,18 @@ impl BatchStats {
     }
 }
 
-/// Fills a `len`-slot output vector across `workers` scoped threads that
-/// share one queue of `chunk`-slot output slices; `fill(i)` produces slot
-/// `i`. Results are in index order, identical to a serial loop. Returns
-/// the values and the per-worker telemetry.
+/// Fills a `len`-slot output vector across `workers` workers that share
+/// one queue of `chunk`-slot output slices; `fill(i)` produces slot `i`.
+/// The calling thread is worker 0 and drains the queue beside
+/// `workers − 1` scoped helpers. Results are in index order, identical
+/// to a serial loop. Returns the values and the per-worker telemetry.
 ///
 /// Panic safety: if a `fill` call panics, the panicking worker unwinds,
 /// the surviving workers keep draining every remaining chunk, the scope
 /// joins and re-panics, and the unwind drops the output vector with
-/// every slot already filled — nothing leaks.
+/// every slot already filled — nothing leaks. A panic on the calling
+/// thread is no different: the scope waits for the helpers to drain the
+/// queue before the unwind leaves it.
 fn fill_slots_parallel<T, F>(
     len: usize,
     workers: usize,
@@ -149,37 +160,33 @@ where
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(len, || None);
     let queue = Mutex::new(slots.chunks_mut(chunk).enumerate());
+    let drain = || {
+        let mut stats = WorkerStats::default();
+        loop {
+            // The guard is a temporary of this statement, so the lock is
+            // released before the chunk is filled. `next()` is the only
+            // update and cannot panic, so a poisoned lock still guards a
+            // valid iterator.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((c, out)) = next else { break };
+            let t0 = Instant::now();
+            for (slot, i) in out.iter_mut().zip(c * chunk..) {
+                *slot = Some(fill(i));
+            }
+            stats.busy_ns += t0.elapsed().as_nanos() as u64;
+            stats.chunks += 1;
+            stats.nets += out.len() as u64;
+        }
+        stats
+    };
     let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut stats = WorkerStats::default();
-                    loop {
-                        // The guard is a temporary of this statement, so
-                        // the lock is released before the chunk is filled.
-                        // `next()` is the only update and cannot panic, so
-                        // a poisoned lock still guards a valid iterator.
-                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                        let Some((c, out)) = next else { break };
-                        let t0 = Instant::now();
-                        for (slot, i) in out.iter_mut().zip(c * chunk..) {
-                            *slot = Some(fill(i));
-                        }
-                        stats.busy_ns += t0.elapsed().as_nanos() as u64;
-                        stats.chunks += 1;
-                        stats.nets += out.len() as u64;
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut stats = vec![drain()];
+        stats.extend(helpers.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        stats
     });
     let values = slots
         .into_iter()
@@ -227,7 +234,7 @@ impl Engine {
         nets: &[Net],
         threads: usize,
     ) -> (Vec<RouteResult>, BatchStats) {
-        self.route_batch_by(nets.len(), threads, |i| self.route(&nets[i]))
+        self.route_batch_by(nets.len(), threads, |engine, i| engine.route(&nets[i]))
     }
 
     /// Reroutes a batch of edits: [`Engine::route_batch_by`] over
@@ -240,23 +247,27 @@ impl Engine {
         jobs: &[DeltaJob],
         threads: usize,
     ) -> (Vec<RouteResult>, BatchStats) {
-        self.route_batch_by(jobs.len(), threads, |i| {
+        self.route_batch_by(jobs.len(), threads, |engine, i| {
             let job = &jobs[i];
-            self.reroute_with_staleness(&job.delta, job.prior_edits, &job.session)
+            engine.reroute_with_staleness(&job.delta, job.prior_edits, &job.session)
         })
     }
 
     /// The batch driver: fills `len` independent slots, slot `i` with
-    /// `route(i)`, over `threads` OS threads (clamped to at least 1),
-    /// and returns the results in index order with the driver telemetry.
-    /// Every batch entry point is one call of this; the serve layer
-    /// routes each batch of queued requests, routes and reroutes alike,
-    /// through one call too.
+    /// `route(engine, i)`, over `threads` OS threads (clamped to at least
+    /// 1), and returns the results in index order with the driver
+    /// telemetry. Every batch entry point is one call of this; the serve
+    /// layer routes each batch of queued requests, routes and reroutes
+    /// alike, through one call too.
     ///
-    /// One thread, or at most one slot, routes serially on the calling
-    /// thread; otherwise `min(threads, len)` scoped workers drain one
-    /// shared queue of output chunks. `route` is called once per slot and
-    /// its result lands in that slot, whichever worker runs it.
+    /// The batch pins the serving table generation once
+    /// ([`Engine::pinned`]) and hands that handle to every slot as
+    /// `engine`, so one batch routes against one table: a reload that
+    /// commits mid-batch serves the next batch. One thread, or at most
+    /// one slot, routes serially on the calling thread; otherwise the
+    /// calling thread and `min(threads, len) − 1` scoped helpers drain
+    /// one shared queue of output chunks. `route` is called once per slot
+    /// and its result lands in that slot, whichever worker runs it.
     /// A panic that escapes `route` is caught for its slot and becomes
     /// [`RouteError::Panicked`]: one pathological request never takes
     /// the batch down.
@@ -264,16 +275,16 @@ impl Engine {
         &self,
         len: usize,
         threads: usize,
-        route: impl Fn(usize) -> RouteResult + Sync,
+        route: impl Fn(&Pinned<'_>, usize) -> RouteResult + Sync,
     ) -> (Vec<RouteResult>, BatchStats) {
+        let engine = self.pinned();
         let fill = |i| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(i))).unwrap_or_else(
-                |payload| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(&engine, i)))
+                .unwrap_or_else(|payload| {
                     Err(RouteError::Panicked {
                         payload: panic_message(payload.as_ref()),
                     })
-                },
-            )
+                })
         };
         let threads = threads.max(1);
         let t0 = Instant::now();
@@ -487,6 +498,95 @@ mod tests {
             stats.iter().map(|w| w.chunks).sum::<u64>(),
             1000u64.div_ceil(16)
         );
+    }
+
+    /// The calling thread is worker 0: it fills slots itself, beside at
+    /// most `workers − 1` spawned helpers. A helper holds back until the
+    /// caller has filled a slot (or a second has passed), so the check
+    /// does not depend on which thread reaches the queue first.
+    #[test]
+    fn the_caller_fills_slots_beside_at_most_one_helper() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::Ordering::SeqCst;
+
+        let caller = std::thread::current().id();
+        let caller_filled = AtomicBool::new(false);
+        let started = Instant::now();
+        let (fillers, stats) = fill_slots_parallel(1000, 2, 16, |_| {
+            let me = std::thread::current().id();
+            if me == caller {
+                caller_filled.store(true, SeqCst);
+            } else {
+                while !caller_filled.load(SeqCst) && started.elapsed() < Duration::from_secs(1) {
+                    std::thread::yield_now();
+                }
+            }
+            me
+        });
+        let ids: HashSet<_> = fillers.iter().copied().collect();
+        assert!(ids.contains(&caller), "the calling thread filled nothing: {stats:?}");
+        assert!(ids.len() <= 2, "more than one helper filled slots: {stats:?}");
+        let by_caller = fillers.iter().filter(|&&id| id == caller).count();
+        assert_eq!(stats[0].nets as usize, by_caller, "worker 0 is the caller");
+        assert_eq!(stats.iter().map(|w| w.nets).sum::<u64>(), 1000);
+    }
+
+    /// A batch routes against the one table generation it pinned: a
+    /// reload that commits mid-batch serves the next batch. The reloaded
+    /// table lacks degree 3, so a strict engine fails every degree-3
+    /// net routed on it.
+    #[test]
+    fn a_batch_routes_against_one_table_generation() {
+        use crate::RouteSource;
+
+        let table = crate::LutBuilder::new(4).threads(1).build();
+        let mut without_3 = table.clone();
+        without_3.remove_degree(3);
+        let dir = std::env::temp_dir().join("patlabor_batch_pin_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("without_3.{}.plut", std::process::id()));
+        without_3.save(&path).unwrap();
+
+        let strict = |table| {
+            Engine::with_table(table).with_resilience(crate::ResilienceConfig::strict())
+        };
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0x91e);
+        let nets: Vec<Net> = (0..400)
+            .map(|i| patlabor_netgen::uniform_net(&mut rng, 3 + i % 2, 1_000))
+            .collect();
+        let reference = strict(table.clone());
+        let expected: Vec<_> = nets.iter().map(|n| reference.route(n)).collect();
+
+        for threads in [1, 2] {
+            let engine = strict(table.clone());
+            let reload_at = nets.len() / 4;
+            let (results, _) = engine.route_batch_by(nets.len(), threads, |engine_at, i| {
+                if i == reload_at {
+                    assert_eq!(engine.reload_table(&path), Ok(1));
+                }
+                engine_at.route(&nets[i])
+            });
+            assert_eq!(engine.table_epoch(), 1, "threads = {threads}");
+            for (i, (result, want)) in results.iter().zip(&expected).enumerate() {
+                let outcome = result
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("threads = {threads}, slot {i}: {e:?}"));
+                assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
+                assert_eq!(result, want, "threads = {threads}, slot {i}");
+            }
+
+            let next = engine.route_batch(&nets, threads);
+            for ((net, result), want) in nets.iter().zip(&next).zip(&expected) {
+                if net.degree() == 3 {
+                    let missing = RouteError::MissingDegree { degree: 3, lambda: 4 };
+                    assert_eq!(*result, Err(missing), "threads = {threads}");
+                } else {
+                    assert_eq!(result, want, "threads = {threads}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// Load balance on a skewed workload (all cost in the last quarter of

@@ -87,6 +87,16 @@ pub enum DeltaKind {
 }
 
 impl DeltaKind {
+    /// Every kind's [`label`](DeltaKind::label), in the order the CLI's
+    /// edits-file errors list them.
+    pub const LABELS: [&'static str; 5] = [
+        "translate",
+        "move-pin",
+        "add-sink",
+        "remove-sink",
+        "blockage-mask",
+    ];
+
     /// Stable machine-readable label (the wire protocol, the CLI edits
     /// file and the verify harness all speak these).
     pub fn label(&self) -> &'static str {
@@ -574,15 +584,16 @@ mod tests {
 
     #[test]
     fn labels_are_stable_and_distinct() {
+        // One of each kind, in `DeltaKind::LABELS` order.
         let kinds = [
+            DeltaKind::Translate { dx: 0, dy: 0 },
             DeltaKind::MovePin { index: 0, to: Point::new(0, 0) },
             DeltaKind::AddSink { at: Point::new(0, 0) },
             DeltaKind::RemoveSink { index: 0 },
-            DeltaKind::Translate { dx: 0, dy: 0 },
             DeltaKind::BlockageMask { min: Point::new(0, 0), max: Point::new(1, 1) },
         ];
-        let labels: std::collections::HashSet<&str> =
-            kinds.iter().map(|k| k.label()).collect();
+        assert_eq!(kinds.map(|k| k.label()), DeltaKind::LABELS);
+        let labels: std::collections::HashSet<&str> = DeltaKind::LABELS.into_iter().collect();
         assert_eq!(labels.len(), kinds.len());
         assert!(labels.contains("move-pin"));
         assert!(labels.contains("blockage-mask"));

@@ -18,7 +18,9 @@
 //! The engine is the crate's only router handle: library callers route
 //! with [`Engine::route`] or the batch driver, and `patlabor serve` runs
 //! one engine per process, one session per request, batched through
-//! [`Engine::route_batch_by`].
+//! [`Engine::route_batch_by`]. Every route runs on a [`Pinned`] borrow
+//! of the engine that holds one table generation: a single route pins
+//! its own, and a batch pins one for all of its slots.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -148,10 +150,13 @@ pub(crate) struct TableGeneration {
 /// The engine's swappable table slot (DESIGN.md §17).
 ///
 /// Readers snapshot the current generation — an `Arc` bump under a
-/// briefly-held read lock — at route entry and never touch the lock
-/// again, so in-flight routes finish on the generation they started
-/// on while a reload installs the next one. The lock is only ever held
-/// across pointer-sized work; table validation happens off-slot.
+/// briefly-held read lock — once per [`Pinned`] handle and never touch
+/// the lock again: a single route pins for itself, and a batch pins
+/// once for all of its slots, so its routes write neither the lock nor
+/// the count. In-flight routes and batches finish on the generation
+/// they pinned while a reload installs the next one. The lock is only
+/// ever held across pointer-sized work; table validation happens
+/// off-slot.
 #[derive(Debug)]
 pub(crate) struct TableSlot {
     slot: RwLock<TableGeneration>,
@@ -412,6 +417,18 @@ impl Engine {
         degree <= self.inner.table.snapshot().table.lambda() as usize
     }
 
+    /// A routing handle pinned to the currently serving table
+    /// generation: every route through it runs against that table, even
+    /// after a reload commits. [`Engine::route_session`] pins for its one
+    /// route; the batch driver ([`Engine::route_batch_by`]) pins once
+    /// per batch and hands the handle to every slot.
+    pub fn pinned(&self) -> Pinned<'_> {
+        Pinned {
+            inner: &self.inner,
+            generation: self.inner.table.snapshot(),
+        }
+    }
+
     /// Routes one net under the engine-level configuration alone
     /// (equivalent to [`Engine::route_session`] with a default session,
     /// and like it re-raises a panic that no rung absorbs).
@@ -452,8 +469,70 @@ impl Engine {
     /// ([`Engine::route_batch_by`]) catches it per slot as
     /// [`RouteError::Panicked`].
     pub fn route_session(&self, net: &Net, session: &Session) -> RouteResult {
+        self.pinned().route_session(net, session)
+    }
+
+    /// Incremental (ECO) rerouting: applies `delta` to its base net and
+    /// routes the edited net. On an engine without a frontier cache (the
+    /// default) that is all it does: one [`Engine::route_session`] of
+    /// `delta.apply()`, which classifies the net once, and `prior_edits`
+    /// is not read. An engine that opted into the cache
+    /// ([`Engine::with_cache`]) first tries to answer from replay when
+    /// the edit preserved the congruence class (see [`crate::eco`] and
+    /// DESIGN.md §16).
+    ///
+    /// `prior_edits` is the replay staleness lineage: the number of
+    /// edits already served from replay for this net, which a prior
+    /// [`RouteSource::Reused`] outcome reports as its `staleness` (0
+    /// after any other provenance; the serve layer forwards the wire
+    /// request's `staleness` field). [`RouterConfig::eco`]'s
+    /// `staleness_cap` bounds how many consecutive edits replay may
+    /// serve; past the cap the mutated net routes fresh, which resets
+    /// the counter (a fresh outcome's provenance is no longer `Reused`).
+    ///
+    /// The replayed frontier is bit-identical to routing the mutated net
+    /// from scratch: the cached winner set is a pure function of the
+    /// (unchanged) congruence class, and replay only skips the scoring
+    /// of candidates that were already dominated. When the class
+    /// changed, the winners are not resident, or validation fails, the
+    /// mutated net falls through the ordinary degradation ladder.
+    pub fn reroute_with_staleness(
+        &self,
+        delta: &NetDelta,
+        prior_edits: u32,
+        session: &Session,
+    ) -> RouteResult {
+        self.pinned()
+            .reroute_with_staleness(delta, prior_edits, session)
+    }
+}
+
+/// An [`Engine`] handle pinned to one table generation
+/// ([`Engine::pinned`]).
+///
+/// Pinning is a route's only access to the table slot, so routes through
+/// one handle share one snapshot instead of each taking the slot's read
+/// lock and bumping the table's reference count. Those are writes to
+/// words every routing thread shares. The handle holds the table
+/// generation it pinned alive, and answers exactly as the engine did
+/// when it was pinned.
+#[derive(Debug)]
+pub struct Pinned<'e> {
+    inner: &'e EngineInner,
+    generation: TableGeneration,
+}
+
+impl Pinned<'_> {
+    /// [`Engine::route`] against this handle's table generation.
+    pub fn route(&self, net: &Net) -> RouteResult {
+        self.route_session(net, &Session::default())
+    }
+
+    /// [`Engine::route_session`] against this handle's table generation:
+    /// the one routing body.
+    pub fn route_session(&self, net: &Net, session: &Session) -> RouteResult {
         check_coordinates(net)?;
-        let inner = &*self.inner;
+        let inner = self.inner;
         let degree = net.degree();
 
         // Stage: Classify — pick the serving path by degree.
@@ -473,17 +552,17 @@ impl Engine {
             return Ok(outcome(frontier, degree, RouteSource::ClosedForm, counters, trace));
         }
 
-        // Snapshot the table generation once: this route runs start to
-        // finish against one table even if a hot reload commits midway,
-        // and its cache inserts carry the snapshot's epoch so they are
-        // dropped rather than published into a newer generation.
-        let generation = inner.table.snapshot();
+        // The handle pinned the table generation (a batch pins once for
+        // all of its slots): this route runs start to finish against one
+        // table even if a hot reload commits midway, and its cache
+        // inserts carry the pinned epoch so they are dropped rather than
+        // published into a newer generation.
+        let generation = &self.generation;
         let table = &generation.table;
 
         let res = inner.config.resilience;
         let deadline = session.deadline.or(res.deadline);
-        let budget =
-            deadline.map(|deadline| Budget::new(Arc::clone(&inner.clock), deadline));
+        let budget = deadline.map(|deadline| Budget::new(&*inner.clock, deadline));
         let faults = &inner.config.faults;
         let mut ladder = Ladder {
             faults,
@@ -613,30 +692,8 @@ impl Engine {
         Err(ladder.exhausted())
     }
 
-    /// Incremental (ECO) rerouting: applies `delta` to its base net and
-    /// routes the edited net. On an engine without a frontier cache (the
-    /// default) that is all it does: one [`Engine::route_session`] of
-    /// `delta.apply()`, which classifies the net once, and `prior_edits`
-    /// is not read. An engine that opted into the cache
-    /// ([`Engine::with_cache`]) first tries to answer from replay when
-    /// the edit preserved the congruence class (see [`crate::eco`] and
-    /// DESIGN.md §16).
-    ///
-    /// `prior_edits` is the replay staleness lineage: the number of
-    /// edits already served from replay for this net, which a prior
-    /// [`RouteSource::Reused`] outcome reports as its `staleness` (0
-    /// after any other provenance; the serve layer forwards the wire
-    /// request's `staleness` field). [`RouterConfig::eco`]'s
-    /// `staleness_cap` bounds how many consecutive edits replay may
-    /// serve; past the cap the mutated net routes fresh, which resets
-    /// the counter (a fresh outcome's provenance is no longer `Reused`).
-    ///
-    /// The replayed frontier is bit-identical to routing the mutated net
-    /// from scratch: the cached winner set is a pure function of the
-    /// (unchanged) congruence class, and replay only skips the scoring
-    /// of candidates that were already dominated. When the class
-    /// changed, the winners are not resident, or validation fails, the
-    /// mutated net falls through the ordinary degradation ladder.
+    /// [`Engine::reroute_with_staleness`] against this handle's table
+    /// generation.
     pub fn reroute_with_staleness(
         &self,
         delta: &NetDelta,
@@ -670,9 +727,8 @@ impl Engine {
         mutated: &Net,
         staleness: u32,
     ) -> Option<RouteOutcome> {
-        let inner = &*self.inner;
-        let generation = inner.table.snapshot();
-        let table = &generation.table;
+        let inner = self.inner;
+        let table = &self.generation.table;
         let base = &delta.base;
         let degree = mutated.degree();
         if degree != base.degree() || degree < 3 || degree > table.lambda() as usize {
@@ -798,7 +854,7 @@ fn outcome(
 /// caught panic and the first table error.
 struct Ladder<'a> {
     faults: &'a FaultPlane,
-    budget: Option<&'a Budget>,
+    budget: Option<&'a Budget<'a>>,
     key: u64,
     degree: usize,
     validate: bool,

@@ -60,7 +60,7 @@ pub mod resilience;
 
 pub use batch::{BatchStats, WorkerStats};
 pub use eco::{DeltaJob, DeltaKind, EcoConfig, NetDelta};
-pub use engine::{Engine, ReloadError, RouterConfig, Session};
+pub use engine::{Engine, Pinned, ReloadError, RouterConfig, Session};
 pub use cache::{CacheConfig, CacheStats, ShardStats};
 pub use pipeline::{
     RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource, StageCounters,

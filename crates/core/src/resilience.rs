@@ -37,7 +37,6 @@
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use patlabor_geom::Net;
@@ -115,16 +114,17 @@ impl Clock for VirtualClock {
 /// A per-net deadline: fixed at route entry, checked cooperatively at
 /// rung boundaries and inside the DW / local-search inner loops. It
 /// belongs to one route on one thread, so charging it is a plain cell
-/// write.
+/// write, and it borrows the engine's clock, so starting one writes no
+/// word that other routes share.
 #[derive(Debug, Clone)]
-pub struct Budget {
-    clock: Arc<dyn Clock>,
+pub struct Budget<'c> {
+    clock: &'c dyn Clock,
     deadline_at: Cell<Duration>,
 }
 
-impl Budget {
+impl<'c> Budget<'c> {
     /// Starts a budget of `deadline` from the clock's current reading.
-    pub fn new(clock: Arc<dyn Clock>, deadline: Duration) -> Self {
+    pub fn new(clock: &'c dyn Clock, deadline: Duration) -> Self {
         let deadline_at = Cell::new(clock.now().saturating_add(deadline));
         Budget { clock, deadline_at }
     }
@@ -756,9 +756,9 @@ mod tests {
 
     #[test]
     fn budget_expires_exactly_at_the_deadline() {
-        let clock = Arc::new(VirtualClock::new());
+        let clock = VirtualClock::new();
         clock.advance(Duration::from_secs(1)); // non-zero origin
-        let budget = Budget::new(clock.clone() as Arc<dyn Clock>, Duration::from_millis(10));
+        let budget = Budget::new(&clock, Duration::from_millis(10));
         assert!(!budget.exceeded());
         clock.advance(Duration::from_millis(9));
         assert!(!budget.exceeded());
@@ -768,9 +768,9 @@ mod tests {
 
     #[test]
     fn a_charge_spends_only_its_own_budget() {
-        let clock = Arc::new(VirtualClock::new());
-        let charged = Budget::new(clock.clone() as Arc<dyn Clock>, Duration::from_millis(10));
-        let sibling = Budget::new(clock.clone() as Arc<dyn Clock>, Duration::from_millis(10));
+        let clock = VirtualClock::new();
+        let charged = Budget::new(&clock, Duration::from_millis(10));
+        let sibling = Budget::new(&clock, Duration::from_millis(10));
         charged.charge(Duration::from_millis(4));
         clock.advance(Duration::from_millis(6));
         assert!(charged.exceeded());

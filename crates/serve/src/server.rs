@@ -301,22 +301,24 @@ impl Shared {
             return;
         }
         let started = Instant::now();
-        // Workers are spawned only when one kind of job has two or more
-        // requests, so no batch spawns workers that the driver would not
+        // Helpers are spawned only when one kind of job has two or more
+        // requests, so no batch spawns helpers that the driver would not
         // spawn for its routes or its reroutes alone: a lone route with a
-        // lone reroute is routed on this thread.
+        // lone reroute is routed on this thread alone. Either way the
+        // batch routes against the one table generation the driver pins.
         let routes = batch.iter().filter(|p| matches!(p.job, Job::Route(_))).count();
         let threads = if routes.max(batch.len() - routes) > 1 { threads } else { 1 };
-        let (results, _stats) = self.engine.route_batch_by(batch.len(), threads, |i| {
-            let pending = &batch[i];
-            match &pending.job {
-                Job::Route(net) => self.engine.route_session(net, &pending.session),
-                Job::Reroute { delta, prior_edits } => {
-                    self.engine
-                        .reroute_with_staleness(delta, *prior_edits, &pending.session)
+        let (results, _stats) = self
+            .engine
+            .route_batch_by(batch.len(), threads, |engine, i| {
+                let pending = &batch[i];
+                match &pending.job {
+                    Job::Route(net) => engine.route_session(net, &pending.session),
+                    Job::Reroute { delta, prior_edits } => {
+                        engine.reroute_with_staleness(delta, *prior_edits, &pending.session)
+                    }
                 }
-            }
-        });
+            });
         // Fold the batch's wall time into the drain-rate EWMA that
         // admission control prices rejections with.
         let per_net_ns = u64::try_from(
